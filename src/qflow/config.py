@@ -7,6 +7,7 @@ the full offending list so typos never silently fall back to defaults.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,11 +24,14 @@ class ConfigError(ValidationError):
 
 
 def _as_float(s):
-    return float(s)
+    v = float(s)
+    if not math.isfinite(v):
+        raise ValueError(f"expected a finite number, got {s}")
+    return v
 
 
 def _as_int(s):
-    v = float(s)
+    v = _as_float(s)
     if v != int(v):
         raise ValueError(f"expected an integer, got {s}")
     return int(v)
@@ -47,7 +51,7 @@ def _as_str(s):
 
 
 def _auto_or_float(s):
-    return None if s.strip().lower() == "auto" else float(s)
+    return None if s.strip().lower() == "auto" else _as_float(s)
 
 
 def _auto_or_int(s):

@@ -1,7 +1,8 @@
 """Finite-difference stencils on uniform grids.
 
-Interior points use centered stencils; the outermost points fall back to
-one-sided stencils of the same order.  Weights are generated from the
+Interior points use centered stencils, applied as one cached sparse band
+product per grid size; the outermost points fall back to one-sided
+stencils of the same order.  Weights are generated from the
 Vandermonde system rather than hard-coded tables, so any (derivative,
 order) pair stays consistent by construction.
 """
@@ -12,6 +13,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from scipy import sparse
 
 from .errors import ValidationError
 
@@ -41,23 +43,52 @@ def _stencil_table(m: int, order: int):
     return half, edge, center, rows
 
 
-def derivative(f: np.ndarray, h: float, m: int = 1, order: int = 4) -> np.ndarray:
-    """m-th derivative of samples ``f`` on a uniform grid of spacing ``h``."""
+@lru_cache(maxsize=64)
+def _interior_operator(n: int, ms: tuple, order: int):
+    """CSR band of the unscaled centred weights of every ``m`` in ``ms``.
+
+    Row ``k * n + i`` holds the stencil of derivative ``ms[k]`` at point
+    ``i``; the edge rows stay empty and are filled by the one-sided rows.
+    """
+    counts = np.zeros((len(ms), n), dtype=np.int64)
+    indices, data = [], []
+    for k, m in enumerate(ms):
+        half, _, center, _ = _stencil_table(m, order)
+        rows = np.arange(half, n - half)
+        counts[k, rows] = center.size
+        indices.append((rows[:, None] + np.arange(-half, half + 1)).ravel())
+        data.append(np.tile(center, rows.size))
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    return sparse.csr_array(
+        (np.concatenate(data), np.concatenate(indices), indptr),
+        shape=(len(ms) * n, n))
+
+
+def derivative(f: np.ndarray, h: float, m=1, order: int = 4) -> np.ndarray:
+    """m-th derivative of samples ``f`` on a uniform grid of spacing ``h``.
+
+    ``m`` may be a tuple of derivative orders; the result is then stacked,
+    one row per entry of ``m``, from a single sparse product.  The interior
+    rows sum each centred stencil in weight order starting from zero and
+    the scaling by ``h**m`` comes last, so every row is bit-identical to
+    the single-``m`` result.
+    """
     f = np.asarray(f, dtype=float)
+    ms = (m,) if np.ndim(m) == 0 else tuple(m)
     n = f.shape[0]
-    half, edge, center, edge_rows = _stencil_table(m, order)
-    if n < edge:
-        raise ValidationError(f"grid too short for stencils: {n} < {edge} points")
-    out = np.empty_like(f)
-    acc = center[0] * f[0:n - 2 * half]
-    for j in range(1, 2 * half + 1):
-        acc = acc + center[j] * f[j:n - 2 * half + j]
-    out[half:n - half] = acc
-    out[:half] = edge_rows @ f[:edge]
-    # mirrored one-sided stencils; odd derivatives flip sign under reflection
-    sign = -1.0 if m % 2 else 1.0
-    out[n - half:] = (sign * (edge_rows @ f[: n - edge - 1: -1]))[::-1]
-    return out / h**m
+    tables = [_stencil_table(k, order) for k in ms]
+    edge_max = max(t[1] for t in tables)
+    if n < edge_max:
+        raise ValidationError(f"grid too short for stencils: {n} < {edge_max} points")
+    out = (_interior_operator(n, ms, order) @ f).reshape((len(ms),) + f.shape)
+    mirrored = f[::-1]
+    for i, (k, (half, edge, _, edge_rows)) in enumerate(zip(ms, tables)):
+        out[i, :half] = edge_rows @ f[:edge]
+        # mirrored one-sided stencils; odd derivatives flip sign under reflection
+        sign = -1.0 if k % 2 else 1.0
+        out[i, n - half:] = (sign * (edge_rows @ mirrored[:edge]))[::-1]
+        out[i] /= h**k
+    return out[0] if np.ndim(m) == 0 else out
 
 
 def grid_spacing(x: np.ndarray, rtol: float = 1e-9) -> float:

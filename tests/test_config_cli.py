@@ -55,6 +55,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="solver.t_final"):
             resolve({"solver.t_final": "soon"})
 
+    @pytest.mark.parametrize("key,value", [
+        ("grid.n_labels", "1e400"), ("solver.cfl", "inf"), ("physics.omega", "nan"),
+        ("solver.dt", "-inf"), ("reference.t_final", "nan"), ("qtm.degree", "inf")])
+    def test_non_finite_values_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            resolve({key: value})
+
     def test_auto_sentinels(self):
         vals = resolve({"solver.dt": "auto", "solver.projection_degree": "auto"})
         assert vals["solver.dt"] is None
@@ -179,6 +186,26 @@ class TestCli:
         assert main(["run-lagrangian", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
         assert "solver.speed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["grid.n_labels = 1e400",
+                                      "physics.omega = nan"])
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["run-lagrangian", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_state_exits_3(self, tmp_path, capsys):
+        # at sigma0 = 0.2 the analytic density underflows to 0 in the +-8
+        # tails, so the log-density ratios there are 0/0
+        cfg = tmp_path / "tails.cfg"
+        cfg.write_text("state.sigma0 = 0.2\ngrid.n_labels = 101\n"
+                       "solver.t_final = 0.01\n")
+        assert main(["run-lagrangian", "--config", str(cfg),
+                     "--out", str(tmp_path / "o"), "--quiet"]) == 3
+        assert "non-finite" in capsys.readouterr().err
 
     def test_numerical_abort_exits_3(self, tmp_path):
         cfg = tmp_path / "unstable.cfg"

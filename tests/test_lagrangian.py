@@ -4,11 +4,13 @@ import pytest
 from qflow.benchmarks import gaussian_trajectory
 from qflow.errors import (NumericalInstability, TrajectoryCrossing,
                           ValidationError)
-from qflow.lagrangian import (SolverConfig, acceleration_direct,
+from qflow.lagrangian import (SolverConfig, _accel_direct_from, _kinematics,
+                              _LabelData, _vq_from, acceleration_direct,
                               acceleration_newton, energy_of, evolve,
                               initial_velocity, quantum_potential_labels)
 from qflow.model import (AnalyticForms, HarmonicPotential, InitialState,
                          PhysicsParams, TrajectoryState, make_gaussian_state)
+from qflow.stencils import derivative
 
 PARAMS = PhysicsParams()
 
@@ -124,6 +126,35 @@ class TestAccelerations:
         assert vq[i0] == pytest.approx(0.25, abs=1e-8)
         assert vq[i1] == pytest.approx(0.125, abs=1e-8)
 
+    def test_shared_kernel_matches_per_derivative_formulas(self):
+        # reference: J, J', J'' from one stencil call each, as the forms
+        # were written before the stacked kernel; the public forms and the
+        # in-loop kernel must reproduce it bit for bit on a non-affine map
+        a = self.init.labels
+        q = a + 0.1 * np.sin(a)
+        data = _LabelData(self.init, PARAMS, 4)
+        h, L1, L2 = data.h, data.L1, data.L2
+        J, Jp, Jpp = (derivative(q, h, m, 4) for m in (1, 2, 3))
+        Ji = 1.0 / J
+        G = (2.0 * Ji**5 * Jp**2 - Ji**4 * Jp * L1 - Ji**4 * Jpp
+             + Ji**3 * L2 - Ji**3 * L1**2)
+        acc_ref = ((PARAMS.hbar**2 / (4.0 * PARAMS.mass**2))
+                   * (L1 * G + derivative(G, h, 1, 4))
+                   - PARAMS.potential_gradient(q) / PARAMS.mass)
+        ca = L1 - Jp * Ji
+        caa = (L2 - L1**2) - (Jpp * Ji - (Jp * Ji) ** 2)
+        cx = ca * Ji
+        cxx = (caa - ca * Jp * Ji) * Ji**2
+        vq_ref = -(PARAMS.hbar**2 / (4.0 * PARAMS.mass)) * (cxx + 0.5 * cx**2)
+
+        state = _state_from(self.init, q=q)
+        kin = _kinematics(data, q)
+        assert np.array_equal(acceleration_direct(state, self.init, PARAMS), acc_ref)
+        assert np.array_equal(_accel_direct_from(data, PARAMS, q, kin), acc_ref)
+        assert np.array_equal(quantum_potential_labels(state, self.init, PARAMS),
+                              vq_ref)
+        assert np.array_equal(_vq_from(data, PARAMS, kin), vq_ref)
+
     def test_crossing_detected(self):
         q = self.init.labels.copy()
         # still strictly increasing, but compressed below the J floor
@@ -237,6 +268,32 @@ class TestEvolve:
                            projection_degree=24)
         with pytest.raises(NumericalInstability, match="energy drift"):
             evolve(init, PARAMS, cfg)
+
+    def test_non_finite_state_aborts(self):
+        # NaN passes both the J floor and the monotonicity test
+        nan_trap = PhysicsParams(potential=HarmonicPotential(omega=float("nan")))
+        init = make_gaussian_state(1.0, nan_trap, np.linspace(-8, 8, 101))
+        with pytest.raises(NumericalInstability, match="non-finite"):
+            evolve(init, nan_trap, SolverConfig(t_final=0.01))
+
+    @pytest.mark.parametrize("integrator,path,force_evals", [
+        ("rk4", "direct", 4), ("rk4", "newton", 4), ("velocity_verlet", "direct", 2)])
+    def test_at_most_two_stencil_products_per_force_evaluation(
+            self, monkeypatch, integrator, path, force_evals):
+        import qflow.lagrangian as lagrangian
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2] if len(args) > 2 else kwargs.get("m", 1))
+            return derivative(*args, **kwargs)
+
+        monkeypatch.setattr(lagrangian, "derivative", counting)
+        init = make_gaussian_state(1.0, PARAMS, np.linspace(-8, 8, 101))
+        cfg = SolverConfig(t_final=0.01, dt=0.01, integrator=integrator,
+                           acceleration_path=path)
+        evolve(init, PARAMS, cfg)
+        # plus one for each energy check, at t = 0 and at the final snapshot
+        assert len(calls) <= 2 * force_evals + 2, calls
 
     def test_snapshot_stride_and_final_inclusion(self):
         init = make_gaussian_state(1.0, PARAMS, np.linspace(-8, 8, 101))

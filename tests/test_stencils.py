@@ -2,7 +2,23 @@ import numpy as np
 import pytest
 
 from qflow.errors import ValidationError
-from qflow.stencils import derivative, fd_weights, grid_spacing, trapezoid_weights
+from qflow.stencils import (_EDGE, _stencil_table, derivative, fd_weights,
+                            grid_spacing, trapezoid_weights)
+
+
+def _loop_derivative(f, h, m, order):
+    """Reference: per-offset shifted products summed in stencil order."""
+    n = f.shape[0]
+    half, edge, center, edge_rows = _stencil_table(m, order)
+    out = np.empty_like(f)
+    acc = center[0] * f[0:n - 2 * half]
+    for j in range(1, 2 * half + 1):
+        acc = acc + center[j] * f[j:n - 2 * half + j]
+    out[half:n - half] = acc
+    out[:half] = edge_rows @ f[:edge]
+    sign = -1.0 if m % 2 else 1.0
+    out[n - half:] = (sign * (edge_rows @ f[::-1][:edge]))[::-1]
+    return out / h**m
 
 
 def _poly(coeffs, x):
@@ -68,3 +84,40 @@ def test_trapezoid_weights_integrate_linear():
     w = trapezoid_weights(x)
     assert np.sum(w) == pytest.approx(3.0)
     assert np.sum(w * x) == pytest.approx(np.trapezoid(x, x))
+
+
+@pytest.mark.parametrize("m,order", sorted(_EDGE))
+def test_grid_of_exactly_one_edge_stencil(m, order):
+    # n == edge: the mirrored rows read the whole grid, reversed
+    n = _EDGE[(m, order)]
+    rng = np.random.default_rng(5)
+    coeffs = rng.normal(size=order + 1)
+    x = np.linspace(0.0, 1.0, n)
+    got = derivative(_poly(coeffs, x), x[1] - x[0], m, order)
+    expected = _dpoly(coeffs, x, m)
+    assert got.shape == (n,)
+    assert np.max(np.abs(got - expected)) < 1e-7 * max(1.0, np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("size", ["edge", "edge+1", 37, 401])
+@pytest.mark.parametrize("smooth", [True, False])
+def test_stacked_rows_bit_identical_to_single_derivatives(order, size, smooth):
+    edge = max(_EDGE[(m, order)] for m in (1, 2, 3))
+    n = {"edge": edge, "edge+1": edge + 1}.get(size, size)
+    x = np.linspace(-8.0, 8.0, n)
+    f = (np.exp(-0.5 * x**2) * np.cos(x) if smooth
+         else np.random.default_rng(n).normal(size=n))
+    h = x[1] - x[0]
+    stacked = derivative(f, h, (1, 2, 3), order)
+    singles = np.stack([derivative(f, h, m, order) for m in (1, 2, 3)])
+    loops = np.stack([_loop_derivative(f, h, m, order) for m in (1, 2, 3)])
+    assert stacked.shape == (3, n)
+    assert np.array_equal(stacked, singles)
+    assert np.array_equal(stacked, loops)
+
+
+def test_stacked_short_grid_rejected():
+    # the longest one-sided stencil of the stack sets the minimum
+    with pytest.raises(ValidationError, match="6 < 7"):
+        derivative(np.ones(6), 0.1, (1, 2, 3), 4)
