@@ -172,6 +172,14 @@ class Settings:
     # -- constructors ------------------------------------------------------
 
     def physics(self) -> PhysicsParams:
+        # squared on Python floats: an overflow raises, a zero square divides by 0
+        for key in ("physics.hbar", "physics.mass", "physics.omega"):
+            v = self[key]
+            if not v > 0:
+                raise ConfigError(f"{key} must be positive, got {v!r}")
+            if not 0.0 < v * v < math.inf:
+                raise ConfigError(
+                    f"{key} = {v!r} is out of range (square not finite or 0)")
         kind = self["physics.potential"]
         if kind == "free":
             pot = FreePotential()

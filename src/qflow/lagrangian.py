@@ -151,6 +151,9 @@ class _LabelData:
         self.mass_weights = trapezoid_weights(a) * init.rho0
         if forms is not None and forms.rho0 and forms.drho0 and forms.d2rho0:
             r = np.asarray(forms.rho0(a), dtype=float)
+            if np.any(r <= 0):
+                raise ValidationError(f"analytic rho0 underflows to 0 on the label "
+                                      f"span [{a[0]}, {a[-1]}]; narrow the span")
             self.L1 = np.asarray(forms.drho0(a), dtype=float) / r
             self.L2 = np.asarray(forms.d2rho0(a), dtype=float) / r
         else:
@@ -211,7 +214,7 @@ def _vq_from(data: _LabelData, params: PhysicsParams, kin):
     caa = (data.L2 - data.L1**2) - (Jpp * Ji - (Jp * Ji) ** 2)
     cx = ca * Ji                                 # d(ln rho)/dq
     cxx = (caa - ca * Jp * Ji) * Ji**2
-    return -(params.hbar**2 / (4.0 * params.mass)) * (cxx + 0.5 * cx**2)
+    return params.quantum_potential(cx, cxx)
 
 
 def _accel_newton_from(data: _LabelData, params: PhysicsParams, q, kin, vq):

@@ -97,6 +97,11 @@ class PhysicsParams:
         p._check_range(x)
         return p._spline(x)
 
+    def quantum_potential(self, c1, c2):
+        """V_Q = -(hbar^2 / 4m) (c'' + c'^2 / 2), the one 1-D V_Q formula,
+        from the spatial derivatives c1, c2 of the log-density c = ln rho."""
+        return -(self.hbar**2 / (4.0 * self.mass)) * (c2 + 0.5 * c1**2)
+
     def potential_gradient(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         p = self.potential
@@ -165,6 +170,27 @@ class InitialState:
         return self.labels.size
 
 
+def _gaussian_forms(sigma0: float, hbar: float, boost_k: float = 0.0,
+                    scale: float = 1.0) -> AnalyticForms:
+    """Closed forms of ``scale * N(0, sigma0^2)`` with the phase ``hbar k x``:
+    the one source of the 1-D Gaussian initial state."""
+    s2 = sigma0 * sigma0
+    norm = scale * (2.0 * np.pi * s2) ** -0.5
+    k = float(boost_k)
+
+    def rho0_f(x):
+        return norm * np.exp(-np.asarray(x, dtype=float) ** 2 / (2.0 * s2))
+
+    return AnalyticForms(
+        rho0=rho0_f,
+        drho0=lambda x: rho0_f(x) * (-np.asarray(x, dtype=float) / s2),
+        d2rho0=lambda x: rho0_f(x) * ((np.asarray(x, dtype=float) / s2) ** 2 - 1.0 / s2),
+        s0=lambda x: hbar * k * np.asarray(x, dtype=float),
+        ds0=lambda x: np.full_like(np.asarray(x, dtype=float), hbar * k),
+        d2s0=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+    )
+
+
 def make_gaussian_state(sigma0: float, params: PhysicsParams, labels,
                         boost_k: float = 0.0, analytic: bool = True) -> InitialState:
     """Gaussian density of width sigma0, optionally with a plane-wave phase.
@@ -184,25 +210,9 @@ def make_gaussian_state(sigma0: float, params: PhysicsParams, labels,
             f"label span [{a[0]}, {a[-1]}] is narrower than +-4 sigma0 = "
             f"{4.0 * sigma0}; normalization unattainable"
         )
-    s2 = sigma0 * sigma0
-    norm = (2.0 * np.pi * s2) ** -0.5
-    hbar = params.hbar
-    k = float(boost_k)
-
-    def rho0_f(x):
-        return norm * np.exp(-np.asarray(x, dtype=float) ** 2 / (2.0 * s2))
-
-    forms = None
-    if analytic:
-        forms = AnalyticForms(
-            rho0=rho0_f,
-            drho0=lambda x: rho0_f(x) * (-np.asarray(x, dtype=float) / s2),
-            d2rho0=lambda x: rho0_f(x) * ((np.asarray(x, dtype=float) / s2) ** 2 - 1.0 / s2),
-            s0=lambda x: hbar * k * np.asarray(x, dtype=float),
-            ds0=lambda x: np.full_like(np.asarray(x, dtype=float), hbar * k),
-            d2s0=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        )
-    return InitialState(labels=a, rho0=rho0_f(a), s0=hbar * k * a, forms=forms)
+    forms = _gaussian_forms(sigma0, params.hbar, boost_k)
+    return InitialState(labels=a, rho0=forms.rho0(a), s0=forms.s0(a),
+                        forms=forms if analytic else None)
 
 
 # ---------------------------------------------------------------------------

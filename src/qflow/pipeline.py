@@ -20,8 +20,8 @@ from .kinematics import (cofactor_matrix, jacobian, quantum_potential,
                          stress_eulerian, stress_lagrangian)
 from .lagrangian import (SolverConfig, acceleration_direct, acceleration_newton,
                          energy_of, evolve)
-from .model import (AnalyticForms, FreePotential, InitialState,
-                    PhysicsParams, TrajectoryState, assemble_wavefunction,
+from .model import (FreePotential, InitialState, PhysicsParams,
+                    TrajectoryState, _gaussian_forms, assemble_wavefunction,
                     make_gaussian_state)
 from .qtm import mwls_derivatives, qtm_evolve
 from .reconstruction import (continuity_euler_residuals, ensemble_moments,
@@ -103,10 +103,9 @@ def run_reference(settings: Settings):
     """Spectral solve of the same initial state on the spatial grid."""
     params = settings.physics()
     x = settings.x_grid()
-    sigma0 = settings["state.sigma0"]
-    k = settings["state.boost_k"]
-    rho0 = (2.0 * np.pi * sigma0**2) ** -0.5 * np.exp(-(x / sigma0) ** 2 / 2.0)
-    psi0 = assemble_wavefunction(rho0, params.hbar * k * x, params.hbar)
+    forms = _gaussian_forms(settings["state.sigma0"], params.hbar,
+                            settings["state.boost_k"])
+    psi0 = assemble_wavefunction(forms.rho0(x), forms.s0(x), params.hbar)
     dx = grid_spacing(x)
     psi0 = psi0 / np.sqrt(norm_of(psi0, dx))
     waves = split_step_evolve(psi0, x, params, settings["reference.dt"],
@@ -134,26 +133,10 @@ def _truncated_gaussian_state(sigma0, params, labels, boost_k=0.0) -> InitialSta
     log-density derivatives, and hence the dynamics, are unchanged.
     """
     a = np.asarray(labels, dtype=float)
-    s2 = sigma0 * sigma0
-    hbar = params.hbar
-    raw = (2.0 * np.pi * s2) ** -0.5 * np.exp(-(a / sigma0) ** 2 / 2.0)
-    scale = 1.0 / np.trapezoid(raw, a)
-
-    def rho0_f(x):
-        x = np.asarray(x, dtype=float)
-        return scale * (2.0 * np.pi * s2) ** -0.5 * np.exp(-(x / sigma0) ** 2 / 2.0)
-
-    forms = AnalyticForms(
-        rho0=rho0_f,
-        drho0=lambda x: rho0_f(x) * (-np.asarray(x, dtype=float) / s2),
-        d2rho0=lambda x: rho0_f(x) * ((np.asarray(x, dtype=float) / s2) ** 2
-                                      - 1.0 / s2),
-        s0=lambda x: hbar * boost_k * np.asarray(x, dtype=float),
-        ds0=lambda x: np.full_like(np.asarray(x, dtype=float), hbar * boost_k),
-        d2s0=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-    )
-    return InitialState(labels=a, rho0=rho0_f(a), s0=hbar * boost_k * a,
-                        forms=forms)
+    raw = _gaussian_forms(sigma0, params.hbar, boost_k).rho0(a)
+    forms = _gaussian_forms(sigma0, params.hbar, boost_k,
+                            scale=1.0 / np.trapezoid(raw, a))
+    return InitialState(labels=a, rho0=forms.rho0(a), s0=forms.s0(a), forms=forms)
 
 
 def run_qtm(settings: Settings):

@@ -18,6 +18,7 @@ independent trapezoid rule so the two density routes cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -160,30 +161,24 @@ class QtmResult:
     div_integral: np.ndarray
 
 
-class _QtmRhs:
-    def __init__(self, params: PhysicsParams, config: QtmConfig):
-        self.params = params
-        self.config = config
-
-    def __call__(self, x, c, S):
-        cfg = self.config
-        if np.any(np.diff(x) <= 0):
-            raise TrajectoryCrossing(int(np.argmin(np.diff(x))), np.nan,
-                                     "particle ordering lost during a stage")
-        idx, weighted, gram, h_loc = _fit_matrices(x, cfg.degree, cfg.stencil_size,
-                                                   cfg.weight_width_mult)
-        wt = weighted.transpose(0, 2, 1)
-        beta_s = _solve_fits(gram, np.matmul(wt, S[idx][:, :, None]))[:, :, 0]
-        beta_c = _solve_fits(gram, np.matmul(wt, c[idx][:, :, None]))[:, :, 0]
-        m = self.params.mass
-        hbar = self.params.hbar
-        v = beta_s[:, 1] / h_loc / m
-        vx = beta_s[:, 2] / h_loc**2 / m
-        c1 = beta_c[:, 1] / h_loc
-        c2 = beta_c[:, 2] / h_loc**2
-        vq = -(hbar**2 / (4.0 * m)) * (c2 + 0.5 * c1**2)
-        ldens = 0.5 * m * v**2 - self.params.potential_energy(x) - vq
-        return v, -vx, ldens, vx
+def _qtm_rhs(params: PhysicsParams, cfg: QtmConfig, x, c, S):
+    """(dx/dt, dc/dt, dS/dt, dv/dx) at every particle from one set of fits."""
+    if np.any(np.diff(x) <= 0):
+        raise TrajectoryCrossing(int(np.argmin(np.diff(x))), np.nan,
+                                 "particle ordering lost during a stage")
+    idx, weighted, gram, h_loc = _fit_matrices(x, cfg.degree, cfg.stencil_size,
+                                               cfg.weight_width_mult)
+    wt = weighted.transpose(0, 2, 1)
+    beta_s = _solve_fits(gram, np.matmul(wt, S[idx][:, :, None]))[:, :, 0]
+    beta_c = _solve_fits(gram, np.matmul(wt, c[idx][:, :, None]))[:, :, 0]
+    m = params.mass
+    v = beta_s[:, 1] / h_loc / m
+    vx = beta_s[:, 2] / h_loc**2 / m
+    c1 = beta_c[:, 1] / h_loc
+    c2 = beta_c[:, 2] / h_loc**2
+    vq = params.quantum_potential(c1, c2)
+    ldens = 0.5 * m * v**2 - params.potential_energy(x) - vq
+    return v, -vx, ldens, vx
 
 
 def qtm_evolve(init: InitialState, params: PhysicsParams,
@@ -201,7 +196,7 @@ def qtm_evolve(init: InitialState, params: PhysicsParams,
     c = np.log(init.rho0)
     S = init.s0.copy()
     weights = trapezoid_weights(init.labels)
-    rhs = _QtmRhs(params, config)
+    rhs = partial(_qtm_rhs, params, config)
 
     dt = config.dt
     if dt is None:
@@ -213,9 +208,9 @@ def qtm_evolve(init: InitialState, params: PhysicsParams,
 
     snapshots = [ParticleSet(x.copy(), c.copy(), S.copy(), weights, 0.0)]
     div_int = np.zeros_like(x)
-    vx_prev = rhs(x, c, S)[3]
+    # each end-of-step evaluation (for div_int) is the next step's k1
+    k1 = rhs(x, c, S)
     for step in range(n_steps):
-        k1 = rhs(x, c, S)
         k2 = rhs(x + 0.5 * dt * k1[0], c + 0.5 * dt * k1[1], S + 0.5 * dt * k1[2])
         k3 = rhs(x + 0.5 * dt * k2[0], c + 0.5 * dt * k2[1], S + 0.5 * dt * k2[2])
         k4 = rhs(x + dt * k3[0], c + dt * k3[1], S + dt * k3[2])
@@ -226,9 +221,9 @@ def qtm_evolve(init: InitialState, params: PhysicsParams,
         if np.any(gaps <= 0):
             raise TrajectoryCrossing(int(np.argmin(gaps)), (step + 1) * dt,
                                      "particle crossing")
-        vx_new = rhs(x, c, S)[3]
-        div_int += 0.5 * dt * (vx_prev + vx_new)
-        vx_prev = vx_new
+        k_end = rhs(x, c, S)
+        div_int += 0.5 * dt * (k1[3] + k_end[3])
+        k1 = k_end
         t = (step + 1) * dt
         if (step + 1) % config.snapshot_stride == 0 or step + 1 == n_steps:
             snapshots.append(ParticleSet(x.copy(), c.copy(), S.copy(), weights, t))

@@ -5,6 +5,12 @@ interpolation, well-posed because J > 0), densities push forward by
 rho = rho0 / J, velocities by composition, and the phase rides along the
 trajectories as S = S0 + chi.  A second, spatial-quadrature route to the
 phase is kept as a consistency check only.
+
+Each snapshot's inverse map is built once per call, always by
+:func:`invert_map`: one full-grid map serves rho, v, S and the dual-route
+check, which adds one 9-point window map per snapshot centred on its phase
+anchor.  V_Q comes from ``PhysicsParams.quantum_potential``; only the
+route to the log-density derivatives differs.
 """
 
 from __future__ import annotations
@@ -72,59 +78,75 @@ def _interp_on_labels(traj, values, a_query):
     return _pchip_linear_edges(traj.labels, values)(a_query)
 
 
+def _pushforward_at(traj, init, a_query, stencil_order):
+    """rho0 and J = dq/da at the labels ``a_query`` (rho = rho0 / J there)."""
+    J = derivative(traj.q, grid_spacing(traj.labels), 1, stencil_order)
+    J_at = _interp_on_labels(traj, J, a_query)
+    if init.forms is not None and init.forms.rho0 is not None:
+        rho0_at = np.asarray(init.forms.rho0(a_query), dtype=float)
+    else:
+        rho0_at = _interp_on_labels(traj, init.rho0, a_query)
+    return rho0_at, J_at
+
+
 def eulerian_density(traj: TrajectoryState, init: InitialState, x_grid,
                      stencil_order: int = 4):
     """rho(x) = [rho0 / J] at a(x); masked outside the trajectory image."""
-    x = np.asarray(x_grid, dtype=float)
-    a_of_x, mask = invert_map(traj, x)
-    rho = np.full(x.shape, np.nan)
-    if not np.any(mask):
-        return rho, mask
-    h = grid_spacing(traj.labels)
-    J = derivative(traj.q, h, 1, stencil_order)
-    aq = a_of_x[mask]
-    J_at = _interp_on_labels(traj, J, aq)
-    if init.forms is not None and init.forms.rho0 is not None:
-        rho0_at = np.asarray(init.forms.rho0(aq), dtype=float)
-    else:
-        rho0_at = _interp_on_labels(traj, init.rho0, aq)
+    a_of_x, mask = invert_map(traj, x_grid)
+    rho = np.full(mask.shape, np.nan)
+    rho0_at, J_at = _pushforward_at(traj, init, a_of_x[mask], stencil_order)
     rho[mask] = np.maximum(rho0_at / J_at, 0.0)
     return rho, mask
 
 
 def eulerian_velocity(traj: TrajectoryState, x_grid):
     """v(x) = qdot at a(x), by the same interpolation as the inverse map."""
-    x = np.asarray(x_grid, dtype=float)
-    a_of_x, mask = invert_map(traj, x)
-    v = np.full(x.shape, np.nan)
-    if np.any(mask):
-        v[mask] = _interp_on_labels(traj, traj.qdot, a_of_x[mask])
+    a_of_x, mask = invert_map(traj, x_grid)
+    v = np.full(mask.shape, np.nan)
+    v[mask] = _interp_on_labels(traj, traj.qdot, a_of_x[mask])
     return v, mask
 
 
-def _phase_on_grid(traj, init, a_query):
-    s_label = init.s0 + traj.chi
-    return _interp_on_labels(traj, s_label, a_query)
-
-
 def _vq_window(traj, init, params, x_center, half=4, stencil_order=4):
-    """Quantum potential at a single spatial point from a local window."""
-    h_lbl = grid_spacing(traj.labels)
-    dx = h_lbl  # local window spacing; any smooth small spacing works
+    """Anchor label a(x_center) and V_Q there, from one inverse map over a
+    (2 half + 1)-point window centred on x_center."""
+    dx = grid_spacing(traj.labels)  # any smooth small spacing works
     xs = x_center + dx * np.arange(-half, half + 1)
     a_of_x, mask = invert_map(traj, xs)
+    if not mask[half]:
+        raise ValidationError("phase anchor left the trajectory support")
     if not np.all(mask):
         raise ValidationError("phase-anchor window left the trajectory support")
-    J = derivative(traj.q, h_lbl, 1, stencil_order)
-    J_at = _interp_on_labels(traj, J, a_of_x)
-    if init.forms is not None and init.forms.rho0 is not None:
-        rho0_at = np.asarray(init.forms.rho0(a_of_x), dtype=float)
-    else:
-        rho0_at = _interp_on_labels(traj, init.rho0, a_of_x)
+    rho0_at, J_at = _pushforward_at(traj, init, a_of_x, stencil_order)
     c = np.log(rho0_at) - np.log(J_at)
-    c1 = derivative(c, dx, 1, stencil_order)[half]
-    c2 = derivative(c, dx, 2, stencil_order)[half]
-    return -(params.hbar**2 / (4.0 * params.mass)) * (c2 + 0.5 * c1**2)
+    c1, c2 = derivative(c, dx, (1, 2), stencil_order)[:, half]
+    return a_of_x[half:half + 1], params.quantum_potential(c1, c2)
+
+
+def _phase_deviation(history, init, params, xm, vm, s_path, stencil_order):
+    """Dual-route phase deviation, given the final snapshot's velocity and
+    carried phase on the covered grid points ``xm``."""
+    mid = init.n // 2
+    x_c = float(history[0].q[mid])
+
+    # f(t): integrate dS/dt at the fixed spatial anchor over the history
+    times = np.array([s.t for s in history])
+    dsdt = np.empty(times.size)
+    V_c = float(params.potential_energy(np.array([x_c]))[0])
+    for i, snap in enumerate(history):
+        a_c, vq_c = _vq_window(snap, init, params, x_c, stencil_order=stencil_order)
+        if i == 0:
+            s0_c = float(np.interp(a_c[0], init.labels, init.s0))
+        v_c = float(_interp_on_labels(snap, snap.qdot, a_c)[0])
+        dsdt[i] = -(0.5 * params.mass * v_c**2 + V_c + vq_c)
+    s_center = s0_c + np.trapezoid(dsdt, times)
+
+    ic = int(np.argmin(np.abs(xm - x_c)))
+    integral = cumulative_trapezoid(params.mass * vm, xm, initial=0.0)
+    s_quad = integral - integral[ic] + s_center
+
+    diff = s_path - s_quad
+    return float(np.max(np.abs(diff - np.mean(diff))))
 
 
 def phase_consistency_deviation(history: Sequence[TrajectoryState],
@@ -139,37 +161,12 @@ def phase_consistency_deviation(history: Sequence[TrajectoryState],
         raise ValidationError("need at least two snapshots for the dual-phase check")
     x = np.asarray(x_grid, dtype=float)
     final = history[-1]
-    mid = init.n // 2
-    x_c = float(history[0].q[mid])
-
-    # f(t): integrate dS/dt at the fixed spatial anchor over the history
-    times = np.array([s.t for s in history])
-    dsdt = np.empty(times.size)
-    for i, snap in enumerate(history):
-        a_c, m_c = invert_map(snap, np.array([x_c]))
-        if not m_c[0]:
-            raise ValidationError("phase anchor left the trajectory support")
-        v_c = float(_interp_on_labels(snap, snap.qdot, a_c[:1])[0])
-        vq_c = _vq_window(snap, init, params, x_c, stencil_order=stencil_order)
-        V_c = float(params.potential_energy(np.array([x_c]))[0])
-        dsdt[i] = -(0.5 * params.mass * v_c**2 + V_c + vq_c)
-    a0_c, _ = invert_map(history[0], np.array([x_c]))
-    s0_c = float(np.interp(a0_c[0], init.labels, init.s0))
-    s_center = s0_c + np.trapezoid(dsdt, times)
-
-    v, mask = eulerian_velocity(final, x)
-    a_of_x, _ = invert_map(final, x)
-    s_path = np.full(x.shape, np.nan)
-    s_path[mask] = _phase_on_grid(final, init, a_of_x[mask])
-
-    xm = x[mask]
-    vm = v[mask]
-    ic = int(np.argmin(np.abs(xm - x_c)))
-    integral = cumulative_trapezoid(params.mass * vm, xm, initial=0.0)
-    s_quad = integral - integral[ic] + s_center
-
-    diff = s_path[mask] - s_quad
-    return float(np.max(np.abs(diff - np.mean(diff))))
+    a_of_x, mask = invert_map(final, x)
+    aq = a_of_x[mask]
+    return _phase_deviation(history, init, params, x[mask],
+                            _interp_on_labels(final, final.qdot, aq),
+                            _interp_on_labels(final, init.s0 + final.chi, aq),
+                            stencil_order)
 
 
 def reconstruct_wavefunction(history: Sequence[TrajectoryState],
@@ -188,23 +185,25 @@ def reconstruct_wavefunction(history: Sequence[TrajectoryState],
         raise ValidationError("empty trajectory history")
     x = np.asarray(x_grid, dtype=float)
     final = history[-1]
-    rho, mask = eulerian_density(final, init, x, stencil_order)
-    v, _ = eulerian_velocity(final, x)
-    a_of_x, _ = invert_map(final, x)
-    S = np.full(x.shape, np.nan)
-    S[mask] = _phase_on_grid(final, init, a_of_x[mask])
+    a_of_x, mask = invert_map(final, x)
+    aq = a_of_x[mask]
+    rho = np.zeros(x.shape)
+    S = np.zeros(x.shape)
+    v = np.zeros(x.shape)
     psi = np.zeros(x.shape, dtype=complex)
+    rho0_at, J_at = _pushforward_at(final, init, aq, stencil_order)
+    rho[mask] = np.maximum(rho0_at / J_at, 0.0)
+    v[mask] = _interp_on_labels(final, final.qdot, aq)
+    S[mask] = _interp_on_labels(final, init.s0 + final.chi, aq)
     psi[mask] = assemble_wavefunction(rho[mask], S[mask], params.hbar)
     if dual_check and len(history) >= 2:
-        dev = phase_consistency_deviation(history, init, params, x, stencil_order)
+        dev = _phase_deviation(history, init, params, x[mask], v[mask], S[mask],
+                               stencil_order)
         if dev > DUAL_PHASE_TOL:
             warnings.warn(
                 f"dual-route phase deviation {dev:.2e} exceeds {DUAL_PHASE_TOL:.0e}",
                 PhaseInconsistencyWarning, stacklevel=2)
-    rho_f = np.where(mask, rho, 0.0)
-    S_f = np.where(mask, S, 0.0)
-    v_f = np.where(mask, v, 0.0)
-    return EulerianField(x=x, t=final.t, rho=rho_f, S=S_f, v=v_f, psi=psi,
+    return EulerianField(x=x, t=final.t, rho=rho, S=S, v=v, psi=psi,
                          mask=mask, hbar=params.hbar)
 
 
@@ -234,6 +233,13 @@ def _interior_mask(mask, rho, order):
     return out
 
 
+def _grid_vq(rho, h, params, order):
+    """V_Q on a uniform grid from stencil derivatives of c = ln rho."""
+    c = np.log(np.where(rho > 0, rho, 1.0))
+    c1, c2 = derivative(c, h, (1, 2), order)
+    return params.quantum_potential(c1, c2)
+
+
 def qhj_residual(field_a: EulerianField, field_b: EulerianField,
                  params: PhysicsParams, stencil_order: int = 4):
     """Phase-evolution residual dS/dt + (dS/dx)^2/2m + V + V_Q at the
@@ -251,10 +257,7 @@ def qhj_residual(field_a: EulerianField, field_b: EulerianField,
     rho_mid = 0.5 * (field_a.rho + field_b.rho)
     dSdt = (field_b.S - field_a.S) / dt
     dSdx = derivative(S_mid, h, 1, stencil_order)
-    c = np.log(np.where(rho_mid > 0, rho_mid, 1.0))
-    c1 = derivative(c, h, 1, stencil_order)
-    c2 = derivative(c, h, 2, stencil_order)
-    vq = -(params.hbar**2 / (4.0 * params.mass)) * (c2 + 0.5 * c1**2)
+    vq = _grid_vq(rho_mid, h, params, stencil_order)
     r = dSdt + dSdx**2 / (2.0 * params.mass) + params.potential_energy(x) + vq
     return np.where(mask, r, 0.0), mask
 
@@ -275,10 +278,7 @@ def continuity_euler_residuals(field_a: EulerianField, field_b: EulerianField,
     mask = _interior_mask(field_a.mask & field_b.mask, rho_mid, stencil_order)
     r_cont = ((field_b.rho - field_a.rho) / dt
               + derivative(rho_mid * v_mid, h, 1, stencil_order))
-    c = np.log(np.where(rho_mid > 0, rho_mid, 1.0))
-    c1 = derivative(c, h, 1, stencil_order)
-    c2 = derivative(c, h, 2, stencil_order)
-    vq = -(params.hbar**2 / (4.0 * params.mass)) * (c2 + 0.5 * c1**2)
+    vq = _grid_vq(rho_mid, h, params, stencil_order)
     force = derivative(params.potential_energy(x) + vq, h, 1, stencil_order)
     r_euler = ((field_b.v - field_a.v) / dt
                + v_mid * derivative(v_mid, h, 1, stencil_order)

@@ -187,25 +187,34 @@ class TestCli:
                      "--out", str(tmp_path / "o")]) == 2
         assert "solver.speed" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line", ["grid.n_labels = 1e400",
-                                      "physics.omega = nan"])
-    def test_non_finite_value_exits_2(self, tmp_path, capsys, line):
+    @pytest.mark.parametrize("line,fragment", [
+        pytest.param(line, fragment, id=line) for line, fragment in [
+            ("grid.n_labels = 1e400", "finite"),
+            ("physics.omega = nan", "finite"),
+            # finite, but their squares overflow
+            ("physics.omega = 1e160", "physics.omega = 1e+160 is out of range"),
+            ("physics.hbar = 1e200", "physics.hbar = 1e+200 is out of range"),
+            # a frequency must be positive
+            ("physics.omega = 0", "physics.omega must be positive"),
+            ("physics.omega = -1", "physics.omega must be positive"),
+        ]])
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, line, fragment):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")
         assert main(["run-lagrangian", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
-        assert "finite" in capsys.readouterr().err
+        assert fragment in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    def test_non_finite_state_exits_3(self, tmp_path, capsys):
+    def test_underflowing_state_exits_2(self, tmp_path, capsys):
         # at sigma0 = 0.2 the analytic density underflows to 0 in the +-8
-        # tails, so the log-density ratios there are 0/0
+        # tails, where the log-density ratios would be 0/0
         cfg = tmp_path / "tails.cfg"
         cfg.write_text("state.sigma0 = 0.2\ngrid.n_labels = 101\n"
                        "solver.t_final = 0.01\n")
         assert main(["run-lagrangian", "--config", str(cfg),
-                     "--out", str(tmp_path / "o"), "--quiet"]) == 3
-        assert "non-finite" in capsys.readouterr().err
+                     "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        assert ("analytic rho0 underflows to 0 on the label span [-8.0, 8.0]"
+                in capsys.readouterr().err)
 
     def test_numerical_abort_exits_3(self, tmp_path):
         cfg = tmp_path / "unstable.cfg"

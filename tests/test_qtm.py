@@ -111,6 +111,37 @@ class TestQtmEvolve:
         i0 = np.argmin(np.abs(init.labels))
         assert final.S[i0] == pytest.approx(-0.5 * np.arctan(0.5), abs=1e-4)
 
+    def test_four_rhs_fits_per_step(self, monkeypatch):
+        import qflow.qtm as qtm
+        rhs = qtm._qtm_rhs
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return rhs(*args)
+
+        monkeypatch.setattr(qtm, "_qtm_rhs", counting)
+        init = _truncated_gaussian_state(1.0, PARAMS, np.linspace(-5, 5, 101))
+        qtm_evolve(init, PARAMS, QtmConfig(t_final=0.2, dt=0.005))
+        # one start-up evaluation, then k2, k3, k4 and the end-of-step
+        # evaluation that doubles as the next step's k1
+        assert len(calls) == 1 + 4 * 40
+
+    def test_seeding_gaussian_is_bitwise_unchanged(self):
+        # the closed form the seeding held as its own copy, at sigma0 = 1
+        a = np.linspace(-5, 5, 201)
+        k = 0.7
+        raw = (2.0 * np.pi * 1.0) ** -0.5 * np.exp(-(a / 1.0) ** 2 / 2.0)
+        scale = 1.0 / np.trapezoid(raw, a)
+        rho0 = scale * (2.0 * np.pi * 1.0) ** -0.5 * np.exp(-(a / 1.0) ** 2 / 2.0)
+        init = _truncated_gaussian_state(1.0, PARAMS, a, boost_k=k)
+        assert np.array_equal(init.rho0, rho0)
+        assert np.array_equal(init.s0, PARAMS.hbar * k * a)
+        assert np.array_equal(init.forms.rho0(a), rho0)
+        assert np.array_equal(init.forms.drho0(a), rho0 * (-a / 1.0))
+        assert np.array_equal(init.forms.d2rho0(a), rho0 * ((a / 1.0) ** 2 - 1.0))
+        assert np.array_equal(init.forms.ds0(a), np.full_like(a, PARAMS.hbar * k))
+
     def test_crossing_aborts(self):
         labels = np.linspace(-5, 5, 101)
         init = _truncated_gaussian_state(1.0, PARAMS, labels)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -105,7 +107,45 @@ class TestPushForward:
         assert v[mask] == pytest.approx(np.ones(mask.sum()), abs=1e-9)
 
 
+@pytest.fixture(scope="module")
+def short_run():
+    return evolve(INIT, PARAMS, SolverConfig(t_final=0.02, snapshot_stride=25))
+
+
 class TestReconstruct:
+    def test_fields_equal_the_public_maps(self, short_run):
+        x = np.linspace(-12, 12, 1024, endpoint=False)
+        field = reconstruct_wavefunction(short_run, INIT, PARAMS, x)
+        final = short_run[-1]
+        rho, mask = eulerian_density(final, INIT, x)
+        v, _ = eulerian_velocity(final, x)
+        # S0 + chi composed through the inverse map: the velocity route
+        # applied to a snapshot carrying S0 + chi in place of qdot
+        carried = dataclasses.replace(final, qdot=INIT.s0 + final.chi)
+        S, _ = eulerian_velocity(carried, x)
+        assert np.array_equal(field.mask, mask)
+        for got, want in ((field.rho, rho), (field.v, v), (field.S, S)):
+            assert np.array_equal(got, np.where(mask, want, 0.0))
+        assert np.array_equal(field.psi[mask],
+                              assemble_wavefunction(rho[mask], S[mask], PARAMS.hbar))
+        assert not np.any(field.psi[~mask])
+
+    def test_one_inverse_map_per_snapshot(self, monkeypatch, short_run):
+        import qflow.reconstruction as reconstruction
+        calls = []
+
+        def counting(traj, x_grid):
+            calls.append(traj.t)
+            return invert_map(traj, x_grid)
+
+        monkeypatch.setattr(reconstruction, "invert_map", counting)
+        x = np.linspace(-12, 12, 1024, endpoint=False)
+        reconstruct_wavefunction(short_run, INIT, PARAMS, x, dual_check=True)
+        # the final snapshot's full-grid map plus one anchor-window map per
+        # snapshot for the dual-route phase check
+        assert len(short_run) >= 3
+        assert len(calls) <= len(short_run) + 1, calls
+
     def test_initial_snapshot_resamples_seed(self):
         x = np.linspace(-8, 8, 301)
         field = reconstruct_wavefunction([_exact_traj(0.0)], INIT, PARAMS, x)
