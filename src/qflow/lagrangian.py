@@ -58,7 +58,7 @@ import numpy as np
 
 from .errors import (NumericalInstability, PathDisagreementWarning,
                      TrajectoryCrossing, ValidationError)
-from .model import InitialState, PhysicsParams, TrajectoryState
+from .model import InitialState, PhysicsParams, TrajectoryState, plan_steps
 from .stencils import derivative, grid_spacing, trapezoid_weights
 
 J_FLOOR = 1e-10
@@ -270,7 +270,8 @@ def evolve(init: InitialState, params: PhysicsParams,
     Returns snapshots every ``snapshot_stride`` steps (the initial and
     final states are always included).  Monotonicity of q is asserted at
     every accepted step; a non-finite state or a relative energy drift
-    above 10% aborts with :class:`NumericalInstability`.
+    above 10% aborts with :class:`NumericalInstability`.  A step plan over
+    ``MAX_STEPS`` is rejected up front.
     """
     config.validate()
     data = _LabelData(init, params, config.stencil_order)
@@ -301,9 +302,7 @@ def evolve(init: InitialState, params: PhysicsParams,
         acc, vq = forces(q, t)
         return qd, acc, ldens(q, qd, vq)
 
-    dt = config.auto_dt(data.h, params)
-    n_steps = max(1, int(round(config.t_final / dt)))
-    dt = config.t_final / n_steps
+    n_steps, dt = plan_steps(config.t_final, config.auto_dt(data.h, params))
 
     q = init.labels.copy()
     qd = initial_velocity(init, params, config.stencil_order)

@@ -18,6 +18,7 @@ from .stencils import derivative, grid_spacing
 
 NORMALIZATION_TOL = 1e-8
 NODE_FLOOR_REL = 1e-12
+MAX_STEPS = 10**7          # step budget of one time integration
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +219,24 @@ def make_gaussian_state(sigma0: float, params: PhysicsParams, labels,
 # ---------------------------------------------------------------------------
 # evolving states
 # ---------------------------------------------------------------------------
+
+def plan_steps(t_final: float, dt: float) -> tuple[int, float]:
+    """Step count reaching ``t_final`` from 0 and the step that lands on it.
+
+    ``dt`` is shrunk to ``t_final / n_steps``; ``t_final = 0`` plans no
+    steps.  A plan longer than ``MAX_STEPS`` steps is rejected rather than
+    left to run for hours.
+    """
+    if t_final == 0:
+        return 0, dt
+    planned = t_final / dt
+    if not planned <= MAX_STEPS:
+        raise ValidationError(
+            f"dt = {dt:.6g} needs {planned:.6g} steps to reach t = {t_final:.6g}, "
+            f"over the budget of {MAX_STEPS} steps")
+    n_steps = max(1, int(round(planned)))
+    return n_steps, t_final / n_steps
+
 
 @dataclass(frozen=True)
 class TrajectoryState:

@@ -23,11 +23,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import QtmDerivativeError, TrajectoryCrossing, ValidationError
-from .model import InitialState, PhysicsParams
+from .errors import (NumericalInstability, QtmDerivativeError,
+                     TrajectoryCrossing, ValidationError)
+from .model import InitialState, PhysicsParams, plan_steps
 from .stencils import trapezoid_weights
-
-_FACTORIALS = np.array([1.0, 1.0, 2.0, 6.0, 24.0, 120.0, 720.0, 5040.0])
 
 
 @dataclass(frozen=True)
@@ -46,10 +45,13 @@ class QtmConfig:
             raise ValidationError("t_final must be nonnegative")
         if self.dt is not None and not (self.dt > 0):
             raise ValidationError("dt must be positive")
-        if self.degree < 1:
-            raise ValidationError("degree must be >= 1")
-        if self.stencil_size < 2:
-            raise ValidationError("stencil_size must be >= 2")
+        if self.degree < 2:
+            raise ValidationError(
+                f"degree must be >= 2 (the fits give d2/dx2), got {self.degree}")
+        if self.stencil_size < self.degree + 1:
+            raise ValidationError(
+                f"stencil_size must be >= degree + 1 = {self.degree + 1}, "
+                f"got {self.stencil_size}")
         if self.snapshot_stride < 1:
             raise ValidationError("snapshot_stride must be >= 1")
 
@@ -89,17 +91,23 @@ def _windows(x, k):
     return cand[np.arange(n), np.argmin(cost, axis=1)]
 
 
+def _scaled_powers(t, degree):
+    """Basis t**j / j! for j = 0..degree, by running products."""
+    basis = np.empty(t.shape + (degree + 1,))
+    basis[..., 0] = 1.0
+    for j in range(1, degree + 1):
+        basis[..., j] = basis[..., j - 1] * (t / j)
+    return basis
+
+
 def _fit_matrices(x, degree, k, width_mult):
-    n = x.size
     starts = _windows(x, k)
     idx = starts[:, None] + np.arange(k)[None, :]
     xs = x[idx]
     d = xs - x[:, None]
     h_loc = (xs[:, -1] - xs[:, 0]) / (k - 1)
     w = np.exp(-((d / (width_mult * h_loc[:, None])) ** 2))
-    t = d / h_loc[:, None]
-    p = degree + 1
-    basis = t[:, :, None] ** np.arange(p)[None, None, :] / _FACTORIALS[None, None, :p]
+    basis = _scaled_powers(d / h_loc[:, None], degree)
     weighted = basis * w[:, :, None]
     gram = np.matmul(weighted.transpose(0, 2, 1), basis)
     return idx, weighted, gram, h_loc
@@ -168,14 +176,14 @@ def _qtm_rhs(params: PhysicsParams, cfg: QtmConfig, x, c, S):
                                  "particle ordering lost during a stage")
     idx, weighted, gram, h_loc = _fit_matrices(x, cfg.degree, cfg.stencil_size,
                                                cfg.weight_width_mult)
-    wt = weighted.transpose(0, 2, 1)
-    beta_s = _solve_fits(gram, np.matmul(wt, S[idx][:, :, None]))[:, :, 0]
-    beta_c = _solve_fits(gram, np.matmul(wt, c[idx][:, :, None]))[:, :, 0]
+    # the S and c fits share the Gram matrix: one solve, two right sides
+    beta = _solve_fits(gram, np.matmul(weighted.transpose(0, 2, 1),
+                                       np.stack((S[idx], c[idx]), axis=-1)))
     m = params.mass
-    v = beta_s[:, 1] / h_loc / m
-    vx = beta_s[:, 2] / h_loc**2 / m
-    c1 = beta_c[:, 1] / h_loc
-    c2 = beta_c[:, 2] / h_loc**2
+    v = beta[:, 1, 0] / h_loc / m
+    vx = beta[:, 2, 0] / h_loc**2 / m
+    c1 = beta[:, 1, 1] / h_loc
+    c2 = beta[:, 2, 1] / h_loc**2
     vq = params.quantum_potential(c1, c2)
     ldens = 0.5 * m * v**2 - params.potential_energy(x) - vq
     return v, -vx, ldens, vx
@@ -187,11 +195,16 @@ def qtm_evolve(init: InitialState, params: PhysicsParams,
 
     Particles start at the labels with c = ln rho0 and S = S0; the state
     (x, c, S) advances by RK4 and the divergence integral by the trapezoid
-    rule between accepted steps.  A particle crossing aborts.
+    rule between accepted steps.  A particle crossing or a non-finite state
+    aborts; a step plan over ``MAX_STEPS`` is rejected up front.
     """
     config.validate()
     if np.any(init.rho0 <= 0):
         raise ValidationError("particle seeding requires strictly positive rho0")
+    if init.n < config.stencil_size:
+        raise ValidationError(
+            f"need at least stencil_size = {config.stencil_size} particles, "
+            f"got {init.n}")
     x = init.labels.copy()
     c = np.log(init.rho0)
     S = init.s0.copy()
@@ -202,9 +215,7 @@ def qtm_evolve(init: InitialState, params: PhysicsParams,
     if dt is None:
         dx0 = float(np.min(np.diff(init.labels)))
         dt = 0.5 * dx0**2 * params.mass / params.hbar
-    n_steps = max(1, int(round(config.t_final / dt))) if config.t_final > 0 else 0
-    if n_steps:
-        dt = config.t_final / n_steps
+    n_steps, dt = plan_steps(config.t_final, dt)
 
     snapshots = [ParticleSet(x.copy(), c.copy(), S.copy(), weights, 0.0)]
     div_int = np.zeros_like(x)
@@ -217,14 +228,17 @@ def qtm_evolve(init: InitialState, params: PhysicsParams,
         x = x + dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
         c = c + dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
         S = S + dt / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+        t = (step + 1) * dt
+        # NaN passes the ordering checks, so test finiteness first
+        if not all(np.all(np.isfinite(u)) for u in (x, c, S)):
+            raise NumericalInstability(
+                f"non-finite particle state at t = {t:.6g}; reduce qtm.dt")
         gaps = np.diff(x)
         if np.any(gaps <= 0):
-            raise TrajectoryCrossing(int(np.argmin(gaps)), (step + 1) * dt,
-                                     "particle crossing")
+            raise TrajectoryCrossing(int(np.argmin(gaps)), t, "particle crossing")
         k_end = rhs(x, c, S)
         div_int += 0.5 * dt * (k1[3] + k_end[3])
         k1 = k_end
-        t = (step + 1) * dt
         if (step + 1) % config.snapshot_stride == 0 or step + 1 == n_steps:
             snapshots.append(ParticleSet(x.copy(), c.copy(), S.copy(), weights, t))
 

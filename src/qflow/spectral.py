@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, WrapAroundRiskWarning
-from .model import EulerianField, PhysicsParams, madelung_decompose
+from .model import EulerianField, PhysicsParams, madelung_decompose, plan_steps
 from .stencils import derivative, grid_spacing
 
 EDGE_MARGIN_FRACTION = 0.10
@@ -84,8 +84,7 @@ def split_step_evolve(psi0, x_grid, params: PhysicsParams, dt: float,
             f"psi0 is not normalized (norm = {norm_of(psi, dx)!r})")
     n = x.size
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
-    n_steps = max(1, int(round(t_final / dt)))
-    dt = t_final / n_steps
+    n_steps, dt = plan_steps(t_final, dt)
     half_kinetic = np.exp(-1j * params.hbar * k**2 * dt / (4.0 * params.mass))
     potential_step = np.exp(-1j * params.potential_energy(x) * dt / params.hbar)
 

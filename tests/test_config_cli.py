@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -215,6 +216,42 @@ class TestCli:
                      "--out", str(tmp_path / "o"), "--quiet"]) == 2
         assert ("analytic rho0 underflows to 0 on the label span [-8.0, 8.0]"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("line,fragment", [
+        pytest.param(line, fragment, id=line) for line, fragment in [
+            ("qtm.degree = 1", "degree must be >= 2"),
+            ("qtm.stencil_size = 4", "stencil_size must be >= degree + 1 = 5"),
+            ("qtm.stencil_size = 500",
+             "need at least stencil_size = 500 particles, got 201"),
+        ]])
+    def test_qtm_fit_shape_exits_2(self, tmp_path, capsys, line, fragment):
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text(line + "\nqtm.t_final = 0.01\n")
+        assert main(["run-qtm", "--config", str(cfg),
+                     "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert fragment in err
+        assert "Traceback" not in err
+
+    def test_qtm_degree_8_runs(self, tmp_path):
+        # 9 coefficients on the 9-point stencil: an interpolating fit
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text("qtm.degree = 8\nqtm.t_final = 0.01\n")
+        assert main(["run-qtm", "--config", str(cfg),
+                     "--out", str(tmp_path / "o"), "--quiet"]) == 0
+
+    @pytest.mark.parametrize("command", ["run-lagrangian", "run-qtm"])
+    def test_step_budget_exits_2(self, tmp_path, capsys, command):
+        # the auto steps are ~1e-154 (solver) and ~1e-153 (qtm)
+        cfg = tmp_path / "hbar.cfg"
+        cfg.write_text("physics.hbar = 1e150\n")
+        t0 = time.perf_counter()
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        assert time.perf_counter() - t0 < 10
+        err = capsys.readouterr().err
+        assert "over the budget of 10000000 steps" in err
+        assert "Traceback" not in err
 
     def test_numerical_abort_exits_3(self, tmp_path):
         cfg = tmp_path / "unstable.cfg"

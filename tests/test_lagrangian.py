@@ -8,8 +8,9 @@ from qflow.lagrangian import (SolverConfig, _accel_direct_from, _kinematics,
                               _LabelData, _vq_from, acceleration_direct,
                               acceleration_newton, energy_of, evolve,
                               initial_velocity, quantum_potential_labels)
-from qflow.model import (AnalyticForms, HarmonicPotential, InitialState,
-                         PhysicsParams, TrajectoryState, make_gaussian_state)
+from qflow.model import (MAX_STEPS, AnalyticForms, HarmonicPotential,
+                         InitialState, PhysicsParams, TrajectoryState,
+                         make_gaussian_state)
 from qflow.stencils import derivative
 
 PARAMS = PhysicsParams()
@@ -275,6 +276,15 @@ class TestEvolve:
         init = make_gaussian_state(1.0, nan_trap, np.linspace(-8, 8, 101))
         with pytest.raises(NumericalInstability, match="non-finite"):
             evolve(init, nan_trap, SolverConfig(t_final=0.01))
+
+    def test_step_budget(self):
+        # hbar = 1e150 makes the auto step ~1e-154: rejected before any step
+        huge = PhysicsParams(hbar=1e150)
+        init = make_gaussian_state(1.0, huge, np.linspace(-8, 8, 101))
+        with pytest.raises(ValidationError, match="over the budget"):
+            evolve(init, huge, SolverConfig(t_final=2.0))
+        with pytest.raises(ValidationError, match="over the budget"):
+            evolve(init, PARAMS, SolverConfig(t_final=1.0, dt=0.5 / MAX_STEPS))
 
     @pytest.mark.parametrize("integrator,path,force_evals", [
         ("rk4", "direct", 4), ("rk4", "newton", 4), ("velocity_verlet", "direct", 2)])

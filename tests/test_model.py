@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from qflow.benchmarks import gaussian_wavefunction
 from qflow.errors import NodeEncountered, ValidationError
-from qflow.model import (EulerianField, HarmonicPotential, InitialState,
-                         PhysicsParams, TabulatedPotential, TrajectoryState,
-                         assemble_wavefunction, madelung_decompose,
-                         make_gaussian_state)
+from qflow.model import (MAX_STEPS, EulerianField, HarmonicPotential,
+                         InitialState, PhysicsParams, TabulatedPotential,
+                         TrajectoryState, assemble_wavefunction,
+                         madelung_decompose, make_gaussian_state, plan_steps)
 
 PARAMS = PhysicsParams()
 
@@ -193,3 +193,23 @@ class TestStateTypes:
         x = np.linspace(0, 1, 101)
         field = EulerianField(x=x, t=0.0, rho=np.ones_like(x))
         assert field.support_norm() == pytest.approx(1.0)
+
+
+class TestPlanSteps:
+    def test_lands_on_t_final(self):
+        n_steps, dt = plan_steps(2.0, 0.3)
+        assert n_steps == 7
+        assert dt == 2.0 / 7
+
+    def test_zero_time_plans_no_steps(self):
+        assert plan_steps(0.0, 0.1) == (0, 0.1)
+
+    def test_budget_is_inclusive(self):
+        assert plan_steps(1.0, 1.0 / MAX_STEPS)[0] == MAX_STEPS
+        with pytest.raises(ValidationError,
+                           match=r"dt = 5e-08 needs 2e\+07 steps"):
+            plan_steps(1.0, 0.5 / MAX_STEPS)
+
+    def test_overflowing_plan_rejected(self):
+        with pytest.raises(ValidationError, match="over the budget"):
+            plan_steps(1e300, 1e-300)

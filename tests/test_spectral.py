@@ -68,6 +68,10 @@ class TestSplitStep:
         with pytest.raises(ValidationError):
             split_step_evolve(_gaussian_psi0(), X, PARAMS, -1e-3, 0.1)
 
+    def test_step_budget(self):
+        with pytest.raises(ValidationError, match="over the budget"):
+            split_step_evolve(_gaussian_psi0(), X, PARAMS, 1e-300, 0.1)
+
 
 class TestReferenceFields:
     def test_phase_difference_across_spread(self, free_run):
