@@ -23,6 +23,11 @@ class ConfigError(ValidationError):
     """Malformed configuration file or values."""
 
 
+# the most points one grid may hold; a larger count fails to allocate or
+# runs for hours, so it is rejected up front
+MAX_GRID_POINTS = 10**6
+
+
 def _as_float(s):
     v = float(s)
     if not math.isfinite(v):
@@ -199,15 +204,17 @@ class Settings:
     def label_grid(self) -> np.ndarray:
         n = self["grid.n_labels"]
         lo, hi = self["grid.label_min"], self["grid.label_max"]
-        if not (n >= 9 and hi > lo):
-            raise ConfigError("grid.n_labels >= 9 and label_max > label_min required")
+        if not (9 <= n <= MAX_GRID_POINTS and hi > lo):
+            raise ConfigError(f"9 <= grid.n_labels <= {MAX_GRID_POINTS} and "
+                              f"label_max > label_min required")
         return np.linspace(lo, hi, n)
 
     def x_grid(self) -> np.ndarray:
         n = self["grid.n_x"]
         lo, hi = self["grid.x_min"], self["grid.x_max"]
-        if not (n >= 16 and hi > lo):
-            raise ConfigError("grid.n_x >= 16 and x_max > x_min required")
+        if not (16 <= n <= MAX_GRID_POINTS and hi > lo):
+            raise ConfigError(f"16 <= grid.n_x <= {MAX_GRID_POINTS} and "
+                              f"x_max > x_min required")
         # periodic convention (right endpoint excluded): one grid serves both
         # the spectral reference and the reconstructions
         return np.linspace(lo, hi, n, endpoint=False)
@@ -249,8 +256,8 @@ class Settings:
     def qtm_labels(self) -> np.ndarray:
         n = self["qtm.n_particles"]
         span = self["qtm.span"] * self["state.sigma0"]
-        if n < 9:
-            raise ConfigError("qtm.n_particles >= 9 required")
+        if not 9 <= n <= MAX_GRID_POINTS:
+            raise ConfigError(f"9 <= qtm.n_particles <= {MAX_GRID_POINTS} required")
         return np.linspace(-span, span, n)
 
     def reference_t_final(self) -> float:

@@ -76,15 +76,32 @@ _EPS = levi_civita()
 
 
 def jacobian(g) -> np.ndarray:
-    """det(g) via the antisymmetric-symbol contraction."""
+    """det(g) as the triple product g[0] . (g[1] x g[2]) of the rows.
+
+    Written out on its own, not through :func:`cofactor_matrix`, so that
+    the identity g^T C = J I compares two independent formulas.
+    """
     g = _gradient_of(g)
-    return np.einsum("ijk,lmn,...il,...jm,...kn->...", _EPS, _EPS, g, g, g) / 6.0
+    r0, r1, r2 = g[..., 0, :], g[..., 1, :], g[..., 2, :]
+    return (r0[..., 0] * (r1[..., 1] * r2[..., 2] - r1[..., 2] * r2[..., 1])
+            + r0[..., 1] * (r1[..., 2] * r2[..., 0] - r1[..., 0] * r2[..., 2])
+            + r0[..., 2] * (r1[..., 0] * r2[..., 1] - r1[..., 1] * r2[..., 0]))
 
 
 def cofactor_matrix(g) -> np.ndarray:
-    """Cofactors C[i, l] = dJ/dg[i, l]; satisfies g[k, j] C[k, i] = J delta_ij."""
+    """Cofactors C[i, l] = dJ/dg[i, l]; satisfies g[k, j] C[k, i] = J delta_ij.
+
+    Each entry is its 2x2 minor g[j, m] g[k, n] - g[j, n] g[k, m], with
+    (i, j, k) and (l, m, n) cyclic.
+    """
     g = _gradient_of(g)
-    return 0.5 * np.einsum("ijk,lmn,...jm,...kn->...il", _EPS, _EPS, g, g)
+    C = np.empty(g.shape)
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        for l in range(3):
+            m, n = (l + 1) % 3, (l + 2) % 3
+            C[..., i, l] = g[..., j, m] * g[..., k, n] - g[..., j, n] * g[..., k, m]
+    return C
 
 
 def hyper_cofactor(g) -> np.ndarray:
@@ -113,10 +130,16 @@ def stress_eulerian(rho, grad_rho, hess_rho, hbar: float, mass: float):
     rho, valid = _floor_mask(rho, RHO_FLOOR_REL)
     grad = np.asarray(grad_rho, dtype=float)
     hess = np.asarray(hess_rho, dtype=float)
-    safe = np.where(valid, rho, 1.0)
-    outer = grad[..., :, None] * grad[..., None, :]
-    sigma = (hbar**2 / (4.0 * mass)) * (outer / safe[..., None, None] - hess)
-    sigma = np.where(valid[..., None, None], sigma, 0.0)
+    safe = np.where(valid, rho, 1.0)[..., None, None]
+    # built in place in one component-major buffer, so that each
+    # sigma[..., i, j] is contiguous
+    lead = np.broadcast_shapes(grad.shape[:-1], rho.shape, hess.shape[:-2])
+    sigma = np.moveaxis(np.empty((3, 3) + lead), (0, 1), (-2, -1))
+    np.multiply(grad[..., :, None], grad[..., None, :], out=sigma)
+    sigma /= safe
+    sigma -= hess
+    sigma *= hbar**2 / (4.0 * mass)
+    np.copyto(sigma, 0.0, where=~valid[..., None, None])
     return sigma, valid
 
 

@@ -223,17 +223,27 @@ def _accel_newton_from(data: _LabelData, params: PhysicsParams, q, kin, vq):
 
 
 def acceleration_direct(traj: TrajectoryState, init: InitialState,
-                        params: PhysicsParams, stencil_order: int = 4) -> np.ndarray:
-    """Conservation-form acceleration, evaluated pointwise on the labels."""
-    data = _LabelData(init, params, stencil_order)
+                        params: PhysicsParams, stencil_order: int = 4, *,
+                        data: Optional[_LabelData] = None) -> np.ndarray:
+    """Conservation-form acceleration, evaluated pointwise on the labels.
+
+    ``data`` is as in :func:`energy_of`.
+    """
+    if data is None:
+        data = _LabelData(init, params, stencil_order)
     return _accel_direct_from(data, params, traj.q,
                               _kinematics(data, traj.q, traj.t))
 
 
 def acceleration_newton(traj: TrajectoryState, init: InitialState,
-                        params: PhysicsParams, stencil_order: int = 4) -> np.ndarray:
-    """Newton-law acceleration -(1/m) d(V + V_Q)/dq along the trajectories."""
-    data = _LabelData(init, params, stencil_order)
+                        params: PhysicsParams, stencil_order: int = 4, *,
+                        data: Optional[_LabelData] = None) -> np.ndarray:
+    """Newton-law acceleration -(1/m) d(V + V_Q)/dq along the trajectories.
+
+    ``data`` is as in :func:`energy_of`.
+    """
+    if data is None:
+        data = _LabelData(init, params, stencil_order)
     kin = _kinematics(data, traj.q, traj.t)
     return _accel_newton_from(data, params, traj.q, kin,
                               _vq_from(data, params, kin))

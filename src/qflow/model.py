@@ -225,11 +225,11 @@ def plan_steps(t_final: float, dt: float) -> tuple[int, float]:
 
     ``dt`` is shrunk to ``t_final / n_steps``; ``t_final = 0`` plans no
     steps.  A plan longer than ``MAX_STEPS`` steps is rejected rather than
-    left to run for hours.
+    left to run for hours; so is a step that underflowed to 0.
     """
     if t_final == 0:
         return 0, dt
-    planned = t_final / dt
+    planned = t_final / dt if dt > 0 else np.inf
     if not planned <= MAX_STEPS:
         raise ValidationError(
             f"dt = {dt:.6g} needs {planned:.6g} steps to reach t = {t_final:.6g}, "

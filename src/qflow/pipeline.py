@@ -18,8 +18,8 @@ from .config import Settings
 from .errors import ValidationError
 from .kinematics import (cofactor_matrix, jacobian, quantum_potential,
                          stress_eulerian, stress_lagrangian)
-from .lagrangian import (SolverConfig, acceleration_direct, acceleration_newton,
-                         energy_of, evolve)
+from .lagrangian import (SolverConfig, _LabelData, acceleration_direct,
+                         acceleration_newton, energy_of, evolve)
 from .model import (FreePotential, InitialState, PhysicsParams,
                     TrajectoryState, _gaussian_forms, assemble_wavefunction,
                     make_gaussian_state)
@@ -62,7 +62,8 @@ def run_lagrangian(settings: Settings):
               for i in indices]
 
     h = grid_spacing(init.labels)
-    energies = [energy_of(s, init, params, order) for s in snapshots]
+    data = _LabelData(init, params, order)
+    energies = [energy_of(s, init, params, data=data) for s in snapshots]
     min_j = [float(np.min(derivative(s.q, h, 1, order))) for s in snapshots]
     e0 = energies[0]
     energy_drift = max(abs(e - e0) for e in energies) / abs(e0) if e0 else 0.0
@@ -80,8 +81,8 @@ def run_lagrangian(settings: Settings):
         summary["dual_phase_deviation"] = phase_consistency_deviation(
             snapshots, init, params, x_grid, order)
         final = snapshots[-1]
-        acc_d = acceleration_direct(final, init, params, order)
-        acc_n = acceleration_newton(final, init, params, order)
+        acc_d = acceleration_direct(final, init, params, data=data)
+        acc_n = acceleration_newton(final, init, params, data=data)
         scale = float(np.max(np.abs(acc_n))) or 1.0
         summary["accel_path_disagreement_rel"] = float(
             np.max(np.abs(acc_d - acc_n)) / scale)
@@ -373,24 +374,26 @@ def _smooth_rho3(points):
     """Positive smooth 3-D density exp(g) with analytic derivatives."""
     a = np.asarray(points, dtype=float)
     x1, x2, x3 = a[..., 0], a[..., 1], a[..., 2]
-    g = -x1**2 / 2 - x2**2 / 3 - x3**2 / 4 + 0.2 * np.sin(x1) * np.cos(x2)
-    g1 = -x1 + 0.2 * np.cos(x1) * np.cos(x2)
-    g2 = -2.0 * x2 / 3 - 0.2 * np.sin(x1) * np.sin(x2)
-    g3 = -x3 / 2
-    g11 = -1.0 - 0.2 * np.sin(x1) * np.cos(x2)
-    g22 = -2.0 / 3 - 0.2 * np.sin(x1) * np.cos(x2)
-    g33 = np.full_like(x1, -0.5)
-    g12 = -0.2 * np.cos(x1) * np.sin(x2)
+    s1, c1, s2, c2 = np.sin(x1), np.cos(x1), np.sin(x2), np.cos(x2)
+    sc = 0.2 * s1 * c2
+    g = -x1**2 / 2 - x2**2 / 3 - x3**2 / 4 + sc
+    gg = (-x1 + 0.2 * c1 * c2, -2.0 * x2 / 3 - 0.2 * s1 * s2, -x3 / 2)
     rho = np.exp(g)
-    grad = np.stack([g1, g2, g3], axis=-1) * rho[..., None]
-    zeros = np.zeros_like(x1)
-    hess_g = np.stack([
-        np.stack([g11, g12, zeros], axis=-1),
-        np.stack([g12, g22, zeros], axis=-1),
-        np.stack([zeros, zeros, g33], axis=-1),
-    ], axis=-2)
-    gg = np.stack([g1, g2, g3], axis=-1)
-    hess = rho[..., None, None] * (gg[..., :, None] * gg[..., None, :] + hess_g)
+    hess_g = {(0, 0): -1.0 - sc, (1, 1): -2.0 / 3 - sc, (2, 2): -0.5,
+              (0, 1): -0.2 * c1 * s2}
+    # component-major buffers: each entry below is one contiguous write
+    grad = np.moveaxis(np.empty((3,) + a.shape[:-1]), 0, -1)
+    hess = np.moveaxis(np.empty((3, 3) + a.shape[:-1]), (0, 1), (-2, -1))
+    # hess = rho (grad g grad g^T + hess g), one symmetric pair of entries at
+    # a time; the zero entries of hess g are added too, which keeps the
+    # signed zeros of the full-array sum
+    for i in range(3):
+        grad[..., i] = gg[i] * rho
+        for j in range(i, 3):
+            entry = gg[i] * gg[j]
+            entry += hess_g.get((i, j), 0.0)
+            entry *= rho
+            hess[..., i, j] = hess[..., j, i] = entry
     return rho, grad, hess
 
 

@@ -126,6 +126,9 @@ def _vq_window(traj, init, params, x_center, half=4, stencil_order=4):
 def _phase_deviation(history, init, params, xm, vm, s_path, stencil_order):
     """Dual-route phase deviation, given the final snapshot's velocity and
     carried phase on the covered grid points ``xm``."""
+    if xm.size == 0:
+        raise ValidationError("no x-grid point lies inside the trajectory "
+                              "support; refine or narrow the x grid")
     mid = init.n // 2
     x_c = float(history[0].q[mid])
 

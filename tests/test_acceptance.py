@@ -106,6 +106,18 @@ class TestCriterion4TensorIdentities:
         assert tensor_report["exit_code"] == 0
         assert tensor_report["passed"] is True
 
+    def test_grid_residuals_pinned(self, tensor_report):
+        # seed 0 values of the einsum cofactor and stacked-density kernels;
+        # the closed forms and the one-buffer builds reproduce them
+        np.testing.assert_allclose(
+            tensor_report["force_identity_errors"],
+            [4.4139990774508253e-04, 1.1664389399898556e-04,
+             2.9937678834801584e-05], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(
+            tensor_report["cofactor_divergence_errors"],
+            [2.3405411380378327e-05, 5.967957807245794e-06,
+             1.4985221145902283e-06], rtol=1e-12, atol=0)
+
 
 class TestCriterion5DynamicsResiduals:
     def test_hamilton_jacobi(self, acceptance_report):

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qflow.cli import main
 from qflow.config import ConfigError, Settings, parse_config_text, resolve
@@ -24,6 +30,18 @@ qtm.t_final = 0.1
 qtm.snapshot_stride = 20
 output.field_times = 3
 """
+
+
+# settings for which a run takes well under a second
+CHEAP_RUN = {"grid.n_labels": "41", "grid.n_x": "128", "solver.t_final": "0.01",
+             "solver.snapshot_stride": "5", "qtm.n_particles": "21",
+             "qtm.t_final": "0.01", "qtm.snapshot_stride": "5",
+             "output.field_times": "2"}
+
+
+def _write_config(path, lines):
+    path.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+    return path
 
 
 @pytest.fixture()
@@ -240,6 +258,27 @@ class TestCli:
         assert main(["run-qtm", "--config", str(cfg),
                      "--out", str(tmp_path / "o"), "--quiet"]) == 0
 
+    @pytest.mark.parametrize("command,line,fragment", [
+        pytest.param(command, line, fragment, id=line) for command, line, fragment in [
+            ("run-lagrangian", "grid.n_labels = 1e18", "grid.n_labels <= 1000000"),
+            ("run-lagrangian", "grid.n_x = 9223372036854775808", "grid.n_x <= 1000000"),
+            ("run-qtm", "qtm.n_particles = 1e300", "qtm.n_particles <= 1000000"),
+            # the auto time step underflows to 0
+            ("run-lagrangian", "solver.cfl = 5e-324", "over the budget"),
+            ("run-qtm", "qtm.span = 1e-300", "over the budget"),
+            # 128 points about 8e15 apart: none inside the trajectory support
+            ("run-lagrangian", "grid.x_max = 1e18", "no x-grid point"),
+        ]])
+    def test_extreme_size_or_step_exits_2(self, tmp_path, capsys, command, line,
+                                          fragment):
+        key, value = line.split(" = ")
+        cfg = _write_config(tmp_path / "extreme.cfg", {**CHEAP_RUN, key: value})
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert fragment in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["run-lagrangian", "run-qtm"])
     def test_step_budget_exits_2(self, tmp_path, capsys, command):
         # the auto steps are ~1e-154 (solver) and ~1e-153 (qtm)
@@ -269,3 +308,38 @@ class TestCli:
         report = json.loads((out / "tensor_check.json").read_text())
         assert report["passed"] is True
         assert report["seed"] == 0
+
+
+# the numeric keys (the named choices only ever exit 2 on a number)
+FUZZ_KEYS = sorted(k for k, v in resolve({}).items()
+                   if k.split(".")[0] in ("physics", "grid", "solver", "qtm")
+                   and not isinstance(v, str))
+# non-finite, overflowing, subnormal, signed-zero, 64-bit-edge and
+# non-integral values
+EXTREME_VALUES = ["nan", "inf", "-inf", "1e400", "-1e400",
+                  "1.7976931348623157e308", "-1.7976931348623157e308",
+                  "1e300", "-1e300", "1e150", "-1e150", "1e-150", "1e-300",
+                  "5e-324", "-5e-324", "0", "-0.0", "-1", "2", "4.5", "1e18",
+                  "-1e18", "9223372036854775808", "-9223372036854775809"]
+
+
+class TestConfigFuzz:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(harmonic=st.booleans(),
+           values=st.dictionaries(st.sampled_from(FUZZ_KEYS),
+                                  st.sampled_from(EXTREME_VALUES),
+                                  min_size=1, max_size=2))
+    def test_extreme_values_exit_cleanly(self, harmonic, values):
+        command = ("run-qtm" if any(k.startswith("qtm.") for k in values)
+                   else "run-lagrangian")
+        lines = dict(CHEAP_RUN, **values)
+        if harmonic:
+            lines["physics.potential"] = "harmonic"
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = _write_config(Path(tmp) / "fuzz.cfg", lines)
+            with contextlib.redirect_stderr(err):
+                code = main([command, "--config", str(cfg),
+                             "--out", str(Path(tmp) / "o"), "--quiet"])
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()

@@ -8,13 +8,83 @@ from qflow.errors import ValidationError
 from qflow.kinematics import (cofactor_matrix, hyper_cofactor, internal_energy,
                               jacobian, levi_civita, quantum_potential,
                               stress_eulerian, stress_lagrangian)
-from qflow.pipeline import _chain_rule_stress, _gauss3, _synthetic_map
+import qflow.kinematics as kinematics
+from qflow.pipeline import (_chain_rule_stress, _gauss3, _smooth_rho3,
+                            _synthetic_map)
 from qflow.model import PhysicsParams
 
 PARAMS = PhysicsParams()
 
 matrices = arrays(np.float64, (3, 3),
                   elements=st.floats(min_value=-2, max_value=2, width=64))
+
+ULP = np.finfo(float).eps
+_EPS = levi_civita()
+_ABS_EPS = np.abs(_EPS)
+
+
+def _einsum_jacobian(g):
+    """The antisymmetric-symbol contraction that the closed form replaced."""
+    return np.einsum("ijk,lmn,...il,...jm,...kn->...", _EPS, _EPS, g, g, g) / 6.0
+
+
+def _einsum_cofactor(g):
+    return 0.5 * np.einsum("ijk,lmn,...jm,...kn->...il", _EPS, _EPS, g, g)
+
+
+def _jacobian_scale(g):
+    """Sum of the magnitudes of the six products that make up det(g)."""
+    a = np.abs(g)
+    return np.einsum("ijk,lmn,...il,...jm,...kn->...", _ABS_EPS, _ABS_EPS,
+                     a, a, a, optimize=True) / 6.0
+
+
+def _cofactor_scale(g):
+    a = np.abs(g)
+    return 0.5 * np.einsum("ijk,lmn,...jm,...kn->...il", _ABS_EPS, _ABS_EPS,
+                           a, a, optimize=True)
+
+
+def _smooth_rho3_stacked(points):
+    """The stacked-array form of ``pipeline._smooth_rho3`` it was rewritten from."""
+    a = np.asarray(points, dtype=float)
+    x1, x2, x3 = a[..., 0], a[..., 1], a[..., 2]
+    g = -x1**2 / 2 - x2**2 / 3 - x3**2 / 4 + 0.2 * np.sin(x1) * np.cos(x2)
+    g1 = -x1 + 0.2 * np.cos(x1) * np.cos(x2)
+    g2 = -2.0 * x2 / 3 - 0.2 * np.sin(x1) * np.sin(x2)
+    g3 = -x3 / 2
+    g11 = -1.0 - 0.2 * np.sin(x1) * np.cos(x2)
+    g22 = -2.0 / 3 - 0.2 * np.sin(x1) * np.cos(x2)
+    g33 = np.full_like(x1, -0.5)
+    g12 = -0.2 * np.cos(x1) * np.sin(x2)
+    rho = np.exp(g)
+    grad = np.stack([g1, g2, g3], axis=-1) * rho[..., None]
+    zeros = np.zeros_like(x1)
+    hess_g = np.stack([
+        np.stack([g11, g12, zeros], axis=-1),
+        np.stack([g12, g22, zeros], axis=-1),
+        np.stack([zeros, zeros, g33], axis=-1),
+    ], axis=-2)
+    gg = np.stack([g1, g2, g3], axis=-1)
+    hess = rho[..., None, None] * (gg[..., :, None] * gg[..., None, :] + hess_g)
+    return rho, grad, hess
+
+
+def _stress_eulerian_temporaries(rho, grad_rho, hess_rho, hbar, mass):
+    """The four-temporary form of ``stress_eulerian`` it was rewritten from."""
+    rho, valid = kinematics._floor_mask(rho, kinematics.RHO_FLOOR_REL)
+    grad = np.asarray(grad_rho, dtype=float)
+    hess = np.asarray(hess_rho, dtype=float)
+    safe = np.where(valid, rho, 1.0)
+    outer = grad[..., :, None] * grad[..., None, :]
+    sigma = (hbar**2 / (4.0 * mass)) * (outer / safe[..., None, None] - hess)
+    sigma = np.where(valid[..., None, None], sigma, 0.0)
+    return sigma, valid
+
+
+def _cube(n, half_width):
+    axis = np.linspace(-half_width, half_width, n)
+    return np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
 
 
 class TestJacobian:
@@ -64,6 +134,71 @@ class TestCofactor:
         g = rng.uniform(-1, 1, (3, 3)) + 2 * np.eye(3)
         adj = np.linalg.det(g) * np.linalg.inv(g)
         assert cofactor_matrix(g) == pytest.approx(adj.T)
+
+
+class TestClosedForms:
+    """The closed-form J and cofactors against the einsum contractions."""
+
+    def test_random_gradients_within_8_ulp(self):
+        g = np.random.default_rng(11).uniform(-1.0, 1.0, (100_000, 3, 3))
+        J, J_scale = jacobian(g), _jacobian_scale(g)
+        assert np.all(np.abs(J - _einsum_jacobian(g)) <= 8 * ULP * J_scale)
+        assert np.all(np.abs(J - np.linalg.det(g)) <= 8 * ULP * J_scale)
+        C_err = np.abs(cofactor_matrix(g) - _einsum_cofactor(g))
+        assert np.all(C_err <= 8 * ULP * _cofactor_scale(g))
+
+    @pytest.mark.parametrize("lead", [(), (7,), (2, 3, 4)])
+    def test_shapes(self, lead):
+        g = np.random.default_rng(13).normal(size=lead + (3, 3))
+        J, C = jacobian(g), cofactor_matrix(g)
+        assert np.shape(J) == lead and C.shape == lead + (3, 3)
+        assert np.all(np.abs(J - _einsum_jacobian(g))
+                      <= 8 * ULP * _jacobian_scale(g))
+        assert np.all(np.abs(C - _einsum_cofactor(g))
+                      <= 8 * ULP * _cofactor_scale(g))
+
+    def test_deform_gradient_input(self):
+        from qflow.kinematics import DeformGradient
+        g = np.random.default_rng(14).normal(size=(3, 3))
+        dg = DeformGradient(g)
+        assert jacobian(dg) == jacobian(g) == dg.jacobian()
+        assert np.array_equal(cofactor_matrix(dg), cofactor_matrix(g))
+
+    def test_jacobian_independent_of_cofactors(self, monkeypatch):
+        # tensor_check's g^T C = J I must compare two separate formulas
+        def fail(g):
+            raise AssertionError("jacobian called cofactor_matrix")
+        monkeypatch.setattr(kinematics, "cofactor_matrix", fail)
+        g = np.random.default_rng(15).normal(size=(5, 3, 3))
+        assert np.allclose(jacobian(g), np.linalg.det(g), rtol=1e-12, atol=1e-12)
+        assert kinematics.DeformGradient(g[0]).jacobian() == jacobian(g[0])
+
+
+class TestForceIdentityFields:
+    """The one-buffer density and stress builds equal their stacked forms."""
+
+    @pytest.mark.parametrize("half_width", [1.0, 12.0])
+    def test_bit_identical_at_33(self, half_width):
+        grid = _cube(33, half_width)
+        new, old = _smooth_rho3(grid), _smooth_rho3_stacked(grid)
+        for a, b in zip(new, old):
+            assert np.array_equal(a, b)
+        sigma, valid = stress_eulerian(*new, 1.0, 1.0)
+        sigma_old, valid_old = _stress_eulerian_temporaries(*old, 1.0, 1.0)
+        assert np.array_equal(sigma, sigma_old)
+        assert np.array_equal(valid, valid_old)
+        # the wide cube reaches the density floor in its corners
+        assert valid.all() == (half_width == 1.0)
+
+    def test_broadcast_inputs(self):
+        rng = np.random.default_rng(16)
+        rho = rng.uniform(0.5, 1.0, (4, 5))
+        grad = rng.normal(size=3)
+        hess = rng.normal(size=(5, 3, 3))
+        sigma, _ = stress_eulerian(rho, grad, hess, 1.0, 2.0)
+        ref, _ = _stress_eulerian_temporaries(rho, grad, hess, 1.0, 2.0)
+        assert sigma.shape == (4, 5, 3, 3)
+        assert np.array_equal(sigma, ref)
 
 
 class TestHyperCofactor:

@@ -352,3 +352,32 @@ class TestEnergyAndInvariants:
         assert order >= 3.5
         # and the residual itself is small at the spatial floor
         assert np.max(np.abs(r_ref)) < 1e-3
+
+
+class TestRunSummary:
+    def test_label_data_built_once_per_run(self, monkeypatch):
+        import qflow.lagrangian as lagrangian
+        from qflow.config import Settings
+        from qflow.pipeline import run_lagrangian
+
+        built = []
+        init_label_data = lagrangian._LabelData.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init_label_data(self, *args, **kwargs)
+
+        monkeypatch.setattr(lagrangian._LabelData, "__init__", counting)
+        settings = Settings.defaults(**{
+            "grid.n_labels": 101, "grid.n_x": 256, "solver.t_final": 0.05,
+            "solver.dt": 0.005, "solver.snapshot_stride": 2,
+            "output.field_times": 3})
+        snapshots, _, summary, _ = run_lagrangian(settings)
+        # one for evolve and one for the summary's energies and accelerations,
+        # whatever the number of snapshots
+        assert len(snapshots) == 6
+        assert len(built) == 2
+        monkeypatch.undo()
+        params = settings.physics()
+        init = settings.initial_state(params)
+        assert summary["energy"] == [energy_of(s, init, params) for s in snapshots]
