@@ -25,11 +25,10 @@ Label kinematics.  Both forms, V_Q in the phase density and the energy
 check read one tuple (J, J', J'', 1/J), which ``_kinematics`` takes from a
 single stacked stencil product ``derivative(q, h, (1, 2, 3), order)``
 once per force evaluation; the Jacobian floor and a finiteness check are
-applied there too.  The stacked product sums each interior stencil in
-weight order and scales by h**m last, exactly as a single-derivative call
-does, so sharing the tuple changes no bit of the integration: it only
-removes the repeated stencil passes (seven per RK4 stage before, two now,
-counting dG/da).
+applied there too.  The stacked product sums every stencil row in weight
+order and scales by h**m last, exactly as a single-derivative call does,
+so sharing the tuple changes no bit of the integration: it only removes
+the repeated stencil passes (two per force evaluation, counting dG/da).
 
 Stability of the time stepping.  The pointwise collocation operator is
 exponentially unstable on fine grids: linearizing about a smooth flow
@@ -166,6 +165,8 @@ class _LabelData:
                 )
             safe = np.maximum(init.rho0, floor)
             self.L1, self.L2 = derivative(init.rho0, self.h, (1, 2), order) / safe
+        self.L1_sq = self.L1**2
+        self.L2_minus_L1_sq = self.L2 - self.L1_sq
 
 
 def _kinematics(data: _LabelData, q, t=0.0):
@@ -175,14 +176,13 @@ def _kinematics(data: _LabelData, q, t=0.0):
     :class:`TrajectoryCrossing` when J falls to the floor.
     """
     D = derivative(q, data.h, (1, 2, 3), data.order)
-    if not np.all(np.isfinite(D)):
+    if not np.isfinite(D).all():
         raise NumericalInstability(
             f"non-finite trajectory state at t = {t:.6g}; reduce dt or check "
             f"the initial data")
     J, Jp, Jpp = D
-    bad = J <= J_FLOOR
-    if np.any(bad):
-        i = int(np.argmax(bad))
+    if J.min() <= J_FLOOR:
+        i = int(np.argmax(J <= J_FLOOR))
         raise TrajectoryCrossing(i, t, f"J = {J[i]:.3e} <= floor {J_FLOOR:.1e}")
     return J, Jp, Jpp, 1.0 / J
 
@@ -199,9 +199,10 @@ def initial_velocity(init: InitialState, params: PhysicsParams,
 
 def _accel_direct_from(data: _LabelData, params: PhysicsParams, q, kin):
     _, Jp, Jpp, Ji = kin
-    L1, L2 = data.L1, data.L2
-    G = (2.0 * Ji**5 * Jp**2 - Ji**4 * Jp * L1 - Ji**4 * Jpp
-         + Ji**3 * L2 - Ji**3 * L1**2)
+    L1 = data.L1
+    Ji3, Ji4 = Ji**3, Ji**4
+    G = (2.0 * Ji**5 * Jp**2 - Ji4 * Jp * L1 - Ji4 * Jpp
+         + Ji3 * data.L2 - Ji3 * data.L1_sq)
     quantum = (params.hbar**2 / (4.0 * params.mass**2)) * (
         L1 * G + derivative(G, data.h, 1, data.order))
     return quantum - params.potential_gradient(q) / params.mass
@@ -211,7 +212,7 @@ def _vq_from(data: _LabelData, params: PhysicsParams, kin):
     """Quantum potential along the trajectories, in log-density variables."""
     _, Jp, Jpp, Ji = kin
     ca = data.L1 - Jp * Ji                       # d(ln rho)/da
-    caa = (data.L2 - data.L1**2) - (Jpp * Ji - (Jp * Ji) ** 2)
+    caa = data.L2_minus_L1_sq - (Jpp * Ji - (Jp * Ji) ** 2)
     cx = ca * Ji                                 # d(ln rho)/dq
     cxx = (caa - ca * Jp * Ji) * Ji**2
     return params.quantum_potential(cx, cxx)
@@ -308,9 +309,13 @@ def evolve(init: InitialState, params: PhysicsParams,
     def ldens(q, qd, vq):
         return 0.5 * params.mass * qd**2 - params.potential_energy(q) - vq
 
-    def rhs(q, qd, t):
+    def rhs(y, t):
+        """Time derivative of the stacked state y = (q, qdot, chi)."""
+        q, qd = y[0], y[1]
         acc, vq = forces(q, t)
-        return qd, acc, ldens(q, qd, vq)
+        k = np.empty_like(y)
+        k[0], k[1], k[2] = qd, acc, ldens(q, qd, vq)
+        return k
 
     n_steps, dt = plan_steps(config.t_final, config.auto_dt(data.h, params))
 
@@ -323,7 +328,7 @@ def evolve(init: InitialState, params: PhysicsParams,
 
     def check_step(qn, tn):
         gaps = np.diff(qn)
-        if np.any(gaps <= 0):
+        if gaps.min() <= 0:
             raise TrajectoryCrossing(int(np.argmin(gaps)), tn)
 
     def snapshot(tn):
@@ -353,6 +358,8 @@ def evolve(init: InitialState, params: PhysicsParams,
         # the end-of-step forces are the next step's start-of-step forces
         acc0, vq0 = forces(q, t)
         l0 = ldens(q, qd, vq0)
+    else:
+        y = np.stack((q, qd, chi))
     for step in range(n_steps):
         if verlet:
             q_new = q + dt * qd + 0.5 * dt * dt * acc0
@@ -363,13 +370,12 @@ def evolve(init: InitialState, params: PhysicsParams,
             chi = chi + 0.5 * dt * (l0 + l1)
             q, qd, acc0, l0 = q_new, qd_new, acc1, l1
         else:
-            k1q, k1v, k1c = rhs(q, qd, t)
-            k2q, k2v, k2c = rhs(q + 0.5 * dt * k1q, qd + 0.5 * dt * k1v, t + 0.5 * dt)
-            k3q, k3v, k3c = rhs(q + 0.5 * dt * k2q, qd + 0.5 * dt * k2v, t + 0.5 * dt)
-            k4q, k4v, k4c = rhs(q + dt * k3q, qd + dt * k3v, t + dt)
-            q = q + dt / 6.0 * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-            qd = qd + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-            chi = chi + dt / 6.0 * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
+            k1 = rhs(y, t)
+            k2 = rhs(y + 0.5 * dt * k1, t + 0.5 * dt)
+            k3 = rhs(y + 0.5 * dt * k2, t + 0.5 * dt)
+            k4 = rhs(y + dt * k3, t + dt)
+            y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            q, qd, chi = y
             check_step(q, t + dt)
         t = (step + 1) * dt
         if (step + 1) % config.snapshot_stride == 0 or step + 1 == n_steps:

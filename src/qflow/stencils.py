@@ -1,10 +1,13 @@
 """Finite-difference stencils on uniform grids.
 
-Interior points use centered stencils, applied as one cached sparse band
-product per grid size; the outermost points fall back to one-sided
-stencils of the same order.  Weights are generated from the
-Vandermonde system rather than hard-coded tables, so any (derivative,
-order) pair stays consistent by construction.
+Interior points use centred stencils; the outermost points fall back to
+one-sided stencils of the same order, mirrored with a sign flip for odd
+derivatives at the right edge.  Every row of every requested derivative,
+edge rows included, lives in one cached sparse operator per grid size, so
+a call is a single sparse product.  Each row sums its stencil in weight
+order starting from zero, and the scaling by ``h**m`` comes last.  Weights
+are generated from the Vandermonde system rather than hard-coded tables,
+so any (derivative, order) pair stays consistent by construction.
 """
 
 from __future__ import annotations
@@ -44,21 +47,32 @@ def _stencil_table(m: int, order: int):
 
 
 @lru_cache(maxsize=64)
-def _interior_operator(n: int, ms: tuple, order: int):
-    """CSR band of the unscaled centred weights of every ``m`` in ``ms``.
+def _operator(n: int, ms: tuple, order: int):
+    """CSR of the unscaled weights of every row of every ``m`` in ``ms``.
 
     Row ``k * n + i`` holds the stencil of derivative ``ms[k]`` at point
-    ``i``; the edge rows stay empty and are filled by the one-sided rows.
+    ``i``, its entries in weight order: the centred stencil inside, the
+    one-sided rows at the left edge, and those rows mirrored (reversed
+    columns, sign-flipped for odd ``m``) at the right edge.
     """
-    counts = np.zeros((len(ms), n), dtype=np.int64)
-    indices, data = [], []
-    for k, m in enumerate(ms):
-        half, _, center, _ = _stencil_table(m, order)
-        rows = np.arange(half, n - half)
-        counts[k, rows] = center.size
-        indices.append((rows[:, None] + np.arange(-half, half + 1)).ravel())
-        data.append(np.tile(center, rows.size))
-    indptr = np.concatenate(([0], np.cumsum(counts)))
+    tables = [_stencil_table(m, order) for m in ms]
+    edge_max = max(t[1] for t in tables)
+    if n < edge_max:
+        raise ValidationError(f"grid too short for stencils: {n} < {edge_max} points")
+    indices, data, counts = [], [], []
+    for m, (half, edge, center, edge_rows) in zip(ms, tables):
+        inner = np.arange(half, n - half)
+        cols = np.arange(edge)
+        # odd derivatives flip sign under reflection
+        sign = -1.0 if m % 2 else 1.0
+        indices += [np.tile(cols, half),
+                    (inner[:, None] + np.arange(-half, half + 1)).ravel(),
+                    np.tile(n - 1 - cols, half)]
+        data += [edge_rows.ravel(), np.tile(center, inner.size),
+                 (sign * edge_rows[::-1]).ravel()]
+        counts += [np.full(half, edge), np.full(inner.size, center.size),
+                   np.full(half, edge)]
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
     return sparse.csr_array(
         (np.concatenate(data), np.concatenate(indices), indptr),
         shape=(len(ms) * n, n))
@@ -68,27 +82,17 @@ def derivative(f: np.ndarray, h: float, m=1, order: int = 4) -> np.ndarray:
     """m-th derivative of samples ``f`` on a uniform grid of spacing ``h``.
 
     ``m`` may be a tuple of derivative orders; the result is then stacked,
-    one row per entry of ``m``, from a single sparse product.  The interior
-    rows sum each centred stencil in weight order starting from zero and
-    the scaling by ``h**m`` comes last, so every row is bit-identical to
-    the single-``m`` result.
+    one row per entry of ``m``.  Every point, edge points included, sums its
+    stencil in weight order starting from zero, and the division by
+    ``h**m`` comes last, so each stacked row is bit-identical to the
+    single-``m`` result.
     """
     f = np.asarray(f, dtype=float)
-    ms = (m,) if np.ndim(m) == 0 else tuple(m)
-    n = f.shape[0]
-    tables = [_stencil_table(k, order) for k in ms]
-    edge_max = max(t[1] for t in tables)
-    if n < edge_max:
-        raise ValidationError(f"grid too short for stencils: {n} < {edge_max} points")
-    out = (_interior_operator(n, ms, order) @ f).reshape((len(ms),) + f.shape)
-    mirrored = f[::-1]
-    for i, (k, (half, edge, _, edge_rows)) in enumerate(zip(ms, tables)):
-        out[i, :half] = edge_rows @ f[:edge]
-        # mirrored one-sided stencils; odd derivatives flip sign under reflection
-        sign = -1.0 if k % 2 else 1.0
-        out[i, n - half:] = (sign * (edge_rows @ mirrored[:edge]))[::-1]
-        out[i] /= h**k
-    return out[0] if np.ndim(m) == 0 else out
+    single = np.ndim(m) == 0
+    ms = (m,) if single else tuple(m)
+    out = (_operator(f.shape[0], ms, order) @ f).reshape((len(ms),) + f.shape)
+    out /= np.array([h**k for k in ms]).reshape((-1,) + (1,) * f.ndim)
+    return out[0] if single else out
 
 
 def grid_spacing(x: np.ndarray, rtol: float = 1e-9) -> float:

@@ -4,14 +4,15 @@ import pytest
 from qflow.benchmarks import gaussian_trajectory
 from qflow.errors import (NumericalInstability, TrajectoryCrossing,
                           ValidationError)
-from qflow.lagrangian import (SolverConfig, _accel_direct_from, _kinematics,
-                              _LabelData, _vq_from, acceleration_direct,
-                              acceleration_newton, energy_of, evolve,
+from qflow.lagrangian import (ModeProjector, SolverConfig, _accel_direct_from,
+                              _kinematics, _LabelData, _vq_from,
+                              acceleration_direct, acceleration_newton,
+                              default_projection_degree, energy_of, evolve,
                               initial_velocity, quantum_potential_labels)
 from qflow.model import (MAX_STEPS, AnalyticForms, HarmonicPotential,
                          InitialState, PhysicsParams, TrajectoryState,
-                         make_gaussian_state)
-from qflow.stencils import derivative
+                         make_gaussian_state, plan_steps)
+from qflow.stencils import _operator, derivative
 
 PARAMS = PhysicsParams()
 
@@ -45,6 +46,51 @@ def _custom_phase_state(ds0_fn, s0_fn, analytic=True):
         forms = AnalyticForms(rho0=base.forms.rho0, drho0=base.forms.drho0,
                               d2rho0=base.forms.d2rho0, s0=s0_fn, ds0=ds0_fn)
     return InitialState(labels=a, rho0=base.rho0, s0=s0_fn(a), forms=forms)
+
+
+def _unstacked_rk4(init, params, config):
+    """Reference: the RK4 loop over separate q, qdot and chi, with the
+    forces written out term by term (G with its five powers of 1/J)."""
+    data = _LabelData(init, params, config.stencil_order)
+    h, order, L1, L2 = data.h, data.order, data.L1, data.L2
+    degree = min(default_projection_degree(init.n), init.n - 1)
+    project = ModeProjector(init.labels, init.rho0, degree)
+
+    def rhs(q, qd, t):
+        J, Jp, Jpp = (derivative(q, h, m, order) for m in (1, 2, 3))
+        Ji = 1.0 / J
+        ca = L1 - Jp * Ji
+        caa = (L2 - L1**2) - (Jpp * Ji - (Jp * Ji) ** 2)
+        cx = ca * Ji
+        cxx = (caa - ca * Jp * Ji) * Ji**2
+        vq = params.quantum_potential(cx, cxx)
+        if config.acceleration_path == "newton":
+            acc = -(params.potential_gradient(q)
+                    + derivative(vq, h, 1, order) / J) / params.mass
+        else:
+            G = (2.0 * Ji**5 * Jp**2 - Ji**4 * Jp * L1 - Ji**4 * Jpp
+                 + Ji**3 * L2 - Ji**3 * L1**2)
+            acc = ((params.hbar**2 / (4.0 * params.mass**2))
+                   * (L1 * G + derivative(G, h, 1, order))
+                   - params.potential_gradient(q) / params.mass)
+        ld = 0.5 * params.mass * qd**2 - params.potential_energy(q) - vq
+        return qd, project(acc), ld
+
+    n_steps, dt = plan_steps(config.t_final, config.auto_dt(h, params))
+    q = init.labels.copy()
+    qd = initial_velocity(init, params, config.stencil_order)
+    chi = np.zeros(init.n)
+    t = 0.0
+    for step in range(n_steps):
+        k1q, k1v, k1c = rhs(q, qd, t)
+        k2q, k2v, k2c = rhs(q + 0.5 * dt * k1q, qd + 0.5 * dt * k1v, t + 0.5 * dt)
+        k3q, k3v, k3c = rhs(q + 0.5 * dt * k2q, qd + 0.5 * dt * k2v, t + 0.5 * dt)
+        k4q, k4v, k4c = rhs(q + dt * k3q, qd + dt * k3v, t + dt)
+        q = q + dt / 6.0 * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+        qd = qd + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        chi = chi + dt / 6.0 * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
+        t = (step + 1) * dt
+    return n_steps, q, qd, chi
 
 
 class TestInitialVelocity:
@@ -304,6 +350,31 @@ class TestEvolve:
         evolve(init, PARAMS, cfg)
         # plus one for each energy check, at t = 0 and at the final snapshot
         assert len(calls) <= 2 * force_evals + 2, calls
+
+    @pytest.mark.parametrize("path", ["direct", "newton"])
+    @pytest.mark.parametrize("potential", [None, HarmonicPotential(omega=1.5)])
+    def test_stacked_rk4_matches_unstacked_reference(self, path, potential):
+        # a non-affine flow, so every force term is live
+        params = PARAMS if potential is None else PhysicsParams(potential=potential)
+        init = _custom_phase_state(lambda a: 0.3 * np.cos(a),
+                                   lambda a: 0.3 * np.sin(a))
+        cfg = SolverConfig(t_final=0.07, dt=0.01, acceleration_path=path)
+        n_steps, q, qd, chi = _unstacked_rk4(init, params, cfg)
+        last = evolve(init, params, cfg)[-1]
+        assert n_steps == 7
+        assert np.array_equal(last.q, q)
+        assert np.array_equal(last.qdot, qd)
+        assert np.array_equal(last.chi, chi)
+
+    def test_one_stencil_operator_per_grid_and_stack(self):
+        init = make_gaussian_state(1.0, PARAMS, np.linspace(-8, 8, 101))
+        _operator.cache_clear()
+        evolve(init, PARAMS, SolverConfig(t_final=0.05, dt=0.01))
+        info = _operator.cache_info()
+        # every build is a new (n, ms, order) key: (1, 2, 3) for the
+        # kinematics and 1 for dG/da
+        assert info.misses == info.currsize == 2
+        assert info.hits > 0
 
     def test_snapshot_stride_and_final_inclusion(self):
         init = make_gaussian_state(1.0, PARAMS, np.linspace(-8, 8, 101))

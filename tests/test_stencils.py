@@ -7,18 +7,38 @@ from qflow.stencils import (_EDGE, _stencil_table, derivative, fd_weights,
 
 
 def _loop_derivative(f, h, m, order):
-    """Reference: per-offset shifted products summed in stencil order."""
+    """Reference: per-offset products summed in stencil order, every row."""
     n = f.shape[0]
     half, edge, center, edge_rows = _stencil_table(m, order)
+    sign = -1.0 if m % 2 else 1.0
     out = np.empty_like(f)
     acc = center[0] * f[0:n - 2 * half]
     for j in range(1, 2 * half + 1):
         acc = acc + center[j] * f[j:n - 2 * half + j]
     out[half:n - half] = acc
-    out[:half] = edge_rows @ f[:edge]
-    sign = -1.0 if m % 2 else 1.0
-    out[n - half:] = (sign * (edge_rows @ f[::-1][:edge]))[::-1]
+    for i in range(half):
+        left = edge_rows[i, 0] * f[0]
+        right = sign * edge_rows[i, 0] * f[n - 1]
+        for j in range(1, edge):
+            left = left + edge_rows[i, j] * f[j]
+            right = right + sign * edge_rows[i, j] * f[n - 1 - j]
+        out[i] = left
+        out[n - 1 - i] = right
     return out / h**m
+
+
+def _blas_edge_rows(f, h, m, order):
+    """Second reference, the earlier edge formula: the ``half`` rows at each
+    end as BLAS products of the one-sided rows, summed in the order BLAS
+    chooses, with each row's magnitude scale sum(|w f|) / h**m."""
+    half, edge, _, edge_rows = _stencil_table(m, order)
+    sign = -1.0 if m % 2 else 1.0
+    mirrored = f[::-1][:edge]
+    rows = np.concatenate([edge_rows @ f[:edge],
+                           (sign * (edge_rows @ mirrored))[::-1]])
+    scale = np.concatenate([np.abs(edge_rows) @ np.abs(f[:edge]),
+                            (np.abs(edge_rows) @ np.abs(mirrored))[::-1]])
+    return rows / h**m, scale / h**m
 
 
 def _poly(coeffs, x):
@@ -121,3 +141,26 @@ def test_stacked_short_grid_rejected():
     # the longest one-sided stencil of the stack sets the minimum
     with pytest.raises(ValidationError, match="6 < 7"):
         derivative(np.ones(6), 0.1, (1, 2, 3), 4)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("size", ["edge", "edge+1", 37, 401])
+def test_edge_rows_within_rounding_of_blas_products(order, size):
+    # the edge rows sum in weight order, where the BLAS products summed in
+    # an order of their own: the two agree to rounding of each row's scale
+    edge = max(_EDGE[(m, order)] for m in (1, 2, 3))
+    n = {"edge": edge, "edge+1": edge + 1}.get(size, size)
+    x = np.linspace(-8.0, 8.0, n)
+    h = x[1] - x[0]
+    rng = np.random.default_rng(7 + n)
+    fs = [np.exp(-0.5 * x**2) * np.cos(x), np.random.default_rng(n).normal(size=n)]
+    fs += np.array_split(rng.normal(size=(n, 10_000)), 4, axis=1)
+    eps = np.finfo(float).eps
+    for f in fs:
+        got = derivative(f, h, (1, 2, 3), order)
+        for k, m in enumerate((1, 2, 3)):
+            half = _stencil_table(m, order)[0]
+            ends = np.r_[0:half, n - half:n]
+            blas, scale = _blas_edge_rows(f, h, m, order)
+            assert np.array_equal(got[k], _loop_derivative(f, h, m, order))
+            assert np.all(np.abs(got[k][ends] - blas) <= 8 * eps * scale)
