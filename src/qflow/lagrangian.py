@@ -29,6 +29,9 @@ applied there too.  The stacked product sums every stencil row in weight
 order and scales by h**m last, exactly as a single-derivative call does,
 so sharing the tuple changes no bit of the integration: it only removes
 the repeated stencil passes (two per force evaluation, counting dG/da).
+``_LabelData`` binds the two stencils a run needs, the (1, 2, 3) stack and
+d/da, once per run (:class:`~qflow.stencils.Stencil`), so a right-hand
+side applies them without rebuilding or dispatching anything.
 
 Stability of the time stepping.  The pointwise collocation operator is
 exponentially unstable on fine grids: linearizing about a smooth flow
@@ -50,7 +53,7 @@ the same quadrature order as the integrator.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -58,7 +61,7 @@ import numpy as np
 from .errors import (NumericalInstability, PathDisagreementWarning,
                      TrajectoryCrossing, ValidationError)
 from .model import InitialState, PhysicsParams, TrajectoryState, plan_steps
-from .stencils import derivative, grid_spacing, trapezoid_weights
+from .stencils import Stencil, derivative, grid_spacing, trapezoid_weights
 
 J_FLOOR = 1e-10
 TAIL_FLOOR_REL = 1e-12
@@ -147,6 +150,9 @@ class _LabelData:
         a = init.labels
         forms = init.forms
         self.order = order
+        self.d123 = Stencil(a.size, self.h, (1, 2, 3), order)
+        self.d1 = Stencil(a.size, self.h, 1, order)
+        self.quantum_coeff = params.hbar**2 / (4.0 * params.mass**2)
         self.mass_weights = trapezoid_weights(a) * init.rho0
         if forms is not None and forms.rho0 and forms.drho0 and forms.d2rho0:
             r = np.asarray(forms.rho0(a), dtype=float)
@@ -175,7 +181,7 @@ def _kinematics(data: _LabelData, q, t=0.0):
     Raises :class:`NumericalInstability` on a non-finite state and
     :class:`TrajectoryCrossing` when J falls to the floor.
     """
-    D = derivative(q, data.h, (1, 2, 3), data.order)
+    D = data.d123(q)
     if not np.isfinite(D).all():
         raise NumericalInstability(
             f"non-finite trajectory state at t = {t:.6g}; reduce dt or check "
@@ -203,23 +209,23 @@ def _accel_direct_from(data: _LabelData, params: PhysicsParams, q, kin):
     Ji3, Ji4 = Ji**3, Ji**4
     G = (2.0 * Ji**5 * Jp**2 - Ji4 * Jp * L1 - Ji4 * Jpp
          + Ji3 * data.L2 - Ji3 * data.L1_sq)
-    quantum = (params.hbar**2 / (4.0 * params.mass**2)) * (
-        L1 * G + derivative(G, data.h, 1, data.order))
+    quantum = data.quantum_coeff * (L1 * G + data.d1(G))
     return quantum - params.potential_gradient(q) / params.mass
 
 
 def _vq_from(data: _LabelData, params: PhysicsParams, kin):
     """Quantum potential along the trajectories, in log-density variables."""
     _, Jp, Jpp, Ji = kin
-    ca = data.L1 - Jp * Ji                       # d(ln rho)/da
-    caa = data.L2_minus_L1_sq - (Jpp * Ji - (Jp * Ji) ** 2)
+    JpJi = Jp * Ji
+    ca = data.L1 - JpJi                          # d(ln rho)/da
+    caa = data.L2_minus_L1_sq - (Jpp * Ji - JpJi**2)
     cx = ca * Ji                                 # d(ln rho)/dq
     cxx = (caa - ca * Jp * Ji) * Ji**2
     return params.quantum_potential(cx, cxx)
 
 
 def _accel_newton_from(data: _LabelData, params: PhysicsParams, q, kin, vq):
-    dvq = derivative(vq, data.h, 1, data.order) / kin[0]
+    dvq = data.d1(vq) / kin[0]
     return -(params.potential_gradient(q) + dvq) / params.mass
 
 
@@ -279,7 +285,8 @@ def evolve(init: InitialState, params: PhysicsParams,
     """Integrate the trajectory continuum from t = 0 to t_final.
 
     Returns snapshots every ``snapshot_stride`` steps (the initial and
-    final states are always included).  Monotonicity of q is asserted at
+    final states are always included), each carrying the energy that the
+    drift check computed for it.  Monotonicity of q is asserted at
     every accepted step; a non-finite state or a relative energy drift
     above 10% aborts with :class:`NumericalInstability`.  A step plan over
     ``MAX_STEPS`` is rejected up front.
@@ -323,8 +330,9 @@ def evolve(init: InitialState, params: PhysicsParams,
     qd = initial_velocity(init, params, config.stencil_order)
     chi = np.zeros(n)
     t = 0.0
-    snapshots = [TrajectoryState(init.labels, q.copy(), qd.copy(), chi.copy(), 0.0)]
-    e0 = energy_of(snapshots[0], init, params, config.stencil_order, data=data)
+    start = TrajectoryState(init.labels, q.copy(), qd.copy(), chi.copy(), 0.0)
+    e0 = energy_of(start, init, params, config.stencil_order, data=data)
+    snapshots = [replace(start, energy=e0)]
 
     def check_step(qn, tn):
         gaps = np.diff(qn)
@@ -351,7 +359,7 @@ def evolve(init: InitialState, params: PhysicsParams,
                 warnings.warn(
                     f"acceleration formulas disagree by {rel:.2e} (rel) at "
                     f"t = {tn:.6g}", PathDisagreementWarning, stacklevel=2)
-        snapshots.append(snap)
+        snapshots.append(replace(snap, energy=e))
 
     verlet = config.integrator == "velocity_verlet"
     if verlet:

@@ -240,13 +240,18 @@ def plan_steps(t_final: float, dt: float) -> tuple[int, float]:
 
 @dataclass(frozen=True)
 class TrajectoryState:
-    """Positions, velocities and accumulated phase of every fluid element."""
+    """Positions, velocities and accumulated phase of every fluid element.
+
+    ``energy`` is the discrete total energy when the producer computed it
+    (the trajectory solver does, for its drift check), else None.
+    """
 
     labels: np.ndarray
     q: np.ndarray
     qdot: np.ndarray
     chi: np.ndarray
     t: float
+    energy: Optional[float] = None
 
     def __post_init__(self):
         a = np.asarray(self.labels, dtype=float)

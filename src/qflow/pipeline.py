@@ -19,7 +19,7 @@ from .errors import ValidationError
 from .kinematics import (cofactor_matrix, jacobian, quantum_potential,
                          stress_eulerian, stress_lagrangian)
 from .lagrangian import (SolverConfig, _LabelData, acceleration_direct,
-                         acceleration_newton, energy_of, evolve)
+                         acceleration_newton, evolve)
 from .model import (FreePotential, InitialState, PhysicsParams,
                     TrajectoryState, _gaussian_forms, assemble_wavefunction,
                     make_gaussian_state)
@@ -63,7 +63,7 @@ def run_lagrangian(settings: Settings):
 
     h = grid_spacing(init.labels)
     data = _LabelData(init, params, order)
-    energies = [energy_of(s, init, params, data=data) for s in snapshots]
+    energies = [s.energy for s in snapshots]
     min_j = [float(np.min(derivative(s.q, h, 1, order))) for s in snapshots]
     e0 = energies[0]
     energy_drift = max(abs(e - e0) for e in energies) / abs(e0) if e0 else 0.0
@@ -340,14 +340,14 @@ def tensor_check(seed: int = 0, params: PhysicsParams | None = None) -> dict:
     for n in (33, 65, 129):
         axis = np.linspace(-1.0, 1.0, n)
         h = axis[1] - axis[0]
-        grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
-        rho, grad, hess = _smooth_rho3(grid)
+        rho, grad, hess = _smooth_rho3(
+            *np.meshgrid(axis, axis, axis, indexing="ij", sparse=True))
         sigma, _ = stress_eulerian(rho, grad, hess, params.hbar, params.mass)
         lap = np.trace(hess, axis1=-2, axis2=-1)
         vq, _ = quantum_potential(rho, grad, lap, params.hbar, params.mass)
-        resid = np.zeros(grid.shape[:-1] + (3,))
+        resid = np.zeros(rho.shape + (3,))
         for i in range(3):
-            div_i = np.zeros(grid.shape[:-1])
+            div_i = np.zeros(rho.shape)
             for j in range(3):
                 div_i += np.gradient(sigma[..., i, j], h, axis=j, edge_order=2)
             resid[..., i] = div_i / rho - np.gradient(vq, h, axis=i, edge_order=2)
@@ -370,10 +370,15 @@ def tensor_check(seed: int = 0, params: PhysicsParams | None = None) -> dict:
     }
 
 
-def _smooth_rho3(points):
-    """Positive smooth 3-D density exp(g) with analytic derivatives."""
-    a = np.asarray(points, dtype=float)
-    x1, x2, x3 = a[..., 0], a[..., 1], a[..., 2]
+def _smooth_rho3(x1, x2, x3):
+    """Positive smooth 3-D density exp(g) with analytic derivatives.
+
+    The coordinates broadcast against each other, so an open mesh
+    (``np.meshgrid(..., sparse=True)``) evaluates each term on the
+    coordinates it depends on and only ``rho``, ``grad`` and ``hess`` take
+    the full grid shape.
+    """
+    x1, x2, x3 = (np.asarray(x, dtype=float) for x in (x1, x2, x3))
     s1, c1, s2, c2 = np.sin(x1), np.cos(x1), np.sin(x2), np.cos(x2)
     sc = 0.2 * s1 * c2
     g = -x1**2 / 2 - x2**2 / 3 - x3**2 / 4 + sc
@@ -382,18 +387,18 @@ def _smooth_rho3(points):
     hess_g = {(0, 0): -1.0 - sc, (1, 1): -2.0 / 3 - sc, (2, 2): -0.5,
               (0, 1): -0.2 * c1 * s2}
     # component-major buffers: each entry below is one contiguous write
-    grad = np.moveaxis(np.empty((3,) + a.shape[:-1]), 0, -1)
-    hess = np.moveaxis(np.empty((3, 3) + a.shape[:-1]), (0, 1), (-2, -1))
+    grad = np.moveaxis(np.empty((3,) + rho.shape), 0, -1)
+    hess = np.moveaxis(np.empty((3, 3) + rho.shape), (0, 1), (-2, -1))
     # hess = rho (grad g grad g^T + hess g), one symmetric pair of entries at
     # a time; the zero entries of hess g are added too, which keeps the
     # signed zeros of the full-array sum
     for i in range(3):
-        grad[..., i] = gg[i] * rho
+        np.multiply(gg[i], rho, out=grad[..., i])
         for j in range(i, 3):
             entry = gg[i] * gg[j]
             entry += hess_g.get((i, j), 0.0)
-            entry *= rho
-            hess[..., i, j] = hess[..., j, i] = entry
+            np.multiply(entry, rho, out=hess[..., i, j])
+            hess[..., j, i] = hess[..., i, j]
     return rho, grad, hess
 
 

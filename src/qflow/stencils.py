@@ -8,6 +8,11 @@ a call is a single sparse product.  Each row sums its stencil in weight
 order starting from zero, and the scaling by ``h**m`` comes last.  Weights
 are generated from the Vandermonde system rather than hard-coded tables,
 so any (derivative, order) pair stays consistent by construction.
+
+A :class:`Stencil` binds that operator and the ``h**m`` column to one grid
+and runs scipy's CSR kernel on it directly; a caller that differentiates on
+the same grid many times (the trajectory solver, once per right-hand side)
+holds one, and :func:`derivative` builds one per call.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from .errors import ValidationError
 
@@ -78,6 +84,45 @@ def _operator(n: int, ms: tuple, order: int):
         shape=(len(ms) * n, n))
 
 
+class Stencil:
+    """The ``m``-th derivative (``m`` an int or a tuple) on a uniform grid of
+    ``n`` points and spacing ``h``, as :func:`derivative` defines it.
+
+    Holds the CSR arrays of ``_operator(n, ms, order)`` and the ``h**m``
+    column, one entry per operator row.  A call runs scipy's CSR kernel
+    (``csr_matvec``, or ``csr_matvecs`` for n-D ``f``) on a zeroed output,
+    the kernel that ``op @ f`` runs, without the sparse-array dispatch
+    around it, then divides by ``h**m``.  The kernel reads ``f`` unchecked,
+    so the call checks its length first.
+    """
+
+    def __init__(self, n: int, h: float, m=1, order: int = 4):
+        single = np.ndim(m) == 0
+        ms = (m,) if single else tuple(m)
+        op = _operator(n, ms, order)
+        self.n = n
+        self._csr = (op.shape[0], n, op.indptr, op.indices, op.data)
+        self._h_m = np.repeat([h**k for k in ms], n)
+        self._lead = () if single else (len(ms),)
+
+    def __call__(self, f: np.ndarray) -> np.ndarray:
+        f = np.asarray(f, dtype=float)
+        if f.shape[:1] != (self.n,):
+            raise ValidationError(f"stencil bound to {self.n} points got an "
+                                  f"array of shape {f.shape}")
+        rows, n, indptr, indices, data = self._csr
+        if f.ndim == 1:
+            out = np.zeros(rows)
+            _sparsetools.csr_matvec(rows, n, indptr, indices, data, f, out)
+            out /= self._h_m
+        else:
+            out = np.zeros((rows, f.size // n))
+            _sparsetools.csr_matvecs(rows, n, out.shape[1], indptr, indices,
+                                     data, f.ravel(), out.ravel())
+            out /= self._h_m[:, None]
+        return out.reshape(self._lead + f.shape)
+
+
 def derivative(f: np.ndarray, h: float, m=1, order: int = 4) -> np.ndarray:
     """m-th derivative of samples ``f`` on a uniform grid of spacing ``h``.
 
@@ -88,11 +133,7 @@ def derivative(f: np.ndarray, h: float, m=1, order: int = 4) -> np.ndarray:
     single-``m`` result.
     """
     f = np.asarray(f, dtype=float)
-    single = np.ndim(m) == 0
-    ms = (m,) if single else tuple(m)
-    out = (_operator(f.shape[0], ms, order) @ f).reshape((len(ms),) + f.shape)
-    out /= np.array([h**k for k in ms]).reshape((-1,) + (1,) * f.ndim)
-    return out[0] if single else out
+    return Stencil(f.shape[0], h, m, order)(f)
 
 
 def grid_spacing(x: np.ndarray, rtol: float = 1e-9) -> float:

@@ -12,7 +12,7 @@ from qflow.lagrangian import (ModeProjector, SolverConfig, _accel_direct_from,
 from qflow.model import (MAX_STEPS, AnalyticForms, HarmonicPotential,
                          InitialState, PhysicsParams, TrajectoryState,
                          make_gaussian_state, plan_steps)
-from qflow.stencils import _operator, derivative
+from qflow.stencils import Stencil, _operator, derivative
 
 PARAMS = PhysicsParams()
 
@@ -336,14 +336,17 @@ class TestEvolve:
         ("rk4", "direct", 4), ("rk4", "newton", 4), ("velocity_verlet", "direct", 2)])
     def test_at_most_two_stencil_products_per_force_evaluation(
             self, monkeypatch, integrator, path, force_evals):
-        import qflow.lagrangian as lagrangian
+        # every stencil product, bound or through ``derivative``, is one
+        # ``Stencil`` application
         calls = []
+        apply = Stencil.__call__
 
-        def counting(*args, **kwargs):
-            calls.append(args[2] if len(args) > 2 else kwargs.get("m", 1))
-            return derivative(*args, **kwargs)
+        def counting(self, f):
+            out = apply(self, f)
+            calls.append(out.shape)
+            return out
 
-        monkeypatch.setattr(lagrangian, "derivative", counting)
+        monkeypatch.setattr(Stencil, "__call__", counting)
         init = make_gaussian_state(1.0, PARAMS, np.linspace(-8, 8, 101))
         cfg = SolverConfig(t_final=0.01, dt=0.01, integrator=integrator,
                            acceleration_path=path)
@@ -372,9 +375,28 @@ class TestEvolve:
         evolve(init, PARAMS, SolverConfig(t_final=0.05, dt=0.01))
         info = _operator.cache_info()
         # every build is a new (n, ms, order) key: (1, 2, 3) for the
-        # kinematics and 1 for dG/da
+        # kinematics and 1 for dG/da, each bound once for the whole run
         assert info.misses == info.currsize == 2
-        assert info.hits > 0
+        assert info.hits == 0
+
+    @pytest.mark.parametrize("integrator,steps,projections", [
+        ("rk4", 7, 28), ("velocity_verlet", 7, 8)])
+    def test_one_projection_per_rhs_evaluation(self, monkeypatch, integrator,
+                                               steps, projections):
+        # the benchmark's rhs_evals counts ModeProjector calls: 4 per RK4
+        # step, and one per Verlet step plus the start-of-run forces
+        calls = []
+        project = ModeProjector.__call__
+
+        def counting(self, f):
+            calls.append(1)
+            return project(self, f)
+
+        monkeypatch.setattr(ModeProjector, "__call__", counting)
+        init = make_gaussian_state(1.0, PARAMS, np.linspace(-8, 8, 101))
+        evolve(init, PARAMS, SolverConfig(t_final=0.07, dt=0.01,
+                                          integrator=integrator))
+        assert len(calls) == projections
 
     def test_snapshot_stride_and_final_inclusion(self):
         init = make_gaussian_state(1.0, PARAMS, np.linspace(-8, 8, 101))
@@ -425,6 +447,12 @@ class TestEnergyAndInvariants:
         assert np.max(np.abs(r_ref)) < 1e-3
 
 
+# a six-snapshot run-lagrangian on a small grid
+_SHORT_RUN = {"grid.n_labels": 101, "grid.n_x": 256, "solver.t_final": 0.05,
+              "solver.dt": 0.005, "solver.snapshot_stride": 2,
+              "output.field_times": 3}
+
+
 class TestRunSummary:
     def test_label_data_built_once_per_run(self, monkeypatch):
         import qflow.lagrangian as lagrangian
@@ -439,16 +467,35 @@ class TestRunSummary:
             init_label_data(self, *args, **kwargs)
 
         monkeypatch.setattr(lagrangian._LabelData, "__init__", counting)
-        settings = Settings.defaults(**{
-            "grid.n_labels": 101, "grid.n_x": 256, "solver.t_final": 0.05,
-            "solver.dt": 0.005, "solver.snapshot_stride": 2,
-            "output.field_times": 3})
+        settings = Settings.defaults(**_SHORT_RUN)
         snapshots, _, summary, _ = run_lagrangian(settings)
-        # one for evolve and one for the summary's energies and accelerations,
-        # whatever the number of snapshots
+        # one for evolve and one for the summary's accelerations, whatever
+        # the number of snapshots
         assert len(snapshots) == 6
         assert len(built) == 2
         monkeypatch.undo()
         params = settings.physics()
         init = settings.initial_state(params)
         assert summary["energy"] == [energy_of(s, init, params) for s in snapshots]
+
+    def test_one_energy_evaluation_per_snapshot(self, monkeypatch):
+        # the summary reads the energies evolve computed for its drift check
+        import qflow.lagrangian as lagrangian
+        import qflow.pipeline as pipeline
+        from qflow.config import Settings
+        from qflow.pipeline import run_lagrangian
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return energy_of(*args, **kwargs)
+
+        # wherever run_lagrangian might look the name up
+        monkeypatch.setattr(lagrangian, "energy_of", counting)
+        monkeypatch.setattr(pipeline, "energy_of", counting, raising=False)
+        settings = Settings.defaults(**_SHORT_RUN)
+        snapshots, _, summary, _ = run_lagrangian(settings)
+        assert len(snapshots) == 6
+        assert len(calls) == 6
+        assert summary["energy"] == [s.energy for s in snapshots]

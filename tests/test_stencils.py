@@ -1,9 +1,12 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
 from qflow.errors import ValidationError
-from qflow.stencils import (_EDGE, _stencil_table, derivative, fd_weights,
-                            grid_spacing, trapezoid_weights)
+from qflow.stencils import (_EDGE, Stencil, _operator, _stencil_table,
+                            derivative, fd_weights, grid_spacing,
+                            trapezoid_weights)
 
 
 def _loop_derivative(f, h, m, order):
@@ -164,3 +167,56 @@ def test_edge_rows_within_rounding_of_blas_products(order, size):
             blas, scale = _blas_edge_rows(f, h, m, order)
             assert np.array_equal(got[k], _loop_derivative(f, h, m, order))
             assert np.all(np.abs(got[k][ends] - blas) <= 8 * eps * scale)
+
+
+def _sparse_product(f, h, m, order):
+    """Reference: scipy's ``op @ f`` on the cached operator, then the
+    division by the h**m column (n-D ``f`` flattened to columns)."""
+    ms = (m,) if np.ndim(m) == 0 else tuple(m)
+    n = f.shape[0]
+    flat = f if f.ndim <= 2 else f.reshape(n, -1)
+    out = (_operator(n, ms, order) @ flat).reshape((len(ms),) + f.shape)
+    out /= np.array([h**k for k in ms]).reshape((-1,) + (1,) * f.ndim)
+    return out[0] if np.ndim(m) == 0 else out
+
+
+_ALL_MS = [1, 2, 3] + [p for r in (1, 2, 3) for p in permutations((1, 2, 3), r)]
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("size", ["edge", "edge+1", 37, 401])
+@pytest.mark.parametrize("m", _ALL_MS, ids=str)
+def test_bound_kernel_bit_identical_to_sparse_product(order, size, m):
+    # the bound kernel runs scipy's CSR kernel directly: same bits as
+    # ``op @ f`` for every layout of f, and as the raw product at h = 1
+    ms = (m,) if np.ndim(m) == 0 else m
+    edge = max(_EDGE[(k, order)] for k in ms)
+    n = {"edge": edge, "edge+1": edge + 1}.get(size, size)
+    rng = np.random.default_rng(n)
+    h = 16.0 / (n - 1)
+    block = rng.normal(size=(2 * n, 6))
+    layouts = {
+        "1-D": block[:n, 0].copy(),
+        "1-D strided": block[::2, 1],
+        "column": block[:n, :1].copy(),
+        "2-D": block[:n].copy(),
+        "2-D strided": block[::2, ::2],
+        "2-D Fortran": np.asfortranarray(block[:n]),
+        "3-D": block[:n].reshape(n, 2, 3).copy(),
+    }
+    for name, f in layouts.items():
+        got = Stencil(n, h, m, order)(f)
+        assert got.shape == np.shape(_sparse_product(f, h, m, order)), name
+        assert np.array_equal(got, _sparse_product(f, h, m, order)), name
+        assert np.array_equal(derivative(f, h, m, order), got), name
+        if f.ndim <= 2:
+            raw = (_operator(n, ms, order) @ f).reshape(got.shape)
+            assert np.array_equal(Stencil(n, 1.0, m, order)(f), raw), name
+
+
+def test_bound_kernel_rejects_other_lengths():
+    # the CSR kernel reads f unchecked, so the length is checked first
+    stencil = Stencil(37, 0.1, (1, 2, 3), 4)
+    for f in (np.ones(36), np.ones(38), np.ones((36, 2)), np.float64(1.0)):
+        with pytest.raises(ValidationError, match="bound to 37 points"):
+            stencil(f)
