@@ -14,7 +14,7 @@ import numpy as np
 
 from qflow.benchmarks import (error_norms, gaussian_trajectory,
                               gaussian_wavefunction)
-from qflow.lagrangian import SolverConfig, energy_of, evolve
+from qflow.lagrangian import SolverConfig, evolve
 from qflow.model import PhysicsParams, assemble_wavefunction, make_gaussian_state
 from qflow.reconstruction import reconstruct_wavefunction
 
@@ -41,13 +41,14 @@ def main():
     x = np.linspace(-12, 12, 1024, endpoint=False)
     print(f"{'t':>6} {'max |q err|':>12} {'energy drift':>13} "
           f"{'psi L2 err':>12} {'rho norm':>10}")
-    e0 = energy_of(snapshots[0], init, params)
-    picks = np.linspace(0, len(snapshots) - 1, 5).astype(int)
+    e0 = snapshots[0].energy
+    # up to five distinct snapshots, the first and the last included
+    picks = np.unique(np.linspace(0, len(snapshots) - 1, 5).astype(int))
     for i in picks:
         snap = snapshots[i]
         q_exact, _ = gaussian_trajectory(labels, snap.t, args.sigma0, params)
         q_err = np.max(np.abs(snap.q - q_exact))
-        drift = abs(energy_of(snap, init, params) - e0) / abs(e0)
+        drift = abs(snap.energy - e0) / abs(e0)
         field = reconstruct_wavefunction(snapshots[:i + 1], init, params, x,
                                          dual_check=False)
         rho_e, S_e = gaussian_wavefunction(x, snap.t, args.sigma0, params)

@@ -21,9 +21,8 @@ from .benchmarks import (Norms, error_norms, gaussian_alpha,
                          gaussian_wavefunction, ode_check_T)
 from .config import ConfigError, Settings
 from .errors import (NodeEncountered, NumericalInstability,
-                     PathDisagreementWarning, PhaseInconsistencyWarning,
-                     QflowError, QtmDerivativeError, TrajectoryCrossing,
-                     ValidationError, WrapAroundRiskWarning)
+                     PhaseInconsistencyWarning, QflowError, QtmDerivativeError,
+                     TrajectoryCrossing, ValidationError, WrapAroundRiskWarning)
 from .kinematics import (DeformGradient, cofactor_matrix, hyper_cofactor,
                          internal_energy, jacobian, levi_civita,
                          quantum_potential, stress_eulerian, stress_lagrangian)

@@ -89,11 +89,7 @@ SCHEMA = {
     "solver.t_final": (_as_float, 2.0),
     "solver.dt": (_auto_or_float, None),
     "solver.cfl": (_as_float, 0.1),
-    "solver.integrator": (_choice("rk4", "velocity_verlet"), "rk4"),
-    "solver.stencil_order": (_as_int, 4),
     "solver.snapshot_stride": (_as_int, 25),
-    "solver.acceleration_path": (_choice("direct", "newton", "both_with_check"),
-                                 "direct"),
     "solver.projection_degree": (_auto_or_int, None),
     "reference.dt": (_as_float, 1e-3),
     "reference.t_final": (_auto_or_float, None),
@@ -229,10 +225,7 @@ class Settings:
             t_final=self["solver.t_final"],
             dt=self["solver.dt"],
             cfl_coefficient=self["solver.cfl"],
-            integrator=self["solver.integrator"],
-            stencil_order=self["solver.stencil_order"],
             snapshot_stride=self["solver.snapshot_stride"],
-            acceleration_path=self["solver.acceleration_path"],
             projection_degree=self["solver.projection_degree"],
         )
         cfg.validate()

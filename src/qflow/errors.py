@@ -56,7 +56,3 @@ class PhaseInconsistencyWarning(UserWarning):
 
 class WrapAroundRiskWarning(UserWarning):
     """Wavepacket density is approaching the periodic domain edge."""
-
-
-class PathDisagreementWarning(UserWarning):
-    """The two acceleration formulas disagree beyond tolerance on a snapshot."""

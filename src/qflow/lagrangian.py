@@ -19,12 +19,14 @@ The per-label acceleration can be evaluated two independent ways:
 
 Both are pointwise collocation evaluations and must agree to
 discretization accuracy; the cross-check doubles as a transcription test
-of the conservation form.
+of the conservation form.  ``evolve`` integrates the conservation form
+only; the Newton form is evaluated by the acceptance battery and the run
+summary.
 
 Label kinematics.  Both forms, V_Q in the phase density and the energy
 check read one tuple (J, J', J'', 1/J), which ``_kinematics`` takes from a
-single stacked stencil product ``derivative(q, h, (1, 2, 3), order)``
-once per force evaluation; the Jacobian floor and a finiteness check are
+single stacked stencil product ``derivative(q, h, (1, 2, 3))`` once
+per force evaluation; the Jacobian floor and a finiteness check are
 applied there too.  The stacked product sums every stencil row in weight
 order and scales by h**m last, exactly as a single-derivative call does,
 so sharing the tuple changes no bit of the integration: it only removes
@@ -46,27 +48,24 @@ projection is the rho0-weighted least-squares fit onto Legendre
 polynomials in the label, it preserves every affine flow exactly (uniform
 dilations and translations, hence the Gaussian benchmark is untouched),
 and it removes the spurious modes entirely (measured growth rates drop
-below 0.02).  The phase integral chi accumulates alongside the state with
-the same quadrature order as the integrator.
+below 0.02).  The phase integral chi accumulates alongside the state in
+the same classical RK4 steps.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .errors import (NumericalInstability, PathDisagreementWarning,
-                     TrajectoryCrossing, ValidationError)
+from .errors import NumericalInstability, TrajectoryCrossing, ValidationError
 from .model import InitialState, PhysicsParams, TrajectoryState, plan_steps
 from .stencils import Stencil, derivative, grid_spacing, trapezoid_weights
 
 J_FLOOR = 1e-10
 TAIL_FLOOR_REL = 1e-12
 ENERGY_ABORT_REL = 0.10
-PATH_CHECK_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -76,10 +75,7 @@ class SolverConfig:
     t_final: float
     dt: Optional[float] = None          # None -> auto CFL rule
     cfl_coefficient: float = 0.1
-    integrator: str = "rk4"             # "rk4" | "velocity_verlet"
-    stencil_order: int = 4              # 2 | 4
     snapshot_stride: int = 1
-    acceleration_path: str = "direct"   # "direct" | "newton" | "both_with_check"
     projection_degree: Optional[int] = None  # None -> adaptive default
 
     def validate(self):
@@ -89,14 +85,8 @@ class SolverConfig:
             raise ValidationError(f"dt must be positive, got {self.dt}")
         if not (self.cfl_coefficient > 0):
             raise ValidationError(f"cfl_coefficient must be positive")
-        if self.integrator not in ("rk4", "velocity_verlet"):
-            raise ValidationError(f"unknown integrator {self.integrator!r}")
-        if self.stencil_order not in (2, 4):
-            raise ValidationError(f"stencil_order must be 2 or 4, got {self.stencil_order}")
         if self.snapshot_stride < 1:
             raise ValidationError("snapshot_stride must be >= 1")
-        if self.acceleration_path not in ("direct", "newton", "both_with_check"):
-            raise ValidationError(f"unknown acceleration_path {self.acceleration_path!r}")
         if self.projection_degree is not None and self.projection_degree < 1:
             raise ValidationError("projection_degree must be >= 1")
 
@@ -145,13 +135,12 @@ class ModeProjector:
 class _LabelData:
     """Per-run precomputed label-grid data shared by the acceleration forms."""
 
-    def __init__(self, init: InitialState, params: PhysicsParams, order: int):
+    def __init__(self, init: InitialState, params: PhysicsParams):
         self.h = grid_spacing(init.labels)
         a = init.labels
         forms = init.forms
-        self.order = order
-        self.d123 = Stencil(a.size, self.h, (1, 2, 3), order)
-        self.d1 = Stencil(a.size, self.h, 1, order)
+        self.d123 = Stencil(a.size, self.h, (1, 2, 3))
+        self.d1 = Stencil(a.size, self.h, 1)
         self.quantum_coeff = params.hbar**2 / (4.0 * params.mass**2)
         self.mass_weights = trapezoid_weights(a) * init.rho0
         if forms is not None and forms.rho0 and forms.drho0 and forms.d2rho0:
@@ -170,7 +159,7 @@ class _LabelData:
                     "every label; restrict the label span or supply analytic forms"
                 )
             safe = np.maximum(init.rho0, floor)
-            self.L1, self.L2 = derivative(init.rho0, self.h, (1, 2), order) / safe
+            self.L1, self.L2 = derivative(init.rho0, self.h, (1, 2)) / safe
         self.L1_sq = self.L1**2
         self.L2_minus_L1_sq = self.L2 - self.L1_sq
 
@@ -193,13 +182,12 @@ def _kinematics(data: _LabelData, q, t=0.0):
     return J, Jp, Jpp, 1.0 / J
 
 
-def initial_velocity(init: InitialState, params: PhysicsParams,
-                     stencil_order: int = 4) -> np.ndarray:
+def initial_velocity(init: InitialState, params: PhysicsParams) -> np.ndarray:
     """v0 = (1/m) dS0/da, from the analytic form when available."""
     if init.forms is not None and init.forms.ds0 is not None:
         ds = np.asarray(init.forms.ds0(init.labels), dtype=float)
     else:
-        ds = derivative(init.s0, grid_spacing(init.labels), 1, stencil_order)
+        ds = derivative(init.s0, grid_spacing(init.labels), 1)
     return ds / params.mass
 
 
@@ -230,48 +218,48 @@ def _accel_newton_from(data: _LabelData, params: PhysicsParams, q, kin, vq):
 
 
 def acceleration_direct(traj: TrajectoryState, init: InitialState,
-                        params: PhysicsParams, stencil_order: int = 4, *,
+                        params: PhysicsParams, *,
                         data: Optional[_LabelData] = None) -> np.ndarray:
     """Conservation-form acceleration, evaluated pointwise on the labels.
 
     ``data`` is as in :func:`energy_of`.
     """
     if data is None:
-        data = _LabelData(init, params, stencil_order)
+        data = _LabelData(init, params)
     return _accel_direct_from(data, params, traj.q,
                               _kinematics(data, traj.q, traj.t))
 
 
 def acceleration_newton(traj: TrajectoryState, init: InitialState,
-                        params: PhysicsParams, stencil_order: int = 4, *,
+                        params: PhysicsParams, *,
                         data: Optional[_LabelData] = None) -> np.ndarray:
     """Newton-law acceleration -(1/m) d(V + V_Q)/dq along the trajectories.
 
     ``data`` is as in :func:`energy_of`.
     """
     if data is None:
-        data = _LabelData(init, params, stencil_order)
+        data = _LabelData(init, params)
     kin = _kinematics(data, traj.q, traj.t)
     return _accel_newton_from(data, params, traj.q, kin,
                               _vq_from(data, params, kin))
 
 
 def quantum_potential_labels(traj: TrajectoryState, init: InitialState,
-                             params: PhysicsParams, stencil_order: int = 4) -> np.ndarray:
+                             params: PhysicsParams) -> np.ndarray:
     """V_Q evaluated at each fluid element of a snapshot."""
-    data = _LabelData(init, params, stencil_order)
+    data = _LabelData(init, params)
     return _vq_from(data, params, _kinematics(data, traj.q, traj.t))
 
 
 def energy_of(traj: TrajectoryState, init: InitialState, params: PhysicsParams,
-              stencil_order: int = 4, *, data: Optional[_LabelData] = None) -> float:
+              *, data: Optional[_LabelData] = None) -> float:
     """Discrete total energy sum_i w_i rho0_i (m qdot^2/2 + U + V).
 
-    ``data`` is the label data of (init, params, stencil_order) when the
-    caller already holds it, as :func:`evolve` does.
+    ``data`` is the label data of (init, params) when the caller already
+    holds it, as :func:`evolve` does.
     """
     if data is None:
-        data = _LabelData(init, params, stencil_order)
+        data = _LabelData(init, params)
     J, Jp, _, _ = _kinematics(data, traj.q, traj.t)
     cx = (data.L1 - Jp / J) / J
     U = params.hbar**2 / (8.0 * params.mass) * cx**2
@@ -284,15 +272,17 @@ def evolve(init: InitialState, params: PhysicsParams,
            config: SolverConfig) -> list[TrajectoryState]:
     """Integrate the trajectory continuum from t = 0 to t_final.
 
-    Returns snapshots every ``snapshot_stride`` steps (the initial and
-    final states are always included), each carrying the energy that the
-    drift check computed for it.  Monotonicity of q is asserted at
-    every accepted step; a non-finite state or a relative energy drift
-    above 10% aborts with :class:`NumericalInstability`.  A step plan over
-    ``MAX_STEPS`` is rejected up front.
+    Classical RK4 on the stacked state (q, qdot, chi), driven by the
+    projected conservation-form acceleration.  Returns snapshots every
+    ``snapshot_stride`` steps (the initial and final states are always
+    included), each carrying the energy that the drift check computed for
+    it.  Monotonicity of q is asserted at every accepted step; a
+    non-finite state or a relative energy drift above 10% aborts with
+    :class:`NumericalInstability`.  A step plan over ``MAX_STEPS`` is
+    rejected up front.
     """
     config.validate()
-    data = _LabelData(init, params, config.stencil_order)
+    data = _LabelData(init, params)
     n = init.n
     degree = config.projection_degree
     if degree is None:
@@ -300,48 +290,27 @@ def evolve(init: InitialState, params: PhysicsParams,
     degree = min(degree, n - 1)
     project = ModeProjector(init.labels, init.rho0, degree)
 
-    path = config.acceleration_path
-    use_newton = path == "newton"
-
-    def forces(q, t):
-        """Projected acceleration and V_Q from one kinematics evaluation."""
-        kin = _kinematics(data, q, t)
-        vq = _vq_from(data, params, kin)
-        if use_newton:
-            acc = _accel_newton_from(data, params, q, kin, vq)
-        else:
-            acc = _accel_direct_from(data, params, q, kin)
-        return project(acc), vq
-
-    def ldens(q, qd, vq):
-        return 0.5 * params.mass * qd**2 - params.potential_energy(q) - vq
-
     def rhs(y, t):
         """Time derivative of the stacked state y = (q, qdot, chi)."""
         q, qd = y[0], y[1]
-        acc, vq = forces(q, t)
+        kin = _kinematics(data, q, t)
+        vq = _vq_from(data, params, kin)
         k = np.empty_like(y)
-        k[0], k[1], k[2] = qd, acc, ldens(q, qd, vq)
+        k[0] = qd
+        k[1] = project(_accel_direct_from(data, params, q, kin))
+        k[2] = 0.5 * params.mass * qd**2 - params.potential_energy(q) - vq
         return k
 
     n_steps, dt = plan_steps(config.t_final, config.auto_dt(data.h, params))
 
-    q = init.labels.copy()
-    qd = initial_velocity(init, params, config.stencil_order)
-    chi = np.zeros(n)
-    t = 0.0
-    start = TrajectoryState(init.labels, q.copy(), qd.copy(), chi.copy(), 0.0)
-    e0 = energy_of(start, init, params, config.stencil_order, data=data)
+    y = np.stack((init.labels, initial_velocity(init, params), np.zeros(n)))
+    start = TrajectoryState(init.labels, *y.copy(), 0.0)
+    e0 = energy_of(start, init, params, data=data)
     snapshots = [replace(start, energy=e0)]
 
-    def check_step(qn, tn):
-        gaps = np.diff(qn)
-        if gaps.min() <= 0:
-            raise TrajectoryCrossing(int(np.argmin(gaps)), tn)
-
     def snapshot(tn):
-        snap = TrajectoryState(init.labels, q.copy(), qd.copy(), chi.copy(), tn)
-        e = energy_of(snap, init, params, config.stencil_order, data=data)
+        snap = TrajectoryState(init.labels, *y.copy(), tn)
+        e = energy_of(snap, init, params, data=data)
         if not np.isfinite(e):
             raise NumericalInstability(f"non-finite energy at t = {tn:.6g}")
         if abs(e - e0) > ENERGY_ABORT_REL * abs(e0) and abs(e0) > 0:
@@ -349,42 +318,18 @@ def evolve(init: InitialState, params: PhysicsParams,
                 f"energy drift {abs(e - e0) / abs(e0):.2%} at t = {tn:.6g} "
                 f"exceeds {ENERGY_ABORT_REL:.0%}; reduce dt"
             )
-        if path == "both_with_check":
-            kin = _kinematics(data, q, tn)
-            d = _accel_direct_from(data, params, q, kin)
-            nw = _accel_newton_from(data, params, q, kin, _vq_from(data, params, kin))
-            scale = float(np.max(np.abs(nw))) or 1.0
-            rel = float(np.max(np.abs(d - nw))) / scale
-            if rel > PATH_CHECK_TOL:
-                warnings.warn(
-                    f"acceleration formulas disagree by {rel:.2e} (rel) at "
-                    f"t = {tn:.6g}", PathDisagreementWarning, stacklevel=2)
         snapshots.append(replace(snap, energy=e))
 
-    verlet = config.integrator == "velocity_verlet"
-    if verlet:
-        # the end-of-step forces are the next step's start-of-step forces
-        acc0, vq0 = forces(q, t)
-        l0 = ldens(q, qd, vq0)
-    else:
-        y = np.stack((q, qd, chi))
+    t = 0.0
     for step in range(n_steps):
-        if verlet:
-            q_new = q + dt * qd + 0.5 * dt * dt * acc0
-            check_step(q_new, t + dt)
-            acc1, vq1 = forces(q_new, t + dt)
-            qd_new = qd + 0.5 * dt * (acc0 + acc1)
-            l1 = ldens(q_new, qd_new, vq1)
-            chi = chi + 0.5 * dt * (l0 + l1)
-            q, qd, acc0, l0 = q_new, qd_new, acc1, l1
-        else:
-            k1 = rhs(y, t)
-            k2 = rhs(y + 0.5 * dt * k1, t + 0.5 * dt)
-            k3 = rhs(y + 0.5 * dt * k2, t + 0.5 * dt)
-            k4 = rhs(y + dt * k3, t + dt)
-            y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            q, qd, chi = y
-            check_step(q, t + dt)
+        k1 = rhs(y, t)
+        k2 = rhs(y + 0.5 * dt * k1, t + 0.5 * dt)
+        k3 = rhs(y + 0.5 * dt * k2, t + 0.5 * dt)
+        k4 = rhs(y + dt * k3, t + dt)
+        y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        gaps = np.diff(y[0])
+        if gaps.min() <= 0:
+            raise TrajectoryCrossing(int(np.argmin(gaps)), t + dt)
         t = (step + 1) * dt
         if (step + 1) % config.snapshot_stride == 0 or step + 1 == n_steps:
             snapshot(t)

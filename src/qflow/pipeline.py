@@ -55,16 +55,15 @@ def run_lagrangian(settings: Settings):
     wall = time.perf_counter() - t0
 
     x_grid = settings.x_grid()
-    order = config.stencil_order
     indices = _field_snapshot_indices(len(snapshots), settings["output.field_times"])
     fields = [reconstruct_wavefunction(snapshots[:i + 1], init, params, x_grid,
-                                       order, dual_check=False)
+                                       dual_check=False)
               for i in indices]
 
     h = grid_spacing(init.labels)
-    data = _LabelData(init, params, order)
+    data = _LabelData(init, params)
     energies = [s.energy for s in snapshots]
-    min_j = [float(np.min(derivative(s.q, h, 1, order))) for s in snapshots]
+    min_j = [float(np.min(derivative(s.q, h, 1))) for s in snapshots]
     e0 = energies[0]
     energy_drift = max(abs(e - e0) for e in energies) / abs(e0) if e0 else 0.0
 
@@ -79,7 +78,7 @@ def run_lagrangian(settings: Settings):
     }
     if len(snapshots) >= 2:
         summary["dual_phase_deviation"] = phase_consistency_deviation(
-            snapshots, init, params, x_grid, order)
+            snapshots, init, params, x_grid)
         final = snapshots[-1]
         acc_d = acceleration_direct(final, init, params, data=data)
         acc_n = acceleration_newton(final, init, params, data=data)
@@ -469,15 +468,13 @@ def gaussian_accept(settings: Settings | None = None):
         np.interp(1.0, x_grid[field.mask], field.S[field.mask]))
 
     # -- criterion 5: dynamics residuals on the reconstructed run -----------
-    order = settings["solver.stencil_order"]
     pair = [reconstruct_wavefunction(snapshots[:len(snapshots) - 1], init,
-                                     params, x_grid, order, dual_check=False),
+                                     params, x_grid, dual_check=False),
             field]
-    r_qhj, m_qhj = qhj_residual(pair[0], pair[1], params, order)
+    r_qhj, m_qhj = qhj_residual(pair[0], pair[1], params)
     checks.append(Check.le(5, "quantum Hamilton-Jacobi residual",
                            np.max(np.abs(r_qhj[m_qhj])), 1e-3))
-    r_cont, r_euler, m_ce = continuity_euler_residuals(pair[0], pair[1], params,
-                                                       order)
+    r_cont, r_euler, m_ce = continuity_euler_residuals(pair[0], pair[1], params)
     checks.append(Check.le(5, "continuity residual",
                            np.max(np.abs(r_cont[m_ce])), 1e-2))
     checks.append(Check.le(5, "Euler residual",
@@ -494,8 +491,8 @@ def gaussian_accept(settings: Settings | None = None):
     worst = 0.0
     for t in (0.0, t_final):
         state = _exact_state(init.labels, t, sigma0, params)
-        acc_d = acceleration_direct(state, init, params, order)
-        acc_n = acceleration_newton(state, init, params, order)
+        acc_d = acceleration_direct(state, init, params)
+        acc_n = acceleration_newton(state, init, params)
         scale = float(np.max(np.abs(acc_n))) or 1.0
         worst = max(worst, float(np.max(np.abs(acc_d - acc_n))) / scale)
     checks.append(Check.le(7, "acceleration path disagreement", worst, 1e-4))

@@ -52,6 +52,10 @@ class QtmConfig:
             raise ValidationError(
                 f"stencil_size must be >= degree + 1 = {self.degree + 1}, "
                 f"got {self.stencil_size}")
+        if not (self.weight_width_mult > 0):
+            raise ValidationError(
+                f"weight_width_mult (qtm.weight_width) must be positive, "
+                f"got {self.weight_width_mult}")
         if self.snapshot_stride < 1:
             raise ValidationError("snapshot_stride must be >= 1")
 

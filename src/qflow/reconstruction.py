@@ -78,9 +78,9 @@ def _interp_on_labels(traj, values, a_query):
     return _pchip_linear_edges(traj.labels, values)(a_query)
 
 
-def _pushforward_at(traj, init, a_query, stencil_order):
+def _pushforward_at(traj, init, a_query):
     """rho0 and J = dq/da at the labels ``a_query`` (rho = rho0 / J there)."""
-    J = derivative(traj.q, grid_spacing(traj.labels), 1, stencil_order)
+    J = derivative(traj.q, grid_spacing(traj.labels), 1)
     J_at = _interp_on_labels(traj, J, a_query)
     if init.forms is not None and init.forms.rho0 is not None:
         rho0_at = np.asarray(init.forms.rho0(a_query), dtype=float)
@@ -89,12 +89,11 @@ def _pushforward_at(traj, init, a_query, stencil_order):
     return rho0_at, J_at
 
 
-def eulerian_density(traj: TrajectoryState, init: InitialState, x_grid,
-                     stencil_order: int = 4):
+def eulerian_density(traj: TrajectoryState, init: InitialState, x_grid):
     """rho(x) = [rho0 / J] at a(x); masked outside the trajectory image."""
     a_of_x, mask = invert_map(traj, x_grid)
     rho = np.full(mask.shape, np.nan)
-    rho0_at, J_at = _pushforward_at(traj, init, a_of_x[mask], stencil_order)
+    rho0_at, J_at = _pushforward_at(traj, init, a_of_x[mask])
     rho[mask] = np.maximum(rho0_at / J_at, 0.0)
     return rho, mask
 
@@ -107,7 +106,7 @@ def eulerian_velocity(traj: TrajectoryState, x_grid):
     return v, mask
 
 
-def _vq_window(traj, init, params, x_center, half=4, stencil_order=4):
+def _vq_window(traj, init, params, x_center, half=4):
     """Anchor label a(x_center) and V_Q there, from one inverse map over a
     (2 half + 1)-point window centred on x_center."""
     dx = grid_spacing(traj.labels)  # any smooth small spacing works
@@ -117,13 +116,13 @@ def _vq_window(traj, init, params, x_center, half=4, stencil_order=4):
         raise ValidationError("phase anchor left the trajectory support")
     if not np.all(mask):
         raise ValidationError("phase-anchor window left the trajectory support")
-    rho0_at, J_at = _pushforward_at(traj, init, a_of_x, stencil_order)
+    rho0_at, J_at = _pushforward_at(traj, init, a_of_x)
     c = np.log(rho0_at) - np.log(J_at)
-    c1, c2 = derivative(c, dx, (1, 2), stencil_order)[:, half]
+    c1, c2 = derivative(c, dx, (1, 2))[:, half]
     return a_of_x[half:half + 1], params.quantum_potential(c1, c2)
 
 
-def _phase_deviation(history, init, params, xm, vm, s_path, stencil_order):
+def _phase_deviation(history, init, params, xm, vm, s_path):
     """Dual-route phase deviation, given the final snapshot's velocity and
     carried phase on the covered grid points ``xm``."""
     if xm.size == 0:
@@ -137,7 +136,7 @@ def _phase_deviation(history, init, params, xm, vm, s_path, stencil_order):
     dsdt = np.empty(times.size)
     V_c = float(params.potential_energy(np.array([x_c]))[0])
     for i, snap in enumerate(history):
-        a_c, vq_c = _vq_window(snap, init, params, x_c, stencil_order=stencil_order)
+        a_c, vq_c = _vq_window(snap, init, params, x_c)
         if i == 0:
             s0_c = float(np.interp(a_c[0], init.labels, init.s0))
         v_c = float(_interp_on_labels(snap, snap.qdot, a_c)[0])
@@ -154,7 +153,7 @@ def _phase_deviation(history, init, params, xm, vm, s_path, stencil_order):
 
 def phase_consistency_deviation(history: Sequence[TrajectoryState],
                                 init: InitialState, params: PhysicsParams,
-                                x_grid, stencil_order: int = 4) -> float:
+                                x_grid) -> float:
     """Largest deviation (after removing one constant) between the
     trajectory-carried phase and the spatial quadrature of m*v anchored at
     the packet center, with the center's time dependence integrated from
@@ -168,14 +167,12 @@ def phase_consistency_deviation(history: Sequence[TrajectoryState],
     aq = a_of_x[mask]
     return _phase_deviation(history, init, params, x[mask],
                             _interp_on_labels(final, final.qdot, aq),
-                            _interp_on_labels(final, init.s0 + final.chi, aq),
-                            stencil_order)
+                            _interp_on_labels(final, init.s0 + final.chi, aq))
 
 
 def reconstruct_wavefunction(history: Sequence[TrajectoryState],
                              init: InitialState, params: PhysicsParams,
-                             x_grid, stencil_order: int = 4,
-                             dual_check: bool = True) -> EulerianField:
+                             x_grid, *, dual_check: bool = True) -> EulerianField:
     """Assemble the full Eulerian field (rho, S, v, psi) at the last snapshot.
 
     The phase is carried along trajectories (S = S0 + chi composed with
@@ -194,14 +191,13 @@ def reconstruct_wavefunction(history: Sequence[TrajectoryState],
     S = np.zeros(x.shape)
     v = np.zeros(x.shape)
     psi = np.zeros(x.shape, dtype=complex)
-    rho0_at, J_at = _pushforward_at(final, init, aq, stencil_order)
+    rho0_at, J_at = _pushforward_at(final, init, aq)
     rho[mask] = np.maximum(rho0_at / J_at, 0.0)
     v[mask] = _interp_on_labels(final, final.qdot, aq)
     S[mask] = _interp_on_labels(final, init.s0 + final.chi, aq)
     psi[mask] = assemble_wavefunction(rho[mask], S[mask], params.hbar)
     if dual_check and len(history) >= 2:
-        dev = _phase_deviation(history, init, params, x[mask], v[mask], S[mask],
-                               stencil_order)
+        dev = _phase_deviation(history, init, params, x[mask], v[mask], S[mask])
         if dev > DUAL_PHASE_TOL:
             warnings.warn(
                 f"dual-route phase deviation {dev:.2e} exceeds {DUAL_PHASE_TOL:.0e}",
@@ -223,28 +219,29 @@ def _check_pair(field_a: EulerianField, field_b: EulerianField):
         raise ValidationError("field snapshots must differ in time")
 
 
-def _interior_mask(mask, rho, order):
-    """Shared support, above the density floor, eroded by the stencil reach."""
+def _interior_mask(mask, rho):
+    """Shared support, above the density floor, eroded by 3 points: the
+    reach of a fourth-order third derivative (the Euler residual
+    differentiates V_Q, which holds c'')."""
     scale = np.max(rho[mask]) if np.any(mask) else 0.0
     good = mask & (rho > RHO_INTERIOR_REL * max(scale, 1e-300))
-    erode = 3 if order == 4 else 2
     out = good.copy()
-    for _ in range(erode):
+    for _ in range(3):
         out[1:] &= good[:-1]
         out[:-1] &= good[1:]
         good = out.copy()
     return out
 
 
-def _grid_vq(rho, h, params, order):
+def _grid_vq(rho, h, params):
     """V_Q on a uniform grid from stencil derivatives of c = ln rho."""
     c = np.log(np.where(rho > 0, rho, 1.0))
-    c1, c2 = derivative(c, h, (1, 2), order)
+    c1, c2 = derivative(c, h, (1, 2))
     return params.quantum_potential(c1, c2)
 
 
 def qhj_residual(field_a: EulerianField, field_b: EulerianField,
-                 params: PhysicsParams, stencil_order: int = 4):
+                 params: PhysicsParams):
     """Phase-evolution residual dS/dt + (dS/dx)^2/2m + V + V_Q at the
     midpoint of two consecutive snapshots.  Returns (r, mask)."""
     _check_pair(field_a, field_b)
@@ -255,18 +252,18 @@ def qhj_residual(field_a: EulerianField, field_b: EulerianField,
     h = grid_spacing(x)
     dt = field_b.t - field_a.t
     mask = _interior_mask(field_a.mask & field_b.mask,
-                          0.5 * (field_a.rho + field_b.rho), stencil_order)
+                          0.5 * (field_a.rho + field_b.rho))
     S_mid = 0.5 * (field_a.S + field_b.S)
     rho_mid = 0.5 * (field_a.rho + field_b.rho)
     dSdt = (field_b.S - field_a.S) / dt
-    dSdx = derivative(S_mid, h, 1, stencil_order)
-    vq = _grid_vq(rho_mid, h, params, stencil_order)
+    dSdx = derivative(S_mid, h, 1)
+    vq = _grid_vq(rho_mid, h, params)
     r = dSdt + dSdx**2 / (2.0 * params.mass) + params.potential_energy(x) + vq
     return np.where(mask, r, 0.0), mask
 
 
 def continuity_euler_residuals(field_a: EulerianField, field_b: EulerianField,
-                               params: PhysicsParams, stencil_order: int = 4):
+                               params: PhysicsParams):
     """Residuals of mass transport and of the velocity equation between two
     consecutive snapshots.  Returns (r_cont, r_euler, mask)."""
     _check_pair(field_a, field_b)
@@ -278,13 +275,13 @@ def continuity_euler_residuals(field_a: EulerianField, field_b: EulerianField,
     dt = field_b.t - field_a.t
     rho_mid = 0.5 * (field_a.rho + field_b.rho)
     v_mid = 0.5 * (field_a.v + field_b.v)
-    mask = _interior_mask(field_a.mask & field_b.mask, rho_mid, stencil_order)
+    mask = _interior_mask(field_a.mask & field_b.mask, rho_mid)
     r_cont = ((field_b.rho - field_a.rho) / dt
-              + derivative(rho_mid * v_mid, h, 1, stencil_order))
-    vq = _grid_vq(rho_mid, h, params, stencil_order)
-    force = derivative(params.potential_energy(x) + vq, h, 1, stencil_order)
+              + derivative(rho_mid * v_mid, h, 1))
+    vq = _grid_vq(rho_mid, h, params)
+    force = derivative(params.potential_energy(x) + vq, h, 1)
     r_euler = ((field_b.v - field_a.v) / dt
-               + v_mid * derivative(v_mid, h, 1, stencil_order)
+               + v_mid * derivative(v_mid, h, 1)
                + force / params.mass)
     return np.where(mask, r_cont, 0.0), np.where(mask, r_euler, 0.0), mask
 
@@ -353,7 +350,7 @@ def ensemble_moments(traj: Optional[TrajectoryState] = None,
         if field.v is not None:
             dsdx = params.mass * field.v[m]
         elif field.S is not None:
-            dsdx = derivative(field.S, grid_spacing(field.x), 1, 4)[m]
+            dsdx = derivative(field.S, grid_spacing(field.x), 1)[m]
         else:
             raise ValidationError("field moments need v or S")
         mean_p = float(np.trapezoid(rho * dsdx, x))

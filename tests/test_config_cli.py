@@ -89,7 +89,7 @@ class TestConfigParsing:
     def test_defaults_complete(self):
         vals = resolve({})
         assert vals["grid.n_labels"] == 401
-        assert vals["solver.acceleration_path"] == "direct"
+        assert vals["solver.cfl"] == 0.1
 
     def test_settings_constructors(self):
         s = Settings.defaults(**{"grid.n_labels": 51, "state.sigma0": 1.0,
@@ -199,12 +199,20 @@ class TestCli:
         assert main(["run-lagrangian", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
 
-    def test_unknown_key_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("line", [
+        pytest.param(line, id=line.split(" =")[0]) for line in [
+            "solver.speed = 11",
+            # removed solver knobs: a config still naming them is rejected
+            "solver.integrator = rk4",
+            "solver.acceleration_path = direct",
+            "solver.stencil_order = 4",
+        ]])
+    def test_unknown_key_exits_2(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("solver.speed = 11\n")
+        cfg.write_text(line + "\n")
         assert main(["run-lagrangian", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
-        assert "solver.speed" in capsys.readouterr().err
+        assert line.split(" =")[0] in capsys.readouterr().err
 
     @pytest.mark.parametrize("line,fragment", [
         pytest.param(line, fragment, id=line) for line, fragment in [
@@ -241,6 +249,10 @@ class TestCli:
             ("qtm.stencil_size = 4", "stencil_size must be >= degree + 1 = 5"),
             ("qtm.stencil_size = 500",
              "need at least stencil_size = 500 particles, got 201"),
+            # a zero width used to end in a non-finite state (exit 3), a
+            # negative one ran as its absolute value
+            ("qtm.weight_width = 0", "qtm.weight_width) must be positive, got 0.0"),
+            ("qtm.weight_width = -3", "qtm.weight_width) must be positive, got -3.0"),
         ]])
     def test_qtm_fit_shape_exits_2(self, tmp_path, capsys, line, fragment):
         cfg = tmp_path / "fit.cfg"

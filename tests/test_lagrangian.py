@@ -51,34 +51,30 @@ def _custom_phase_state(ds0_fn, s0_fn, analytic=True):
 def _unstacked_rk4(init, params, config):
     """Reference: the RK4 loop over separate q, qdot and chi, with the
     forces written out term by term (G with its five powers of 1/J)."""
-    data = _LabelData(init, params, config.stencil_order)
-    h, order, L1, L2 = data.h, data.order, data.L1, data.L2
+    data = _LabelData(init, params)
+    h, L1, L2 = data.h, data.L1, data.L2
     degree = min(default_projection_degree(init.n), init.n - 1)
     project = ModeProjector(init.labels, init.rho0, degree)
 
     def rhs(q, qd, t):
-        J, Jp, Jpp = (derivative(q, h, m, order) for m in (1, 2, 3))
+        J, Jp, Jpp = (derivative(q, h, m) for m in (1, 2, 3))
         Ji = 1.0 / J
         ca = L1 - Jp * Ji
         caa = (L2 - L1**2) - (Jpp * Ji - (Jp * Ji) ** 2)
         cx = ca * Ji
         cxx = (caa - ca * Jp * Ji) * Ji**2
         vq = params.quantum_potential(cx, cxx)
-        if config.acceleration_path == "newton":
-            acc = -(params.potential_gradient(q)
-                    + derivative(vq, h, 1, order) / J) / params.mass
-        else:
-            G = (2.0 * Ji**5 * Jp**2 - Ji**4 * Jp * L1 - Ji**4 * Jpp
-                 + Ji**3 * L2 - Ji**3 * L1**2)
-            acc = ((params.hbar**2 / (4.0 * params.mass**2))
-                   * (L1 * G + derivative(G, h, 1, order))
-                   - params.potential_gradient(q) / params.mass)
+        G = (2.0 * Ji**5 * Jp**2 - Ji**4 * Jp * L1 - Ji**4 * Jpp
+             + Ji**3 * L2 - Ji**3 * L1**2)
+        acc = ((params.hbar**2 / (4.0 * params.mass**2))
+               * (L1 * G + derivative(G, h, 1))
+               - params.potential_gradient(q) / params.mass)
         ld = 0.5 * params.mass * qd**2 - params.potential_energy(q) - vq
         return qd, project(acc), ld
 
     n_steps, dt = plan_steps(config.t_final, config.auto_dt(h, params))
     q = init.labels.copy()
-    qd = initial_velocity(init, params, config.stencil_order)
+    qd = initial_velocity(init, params)
     chi = np.zeros(init.n)
     t = 0.0
     for step in range(n_steps):
@@ -179,7 +175,7 @@ class TestAccelerations:
         # in-loop kernel must reproduce it bit for bit on a non-affine map
         a = self.init.labels
         q = a + 0.1 * np.sin(a)
-        data = _LabelData(self.init, PARAMS, 4)
+        data = _LabelData(self.init, PARAMS)
         h, L1, L2 = data.h, data.L1, data.L2
         J, Jp, Jpp = (derivative(q, h, m, 4) for m in (1, 2, 3))
         Ji = 1.0 / J
@@ -217,12 +213,6 @@ class TestSolverConfig:
             SolverConfig(t_final=-1.0).validate()
         with pytest.raises(ValidationError):
             SolverConfig(t_final=1.0, dt=-0.1).validate()
-        with pytest.raises(ValidationError):
-            SolverConfig(t_final=1.0, integrator="leapfrog").validate()
-        with pytest.raises(ValidationError):
-            SolverConfig(t_final=1.0, stencil_order=3).validate()
-        with pytest.raises(ValidationError):
-            SolverConfig(t_final=1.0, acceleration_path="magic").validate()
 
     def test_auto_dt_rule(self):
         cfg = SolverConfig(t_final=1.0, cfl_coefficient=0.1)
@@ -252,44 +242,6 @@ class TestEvolve:
         # S at the resting center label integrates -V_Q(0, t)
         expected = -0.5 * np.arctan(0.25)
         assert snaps[-1].chi[100] == pytest.approx(expected, abs=1e-8)
-
-    def test_newton_path_matches_direct(self):
-        init = make_gaussian_state(1.0, PARAMS, np.linspace(-8, 8, 201))
-        q_d = evolve(init, PARAMS, SolverConfig(t_final=0.5))[-1].q
-        q_n = evolve(init, PARAMS, SolverConfig(
-            t_final=0.5, acceleration_path="newton"))[-1].q
-        assert np.max(np.abs(q_d - q_n)) < 1e-7
-
-    def test_both_with_check_runs_clean(self):
-        import warnings
-        init = make_gaussian_state(1.0, PARAMS, np.linspace(-8, 8, 201))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            evolve(init, PARAMS, SolverConfig(
-                t_final=0.2, acceleration_path="both_with_check",
-                snapshot_stride=100))
-
-    def test_velocity_verlet_close_to_rk4(self):
-        init = make_gaussian_state(1.0, PARAMS, np.linspace(-8, 8, 201))
-        q_rk = evolve(init, PARAMS, SolverConfig(t_final=0.3))[-1].q
-        q_vv = evolve(init, PARAMS, SolverConfig(
-            t_final=0.3, integrator="velocity_verlet"))[-1].q
-        assert np.max(np.abs(q_rk - q_vv)) < 1e-5
-
-    def test_velocity_verlet_is_second_order(self):
-        harmonic = PhysicsParams(potential=HarmonicPotential(omega=1.0))
-        init = make_gaussian_state(1.0, harmonic, np.linspace(-8, 8, 201))
-
-        def final_q(dt):
-            cfg = SolverConfig(t_final=0.6, dt=dt, projection_degree=16,
-                               integrator="velocity_verlet",
-                               snapshot_stride=10**9)
-            return evolve(init, harmonic, cfg)[-1].q
-
-        q_ref = final_q(0.0005)
-        errs = [np.max(np.abs(final_q(dt) - q_ref)) for dt in (0.016, 0.008)]
-        order = np.log2(errs[0] / errs[1])
-        assert 1.7 < order < 2.3
 
     def test_quantum_pressure_bounces_a_uniform_squeeze(self):
         # a uniformly contracting packet does NOT cross: the internal
@@ -332,10 +284,7 @@ class TestEvolve:
         with pytest.raises(ValidationError, match="over the budget"):
             evolve(init, PARAMS, SolverConfig(t_final=1.0, dt=0.5 / MAX_STEPS))
 
-    @pytest.mark.parametrize("integrator,path,force_evals", [
-        ("rk4", "direct", 4), ("rk4", "newton", 4), ("velocity_verlet", "direct", 2)])
-    def test_at_most_two_stencil_products_per_force_evaluation(
-            self, monkeypatch, integrator, path, force_evals):
+    def test_at_most_two_stencil_products_per_force_evaluation(self, monkeypatch):
         # every stencil product, bound or through ``derivative``, is one
         # ``Stencil`` application
         calls = []
@@ -348,20 +297,18 @@ class TestEvolve:
 
         monkeypatch.setattr(Stencil, "__call__", counting)
         init = make_gaussian_state(1.0, PARAMS, np.linspace(-8, 8, 101))
-        cfg = SolverConfig(t_final=0.01, dt=0.01, integrator=integrator,
-                           acceleration_path=path)
-        evolve(init, PARAMS, cfg)
-        # plus one for each energy check, at t = 0 and at the final snapshot
-        assert len(calls) <= 2 * force_evals + 2, calls
+        evolve(init, PARAMS, SolverConfig(t_final=0.01, dt=0.01))
+        # four RK4 force evaluations, plus one product for each energy
+        # check, at t = 0 and at the final snapshot
+        assert len(calls) <= 2 * 4 + 2, calls
 
-    @pytest.mark.parametrize("path", ["direct", "newton"])
     @pytest.mark.parametrize("potential", [None, HarmonicPotential(omega=1.5)])
-    def test_stacked_rk4_matches_unstacked_reference(self, path, potential):
+    def test_stacked_rk4_matches_unstacked_reference(self, potential):
         # a non-affine flow, so every force term is live
         params = PARAMS if potential is None else PhysicsParams(potential=potential)
         init = _custom_phase_state(lambda a: 0.3 * np.cos(a),
                                    lambda a: 0.3 * np.sin(a))
-        cfg = SolverConfig(t_final=0.07, dt=0.01, acceleration_path=path)
+        cfg = SolverConfig(t_final=0.07, dt=0.01)
         n_steps, q, qd, chi = _unstacked_rk4(init, params, cfg)
         last = evolve(init, params, cfg)[-1]
         assert n_steps == 7
@@ -379,12 +326,8 @@ class TestEvolve:
         assert info.misses == info.currsize == 2
         assert info.hits == 0
 
-    @pytest.mark.parametrize("integrator,steps,projections", [
-        ("rk4", 7, 28), ("velocity_verlet", 7, 8)])
-    def test_one_projection_per_rhs_evaluation(self, monkeypatch, integrator,
-                                               steps, projections):
-        # the benchmark's rhs_evals counts ModeProjector calls: 4 per RK4
-        # step, and one per Verlet step plus the start-of-run forces
+    def test_one_projection_per_rhs_evaluation(self, monkeypatch):
+        # the benchmark's rhs_evals counts ModeProjector calls: 4 per RK4 step
         calls = []
         project = ModeProjector.__call__
 
@@ -394,9 +337,8 @@ class TestEvolve:
 
         monkeypatch.setattr(ModeProjector, "__call__", counting)
         init = make_gaussian_state(1.0, PARAMS, np.linspace(-8, 8, 101))
-        evolve(init, PARAMS, SolverConfig(t_final=0.07, dt=0.01,
-                                          integrator=integrator))
-        assert len(calls) == projections
+        evolve(init, PARAMS, SolverConfig(t_final=0.07, dt=0.01))
+        assert len(calls) == 4 * 7
 
     def test_snapshot_stride_and_final_inclusion(self):
         init = make_gaussian_state(1.0, PARAMS, np.linspace(-8, 8, 101))
