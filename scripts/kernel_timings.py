@@ -1,0 +1,86 @@
+#!/usr/bin/env python3
+"""Per-call timings of the trajectory solver's hot kernels.
+
+Prints the best-of-``--repeats`` time per call, in microseconds, of
+
+* the stacked (1, 2, 3) stencil product that gives (J, J', J'');
+* one call of the projected-force operator (a ``ModeProjector`` composed
+  with the conservation-form force map) on the stacked (G, dV/dq) buffer;
+* one right-hand-side evaluation, taken as the wall time of ``evolve`` on
+  the default config divided by its 4 x steps evaluations (snapshots and
+  their energy checks included).
+
+Run with ``QFLOW_THREADS=1`` for single-threaded numbers, e.g.
+
+    QFLOW_THREADS=1 PYTHONPATH=src python scripts/kernel_timings.py
+"""
+
+import argparse
+import time
+
+import numpy as np
+
+from qflow.config import Settings
+from qflow.lagrangian import (ModeProjector, _kinematics, _LabelData,
+                              _log_density_derivatives, _projected_force,
+                              default_projection_degree, evolve)
+from qflow.model import plan_steps
+
+
+def best_us(fn, calls: int, repeats: int) -> float:
+    """Best over ``repeats`` of the mean time of ``calls`` calls, in us."""
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            fn()
+        best = min(best, (time.perf_counter() - t0) / calls)
+    return best * 1e6
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--n-labels", type=int, default=401)
+    ap.add_argument("--t-final", type=float, default=0.2)
+    ap.add_argument("--calls", type=int, default=4000,
+                    help="kernel calls per timing")
+    ap.add_argument("--repeats", type=int, default=7,
+                    help="timings per kernel; the best is printed")
+    args = ap.parse_args()
+
+    settings = Settings.defaults(**{"grid.n_labels": args.n_labels,
+                                    "solver.t_final": args.t_final})
+    params = settings.physics()
+    init = settings.initial_state(params)
+    config = settings.solver_config()
+    data = _LabelData(init, params)
+    n = init.n
+    degree = min(config.projection_degree or default_projection_degree(n), n - 1)
+    force = _projected_force(data, params,
+                             ModeProjector(init.labels, init.rho0, degree))
+
+    # a non-affine map, so the force inputs are not trivially zero
+    q = init.labels + 0.1 * np.sin(init.labels)
+    kin = _kinematics(data, q)
+    G_dV = np.stack((_log_density_derivatives(data, kin)[1] * kin[3],
+                     params.potential_gradient(q)))
+
+    n_steps, _ = plan_steps(config.t_final, config.auto_dt(data.h, params))
+    evolve_s = best_us(lambda: evolve(init, params, config), 1, args.repeats) / 1e6
+
+    print(f"{n} labels, projection degree {degree}; best of {args.repeats}")
+    print(f"{'kernel':<34} {'us/call':>10}")
+    rows = [
+        ("stencil (1, 2, 3) product", best_us(lambda: data.d123(q), args.calls,
+                                              args.repeats)),
+        ("projected force (ModeProjector)", best_us(lambda: force(G_dV), args.calls,
+                                                   args.repeats)),
+        (f"RHS evaluation (evolve / {4 * n_steps})", evolve_s / (4 * n_steps) * 1e6),
+    ]
+    for name, us in rows:
+        print(f"{name:<34} {us:10.2f}")
+    print(f"evolve to t = {config.t_final:g}: {n_steps} steps, {evolve_s:.3f} s")
+
+
+if __name__ == "__main__":
+    main()

@@ -1,39 +1,45 @@
 """Time integration of the fluid-trajectory equation of motion.
 
-The per-label acceleration can be evaluated two independent ways:
+The per-label acceleration can be evaluated two ways:
 
 * ``acceleration_direct`` - the conservation-form right side expressed in
   label variables,
 
       qddot = -(1/m) dV/dq
               + (hbar^2 / 4 m^2) [ L1 * G + dG/da ],
-      G = 2 J'^2 / J^5 - J' L1 / J^4 - J'' / J^4 + L2 / J^3 - L1^2 / J^3,
+      G = c_xx / J,
 
-  with J = dq/da and L1 = rho0'/rho0, L2 = rho0''/rho0 the log-density
-  ratios of the initial data.  Assembling the density division through L1
-  and L2 keeps the expression finite deep in the tails.
+  with J = dq/da, L1 = rho0'/rho0, L2 = rho0''/rho0 the log-density
+  ratios of the initial data, and c_x, c_xx the spatial derivatives of
+  c = ln rho = ln rho0 - ln J along the map.  G is the familiar five-term
+  2 J'^2/J^5 - J' L1/J^4 - J''/J^4 + L2/J^3 - L1^2/J^3: both equal
+  J^-3 (2 A^2 - A L1 - J''/J + L2 - L1^2) with A = J'/J.  Assembling the
+  density division through L1 and L2 keeps the expression finite deep in
+  the tails.
 
 * ``acceleration_newton`` - Newton's law in the potential V + V_Q, with
   the density pushed forward along the map (rho = rho0 / J) and label
   derivatives converted to spatial ones through 1/J.
 
 Both are pointwise collocation evaluations and must agree to
-discretization accuracy; the cross-check doubles as a transcription test
-of the conservation form.  ``evolve`` integrates the conservation form
-only; the Newton form is evaluated by the acceptance battery and the run
-summary.
+discretization accuracy.  They read the same (c_x, c_xx), but the
+conservation form equals (hbar^2/4m^2)(d_x c_xx + c_x c_xx) and the Newton
+form (hbar^2/4m^2)(d_x c_xx + c_x d_x c_x), the latter a stencil on V_Q:
+they agree only where the discrete c_xx equals d_x c_x, so the cross-check
+doubles as a transcription test of the conservation form.  ``evolve``
+integrates the conservation form only; the Newton form is evaluated by the
+acceptance battery and the run summary.
 
 Label kinematics.  Both forms, V_Q in the phase density and the energy
 check read one tuple (J, J', J'', 1/J), which ``_kinematics`` takes from a
 single stacked stencil product ``derivative(q, h, (1, 2, 3))`` once
 per force evaluation; the Jacobian floor and a finiteness check are
 applied there too.  The stacked product sums every stencil row in weight
-order and scales by h**m last, exactly as a single-derivative call does,
-so sharing the tuple changes no bit of the integration: it only removes
-the repeated stencil passes (two per force evaluation, counting dG/da).
-``_LabelData`` binds the two stencils a run needs, the (1, 2, 3) stack and
-d/da, once per run (:class:`~qflow.stencils.Stencil`), so a right-hand
-side applies them without rebuilding or dispatching anything.
+order and scales by h**m last, exactly as a single-derivative call does.
+``_log_density_derivatives`` turns the tuple into (c_x, c_xx), the one
+kernel behind V_Q and G.  ``_LabelData`` binds the two stencils a run
+needs, the (1, 2, 3) stack and d/da, once per run
+(:class:`~qflow.stencils.Stencil`).
 
 Stability of the time stepping.  The pointwise collocation operator is
 exponentially unstable on fine grids: linearizing about a smooth flow
@@ -50,14 +56,24 @@ dilations and translations, hence the Gaussian benchmark is untouched),
 and it removes the spurious modes entirely (measured growth rates drop
 below 0.02).  The phase integral chi accumulates alongside the state in
 the same classical RK4 steps.
+
+Projected force.  That projection is linear, and so is the map
+(G, dV/dq) -> (hbar^2/4m^2)(L1 G + dG/da) - (1/m) dV/dq, so ``evolve``
+composes the two once per run (:meth:`ModeProjector.compose`, d/da taken
+as the bound stencil's sparse matrix): a right-hand side stacks G and
+dV/dq and makes one call of the composed operator, with no stencil
+product for dG/da.  A right-hand side is thus one stencil product, the
+log-density arithmetic and one projection.
 """
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
+from scipy import sparse
 
 from .errors import NumericalInstability, TrajectoryCrossing, ValidationError
 from .model import InitialState, PhysicsParams, TrajectoryState, plan_steps
@@ -112,6 +128,12 @@ class ModeProjector:
     values outside their oscillation region).  The floor bounds the
     conditioning while leaving the mass-weighted fit unchanged where the
     fluid actually lives.
+
+    With ``w_r V = Q R`` the QR factorization of the root-weighted Legendre
+    Vandermonde matrix, the projection is ``lift @ (coeffs @ f)`` with
+    ``coeffs = (Q w_r)^T`` (labels to mode coefficients) and
+    ``lift = Q / w_r`` (modes back to the labels).  :meth:`compose` folds a
+    fixed linear map into ``coeffs``.
     """
 
     WEIGHT_FLOOR_REL = 1e-8
@@ -123,13 +145,26 @@ class ModeProjector:
         V = np.polynomial.legendre.legvander(t, degree)
         rho0 = np.asarray(rho0, dtype=float)
         weight = np.maximum(rho0, self.WEIGHT_FLOOR_REL * float(np.max(rho0)))
-        self.weight_root = np.sqrt(weight * w)
-        B = self.weight_root[:, None] * V
-        self.q_basis, _ = np.linalg.qr(B)
+        weight_root = np.sqrt(weight * w)[:, None]
+        Q, R = np.linalg.qr(weight_root * V)
+        # Q / w_r = V R^-1: taken from V, the lift does not divide the QR's
+        # rounding by the floored tail weight (2-5x closer to an exact
+        # projection at the outermost labels)
+        self.lift = V @ np.linalg.inv(R)
+        self.coeffs = np.ascontiguousarray((Q * weight_root).T)
+
+    def compose(self, A) -> ModeProjector:
+        """The projection of ``A @ f``, for a fixed (sparse or dense) map
+        ``A`` with one row per label, as one projector: its ``coeffs`` are
+        ``coeffs @ A``, so a call costs what a plain projection does.  A call
+        reads ``f`` flattened, so ``f`` may come stacked, one block of
+        labels per column block of ``A``."""
+        composed = copy(self)
+        composed.coeffs = np.ascontiguousarray(self.coeffs @ A)
+        return composed
 
     def __call__(self, f: np.ndarray) -> np.ndarray:
-        wf = self.weight_root * f
-        return (self.q_basis @ (self.q_basis.T @ wf)) / self.weight_root
+        return self.lift @ (self.coeffs @ np.ravel(f))
 
 
 class _LabelData:
@@ -160,8 +195,7 @@ class _LabelData:
                 )
             safe = np.maximum(init.rho0, floor)
             self.L1, self.L2 = derivative(init.rho0, self.h, (1, 2)) / safe
-        self.L1_sq = self.L1**2
-        self.L2_minus_L1_sq = self.L2 - self.L1_sq
+        self.L2_minus_L1_sq = self.L2 - self.L1**2
 
 
 def _kinematics(data: _LabelData, q, t=0.0):
@@ -191,30 +225,42 @@ def initial_velocity(init: InitialState, params: PhysicsParams) -> np.ndarray:
     return ds / params.mass
 
 
-def _accel_direct_from(data: _LabelData, params: PhysicsParams, q, kin):
-    _, Jp, Jpp, Ji = kin
-    L1 = data.L1
-    Ji3, Ji4 = Ji**3, Ji**4
-    G = (2.0 * Ji**5 * Jp**2 - Ji4 * Jp * L1 - Ji4 * Jpp
-         + Ji3 * data.L2 - Ji3 * data.L1_sq)
-    quantum = data.quantum_coeff * (L1 * G + data.d1(G))
-    return quantum - params.potential_gradient(q) / params.mass
-
-
-def _vq_from(data: _LabelData, params: PhysicsParams, kin):
-    """Quantum potential along the trajectories, in log-density variables."""
+def _log_density_derivatives(data: _LabelData, kin):
+    """(c_x, c_xx), the spatial derivatives of c = ln rho along the map."""
     _, Jp, Jpp, Ji = kin
     JpJi = Jp * Ji
     ca = data.L1 - JpJi                          # d(ln rho)/da
     caa = data.L2_minus_L1_sq - (Jpp * Ji - JpJi**2)
     cx = ca * Ji                                 # d(ln rho)/dq
     cxx = (caa - ca * Jp * Ji) * Ji**2
-    return params.quantum_potential(cx, cxx)
+    return cx, cxx
+
+
+def _accel_direct_from(data: _LabelData, params: PhysicsParams, q, kin):
+    G = _log_density_derivatives(data, kin)[1] * kin[3]
+    quantum = data.quantum_coeff * (data.L1 * G + data.d1(G))
+    return quantum - params.potential_gradient(q) / params.mass
+
+
+def _vq_from(data: _LabelData, params: PhysicsParams, kin):
+    """Quantum potential along the trajectories, in log-density variables."""
+    return params.quantum_potential(*_log_density_derivatives(data, kin))
 
 
 def _accel_newton_from(data: _LabelData, params: PhysicsParams, q, kin, vq):
     dvq = data.d1(vq) / kin[0]
     return -(params.potential_gradient(q) + dvq) / params.mass
+
+
+def _projected_force(data: _LabelData, params: PhysicsParams,
+                     project: ModeProjector) -> ModeProjector:
+    """``project`` composed with the map from the stacked (G, dV/dq) to the
+    conservation-form acceleration (hbar^2/4m^2)(L1 G + dG/da) - (1/m) dV/dq,
+    d/da taken from the run's bound stencil: one mode projection per call."""
+    n = data.L1.size
+    return project.compose(sparse.hstack((
+        data.quantum_coeff * (sparse.diags_array(data.L1) + data.d1.matrix()),
+        sparse.eye_array(n) * (-1.0 / params.mass))))
 
 
 def acceleration_direct(traj: TrajectoryState, init: InitialState,
@@ -288,17 +334,22 @@ def evolve(init: InitialState, params: PhysicsParams,
     if degree is None:
         degree = default_projection_degree(n)
     degree = min(degree, n - 1)
-    project = ModeProjector(init.labels, init.rho0, degree)
+    force = _projected_force(data, params,
+                             ModeProjector(init.labels, init.rho0, degree))
+    G_dV = np.empty((2, n))
 
     def rhs(y, t):
         """Time derivative of the stacked state y = (q, qdot, chi)."""
         q, qd = y[0], y[1]
         kin = _kinematics(data, q, t)
-        vq = _vq_from(data, params, kin)
+        cx, cxx = _log_density_derivatives(data, kin)
+        np.multiply(cxx, kin[3], out=G_dV[0])
+        G_dV[1] = params.potential_gradient(q)
         k = np.empty_like(y)
         k[0] = qd
-        k[1] = project(_accel_direct_from(data, params, q, kin))
-        k[2] = 0.5 * params.mass * qd**2 - params.potential_energy(q) - vq
+        k[1] = force(G_dV)
+        k[2] = (0.5 * params.mass * qd**2 - params.potential_energy(q)
+                - params.quantum_potential(cx, cxx))
         return k
 
     n_steps, dt = plan_steps(config.t_final, config.auto_dt(data.h, params))

@@ -110,7 +110,9 @@ def _fit_matrices(x, degree, k, width_mult):
     xs = x[idx]
     d = xs - x[:, None]
     h_loc = (xs[:, -1] - xs[:, 0]) / (k - 1)
-    w = np.exp(-((d / (width_mult * h_loc[:, None])) ** 2))
+    # a width far below the spacing overflows the square: exp(-inf) = 0
+    with np.errstate(over="ignore"):
+        w = np.exp(-((d / (width_mult * h_loc[:, None])) ** 2))
     basis = _scaled_powers(d / h_loc[:, None], degree)
     weighted = basis * w[:, :, None]
     gram = np.matmul(weighted.transpose(0, 2, 1), basis)
@@ -223,8 +225,16 @@ def qtm_evolve(init: InitialState, params: PhysicsParams,
 
     snapshots = [ParticleSet(x.copy(), c.copy(), S.copy(), weights, 0.0)]
     div_int = np.zeros_like(x)
-    # each end-of-step evaluation (for div_int) is the next step's k1
-    k1 = rhs(x, c, S)
+    # each end-of-step evaluation (for div_int) is the next step's k1; the
+    # first runs on the seeded grid, so its fit fails on the settings alone
+    try:
+        k1 = rhs(x, c, S)
+    except QtmDerivativeError as exc:
+        raise ValidationError(
+            f"the fit settings fail on the seeded particle grid ({exc}): "
+            f"widen qtm.weight_width = {config.weight_width_mult} or change "
+            f"qtm.degree = {config.degree} or qtm.stencil_size = "
+            f"{config.stencil_size}") from exc
     for step in range(n_steps):
         k2 = rhs(x + 0.5 * dt * k1[0], c + 0.5 * dt * k1[1], S + 0.5 * dt * k1[2])
         k3 = rhs(x + 0.5 * dt * k2[0], c + 0.5 * dt * k2[1], S + 0.5 * dt * k2[2])

@@ -13,6 +13,8 @@ A :class:`Stencil` binds that operator and the ``h**m`` column to one grid
 and runs scipy's CSR kernel on it directly; a caller that differentiates on
 the same grid many times (the trajectory solver, once per right-hand side)
 holds one, and :func:`derivative` builds one per call.
+:meth:`Stencil.matrix` hands out the bound operator as a sparse array for
+composing it with other linear maps once per run.
 """
 
 from __future__ import annotations
@@ -121,6 +123,14 @@ class Stencil:
                                      data, f.ravel(), out.ravel())
             out /= self._h_m[:, None]
         return out.reshape(self._lead + f.shape)
+
+    def matrix(self) -> sparse.csr_array:
+        """The bound operator, ``h**m`` scaling folded in, as a CSR array,
+        for composing it with other linear maps; a call stays the way to
+        apply it (it scales last, this does not)."""
+        rows, n, indptr, indices, data = self._csr
+        scale = np.repeat(self._h_m, np.diff(indptr))
+        return sparse.csr_array((data / scale, indices, indptr), shape=(rows, n))
 
 
 def derivative(f: np.ndarray, h: float, m=1, order: int = 4) -> np.ndarray:

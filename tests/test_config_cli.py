@@ -253,6 +253,10 @@ class TestCli:
             # negative one ran as its absolute value
             ("qtm.weight_width = 0", "qtm.weight_width) must be positive, got 0.0"),
             ("qtm.weight_width = -3", "qtm.weight_width) must be positive, got -3.0"),
+            # the first fit runs on the seeded grid, so a width that leaves
+            # it rank-deficient can never work
+            ("qtm.weight_width = 1e-3", "widen qtm.weight_width = 0.001"),
+            ("qtm.weight_width = 0.4", "widen qtm.weight_width = 0.4"),
         ]])
     def test_qtm_fit_shape_exits_2(self, tmp_path, capsys, line, fragment):
         cfg = tmp_path / "fit.cfg"

@@ -5,14 +5,15 @@ from qflow.benchmarks import gaussian_trajectory
 from qflow.errors import (NumericalInstability, TrajectoryCrossing,
                           ValidationError)
 from qflow.lagrangian import (ModeProjector, SolverConfig, _accel_direct_from,
-                              _kinematics, _LabelData, _vq_from,
+                              _kinematics, _LabelData, _log_density_derivatives,
+                              _projected_force, _vq_from,
                               acceleration_direct, acceleration_newton,
                               default_projection_degree, energy_of, evolve,
                               initial_velocity, quantum_potential_labels)
 from qflow.model import (MAX_STEPS, AnalyticForms, HarmonicPotential,
                          InitialState, PhysicsParams, TrajectoryState,
                          make_gaussian_state, plan_steps)
-from qflow.stencils import Stencil, _operator, derivative
+from qflow.stencils import Stencil, _operator, derivative, trapezoid_weights
 
 PARAMS = PhysicsParams()
 
@@ -48,13 +49,24 @@ def _custom_phase_state(ds0_fn, s0_fn, analytic=True):
     return InitialState(labels=a, rho0=base.rho0, s0=s0_fn(a), forms=forms)
 
 
+def _reference_projection(labels, rho0, degree):
+    """The mass-weighted Legendre projection (Q (Q^T (w_r f))) / w_r, with Q
+    and the floored root weight w_r built as ``ModeProjector`` builds them."""
+    w = np.sqrt(np.maximum(rho0, ModeProjector.WEIGHT_FLOOR_REL * np.max(rho0))
+                * trapezoid_weights(labels))
+    t = 2.0 * (labels - labels[0]) / (labels[-1] - labels[0]) - 1.0
+    Q, _ = np.linalg.qr(w[:, None] * np.polynomial.legendre.legvander(t, degree))
+    return lambda f: (Q @ (Q.T @ (w * f))) / w
+
+
 def _unstacked_rk4(init, params, config):
     """Reference: the RK4 loop over separate q, qdot and chi, with the
-    forces written out term by term (G with its five powers of 1/J)."""
+    forces written out term by term (G with its five powers of 1/J) and the
+    plain projection applied to the assembled acceleration."""
     data = _LabelData(init, params)
     h, L1, L2 = data.h, data.L1, data.L2
     degree = min(default_projection_degree(init.n), init.n - 1)
-    project = ModeProjector(init.labels, init.rho0, degree)
+    project = _reference_projection(init.labels, init.rho0, degree)
 
     def rhs(q, qd, t):
         J, Jp, Jpp = (derivative(q, h, m) for m in (1, 2, 3))
@@ -171,8 +183,9 @@ class TestAccelerations:
 
     def test_shared_kernel_matches_per_derivative_formulas(self):
         # reference: J, J', J'' from one stencil call each, as the forms
-        # were written before the stacked kernel; the public forms and the
-        # in-loop kernel must reproduce it bit for bit on a non-affine map
+        # were written before the stacked kernel, and G with its five powers
+        # of 1/J; on a non-affine map V_Q must reproduce it bit for bit, the
+        # accelerations (G = c_xx / J) to rounding
         a = self.init.labels
         q = a + 0.1 * np.sin(a)
         data = _LabelData(self.init, PARAMS)
@@ -192,11 +205,35 @@ class TestAccelerations:
 
         state = _state_from(self.init, q=q)
         kin = _kinematics(data, q)
-        assert np.array_equal(acceleration_direct(state, self.init, PARAMS), acc_ref)
-        assert np.array_equal(_accel_direct_from(data, PARAMS, q, kin), acc_ref)
+        tol = 1e-12 * np.max(np.abs(acc_ref))
+        assert np.max(np.abs(acceleration_direct(state, self.init, PARAMS)
+                             - acc_ref)) <= tol
+        assert np.max(np.abs(_accel_direct_from(data, PARAMS, q, kin)
+                             - acc_ref)) <= tol
         assert np.array_equal(quantum_potential_labels(state, self.init, PARAMS),
                               vq_ref)
         assert np.array_equal(_vq_from(data, PARAMS, kin), vq_ref)
+
+    @pytest.mark.parametrize("potential", [None, HarmonicPotential(omega=1.5)])
+    def test_composed_force_matches_projected_acceleration(self, potential):
+        # the in-loop force, one projection of the stacked (G, dV/dq), is
+        # the plain projection of the conservation-form acceleration
+        params = PARAMS if potential is None else PhysicsParams(potential=potential)
+        a = self.init.labels
+        q = a + 0.1 * np.sin(a)
+        data = _LabelData(self.init, params)
+        project = ModeProjector(a, self.init.rho0,
+                                default_projection_degree(a.size))
+        kin = _kinematics(data, q)
+        G = _log_density_derivatives(data, kin)[1] * kin[3]
+        force = _projected_force(data, params, project)(
+            np.stack((G, params.potential_gradient(q))))
+        ref = project(acceleration_direct(_state_from(self.init, q=q),
+                                          self.init, params))
+        core = np.abs(a) <= 4
+        assert (np.max(np.abs(force - ref)[core])
+                <= 1e-13 * np.max(np.abs(ref[core])))
+        assert np.max(np.abs(force - ref)) <= 1e-11 * np.max(np.abs(ref))
 
     def test_crossing_detected(self):
         q = self.init.labels.copy()
@@ -284,7 +321,7 @@ class TestEvolve:
         with pytest.raises(ValidationError, match="over the budget"):
             evolve(init, PARAMS, SolverConfig(t_final=1.0, dt=0.5 / MAX_STEPS))
 
-    def test_at_most_two_stencil_products_per_force_evaluation(self, monkeypatch):
+    def test_one_stencil_product_per_force_evaluation(self, monkeypatch):
         # every stencil product, bound or through ``derivative``, is one
         # ``Stencil`` application
         calls = []
@@ -298,9 +335,10 @@ class TestEvolve:
         monkeypatch.setattr(Stencil, "__call__", counting)
         init = make_gaussian_state(1.0, PARAMS, np.linspace(-8, 8, 101))
         evolve(init, PARAMS, SolverConfig(t_final=0.01, dt=0.01))
-        # four RK4 force evaluations, plus one product for each energy
-        # check, at t = 0 and at the final snapshot
-        assert len(calls) <= 2 * 4 + 2, calls
+        # four RK4 force evaluations (dG/da is folded into the projection),
+        # plus one product for each energy check, at t = 0 and at the final
+        # snapshot
+        assert len(calls) == 4 + 2, calls
 
     @pytest.mark.parametrize("potential", [None, HarmonicPotential(omega=1.5)])
     def test_stacked_rk4_matches_unstacked_reference(self, potential):
@@ -312,9 +350,13 @@ class TestEvolve:
         n_steps, q, qd, chi = _unstacked_rk4(init, params, cfg)
         last = evolve(init, params, cfg)[-1]
         assert n_steps == 7
-        assert np.array_equal(last.q, q)
-        assert np.array_equal(last.qdot, qd)
-        assert np.array_equal(last.chi, chi)
+        # the outermost labels sit where the projection's 1/w_r lift
+        # amplifies rounding
+        core = np.abs(init.labels) <= 4
+        for got, ref in ((last.q, q), (last.qdot, qd), (last.chi, chi)):
+            assert (np.max(np.abs(got - ref)[core])
+                    <= 1e-11 * np.max(np.abs(ref[core])))
+            assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
 
     def test_one_stencil_operator_per_grid_and_stack(self):
         init = make_gaussian_state(1.0, PARAMS, np.linspace(-8, 8, 101))

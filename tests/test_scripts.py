@@ -9,15 +9,30 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_spreading_demo_short_run():
+def _run_script(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "spreading_demo.py"),
-         "--n-labels", "101", "--t-final", "0.05"],
-        capture_output=True, text=True, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_spreading_demo_short_run():
+    proc = _run_script("spreading_demo.py", "--n-labels", "101",
+                       "--t-final", "0.05")
     rows = [line.split() for line in proc.stdout.splitlines()[2:]]
     # one row per distinct snapshot: t = 0 and the final t = 0.05
     assert [row[0] for row in rows] == ["0.00", "0.05"]
+
+
+def test_kernel_timings_short_run():
+    proc = _run_script("kernel_timings.py", "--n-labels", "101",
+                       "--t-final", "0.02", "--calls", "20", "--repeats", "2")
+    lines = proc.stdout.splitlines()
+    # 0.02 / (0.1 * 0.16^2) = 7.8 -> 8 steps, 32 right-hand sides
+    assert lines[-1].startswith("evolve to t = 0.02: 8 steps")
+    rows = lines[2:5]
+    assert [row.split()[0] for row in rows] == ["stencil", "projected", "RHS"]
+    assert all(float(row.split()[-1]) > 0 for row in rows)

@@ -220,3 +220,17 @@ def test_bound_kernel_rejects_other_lengths():
     for f in (np.ones(36), np.ones(38), np.ones((36, 2)), np.float64(1.0)):
         with pytest.raises(ValidationError, match="bound to 37 points"):
             stencil(f)
+
+
+@pytest.mark.parametrize("m", [1, (1, 2, 3)], ids=str)
+def test_matrix_is_the_scaled_operator(m):
+    # the sparse form composes into other maps; it scales the weights
+    # first, so it agrees with a call to rounding, not bit for bit
+    n, h = 41, 0.2
+    stencil = Stencil(n, h, m, 4)
+    f = np.sin(np.linspace(-4, 4, n))
+    ref = stencil(f)
+    got = (stencil.matrix() @ f).reshape(ref.shape)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # the cached operator the calls run is left as it was
+    assert np.array_equal(stencil(f), derivative(f, h, m, 4))
