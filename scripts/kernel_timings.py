@@ -8,7 +8,10 @@ Prints the best-of-``--repeats`` time per call, in microseconds, of
   with the conservation-form force map) on the stacked (G, dV/dq) buffer;
 * one right-hand-side evaluation, taken as the wall time of ``evolve`` on
   the default config divided by its 4 x steps evaluations (snapshots and
-  their energy checks included).
+  their energy checks included);
+* start-up: the wall time of ``python -c "import qflow.cli"`` in a fresh
+  interpreter, the import every CLI command pays, followed by the list of
+  ``scipy`` subpackages that import loaded.
 
 Run with ``QFLOW_THREADS=1`` for single-threaded numbers, e.g.
 
@@ -16,10 +19,15 @@ Run with ``QFLOW_THREADS=1`` for single-threaded numbers, e.g.
 """
 
 import argparse
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
+import qflow
 from qflow.config import Settings
 from qflow.lagrangian import (ModeProjector, _kinematics, _LabelData,
                               _log_density_derivatives, _projected_force,
@@ -36,6 +44,32 @@ def best_us(fn, calls: int, repeats: int) -> float:
             fn()
         best = min(best, (time.perf_counter() - t0) / calls)
     return best * 1e6
+
+
+# the fresh interpreter's job: import qflow.cli, then list the public
+# scipy subpackages that import loaded (a scan of microseconds)
+_STARTUP = """
+import sys, qflow.cli
+print(*sorted(name[6:] for name, mod in sys.modules.items()
+              if name.startswith("scipy.") and name.count(".") == 1
+              and not name[6:].startswith("_") and hasattr(mod, "__path__")))
+"""
+
+
+def startup(repeats: int):
+    """Best over ``repeats`` of the wall time, in us, of a fresh interpreter
+    importing ``qflow.cli``, and the scipy subpackages that import loads."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(qflow.__file__).parents[1]), env.get("PYTHONPATH"))
+        if p)
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-c", _STARTUP], env=env,
+                              check=True, capture_output=True, text=True)
+        best = min(best, time.perf_counter() - t0)
+    return best * 1e6, proc.stdout.split()
 
 
 def main():
@@ -66,6 +100,7 @@ def main():
                      params.potential_gradient(q)))
 
     n_steps, _ = plan_steps(config.t_final, config.auto_dt(data.h, params))
+    startup_us, loaded = startup(args.repeats)
     evolve_s = best_us(lambda: evolve(init, params, config), 1, args.repeats) / 1e6
 
     print(f"{n} labels, projection degree {degree}; best of {args.repeats}")
@@ -76,9 +111,11 @@ def main():
         ("projected force (ModeProjector)", best_us(lambda: force(G_dV), args.calls,
                                                    args.repeats)),
         (f"RHS evaluation (evolve / {4 * n_steps})", evolve_s / (4 * n_steps) * 1e6),
+        ("start-up (import qflow.cli)", startup_us),
     ]
     for name, us in rows:
         print(f"{name:<34} {us:10.2f}")
+    print(f"scipy subpackages at start-up: {' '.join(loaded) or 'none'}")
     print(f"evolve to t = {config.t_final:g}: {n_steps} steps, {evolve_s:.3f} s")
 
 

@@ -298,16 +298,18 @@ def quantum_potential_labels(traj: TrajectoryState, init: InitialState,
 
 
 def energy_of(traj: TrajectoryState, init: InitialState, params: PhysicsParams,
-              *, data: Optional[_LabelData] = None) -> float:
+              *, data: Optional[_LabelData] = None, kin=None) -> float:
     """Discrete total energy sum_i w_i rho0_i (m qdot^2/2 + U + V).
 
-    ``data`` is the label data of (init, params) when the caller already
-    holds it, as :func:`evolve` does.
+    ``data`` is the label data of (init, params) and ``kin`` the snapshot's
+    ``_kinematics`` tuple when the caller already holds them, as
+    :func:`evolve` does.
     """
     if data is None:
         data = _LabelData(init, params)
-    J, Jp, _, _ = _kinematics(data, traj.q, traj.t)
-    cx = (data.L1 - Jp / J) / J
+    if kin is None:
+        kin = _kinematics(data, traj.q, traj.t)
+    cx = _log_density_derivatives(data, kin)[0]
     U = params.hbar**2 / (8.0 * params.mass) * cx**2
     dens = (0.5 * params.mass * traj.qdot**2 + U
             + params.potential_energy(traj.q))
@@ -322,10 +324,10 @@ def evolve(init: InitialState, params: PhysicsParams,
     projected conservation-form acceleration.  Returns snapshots every
     ``snapshot_stride`` steps (the initial and final states are always
     included), each carrying the energy that the drift check computed for
-    it.  Monotonicity of q is asserted at every accepted step; a
-    non-finite state or a relative energy drift above 10% aborts with
-    :class:`NumericalInstability`.  A step plan over ``MAX_STEPS`` is
-    rejected up front.
+    it and the least J of the same kinematics pass.  Monotonicity of q is
+    asserted at every accepted step; a non-finite state or a relative
+    energy drift above 10% aborts with :class:`NumericalInstability`.  A
+    step plan over ``MAX_STEPS`` is rejected up front.
     """
     config.validate()
     data = _LabelData(init, params)
@@ -355,13 +357,21 @@ def evolve(init: InitialState, params: PhysicsParams,
     n_steps, dt = plan_steps(config.t_final, config.auto_dt(data.h, params))
 
     y = np.stack((init.labels, initial_velocity(init, params), np.zeros(n)))
-    start = TrajectoryState(init.labels, *y.copy(), 0.0)
-    e0 = energy_of(start, init, params, data=data)
-    snapshots = [replace(start, energy=e0)]
+
+    def measured(tn):
+        """The current state as a snapshot, carrying its energy and min J
+        from one kinematics pass."""
+        snap = TrajectoryState(init.labels, *y.copy(), tn)
+        kin = _kinematics(data, snap.q, tn)
+        return replace(snap, energy=energy_of(snap, init, params, data=data, kin=kin),
+                       min_jacobian=float(kin[0].min()))
+
+    snapshots = [measured(0.0)]
+    e0 = snapshots[0].energy
 
     def snapshot(tn):
-        snap = TrajectoryState(init.labels, *y.copy(), tn)
-        e = energy_of(snap, init, params, data=data)
+        snap = measured(tn)
+        e = snap.energy
         if not np.isfinite(e):
             raise NumericalInstability(f"non-finite energy at t = {tn:.6g}")
         if abs(e - e0) > ENERGY_ABORT_REL * abs(e0) and abs(e0) > 0:
@@ -369,7 +379,7 @@ def evolve(init: InitialState, params: PhysicsParams,
                 f"energy drift {abs(e - e0) / abs(e0):.2%} at t = {tn:.6g} "
                 f"exceeds {ENERGY_ABORT_REL:.0%}; reduce dt"
             )
-        snapshots.append(replace(snap, energy=e))
+        snapshots.append(snap)
 
     t = 0.0
     for step in range(n_steps):

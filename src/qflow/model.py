@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import NodeEncountered, ValidationError
 from .stencils import derivative, grid_spacing
@@ -60,6 +59,9 @@ class TabulatedPotential:
             raise ValidationError("tabulated potential contains non-finite values")
         object.__setattr__(self, "x_grid", x)
         object.__setattr__(self, "values", v)
+        # imported here: the spline module pulls in half of scipy, and only
+        # a tabulated-potential run needs it
+        from scipy.interpolate import CubicSpline
         object.__setattr__(self, "_spline", CubicSpline(x, v))
 
     def _check_range(self, x):
@@ -242,8 +244,9 @@ def plan_steps(t_final: float, dt: float) -> tuple[int, float]:
 class TrajectoryState:
     """Positions, velocities and accumulated phase of every fluid element.
 
-    ``energy`` is the discrete total energy when the producer computed it
-    (the trajectory solver does, for its drift check), else None.
+    ``energy`` is the discrete total energy and ``min_jacobian`` the least
+    J = dq/da when the producer computed them (the trajectory solver does,
+    for its drift check), else None.
     """
 
     labels: np.ndarray
@@ -252,6 +255,7 @@ class TrajectoryState:
     chi: np.ndarray
     t: float
     energy: Optional[float] = None
+    min_jacobian: Optional[float] = None
 
     def __post_init__(self):
         a = np.asarray(self.labels, dtype=float)

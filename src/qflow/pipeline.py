@@ -28,7 +28,7 @@ from .reconstruction import (continuity_euler_residuals, ensemble_moments,
                              phase_consistency_deviation, qhj_residual,
                              reconstruct_wavefunction)
 from .spectral import norm_of, reference_fields, split_step_evolve
-from .stencils import derivative, grid_spacing
+from .stencils import grid_spacing
 
 
 # ---------------------------------------------------------------------------
@@ -60,10 +60,9 @@ def run_lagrangian(settings: Settings):
                                        dual_check=False)
               for i in indices]
 
-    h = grid_spacing(init.labels)
     data = _LabelData(init, params)
     energies = [s.energy for s in snapshots]
-    min_j = [float(np.min(derivative(s.q, h, 1))) for s in snapshots]
+    min_j = [s.min_jacobian for s in snapshots]
     e0 = energies[0]
     energy_drift = max(abs(e - e0) for e in energies) / abs(e0) if e0 else 0.0
 

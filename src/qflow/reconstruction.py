@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.interpolate import PchipInterpolator
 
 from .errors import PhaseInconsistencyWarning, TrajectoryCrossing, ValidationError
 from .model import (EulerianField, InitialState, PhysicsParams,
@@ -35,15 +33,51 @@ RHO_INTERIOR_REL = 1e-6
 DUAL_PHASE_TOL = 1e-3
 
 
+def _pchip_slopes(xs, ys):
+    """Knot slopes of the monotone cubic (PCHIP): the weighted harmonic mean
+    of the neighbouring secants, zero where they differ in sign or one
+    vanishes.  The end slopes stay zero: :func:`_pchip_linear_edges` never
+    evaluates the cubic in the end intervals."""
+    h = np.diff(xs)
+    m = np.diff(ys) / h
+    d = np.zeros_like(ys)
+    if xs.size > 2:
+        sm = np.sign(m)
+        keep = (sm[1:] == sm[:-1]) & (m[1:] != 0) & (m[:-1] != 0)
+        w1 = (2.0 * h[1:] + h[:-1])[keep]
+        w2 = (h[1:] + 2.0 * h[:-1])[keep]
+        # scipy's operation order, so the slopes match it to the bit
+        d[1:-1][keep] = 1.0 / ((w1 / m[:-1][keep] + w2 / m[1:][keep]) / (w1 + w2))
+    return h, m, d
+
+
 def _pchip_linear_edges(xs, ys):
     """Shape-preserving interpolant with a linear fallback in the first and
     last intervals (the monotone cubic's one-sided slopes are least
-    trustworthy there)."""
-    p = PchipInterpolator(xs, ys, extrapolate=False)
+    trustworthy there).
+
+    Inside, the cubic Hermite polynomial of each interval is evaluated in
+    the power basis of ``s = x - xs[i]``, summed from 0.0 in the order
+    ``c3 + c2 s + c1 s^2 + c0 s^3``: the arithmetic of scipy's
+    ``PchipInterpolator``, down to the sign of a zero.
+    """
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValidationError("interpolation data must be finite")
+    h, m, d = _pchip_slopes(xs, ys)
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    c0 = t / h
+    c1 = (m - d[:-1]) / h - t
+    c2 = d[:-1]
+    c3 = ys[:-1]
 
     def f(x):
         x = np.asarray(x, dtype=float)
-        out = p(x)
+        i = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, xs.size - 2)
+        s = x - xs[i]
+        s2 = s * s
+        out = 0.0 + c3[i] + c2[i] * s + c1[i] * s2 + c0[i] * (s2 * s)
         lo = x <= xs[1]
         hi = x >= xs[-2]
         if np.any(lo):
@@ -55,6 +89,12 @@ def _pchip_linear_edges(xs, ys):
         return out
 
     return f
+
+
+def _cumulative_trapezoid(y, x):
+    """Running trapezoid integral of ``y`` over ``x``, starting at 0 (scipy's
+    ``cumulative_trapezoid(y, x, initial=0)``, same operation order)."""
+    return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
 
 
 def invert_map(traj: TrajectoryState, x_grid):
@@ -144,7 +184,7 @@ def _phase_deviation(history, init, params, xm, vm, s_path):
     s_center = s0_c + np.trapezoid(dsdt, times)
 
     ic = int(np.argmin(np.abs(xm - x_c)))
-    integral = cumulative_trapezoid(params.mass * vm, xm, initial=0.0)
+    integral = _cumulative_trapezoid(params.mass * vm, xm)
     s_quad = integral - integral[ic] + s_center
 
     diff = s_path - s_quad

@@ -13,7 +13,8 @@ from qflow.lagrangian import (ModeProjector, SolverConfig, _accel_direct_from,
 from qflow.model import (MAX_STEPS, AnalyticForms, HarmonicPotential,
                          InitialState, PhysicsParams, TrajectoryState,
                          make_gaussian_state, plan_steps)
-from qflow.stencils import Stencil, _operator, derivative, trapezoid_weights
+from qflow.stencils import (Stencil, _operator, derivative, grid_spacing,
+                            trapezoid_weights)
 
 PARAMS = PhysicsParams()
 
@@ -461,6 +462,20 @@ class TestRunSummary:
         params = settings.physics()
         init = settings.initial_state(params)
         assert summary["energy"] == [energy_of(s, init, params) for s in snapshots]
+
+    def test_min_jacobian_from_the_energy_kinematics(self):
+        # evolve attaches min J from the kinematics of its energy check
+        # (the stacked (1, 2, 3) product); it equals a separate m = 1 pass
+        from qflow.config import Settings
+        from qflow.pipeline import run_lagrangian
+
+        settings = Settings.defaults(**_SHORT_RUN)
+        init = settings.initial_state(settings.physics())
+        h = grid_spacing(init.labels)
+        snapshots, _, summary, _ = run_lagrangian(settings)
+        assert summary["min_jacobian"] == [float(np.min(derivative(s.q, h, 1)))
+                                           for s in snapshots]
+        assert summary["min_jacobian"] == [s.min_jacobian for s in snapshots]
 
     def test_one_energy_evaluation_per_snapshot(self, monkeypatch):
         # the summary reads the energies evolve computed for its drift check

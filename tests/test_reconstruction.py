@@ -1,14 +1,18 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
+from scipy.interpolate import PchipInterpolator
 
 from qflow.benchmarks import gaussian_trajectory, gaussian_wavefunction
 from qflow.errors import TrajectoryCrossing, ValidationError
 from qflow.lagrangian import SolverConfig, evolve
 from qflow.model import (EulerianField, PhysicsParams, TrajectoryState,
                          assemble_wavefunction, make_gaussian_state)
-from qflow.reconstruction import (advect_labels_check,
+from qflow.reconstruction import (_cumulative_trapezoid, _pchip_linear_edges,
+                                  _pchip_slopes, advect_labels_check,
                                   continuity_euler_residuals, ensemble_moments,
                                   eulerian_density, eulerian_velocity,
                                   invert_map, phase_consistency_deviation,
@@ -35,6 +39,98 @@ def _analytic_field(t, x, boost=0.0):
             + 0.5 * PARAMS.mass * boost**2 * t
     psi = assemble_wavefunction(rho, S, PARAMS.hbar)
     return EulerianField(x=x, t=t, rho=rho, S=S, v=v, psi=psi)
+
+
+def _scipy_pchip_linear_edges(xs, ys):
+    """Reference: the interpolant as built on scipy's ``PchipInterpolator``."""
+    p = PchipInterpolator(xs, ys, extrapolate=False)
+
+    def f(x):
+        x = np.asarray(x, dtype=float)
+        out = p(x)
+        lo = x <= xs[1]
+        hi = x >= xs[-2]
+        if np.any(lo):
+            s = (ys[1] - ys[0]) / (xs[1] - xs[0])
+            out[lo] = ys[0] + s * (x[lo] - xs[0])
+        if np.any(hi):
+            s = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
+            out[hi] = ys[-2] + s * (x[hi] - xs[-2])
+        return out
+
+    return f
+
+
+def _knot_data(kind, n, rng):
+    """Uneven knots and values: monotone, sign-changing, or with flat
+    segments (so both slope branches run)."""
+    xs = np.cumsum(rng.uniform(0.05, 1.0, n)) - 0.4 * n
+    if kind == "monotone":
+        ys = np.cumsum(rng.uniform(0.0, 1.0, n))
+    elif kind == "signed":
+        ys = rng.normal(size=n)
+    else:
+        ys = np.round(rng.normal(size=n))
+    return xs, ys
+
+
+class TestNumpyKernels:
+    @pytest.mark.parametrize("kind", ["monotone", "signed", "flat"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 9, 40])
+    def test_pchip_bit_identical_to_scipy(self, kind, n):
+        rng = np.random.default_rng([n, len(kind)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(25):
+                xs, ys = _knot_data(kind, n, rng)
+                x = np.concatenate((xs, [xs[1], xs[-2]],
+                                    rng.uniform(xs[0] - 0.5, xs[-1] + 0.5, 64)))
+                got = _pchip_linear_edges(xs, ys)(x)
+                want = _scipy_pchip_linear_edges(xs, ys)(x)
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_flat_segments_take_the_zero_slope_branch(self):
+        xs = np.arange(6.0)
+        ys = np.array([0.0, 1.0, 1.0, 2.0, 0.5, 0.0])
+        _, _, d = _pchip_slopes(xs, ys)
+        # a flat secant beside knots 1, 2; a sign change at knot 3
+        assert np.array_equal(d[1:4], [0.0, 0.0, 0.0])
+        assert d[4] < 0
+        x = np.linspace(0.0, 5.0, 101)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(_pchip_linear_edges(xs, ys)(x),
+                                  _scipy_pchip_linear_edges(xs, ys)(x))
+
+    def test_non_finite_data_rejected(self):
+        # as scipy's constructor does: never a silent NaN in a(x)
+        xs = np.arange(5.0)
+        for bad in ((xs, np.array([0.0, 1.0, np.nan, 3.0, 4.0])),
+                    (np.array([0.0, 1.0, np.inf, 3.0, 4.0]), xs)):
+            with pytest.raises(ValidationError, match="finite"):
+                _pchip_linear_edges(*bad)
+
+    def test_signed_zero_matches_scipy(self):
+        # at the knot valued -0.0 every power-basis term is -0.0; scipy sums
+        # from +0.0, so the value there is +0.0 (the sign reaches the CSVs)
+        xs = np.arange(6.0)
+        ys = np.array([0.5, 0.25, -0.0, -1.0, -20.0, -21.0])
+        got = _pchip_linear_edges(xs, ys)(xs)
+        assert np.array_equal(np.signbit(got),
+                              np.signbit(_scipy_pchip_linear_edges(xs, ys)(xs)))
+        assert not np.signbit(got[2])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 50])
+    def test_cumulative_trapezoid_bit_identical_to_scipy(self, n):
+        rng = np.random.default_rng(n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(20):
+                x = np.cumsum(rng.uniform(0.05, 1.0, n))
+                y = rng.normal(size=n)
+                assert np.array_equal(_cumulative_trapezoid(y, x),
+                                      cumulative_trapezoid(y, x, initial=0.0))
 
 
 class TestInvertMap:
