@@ -9,6 +9,9 @@ Prints the best-of-``--repeats`` time per call, in microseconds, of
 * one right-hand-side evaluation, taken as the wall time of ``evolve`` on
   the default config divided by its 4 x steps evaluations (snapshots and
   their energy checks included);
+* one particle-method right-hand side (``qtm._qtm_rhs``: the ``S`` and
+  ``c`` fits and the transport terms) on the default seeded particle grid
+  (``qtm.n_particles``, 201 by default);
 * start-up: the wall time of ``python -c "import qflow.cli"`` in a fresh
   interpreter, the import every CLI command pays, followed by the list of
   ``scipy`` subpackages that import loaded.
@@ -33,6 +36,8 @@ from qflow.lagrangian import (ModeProjector, _kinematics, _LabelData,
                               _log_density_derivatives, _projected_force,
                               default_projection_degree, evolve)
 from qflow.model import plan_steps
+from qflow.pipeline import _truncated_gaussian_state
+from qflow.qtm import _qtm_rhs
 
 
 def best_us(fn, calls: int, repeats: int) -> float:
@@ -99,6 +104,13 @@ def main():
     G_dV = np.stack((_log_density_derivatives(data, kin)[1] * kin[3],
                      params.potential_gradient(q)))
 
+    # the particle solver's first right-hand side, as run-qtm seeds it
+    particles = _truncated_gaussian_state(settings["state.sigma0"], params,
+                                          settings.qtm_labels(),
+                                          boost_k=settings["state.boost_k"])
+    qtm_config = settings.qtm_config()
+    seeded = (particles.labels, np.log(particles.rho0), particles.s0)
+
     n_steps, _ = plan_steps(config.t_final, config.auto_dt(data.h, params))
     startup_us, loaded = startup(args.repeats)
     evolve_s = best_us(lambda: evolve(init, params, config), 1, args.repeats) / 1e6
@@ -111,6 +123,9 @@ def main():
         ("projected force (ModeProjector)", best_us(lambda: force(G_dV), args.calls,
                                                    args.repeats)),
         (f"RHS evaluation (evolve / {4 * n_steps})", evolve_s / (4 * n_steps) * 1e6),
+        (f"QTM RHS ({particles.n} particles)",
+         best_us(lambda: _qtm_rhs(params, qtm_config, *seeded), args.calls,
+                 args.repeats)),
         ("start-up (import qflow.cli)", startup_us),
     ]
     for name, us in rows:

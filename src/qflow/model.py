@@ -138,6 +138,16 @@ class AnalyticForms:
     d2s0: Optional[Callable] = None
 
 
+def _require_finite(**arrays):
+    """ValidationError naming the first array, and index, holding a NaN or
+    an infinity (NaN passes every ordering and sign test)."""
+    for name, v in arrays.items():
+        finite = np.isfinite(v)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ValidationError(f"{name} must be finite; {name}[{i}] = {v[i]}")
+
+
 @dataclass(frozen=True)
 class InitialState:
     """Initial density and phase sampled on the label grid."""
@@ -153,6 +163,7 @@ class InitialState:
         s = np.asarray(self.s0, dtype=float)
         if a.ndim != 1 or a.shape != r.shape or a.shape != s.shape:
             raise ValidationError("labels, rho0, s0 must be matching 1-D arrays")
+        _require_finite(labels=a, rho0=r, s0=s)
         if np.any(np.diff(a) <= 0):
             raise ValidationError("labels must be strictly increasing")
         if np.any(r < 0):
@@ -265,6 +276,7 @@ class TrajectoryState:
                 raise ValidationError(f"{name} must match the label grid shape")
             object.__setattr__(self, name, v)
         object.__setattr__(self, "labels", a)
+        _require_finite(labels=a, q=self.q, qdot=self.qdot, chi=self.chi)
         if np.any(np.diff(self.q) <= 0):
             i = int(np.argmin(np.diff(self.q)))
             raise ValidationError(

@@ -8,24 +8,30 @@ each path the transport equations close into ODEs,
     dS/dt = m v^2 / 2 - V - V_Q,
 
 with the spatial derivatives estimated from the scattered particle
-positions by a moving weighted least-squares polynomial fit.  The
-wavefunction along each path follows from the initial value times an
-amplitude factor exp(-integral of div v / 2) and the phase integral of
-the Lagrangian density; the amplitude integral is accumulated by an
-independent trapezoid rule so the two density routes cross-check.
+positions by a moving weighted least-squares polynomial fit.  Each fit's
+Gram matrix is Hankel in the weighted moments of its window, so one
+running-product buffer summed over the windows gives every moment and
+right-hand side; elimination without pivoting then leaves a 2x2 system
+for the two coefficients the equations read, f' and f'', solved in closed
+form for S and c together (``_taylor_fits``).  The wavefunction along
+each path follows from the initial value times an amplitude factor
+exp(-integral of div v / 2) and the phase integral of the Lagrangian
+density; the amplitude integral is accumulated by an independent
+trapezoid rule so the two density routes cross-check.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Optional
 
 import numpy as np
 
 from .errors import (NumericalInstability, QtmDerivativeError,
                      TrajectoryCrossing, ValidationError)
-from .model import InitialState, PhysicsParams, plan_steps
+from .model import InitialState, PhysicsParams, _require_finite, plan_steps
 from .stencils import trapezoid_weights
 
 
@@ -72,61 +78,123 @@ class ParticleSet:
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
-        if np.any(np.diff(x) <= 0):
-            i = int(np.argmin(np.diff(x)))
-            raise ValidationError(f"particle positions must increase (index {i})")
         object.__setattr__(self, "x", x)
         for name in ("log_rho", "S", "weights"):
             v = np.asarray(getattr(self, name), dtype=float)
             if v.shape != x.shape:
                 raise ValidationError(f"{name} must match the particle count")
             object.__setattr__(self, name, v)
+        _require_finite(x=x, log_rho=self.log_rho, S=self.S, weights=self.weights)
+        if np.any(np.diff(x) <= 0):
+            i = int(np.argmin(np.diff(x)))
+            raise ValidationError(f"particle positions must increase (index {i})")
 
     def discrete_norm(self) -> float:
         """sum rho_n * local spacing, a loose mass diagnostic."""
         return float(np.sum(np.exp(self.log_rho) * trapezoid_weights(self.x)))
 
 
+# offsets of the two candidate window starts from the searched one
+_BEFORE_AND_AT = np.array([[1], [0]])
+
+
 def _windows(x, k):
-    """Start index of the k-nearest contiguous window around each particle."""
+    """Start index of the k-nearest contiguous window around each particle.
+
+    The window starting at s costs max(x_i - x_s, x_{s+k-1} - x_i).  The
+    first term falls and the second rises with s, so the least cost lies at
+    the first start whose end-point sum x_s + x_{s+k-1} reaches 2 x_i, or at
+    the start before it; of two equal costs the later start wins.  That is
+    the first minimum over the starts i, i - 1, ..., i - k + 1 clipped to
+    the grid, for any positions whose neighbouring gaps are above the
+    rounding of the costs.
+    """
     n = x.size
-    cand = np.clip(np.arange(n)[:, None] - np.arange(k)[None, :], 0, n - k)
-    cost = np.maximum(x[:, None] - x[cand], x[cand + k - 1] - x[:, None])
-    return cand[np.arange(n), np.argmin(cost, axis=1)]
+    ends = x[:n - k + 1] + x[k - 1:]
+    hi = np.minimum(np.searchsorted(ends, 2.0 * x), n - k)
+    starts = hi - _BEFORE_AND_AT
+    np.maximum(starts, 0, out=starts)
+    cost = np.maximum(x - x[starts], x[starts + (k - 1)] - x)
+    return np.where(cost[1] <= cost[0], hi, starts[0])
 
 
-def _scaled_powers(t, degree):
-    """Basis t**j / j! for j = 0..degree, by running products."""
-    basis = np.empty(t.shape + (degree + 1,))
-    basis[..., 0] = 1.0
-    for j in range(1, degree + 1):
-        basis[..., j] = basis[..., j - 1] * (t / j)
-    return basis
+# signs that turn a 2x2 block, flipped on both axes and transposed, into
+# its adjugate
+_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None]
 
 
-def _fit_matrices(x, degree, k, width_mult):
-    starts = _windows(x, k)
-    idx = starts[:, None] + np.arange(k)[None, :]
+@lru_cache(maxsize=16)
+def _system_layout(degree, n_fields):
+    """Moment rows and scales of the augmented system ``[G | b]``, unknowns
+    ordered 0, 3, ..., degree, 1, 2: ``G_jl = M_{j+l} / (j! l!)`` and
+    ``b_j = R_j / j!`` for each field's right-hand-side sums ``R``."""
+    p = degree + 1
+    order = np.r_[0, 3:p, 1, 2]
+    inv_fact = 1.0 / np.array([math.factorial(j) for j in order])
+    rhs_rows = 2 * degree + 1 + order[:, None] + p * np.arange(n_fields)
+    rows = np.hstack((order[:, None] + order, rhs_rows))
+    scale = np.hstack((np.outer(inv_fact, inv_fact),
+                       np.repeat(inv_fact[:, None], n_fields, axis=1)))[:, :, None]
+    # every caller shares the cached arrays
+    rows.flags.writeable = scale.flags.writeable = False
+    return rows, scale
+
+
+def _taylor_fits(x, fields, degree, k, width_mult):
+    """Scaled first and second Taylor coefficients of each field's local fit.
+
+    Returns ``beta`` of shape ``(2, len(fields), n)``, holding ``h f'`` and
+    ``h^2 f''`` at every particle of the sorted positions ``x``, and the
+    local spacing ``h``.  Each particle fits ``sum_j beta_j t^j / j!``,
+    ``t = (x' - x_i) / h``, over its k-nearest window with Gaussian weights
+    ``w``.  The Gram matrix is Hankel in the moments ``M_p = sum w t^p``:
+    one running-product buffer of ``w t^p`` (p <= 2 degree) and ``w t^j f``,
+    summed over the window, gives every moment and right-hand side.
+    Gaussian elimination without pivoting (the Gram matrix is symmetric
+    positive definite) removes every unknown but 1 and 2, and the 2x2
+    system left is solved by its adjugate for all fields at once.  A pivot
+    or determinant that is not positive and finite raises
+    ``QtmDerivativeError`` naming the first such particle whose window
+    positions are finite.
+    """
+    n = x.size
+    p = degree + 1
+    n_mom = 2 * degree + 1
+    idx = _windows(x, k) + np.arange(k)[:, None]
     xs = x[idx]
-    d = xs - x[:, None]
-    h_loc = (xs[:, -1] - xs[:, 0]) / (k - 1)
-    # a width far below the spacing overflows the square: exp(-inf) = 0
-    with np.errstate(over="ignore"):
-        w = np.exp(-((d / (width_mult * h_loc[:, None])) ** 2))
-    basis = _scaled_powers(d / h_loc[:, None], degree)
-    weighted = basis * w[:, :, None]
-    gram = np.matmul(weighted.transpose(0, 2, 1), basis)
-    return idx, weighted, gram, h_loc
-
-
-def _solve_fits(gram, rhs_stack):
-    try:
-        return np.linalg.solve(gram, rhs_stack)
-    except np.linalg.LinAlgError:
-        for i in range(gram.shape[0]):
-            if np.linalg.matrix_rank(gram[i]) < gram.shape[1]:
-                raise QtmDerivativeError(i, "rank-deficient least-squares system")
-        raise
+    h = (xs[-1] - xs[0]) / (k - 1)
+    t = (xs - x) / h
+    buf = np.empty((n_mom + len(fields) * p, k, n))
+    # a width far below the spacing overflows the square: exp(-inf) = 0;
+    # a singular system divides by zero, and the pivot check reports it
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        np.exp(-np.square(t / width_mult), out=buf[0])
+        for j in range(1, n_mom):
+            np.multiply(buf[j - 1], t, out=buf[j])
+        for f, vals in enumerate(fields):
+            np.multiply(buf[:p], vals[idx], out=buf[n_mom + f * p:n_mom + (f + 1) * p])
+        rows, scale = _system_layout(degree, len(fields))
+        a = buf.sum(axis=1)[rows]
+        a *= scale
+        for e in range(p - 2):
+            a[e + 1:, e + 1:] -= (a[e + 1:, e] / a[e, e])[:, None] * a[e, e + 1:]
+        g = a[p - 2:, p - 2:p]
+        det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+        inv = g[::-1, ::-1].transpose(1, 0, 2) * _ADJUGATE_SIGNS
+        inv /= det
+        beta = inv[:, 0, None] * a[p - 2, p:] + inv[:, 1, None] * a[p - 1, p:]
+    pivots = np.diagonal(a)[:, :p - 1]
+    if not (min(pivots.min(), det.min()) > 0.0
+            and max(pivots.max(), det.max()) < np.inf):
+        ok = np.all((pivots > 0.0) & (pivots < np.inf), axis=1)
+        ok &= (det > 0.0) & (det < np.inf)
+        # a non-finite position only makes its neighbours' fits NaN, for
+        # the caller's state check to report
+        failed = ~ok & np.isfinite(t).all(axis=0)
+        if failed.any():
+            raise QtmDerivativeError(int(np.argmax(failed)),
+                                     "rank-deficient least-squares system")
+    return beta, h
 
 
 def mwls_derivatives(positions, values, degree: int = 4, stencil_size: int = 9,
@@ -134,13 +202,18 @@ def mwls_derivatives(positions, values, degree: int = 4, stencil_size: int = 9,
     """First and second derivatives at each particle from a local weighted
     least-squares polynomial fit over the nearest neighbors.
 
-    Positions must be strictly increasing (duplicates are rejected with the
-    offending index); a rank-deficient fit names the particle.
+    Positions and values must be finite, and positions distinct (duplicates
+    are rejected with the offending index); a rank-deficient fit names the
+    particle.
     """
     x = np.asarray(positions, dtype=float)
     vals = np.asarray(values, dtype=float)
     if x.ndim != 1 or vals.shape != x.shape:
         raise ValidationError("positions and values must be matching 1-D arrays")
+    _require_finite(positions=x, values=vals)
+    if degree < 2:
+        raise ValidationError(
+            f"degree must be >= 2 (the fits give d2/dx2), got {degree}")
     order = np.argsort(x, kind="stable")
     xs = x[order]
     dup = np.flatnonzero(np.diff(xs) == 0.0)
@@ -149,14 +222,16 @@ def mwls_derivatives(positions, values, degree: int = 4, stencil_size: int = 9,
     if x.size < stencil_size:
         raise ValidationError(
             f"need at least stencil_size = {stencil_size} particles, got {x.size}")
-    idx, weighted, gram, h_loc = _fit_matrices(xs, degree, stencil_size,
-                                               weight_width_mult)
-    rhs = np.matmul(weighted.transpose(0, 2, 1), vals[order][idx][:, :, None])
-    beta = _solve_fits(gram, rhs)[:, :, 0]
+    try:
+        beta, h = _taylor_fits(xs, (vals[order],), degree, stencil_size,
+                               weight_width_mult)
+    except QtmDerivativeError as exc:
+        raise QtmDerivativeError(int(order[exc.particle]),
+                                 "rank-deficient least-squares system") from None
     d1 = np.empty_like(x)
     d2 = np.empty_like(x)
-    d1[order] = beta[:, 1] / h_loc
-    d2[order] = beta[:, 2] / h_loc**2 if degree >= 2 else 0.0
+    d1[order] = beta[0, 0] / h
+    d2[order] = beta[1, 0] / h**2
     return d1, d2
 
 
@@ -177,19 +252,16 @@ class QtmResult:
 
 def _qtm_rhs(params: PhysicsParams, cfg: QtmConfig, x, c, S):
     """(dx/dt, dc/dt, dS/dt, dv/dx) at every particle from one set of fits."""
-    if np.any(np.diff(x) <= 0):
+    if (x[1:] <= x[:-1]).any():
         raise TrajectoryCrossing(int(np.argmin(np.diff(x))), np.nan,
                                  "particle ordering lost during a stage")
-    idx, weighted, gram, h_loc = _fit_matrices(x, cfg.degree, cfg.stencil_size,
-                                               cfg.weight_width_mult)
-    # the S and c fits share the Gram matrix: one solve, two right sides
-    beta = _solve_fits(gram, np.matmul(weighted.transpose(0, 2, 1),
-                                       np.stack((S[idx], c[idx]), axis=-1)))
+    (b1, b2), h = _taylor_fits(x, (S, c), cfg.degree, cfg.stencil_size,
+                               cfg.weight_width_mult)
     m = params.mass
-    v = beta[:, 1, 0] / h_loc / m
-    vx = beta[:, 2, 0] / h_loc**2 / m
-    c1 = beta[:, 1, 1] / h_loc
-    c2 = beta[:, 2, 1] / h_loc**2
+    v = b1[0] / h / m
+    vx = b2[0] / h**2 / m
+    c1 = b1[1] / h
+    c2 = b2[1] / h**2
     vq = params.quantum_potential(c1, c2)
     ldens = 0.5 * m * v**2 - params.potential_energy(x) - vq
     return v, -vx, ldens, vx

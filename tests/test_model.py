@@ -109,6 +109,14 @@ class TestInitialStateValidation:
         with pytest.raises(ValidationError, match=r"rho0\[7\]"):
             InitialState(labels=a, rho0=rho, s0=np.zeros_like(a))
 
+    def test_non_finite_density_rejected(self):
+        # NaN passes the sign test and the normalization test
+        a = np.linspace(-8, 8, 101)
+        rho = make_gaussian_state(1.0, PARAMS, a).rho0.copy()
+        rho[7] = np.nan
+        with pytest.raises(ValidationError, match=r"rho0\[7\] = nan"):
+            InitialState(labels=a, rho0=rho, s0=np.zeros_like(a))
+
     def test_labels_must_increase(self):
         a = np.linspace(-8, 8, 101).copy()
         a[50] = a[49]
@@ -175,6 +183,15 @@ class TestStateTypes:
         q = a.copy()
         q[5] = q[4] - 1e-3
         with pytest.raises(ValidationError, match="strictly increasing"):
+            TrajectoryState(labels=a, q=q, qdot=np.zeros_like(a),
+                            chi=np.zeros_like(a), t=0.0)
+
+    def test_trajectory_state_rejects_non_finite(self):
+        # NaN passes the ordering test
+        a = np.linspace(0, 1, 11)
+        q = a.copy()
+        q[5] = np.nan
+        with pytest.raises(ValidationError, match=r"q\[5\] = nan"):
             TrajectoryState(labels=a, q=q, qdot=np.zeros_like(a),
                             chi=np.zeros_like(a), t=0.0)
 

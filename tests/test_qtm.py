@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qflow.benchmarks import gaussian_trajectory
@@ -17,14 +17,15 @@ from qflow.qtm import (ParticleSet, QtmConfig, mwls_derivatives, qtm_evolve)
 PARAMS = PhysicsParams()
 
 # Reference fit kernel: the power basis by ``**`` divided by the factorials,
-# and one single-column solve per fitted field.
-_FACTORIALS = np.array([1.0, 1.0, 2.0, 6.0, 24.0, 120.0, 720.0, 5040.0])
+# a Gram matmul and one single-column LAPACK solve per fitted field.
+_FACTORIALS = np.array([float(math.factorial(j)) for j in range(9)])
 
 
 def _reference_betas(cfg, x, fields):
-    """Fit coefficients (n, degree + 1, len(fields)) and the local spacing."""
+    """Fit coefficients (n, degree + 1, len(fields)), the local spacing and
+    the Gram matrices."""
     k = cfg.stencil_size
-    idx = qtm._windows(x, k)[:, None] + np.arange(k)[None, :]
+    idx = _brute_force_windows(x, k)[:, None] + np.arange(k)[None, :]
     xs = x[idx]
     d = xs - x[:, None]
     h_loc = (xs[:, -1] - xs[:, 0]) / (k - 1)
@@ -37,11 +38,11 @@ def _reference_betas(cfg, x, fields):
     wt = weighted.transpose(0, 2, 1)
     betas = [np.linalg.solve(gram, np.matmul(wt, f[idx][:, :, None]))
              for f in fields]
-    return np.concatenate(betas, axis=-1), h_loc
+    return np.concatenate(betas, axis=-1), h_loc, gram
 
 
 def _reference_qtm_rhs(params, cfg, x, c, S):
-    beta, h_loc = _reference_betas(cfg, x, (S, c))
+    beta, h_loc, _ = _reference_betas(cfg, x, (S, c))
     m = params.mass
     v = beta[:, 1, 0] / h_loc / m
     vx = beta[:, 2, 0] / h_loc**2 / m
@@ -49,6 +50,42 @@ def _reference_qtm_rhs(params, cfg, x, c, S):
                                   beta[:, 2, 1] / h_loc**2)
     ldens = 0.5 * m * v**2 - params.potential_energy(x) - vq
     return v, -vx, ldens, vx
+
+
+def _brute_force_windows(x, k):
+    """The k-nearest window start as first defined: the first minimum of the
+    window cost over the starts i, i - 1, ..., i - k + 1, clipped."""
+    n = x.size
+    cand = np.clip(np.arange(n)[:, None] - np.arange(k)[None, :], 0, n - k)
+    cost = np.maximum(x[:, None] - x[cand], x[cand + k - 1] - x[:, None])
+    return cand[np.arange(n), np.argmin(cost, axis=1)]
+
+
+@st.composite
+def _sorted_positions(draw):
+    """Strictly increasing positions and a window size k in 5..25.
+
+    Either free gaps, or whole-number gaps on a coarse scale, where equal
+    window costs are common; every position may then be nudged by up to
+    three ulp, so costs tie or nearly tie.  n runs from k (every window
+    clipped at both ends) to k + 40.
+    """
+    k = draw(st.integers(min_value=5, max_value=25))
+    n = draw(st.integers(min_value=k, max_value=k + 40))
+    if draw(st.booleans()):
+        gaps = np.array(draw(st.lists(st.floats(min_value=1e-3, max_value=10.0),
+                                      min_size=n - 1, max_size=n - 1)))
+    else:
+        gaps = draw(st.sampled_from([1.0, 0.1, 1.0 / 3.0])) * np.array(
+            draw(st.lists(st.integers(min_value=1, max_value=3),
+                          min_size=n - 1, max_size=n - 1)), dtype=float)
+    x = draw(st.sampled_from([0.0, -7.25, 1e3])) + np.concatenate(
+        ([0.0], np.cumsum(gaps)))
+    ulps = draw(st.lists(st.integers(min_value=-3, max_value=3),
+                         min_size=n, max_size=n))
+    x = x + np.array(ulps) * np.spacing(x)
+    assume(np.all(np.diff(x) > 0))
+    return x, k
 
 
 def _perturbed_particles():
@@ -60,51 +97,93 @@ def _perturbed_particles():
     return x, np.log(init.rho0) + 0.1 * np.sin(3.0 * a), init.s0 + 0.2 * np.cos(a)
 
 
-def _record_solves(monkeypatch):
-    solves = []
-    solve = qtm._solve_fits
+def _record_fits(monkeypatch):
+    fits = []
+    fit = qtm._taylor_fits
 
-    def recording(gram, rhs):
-        solves.append(solve(gram, rhs))
-        return solves[-1]
+    def recording(x, fields, *args):
+        fits.append((len(fields), fit(x, fields, *args)))
+        return fits[-1][1]
 
-    monkeypatch.setattr(qtm, "_solve_fits", recording)
-    return solves
+    monkeypatch.setattr(qtm, "_taylor_fits", recording)
+    return fits
+
+
+def _coefficient_error(beta, ref_beta):
+    """Each particle's error in (h f', h^2 f'') of each field, relative to
+    the size of its whole reference coefficient vector: (n, fields)."""
+    return (np.linalg.norm(beta.transpose(2, 0, 1) - ref_beta[:, 1:3], axis=1)
+            / np.linalg.norm(ref_beta, axis=1))
 
 
 class TestFitKernel:
     CFG = QtmConfig(t_final=1.0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(_sorted_positions())
+    def test_windows_match_brute_force(self, case):
+        x, k = case
+        assert np.array_equal(qtm._windows(x, k), _brute_force_windows(x, k))
+
     @pytest.mark.parametrize("degree", [2, 4, 8, 12])
     def test_basis_is_scaled_powers(self, degree):
-        t = np.random.default_rng(degree).uniform(-4.0, 4.0, (201, 9))
-        basis = qtm._scaled_powers(t, degree)
-        exact = np.stack([t**j / math.factorial(j) for j in range(degree + 1)],
-                         axis=-1)
-        np.testing.assert_allclose(basis, exact, rtol=1e-14, atol=0.0)
+        # the system the kernel gathers from its moment sums is the Gram
+        # matrix and right-hand sides of the basis t^j / j!, unknowns in the
+        # order 0, 3, ..., degree, 1, 2
+        rng = np.random.default_rng(degree)
+        t = rng.uniform(-4.0, 4.0, 9)
+        w = np.exp(-(t / 3.0) ** 2)
+        fields = rng.normal(size=(2, 9))
+        moments = np.concatenate(
+            [[np.sum(w * t**p) for p in range(2 * degree + 1)]]
+            + [[np.sum(w * t**j * f) for j in range(degree + 1)] for f in fields])
+        rows, scale = qtm._system_layout(degree, 2)
+        system = moments[rows] * scale[:, :, 0]
+        order = [0, *range(3, degree + 1), 1, 2]
+        basis = np.stack([t**j / math.factorial(j) for j in order], axis=-1)
+        gram = (basis * w[:, None]).T @ basis
+        rhs = (basis * w[:, None]).T @ fields.T
+        np.testing.assert_allclose(system, np.hstack((gram, rhs)),
+                                   rtol=1e-13, atol=0.0)
 
     def test_one_solve_per_rhs(self, monkeypatch):
-        solves = _record_solves(monkeypatch)
+        # the S and c fits share one moment buffer and one elimination
+        fits = _record_fits(monkeypatch)
         qtm._qtm_rhs(PARAMS, self.CFG, *_perturbed_particles())
-        assert len(solves) == 1
+        assert [n_fields for n_fields, _ in fits] == [2]
 
     def test_rhs_matches_reference_kernel(self, monkeypatch):
         x, c, S = _perturbed_particles()
         assert np.all(np.diff(x) > 0)
-        solves = _record_solves(monkeypatch)
+        fits = _record_fits(monkeypatch)
         out = qtm._qtm_rhs(PARAMS, self.CFG, x, c, S)
-        ref_beta, _ = _reference_betas(self.CFG, x, (S, c))
-        # each particle's Taylor coefficients (f, f' h, f'' h^2 / 2, ...)
-        # agree to rounding relative to their own size
-        err = (np.linalg.norm(solves[0] - ref_beta, axis=1)
-               / np.linalg.norm(ref_beta, axis=1))
-        assert np.max(err) <= 1e-12
+        ref_beta, _, _ = _reference_betas(self.CFG, x, (S, c))
+        # each particle's Taylor coefficients (f' h, f'' h^2) agree to
+        # rounding relative to the size of its coefficient vector
+        assert np.max(_coefficient_error(fits[0][1][0], ref_beta)) <= 1e-12
         # an m-th derivative divides the rounding of the whole coefficient
         # vector by h^m, so the outputs agree less closely relative to
-        # themselves: 1.4e-11 on this set, up to 1.3e-10 on other jitters
+        # themselves: 3.5e-11 on this set
         for got, want in zip(out, _reference_qtm_rhs(PARAMS, self.CFG, x, c, S)):
             np.testing.assert_allclose(got, want, rtol=0.0,
                                        atol=1e-9 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("degree", [2, 8])
+    def test_fits_match_reference_kernel_at_degree(self, degree):
+        x, c, S = _perturbed_particles()
+        cfg = QtmConfig(t_final=1.0, degree=degree)
+        beta, _ = qtm._taylor_fits(x, (S, c), degree, cfg.stencil_size,
+                                   cfg.weight_width_mult)
+        ref_beta, _, gram = _reference_betas(cfg, x, (S, c))
+        # both solves are backward stable, so each particle's coefficients
+        # agree to a multiple of its cond(G) eps: 0.10 of it at degree 2
+        # (cond(G) <= 1e2) and 0.012 at degree 8 (cond(G) up to 9e10 in the
+        # one-sided end windows) on this set, at most 0.2 over other jitters
+        err = _coefficient_error(beta, ref_beta)
+        bound = np.linalg.cond(gram) * np.finfo(float).eps
+        assert np.all(err <= bound[:, None])
+        if degree == 2:
+            assert np.max(err) <= 1e-12
 
 
 class TestMwls:
@@ -130,8 +209,27 @@ class TestMwls:
     def test_rank_deficient_fit_names_particle(self):
         # more polynomial coefficients than stencil points
         x = np.linspace(0, 1, 7)
-        with pytest.raises(QtmDerivativeError, match="particle"):
+        with pytest.raises(QtmDerivativeError, match="particle") as in_order:
             mwls_derivatives(x, np.sin(x), degree=6, stencil_size=5)
+        # the index is the caller's, not the sorted one
+        with pytest.raises(QtmDerivativeError) as reversed_order:
+            mwls_derivatives(x[::-1], np.sin(x[::-1]), degree=6, stencil_size=5)
+        assert reversed_order.value.particle == x.size - 1 - in_order.value.particle
+
+    @pytest.mark.parametrize("field", ["positions", "values"])
+    def test_non_finite_input_rejected(self, field):
+        # a NaN value used to come back as NaN derivatives at its neighbours
+        x = np.linspace(0.0, 1.0, 20)
+        inputs = {"positions": x.copy(), "values": np.sin(x)}
+        inputs[field][3] = np.nan
+        with pytest.raises(ValidationError, match=rf"{field}\[3\] = nan"):
+            mwls_derivatives(**inputs)
+
+    def test_degree_below_two_rejected(self):
+        # the fits solve for f' and f'' only
+        x = np.linspace(0.0, 1.0, 20)
+        with pytest.raises(ValidationError, match="degree must be >= 2"):
+            mwls_derivatives(x, np.sin(x), degree=1)
 
     def test_too_few_particles(self):
         with pytest.raises(ValidationError):
@@ -249,6 +347,13 @@ class TestQtmEvolve:
     def test_particle_set_validation(self):
         x = np.array([0.0, 1.0, 0.5])
         with pytest.raises(ValidationError):
+            ParticleSet(x=x, log_rho=np.zeros(3), S=np.zeros(3),
+                        weights=np.ones(3), t=0.0)
+
+    def test_particle_set_rejects_non_finite(self):
+        # NaN passes the ordering test
+        x = np.array([0.0, np.nan, 1.0])
+        with pytest.raises(ValidationError, match=r"x\[1\] = nan"):
             ParticleSet(x=x, log_rho=np.zeros(3), S=np.zeros(3),
                         weights=np.ones(3), t=0.0)
 
