@@ -12,6 +12,10 @@ Prints the best-of-``--repeats`` time per call, in microseconds, of
 * one particle-method right-hand side (``qtm._qtm_rhs``: the ``S`` and
   ``c`` fits and the transport terms) on the default seeded particle grid
   (``qtm.n_particles``, 201 by default);
+* one ``reconstruct_wavefunction`` of the final snapshot of that ``evolve``
+  run on the default spatial grid (``grid.n_x``, 1 024 points): the inverse
+  map, the push-forward and the quasi-potential phase check (a tenth of
+  ``--calls`` per timing: each call takes about a millisecond);
 * start-up: the wall time of ``python -c "import qflow.cli"`` in a fresh
   interpreter, the import every CLI command pays, followed by the list of
   ``scipy`` subpackages that import loaded.
@@ -38,6 +42,7 @@ from qflow.lagrangian import (ModeProjector, _kinematics, _LabelData,
 from qflow.model import plan_steps
 from qflow.pipeline import _truncated_gaussian_state
 from qflow.qtm import _qtm_rhs
+from qflow.reconstruction import reconstruct_wavefunction
 
 
 def best_us(fn, calls: int, repeats: int) -> float:
@@ -114,6 +119,8 @@ def main():
     n_steps, _ = plan_steps(config.t_final, config.auto_dt(data.h, params))
     startup_us, loaded = startup(args.repeats)
     evolve_s = best_us(lambda: evolve(init, params, config), 1, args.repeats) / 1e6
+    final = evolve(init, params, config)[-1:]
+    x_grid = settings.x_grid()
 
     print(f"{n} labels, projection degree {degree}; best of {args.repeats}")
     print(f"{'kernel':<34} {'us/call':>10}")
@@ -126,6 +133,9 @@ def main():
         (f"QTM RHS ({particles.n} particles)",
          best_us(lambda: _qtm_rhs(params, qtm_config, *seeded), args.calls,
                  args.repeats)),
+        (f"reconstruct ({x_grid.size} x points)",
+         best_us(lambda: reconstruct_wavefunction(final, init, params, x_grid),
+                 max(1, args.calls // 10), args.repeats)),
         ("start-up (import qflow.cli)", startup_us),
     ]
     for name, us in rows:

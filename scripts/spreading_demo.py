@@ -49,8 +49,7 @@ def main():
         q_exact, _ = gaussian_trajectory(labels, snap.t, args.sigma0, params)
         q_err = np.max(np.abs(snap.q - q_exact))
         drift = abs(snap.energy - e0) / abs(e0)
-        field = reconstruct_wavefunction(snapshots[:i + 1], init, params, x,
-                                         dual_check=False)
+        field = reconstruct_wavefunction(snapshots[:i + 1], init, params, x)
         rho_e, S_e = gaussian_wavefunction(x, snap.t, args.sigma0, params)
         psi_e = assemble_wavefunction(rho_e, S_e, params.hbar)
         norms = error_norms(field.psi, psi_e, x, field.mask)

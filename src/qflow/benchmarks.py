@@ -47,13 +47,17 @@ def ode_check_T(t: float, alpha: float) -> float:
     return float(d2T - alpha / T**3)
 
 
-def gaussian_trajectory(a, t, sigma0: float, params: PhysicsParams):
-    """Exact free-Gaussian paths: q = a T(t), qdot = a alpha t / T(t)."""
+def gaussian_trajectory(a, t, sigma0: float, params: PhysicsParams,
+                        boost_k: float = 0.0):
+    """Exact free-Gaussian paths: q = a T(t) + u t, qdot = a alpha t / T(t) + u,
+    with the drift u = hbar k / m of a packet boosted by ``boost_k``."""
     a = np.asarray(a, dtype=float)
+    t = np.asarray(t, dtype=float)
     alpha = gaussian_alpha(sigma0, params)
     T, _ = gaussian_scale_factor(t, alpha)
-    q = a * T
-    qdot = a * alpha * np.asarray(t, dtype=float) / T
+    drift = params.hbar * boost_k / params.mass
+    q = a * T + drift * t
+    qdot = a * alpha * t / T + drift
     return q, qdot
 
 

@@ -23,7 +23,7 @@ from .lagrangian import (SolverConfig, _LabelData, acceleration_direct,
 from .model import (FreePotential, InitialState, PhysicsParams,
                     TrajectoryState, _gaussian_forms, assemble_wavefunction,
                     make_gaussian_state)
-from .qtm import mwls_derivatives, qtm_evolve
+from .qtm import qtm_evolve
 from .reconstruction import (continuity_euler_residuals, ensemble_moments,
                              phase_consistency_deviation, qhj_residual,
                              reconstruct_wavefunction)
@@ -56,8 +56,7 @@ def run_lagrangian(settings: Settings):
 
     x_grid = settings.x_grid()
     indices = _field_snapshot_indices(len(snapshots), settings["output.field_times"])
-    fields = [reconstruct_wavefunction(snapshots[:i + 1], init, params, x_grid,
-                                       dual_check=False)
+    fields = [reconstruct_wavefunction(snapshots[:i + 1], init, params, x_grid)
               for i in indices]
 
     data = _LabelData(init, params)
@@ -74,10 +73,10 @@ def run_lagrangian(settings: Settings):
         "min_jacobian": min_j,
         "field_times": [fields[i].t for i in range(len(fields))],
         "support_norm_final": fields[-1].support_norm(),
+        "dual_phase_deviation": phase_consistency_deviation(
+            snapshots[-1], init, params),
     }
     if len(snapshots) >= 2:
-        summary["dual_phase_deviation"] = phase_consistency_deviation(
-            snapshots, init, params, x_grid)
         final = snapshots[-1]
         acc_d = acceleration_direct(final, init, params, data=data)
         acc_n = acceleration_newton(final, init, params, data=data)
@@ -87,11 +86,9 @@ def run_lagrangian(settings: Settings):
     if isinstance(params.potential, FreePotential):
         sigma0 = settings["state.sigma0"]
         k = settings["state.boost_k"]
-        drift = params.hbar * k / params.mass
         err = 0.0
         for s in snapshots:
-            q_exact, _ = gaussian_trajectory(s.labels, s.t, sigma0, params)
-            q_exact = q_exact + drift * s.t
+            q_exact, _ = gaussian_trajectory(s.labels, s.t, sigma0, params, k)
             err = max(err, float(np.max(np.abs(s.q - q_exact)
                                         / (1.0 + np.abs(s.labels)))))
         summary["trajectory_max_rel_error"] = err
@@ -148,10 +145,8 @@ def run_qtm(settings: Settings):
     result = qtm_evolve(init, params, config)
     trajectories = []
     for snap in result.snapshots:
-        v, _ = mwls_derivatives(snap.x, snap.S, config.degree,
-                                config.stencil_size, config.weight_width_mult)
         trajectories.append(TrajectoryState(
-            labels=init.labels, q=snap.x, qdot=v / params.mass,
+            labels=init.labels, q=snap.x, qdot=snap.v,
             chi=snap.S - init.s0, t=snap.t))
     final = result.snapshots[-1]
     summary = {
@@ -424,12 +419,11 @@ class Check:
                      bool(value >= tol))
 
 
-def _exact_state(labels, t, sigma0, params, boost_k=0.0) -> TrajectoryState:
+def _exact_state(labels, t, sigma0, params) -> TrajectoryState:
     """Closed-form benchmark snapshot (chi is not used by the callers)."""
     q, qdot = gaussian_trajectory(labels, t, sigma0, params)
-    drift = params.hbar * boost_k / params.mass
-    return TrajectoryState(labels=labels, q=q + drift * t,
-                           qdot=qdot + drift, chi=np.zeros_like(q), t=t)
+    return TrajectoryState(labels=labels, q=q, qdot=qdot,
+                           chi=np.zeros_like(q), t=t)
 
 
 def gaussian_accept(settings: Settings | None = None):
@@ -468,7 +462,7 @@ def gaussian_accept(settings: Settings | None = None):
 
     # -- criterion 5: dynamics residuals on the reconstructed run -----------
     pair = [reconstruct_wavefunction(snapshots[:len(snapshots) - 1], init,
-                                     params, x_grid, dual_check=False),
+                                     params, x_grid),
             field]
     r_qhj, m_qhj = qhj_residual(pair[0], pair[1], params)
     checks.append(Check.le(5, "quantum Hamilton-Jacobi residual",

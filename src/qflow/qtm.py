@@ -68,23 +68,27 @@ class QtmConfig:
 
 @dataclass(frozen=True)
 class ParticleSet:
-    """Positions, log-density and phase carried by each particle."""
+    """Positions, log-density and phase carried by each particle, and the
+    velocity ``v = (dS/dx) / m`` of the fit at this state (``None`` when
+    built without one)."""
 
     x: np.ndarray
     log_rho: np.ndarray
     S: np.ndarray
     weights: np.ndarray
     t: float
+    v: Optional[np.ndarray] = None
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
         object.__setattr__(self, "x", x)
-        for name in ("log_rho", "S", "weights"):
+        names = ("log_rho", "S", "weights") + (("v",) if self.v is not None else ())
+        for name in names:
             v = np.asarray(getattr(self, name), dtype=float)
             if v.shape != x.shape:
                 raise ValidationError(f"{name} must match the particle count")
             object.__setattr__(self, name, v)
-        _require_finite(x=x, log_rho=self.log_rho, S=self.S, weights=self.weights)
+        _require_finite(**{name: getattr(self, name) for name in ("x",) + names})
         if np.any(np.diff(x) <= 0):
             i = int(np.argmin(np.diff(x)))
             raise ValidationError(f"particle positions must increase (index {i})")
@@ -295,10 +299,10 @@ def qtm_evolve(init: InitialState, params: PhysicsParams,
         dt = 0.5 * dx0**2 * params.mass / params.hbar
     n_steps, dt = plan_steps(config.t_final, dt)
 
-    snapshots = [ParticleSet(x.copy(), c.copy(), S.copy(), weights, 0.0)]
     div_int = np.zeros_like(x)
-    # each end-of-step evaluation (for div_int) is the next step's k1; the
-    # first runs on the seeded grid, so its fit fails on the settings alone
+    # each end-of-step evaluation (for div_int) is the next step's k1 and
+    # gives the snapshot its velocity; the first runs on the seeded grid, so
+    # its fit fails on the settings alone
     try:
         k1 = rhs(x, c, S)
     except QtmDerivativeError as exc:
@@ -307,6 +311,7 @@ def qtm_evolve(init: InitialState, params: PhysicsParams,
             f"widen qtm.weight_width = {config.weight_width_mult} or change "
             f"qtm.degree = {config.degree} or qtm.stencil_size = "
             f"{config.stencil_size}") from exc
+    snapshots = [ParticleSet(x.copy(), c.copy(), S.copy(), weights, 0.0, k1[0])]
     for step in range(n_steps):
         k2 = rhs(x + 0.5 * dt * k1[0], c + 0.5 * dt * k1[1], S + 0.5 * dt * k1[2])
         k3 = rhs(x + 0.5 * dt * k2[0], c + 0.5 * dt * k2[1], S + 0.5 * dt * k2[2])
@@ -326,7 +331,8 @@ def qtm_evolve(init: InitialState, params: PhysicsParams,
         div_int += 0.5 * dt * (k1[3] + k_end[3])
         k1 = k_end
         if (step + 1) % config.snapshot_stride == 0 or step + 1 == n_steps:
-            snapshots.append(ParticleSet(x.copy(), c.copy(), S.copy(), weights, t))
+            snapshots.append(ParticleSet(x.copy(), c.copy(), S.copy(), weights, t,
+                                         k_end[0]))
 
     amplitude = np.sqrt(init.rho0) * np.exp(-0.5 * div_int)
     psi = amplitude * np.exp(1j * S / params.hbar)

@@ -3,14 +3,14 @@
 The map a -> q(a, t) is inverted on the spatial grid (monotone cubic
 interpolation, well-posed because J > 0), densities push forward by
 rho = rho0 / J, velocities by composition, and the phase rides along the
-trajectories as S = S0 + chi.  A second, spatial-quadrature route to the
-phase is kept as a consistency check only.
+trajectories as S = S0 + chi.  The phase is checked, not rebuilt, by the
+quasi-potential condition m v = dS/dx written on the labels of one
+snapshot, m qdot J = d(S0 + chi)/da: a running trapezoid over the labels,
+with no spatial grid and no history.
 
-Each snapshot's inverse map is built once per call, always by
-:func:`invert_map`: one full-grid map serves rho, v, S and the dual-route
-check, which adds one 9-point window map per snapshot centred on its phase
-anchor.  V_Q comes from ``PhysicsParams.quantum_potential``; only the
-route to the log-density derivatives differs.
+A reconstruction builds one inverse map, by :func:`invert_map`, and it
+serves rho, v and S.  The residual diagnostics take V_Q from
+``PhysicsParams.quantum_potential``.
 """
 
 from __future__ import annotations
@@ -114,26 +114,27 @@ def invert_map(traj: TrajectoryState, x_grid):
     return a_of_x, mask
 
 
-def _interp_on_labels(traj, values, a_query):
-    return _pchip_linear_edges(traj.labels, values)(a_query)
-
-
-def _pushforward_at(traj, init, a_query):
-    """rho0 and J = dq/da at the labels ``a_query`` (rho = rho0 / J there)."""
-    J = derivative(traj.q, grid_spacing(traj.labels), 1)
-    J_at = _interp_on_labels(traj, J, a_query)
+def _pushforward_at(traj, init, J, a_query):
+    """rho0 and J = dq/da at the labels ``a_query`` (rho = rho0 / J there),
+    given J on the labels."""
+    J_at = _pchip_linear_edges(traj.labels, J)(a_query)
     if init.forms is not None and init.forms.rho0 is not None:
         rho0_at = np.asarray(init.forms.rho0(a_query), dtype=float)
     else:
-        rho0_at = _interp_on_labels(traj, init.rho0, a_query)
+        rho0_at = _pchip_linear_edges(traj.labels, init.rho0)(a_query)
     return rho0_at, J_at
+
+
+def _jacobian(traj):
+    """J = dq/da on the labels (fourth-order stencil)."""
+    return derivative(traj.q, grid_spacing(traj.labels), 1)
 
 
 def eulerian_density(traj: TrajectoryState, init: InitialState, x_grid):
     """rho(x) = [rho0 / J] at a(x); masked outside the trajectory image."""
     a_of_x, mask = invert_map(traj, x_grid)
     rho = np.full(mask.shape, np.nan)
-    rho0_at, J_at = _pushforward_at(traj, init, a_of_x[mask])
+    rho0_at, J_at = _pushforward_at(traj, init, _jacobian(traj), a_of_x[mask])
     rho[mask] = np.maximum(rho0_at / J_at, 0.0)
     return rho, mask
 
@@ -142,106 +143,66 @@ def eulerian_velocity(traj: TrajectoryState, x_grid):
     """v(x) = qdot at a(x), by the same interpolation as the inverse map."""
     a_of_x, mask = invert_map(traj, x_grid)
     v = np.full(mask.shape, np.nan)
-    v[mask] = _interp_on_labels(traj, traj.qdot, a_of_x[mask])
+    v[mask] = _pchip_linear_edges(traj.labels, traj.qdot)(a_of_x[mask])
     return v, mask
 
 
-def _vq_window(traj, init, params, x_center, half=4):
-    """Anchor label a(x_center) and V_Q there, from one inverse map over a
-    (2 half + 1)-point window centred on x_center."""
-    dx = grid_spacing(traj.labels)  # any smooth small spacing works
-    xs = x_center + dx * np.arange(-half, half + 1)
-    a_of_x, mask = invert_map(traj, xs)
-    if not mask[half]:
-        raise ValidationError("phase anchor left the trajectory support")
-    if not np.all(mask):
-        raise ValidationError("phase-anchor window left the trajectory support")
-    rho0_at, J_at = _pushforward_at(traj, init, a_of_x)
-    c = np.log(rho0_at) - np.log(J_at)
-    c1, c2 = derivative(c, dx, (1, 2))[:, half]
-    return a_of_x[half:half + 1], params.quantum_potential(c1, c2)
+def _phase_deviation(traj, init, params, J):
+    """max |d - mean(d)| of d = S0 + chi - int m qdot J da, given J."""
+    d = init.s0 + traj.chi - _cumulative_trapezoid(
+        params.mass * traj.qdot * J, traj.labels)
+    return float(np.max(np.abs(d - np.mean(d))))
 
 
-def _phase_deviation(history, init, params, xm, vm, s_path):
-    """Dual-route phase deviation, given the final snapshot's velocity and
-    carried phase on the covered grid points ``xm``."""
-    if xm.size == 0:
-        raise ValidationError("no x-grid point lies inside the trajectory "
-                              "support; refine or narrow the x grid")
-    mid = init.n // 2
-    x_c = float(history[0].q[mid])
+def phase_consistency_deviation(traj: TrajectoryState, init: InitialState,
+                                params: PhysicsParams) -> float:
+    """Departure of one snapshot from quasi-potential flow.
 
-    # f(t): integrate dS/dt at the fixed spatial anchor over the history
-    times = np.array([s.t for s in history])
-    dsdt = np.empty(times.size)
-    V_c = float(params.potential_energy(np.array([x_c]))[0])
-    for i, snap in enumerate(history):
-        a_c, vq_c = _vq_window(snap, init, params, x_c)
-        if i == 0:
-            s0_c = float(np.interp(a_c[0], init.labels, init.s0))
-        v_c = float(_interp_on_labels(snap, snap.qdot, a_c)[0])
-        dsdt[i] = -(0.5 * params.mass * v_c**2 + V_c + vq_c)
-    s_center = s0_c + np.trapezoid(dsdt, times)
-
-    ic = int(np.argmin(np.abs(xm - x_c)))
-    integral = _cumulative_trapezoid(params.mass * vm, xm)
-    s_quad = integral - integral[ic] + s_center
-
-    diff = s_path - s_quad
-    return float(np.max(np.abs(diff - np.mean(diff))))
-
-
-def phase_consistency_deviation(history: Sequence[TrajectoryState],
-                                init: InitialState, params: PhysicsParams,
-                                x_grid) -> float:
-    """Largest deviation (after removing one constant) between the
-    trajectory-carried phase and the spatial quadrature of m*v anchored at
-    the packet center, with the center's time dependence integrated from
-    -(m v^2 / 2 + V + V_Q).
+    The flow is quasi-potential when m v = dS/dx; on the labels that reads
+    m qdot dq/da = d(S0 + chi)/da.  The carried phase S0 + chi is compared
+    with the running trapezoid of m qdot J over the labels (J from the
+    fourth-order stencil), and the largest deviation left after removing
+    their mean difference is returned.
     """
-    if len(history) < 2:
-        raise ValidationError("need at least two snapshots for the dual-phase check")
-    x = np.asarray(x_grid, dtype=float)
-    final = history[-1]
-    a_of_x, mask = invert_map(final, x)
-    aq = a_of_x[mask]
-    return _phase_deviation(history, init, params, x[mask],
-                            _interp_on_labels(final, final.qdot, aq),
-                            _interp_on_labels(final, init.s0 + final.chi, aq))
+    return _phase_deviation(traj, init, params, _jacobian(traj))
 
 
 def reconstruct_wavefunction(history: Sequence[TrajectoryState],
                              init: InitialState, params: PhysicsParams,
-                             x_grid, *, dual_check: bool = True) -> EulerianField:
+                             x_grid) -> EulerianField:
     """Assemble the full Eulerian field (rho, S, v, psi) at the last snapshot.
 
-    The phase is carried along trajectories (S = S0 + chi composed with
-    the inverse map); when the history holds at least two snapshots the
-    independent spatial-quadrature route is evaluated and a deviation
-    beyond tolerance raises a :class:`PhaseInconsistencyWarning` (the
-    reconstruction itself is returned regardless).
+    Only ``history[-1]`` is read.  The phase is carried along trajectories
+    (S = S0 + chi composed with the inverse map).  The snapshot's
+    quasi-potential condition (:func:`phase_consistency_deviation`) is
+    checked on the way, and a deviation beyond ``DUAL_PHASE_TOL`` raises a
+    :class:`PhaseInconsistencyWarning` (the reconstruction itself is
+    returned regardless).
     """
     if len(history) == 0:
         raise ValidationError("empty trajectory history")
     x = np.asarray(x_grid, dtype=float)
     final = history[-1]
     a_of_x, mask = invert_map(final, x)
+    if not np.any(mask):
+        raise ValidationError("no x-grid point lies inside the trajectory "
+                              "support; refine or narrow the x grid")
     aq = a_of_x[mask]
     rho = np.zeros(x.shape)
     S = np.zeros(x.shape)
     v = np.zeros(x.shape)
     psi = np.zeros(x.shape, dtype=complex)
-    rho0_at, J_at = _pushforward_at(final, init, aq)
+    J = _jacobian(final)
+    rho0_at, J_at = _pushforward_at(final, init, J, aq)
     rho[mask] = np.maximum(rho0_at / J_at, 0.0)
-    v[mask] = _interp_on_labels(final, final.qdot, aq)
-    S[mask] = _interp_on_labels(final, init.s0 + final.chi, aq)
+    v[mask] = _pchip_linear_edges(final.labels, final.qdot)(aq)
+    S[mask] = _pchip_linear_edges(final.labels, init.s0 + final.chi)(aq)
     psi[mask] = assemble_wavefunction(rho[mask], S[mask], params.hbar)
-    if dual_check and len(history) >= 2:
-        dev = _phase_deviation(history, init, params, x[mask], v[mask], S[mask])
-        if dev > DUAL_PHASE_TOL:
-            warnings.warn(
-                f"dual-route phase deviation {dev:.2e} exceeds {DUAL_PHASE_TOL:.0e}",
-                PhaseInconsistencyWarning, stacklevel=2)
+    dev = _phase_deviation(final, init, params, J)
+    if dev > DUAL_PHASE_TOL:
+        warnings.warn(
+            f"quasi-potential phase deviation {dev:.2e} exceeds "
+            f"{DUAL_PHASE_TOL:.0e}", PhaseInconsistencyWarning, stacklevel=2)
     return EulerianField(x=x, t=final.t, rho=rho, S=S, v=v, psi=psi,
                          mask=mask, hbar=params.hbar)
 

@@ -27,6 +27,15 @@ class TestTrajectoryForm:
             q, qdot = gaussian_trajectory(0.0, t, 1.0, PARAMS)
             assert q == 0.0 and qdot == 0.0
 
+    def test_boost_adds_uniform_drift(self):
+        p = PhysicsParams(hbar=2.0, mass=4.0)
+        a = np.linspace(-3.0, 3.0, 7)
+        q0, qdot0 = gaussian_trajectory(a, 1.5, 1.0, p)
+        q, qdot = gaussian_trajectory(a, 1.5, 1.0, p, boost_k=3.0)
+        # drift hbar k / m = 1.5
+        assert np.array_equal(q, q0 + 1.5 * 1.5)
+        assert np.array_equal(qdot, qdot0 + 1.5)
+
     def test_alpha_value(self):
         p = PhysicsParams(hbar=2.0, mass=4.0)
         assert gaussian_alpha(0.5, p) == pytest.approx((2.0 / (2 * 4 * 0.25)) ** 2)

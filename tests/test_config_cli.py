@@ -295,6 +295,15 @@ class TestCli:
         assert fragment in err
         assert "Traceback" not in err
 
+    def test_fast_boosted_packet_runs(self, tmp_path, capsys):
+        # the packet leaves its starting point (x = 0) far behind: nothing
+        # in the phase check is tied to a fixed place
+        cfg = _write_config(tmp_path / "boost.cfg", {
+            **CHEAP_RUN, "state.boost_k": "10", "solver.t_final": "1.0"})
+        assert main(["run-lagrangian", "--config", str(cfg),
+                     "--out", str(tmp_path / "o"), "--quiet"]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["run-lagrangian", "run-qtm"])
     def test_step_budget_exits_2(self, tmp_path, capsys, command):
         # the auto steps are ~1e-154 (solver) and ~1e-153 (qtm)

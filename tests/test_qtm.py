@@ -303,6 +303,17 @@ class TestQtmEvolve:
         i0 = np.argmin(np.abs(init.labels))
         assert final.S[i0] == pytest.approx(-0.5 * np.arctan(0.5), abs=1e-4)
 
+    def test_snapshot_velocity_is_the_fit_of_its_state(self, qtm_run):
+        # the end-of-step right-hand side's velocity, kept on the snapshot,
+        # is what a fresh fit of S on the stored positions gives
+        _, result = qtm_run
+        config = QtmConfig(t_final=1.0)
+        assert len(result.snapshots) >= 3
+        for snap in result.snapshots:
+            d1, _ = mwls_derivatives(snap.x, snap.S, config.degree,
+                                     config.stencil_size, config.weight_width_mult)
+            assert np.array_equal(snap.v, d1 / PARAMS.mass)
+
     def test_four_rhs_fits_per_step(self, monkeypatch):
         import qflow.qtm as qtm
         rhs = qtm._qtm_rhs

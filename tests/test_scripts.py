@@ -33,11 +33,12 @@ def test_kernel_timings_short_run():
     lines = proc.stdout.splitlines()
     # 0.02 / (0.1 * 0.16^2) = 7.8 -> 8 steps, 32 right-hand sides
     assert lines[-1].startswith("evolve to t = 0.02: 8 steps")
-    rows = lines[2:7]
+    rows = lines[2:8]
     assert [row.split()[0] for row in rows] == ["stencil", "projected", "RHS",
-                                                "QTM", "start-up"]
+                                                "QTM", "reconstruct", "start-up"]
     assert all(float(row.split()[-1]) > 0 for row in rows)
     assert rows[3].startswith("QTM RHS (201 particles)")
+    assert rows[4].startswith("reconstruct (1024 x points)")
     # the CLI's import loads scipy's sparse kernel, not its interpolators
-    loaded = lines[7].split(": ")[1].split()
+    loaded = lines[8].split(": ")[1].split()
     assert "sparse" in loaded and "interpolate" not in loaded
