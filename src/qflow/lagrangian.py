@@ -54,8 +54,10 @@ projection is the rho0-weighted least-squares fit onto Legendre
 polynomials in the label, it preserves every affine flow exactly (uniform
 dilations and translations, hence the Gaussian benchmark is untouched),
 and it removes the spurious modes entirely (measured growth rates drop
-below 0.02).  The phase integral chi accumulates alongside the state in
-the same classical RK4 steps.
+below 0.02).  The phase is carried at one label only, in the same RK4
+steps; each snapshot takes chi at the other labels from the velocity, so
+that d(S0 + chi)/da = m qdot J holds and the phase gradient has no second
+source that the projection could make disagree with it (see ``evolve``).
 
 Projected force.  That projection is linear, and so is the map
 (G, dV/dq) -> (hbar^2/4m^2)(L1 G + dG/da) - (1/m) dV/dq, so ``evolve``
@@ -77,7 +79,8 @@ from scipy import sparse
 
 from .errors import NumericalInstability, TrajectoryCrossing, ValidationError
 from .model import InitialState, PhysicsParams, TrajectoryState, plan_steps
-from .stencils import Stencil, derivative, grid_spacing, trapezoid_weights
+from .stencils import (Stencil, cumulative_trapezoid, derivative, grid_spacing,
+                       trapezoid_weights)
 
 J_FLOOR = 1e-10
 TAIL_FLOOR_REL = 1e-12
@@ -320,8 +323,14 @@ def evolve(init: InitialState, params: PhysicsParams,
            config: SolverConfig) -> list[TrajectoryState]:
     """Integrate the trajectory continuum from t = 0 to t_final.
 
-    Classical RK4 on the stacked state (q, qdot, chi), driven by the
-    projected conservation-form acceleration.  Returns snapshots every
+    Classical RK4 on the flat state (q, qdot, chi[i0]), driven by the
+    projected conservation-form acceleration; chi[i0] integrates
+    m qdot^2/2 - V - V_Q at the density peak ``i0 = argmax(rho0)``.  Each
+    snapshot sets chi = dPhi - dPhi[i0] + chi[i0], dPhi the change since
+    t = 0 of the running trapezoid of m qdot J over the labels (J from the
+    snapshot's kinematics pass), so chi is exactly 0 at t = 0 and the
+    phase satisfies the quasi-potential condition d(S0 + chi)/da = m qdot J
+    to rounding.  Returns snapshots every
     ``snapshot_stride`` steps (the initial and final states are always
     included), each carrying the energy that the drift check computed for
     it and the least J of the same kinematics pass.  Monotonicity of q is
@@ -332,6 +341,7 @@ def evolve(init: InitialState, params: PhysicsParams,
     config.validate()
     data = _LabelData(init, params)
     n = init.n
+    i0 = int(np.argmax(init.rho0))
     degree = config.projection_degree
     if degree is None:
         degree = default_projection_degree(n)
@@ -341,28 +351,35 @@ def evolve(init: InitialState, params: PhysicsParams,
     G_dV = np.empty((2, n))
 
     def rhs(y, t):
-        """Time derivative of the stacked state y = (q, qdot, chi)."""
-        q, qd = y[0], y[1]
+        """Time derivative of the flat state y = (q, qdot, chi[i0])."""
+        q, qd = y[:n], y[n:-1]
         kin = _kinematics(data, q, t)
         cx, cxx = _log_density_derivatives(data, kin)
         np.multiply(cxx, kin[3], out=G_dV[0])
         G_dV[1] = params.potential_gradient(q)
         k = np.empty_like(y)
-        k[0] = qd
-        k[1] = force(G_dV)
-        k[2] = (0.5 * params.mass * qd**2 - params.potential_energy(q)
-                - params.quantum_potential(cx, cxx))
+        k[:n] = qd
+        k[n:-1] = force(G_dV)
+        k[-1] = (0.5 * params.mass * qd[i0]**2 - params.potential_energy(q[i0])
+                 - params.quantum_potential(cx[i0], cxx[i0]))
         return k
 
     n_steps, dt = plan_steps(config.t_final, config.auto_dt(data.h, params))
 
-    y = np.stack((init.labels, initial_velocity(init, params), np.zeros(n)))
+    y = np.concatenate((init.labels, initial_velocity(init, params), [0.0]))
+    phi0 = None
 
     def measured(tn):
         """The current state as a snapshot, carrying its energy and min J
-        from one kinematics pass."""
-        snap = TrajectoryState(init.labels, *y.copy(), tn)
-        kin = _kinematics(data, snap.q, tn)
+        from one kinematics pass, and chi from the J of that pass."""
+        nonlocal phi0
+        q, qd = y[:n].copy(), y[n:-1].copy()
+        kin = _kinematics(data, q, tn)
+        phi = cumulative_trapezoid(params.mass * qd * kin[0], init.labels)
+        if phi0 is None:
+            phi0 = phi
+        dphi = phi - phi0
+        snap = TrajectoryState(init.labels, q, qd, dphi - dphi[i0] + y[-1], tn)
         return replace(snap, energy=energy_of(snap, init, params, data=data, kin=kin),
                        min_jacobian=float(kin[0].min()))
 
@@ -388,7 +405,7 @@ def evolve(init: InitialState, params: PhysicsParams,
         k3 = rhs(y + 0.5 * dt * k2, t + 0.5 * dt)
         k4 = rhs(y + dt * k3, t + dt)
         y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        gaps = np.diff(y[0])
+        gaps = np.diff(y[:n])
         if gaps.min() <= 0:
             raise TrajectoryCrossing(int(np.argmin(gaps)), t + dt)
         t = (step + 1) * dt

@@ -255,6 +255,9 @@ def plan_steps(t_final: float, dt: float) -> tuple[int, float]:
 class TrajectoryState:
     """Positions, velocities and accumulated phase of every fluid element.
 
+    ``chi`` is the phase gained since t = 0 (S = S0 + chi).  The trajectory
+    solver builds it from the velocity (see ``lagrangian.evolve``); one
+    built elsewhere is what the reconstruction's phase check tests.
     ``energy`` is the discrete total energy and ``min_jacobian`` the least
     J = dq/da when the producer computed them (the trajectory solver does,
     for its drift check), else None.

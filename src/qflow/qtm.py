@@ -75,14 +75,13 @@ class ParticleSet:
     x: np.ndarray
     log_rho: np.ndarray
     S: np.ndarray
-    weights: np.ndarray
     t: float
     v: Optional[np.ndarray] = None
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
         object.__setattr__(self, "x", x)
-        names = ("log_rho", "S", "weights") + (("v",) if self.v is not None else ())
+        names = ("log_rho", "S") + (("v",) if self.v is not None else ())
         for name in names:
             v = np.asarray(getattr(self, name), dtype=float)
             if v.shape != x.shape:
@@ -290,7 +289,6 @@ def qtm_evolve(init: InitialState, params: PhysicsParams,
     x = init.labels.copy()
     c = np.log(init.rho0)
     S = init.s0.copy()
-    weights = trapezoid_weights(init.labels)
     rhs = partial(_qtm_rhs, params, config)
 
     dt = config.dt
@@ -311,7 +309,7 @@ def qtm_evolve(init: InitialState, params: PhysicsParams,
             f"widen qtm.weight_width = {config.weight_width_mult} or change "
             f"qtm.degree = {config.degree} or qtm.stencil_size = "
             f"{config.stencil_size}") from exc
-    snapshots = [ParticleSet(x.copy(), c.copy(), S.copy(), weights, 0.0, k1[0])]
+    snapshots = [ParticleSet(x.copy(), c.copy(), S.copy(), 0.0, k1[0])]
     for step in range(n_steps):
         k2 = rhs(x + 0.5 * dt * k1[0], c + 0.5 * dt * k1[1], S + 0.5 * dt * k1[2])
         k3 = rhs(x + 0.5 * dt * k2[0], c + 0.5 * dt * k2[1], S + 0.5 * dt * k2[2])
@@ -331,8 +329,7 @@ def qtm_evolve(init: InitialState, params: PhysicsParams,
         div_int += 0.5 * dt * (k1[3] + k_end[3])
         k1 = k_end
         if (step + 1) % config.snapshot_stride == 0 or step + 1 == n_steps:
-            snapshots.append(ParticleSet(x.copy(), c.copy(), S.copy(), weights, t,
-                                         k_end[0]))
+            snapshots.append(ParticleSet(x.copy(), c.copy(), S.copy(), t, k_end[0]))
 
     amplitude = np.sqrt(init.rho0) * np.exp(-0.5 * div_int)
     psi = amplitude * np.exp(1j * S / params.hbar)

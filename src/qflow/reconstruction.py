@@ -6,7 +6,9 @@ rho = rho0 / J, velocities by composition, and the phase rides along the
 trajectories as S = S0 + chi.  The phase is checked, not rebuilt, by the
 quasi-potential condition m v = dS/dx written on the labels of one
 snapshot, m qdot J = d(S0 + chi)/da: a running trapezoid over the labels,
-with no spatial grid and no history.
+with no spatial grid and no history.  ``evolve`` builds chi from that
+same quadrature, so on its output the check reads rounding; it guards
+snapshots built elsewhere, by hand or read back from a CSV.
 
 A reconstruction builds one inverse map, by :func:`invert_map`, and it
 serves rho, v and S.  The residual diagnostics take V_Q from
@@ -24,7 +26,8 @@ import numpy as np
 from .errors import PhaseInconsistencyWarning, TrajectoryCrossing, ValidationError
 from .model import (EulerianField, InitialState, PhysicsParams,
                     TrajectoryState, assemble_wavefunction)
-from .stencils import derivative, grid_spacing, trapezoid_weights
+from .stencils import (cumulative_trapezoid, derivative, grid_spacing,
+                       trapezoid_weights)
 
 # residual diagnostics are quoted over the interior where the density
 # clears this fraction of its peak; farther out the reconstructed
@@ -91,12 +94,6 @@ def _pchip_linear_edges(xs, ys):
     return f
 
 
-def _cumulative_trapezoid(y, x):
-    """Running trapezoid integral of ``y`` over ``x``, starting at 0 (scipy's
-    ``cumulative_trapezoid(y, x, initial=0)``, same operation order)."""
-    return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
-
-
 def invert_map(traj: TrajectoryState, x_grid):
     """Labels a(x) of the trajectories passing through the grid points.
 
@@ -149,7 +146,7 @@ def eulerian_velocity(traj: TrajectoryState, x_grid):
 
 def _phase_deviation(traj, init, params, J):
     """max |d - mean(d)| of d = S0 + chi - int m qdot J da, given J."""
-    d = init.s0 + traj.chi - _cumulative_trapezoid(
+    d = init.s0 + traj.chi - cumulative_trapezoid(
         params.mass * traj.qdot * J, traj.labels)
     return float(np.max(np.abs(d - np.mean(d))))
 

@@ -166,3 +166,9 @@ def trapezoid_weights(x: np.ndarray) -> np.ndarray:
     w[:-1] += 0.5 * d
     w[1:] += 0.5 * d
     return w
+
+
+def cumulative_trapezoid(y, x):
+    """Running trapezoid integral of ``y`` over ``x``, starting at 0 (scipy's
+    ``cumulative_trapezoid(y, x, initial=0)``, same operation order)."""
+    return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
