@@ -18,25 +18,24 @@ if _cap:
 
 from .benchmarks import (Norms, error_norms, gaussian_alpha,
                          gaussian_scale_factor, gaussian_trajectory,
-                         gaussian_wavefunction, ode_check_T)
+                         gaussian_wavefunction)
 from .config import ConfigError, Settings
 from .errors import (NodeEncountered, NumericalInstability,
                      PhaseInconsistencyWarning, QflowError, QtmDerivativeError,
                      TrajectoryCrossing, ValidationError, WrapAroundRiskWarning)
-from .kinematics import (DeformGradient, cofactor_matrix, hyper_cofactor,
-                         internal_energy, jacobian, levi_civita,
-                         quantum_potential, stress_eulerian, stress_lagrangian)
+from .kinematics import (cofactor_matrix, hyper_cofactor, internal_energy,
+                         jacobian, levi_civita, quantum_potential,
+                         stress_eulerian, stress_lagrangian)
 from .lagrangian import (ModeProjector, SolverConfig, acceleration_direct,
                          acceleration_newton, energy_of, evolve,
-                         initial_velocity, quantum_potential_labels)
+                         initial_velocity)
 from .model import (AnalyticForms, EulerianField, FreePotential,
                     HarmonicPotential, InitialState, PhysicsParams,
                     TabulatedPotential, TrajectoryState, assemble_wavefunction,
                     madelung_decompose, make_gaussian_state)
 from .qtm import ParticleSet, QtmConfig, QtmResult, mwls_derivatives, qtm_evolve
-from .reconstruction import (Moments, advect_labels_check,
-                             continuity_euler_residuals, ensemble_moments,
-                             eulerian_density, eulerian_velocity, invert_map,
+from .reconstruction import (advect_labels_check, continuity_euler_residuals,
+                             eulerian_moments, invert_map, lagrangian_moments,
                              phase_consistency_deviation, qhj_residual,
                              reconstruct_wavefunction)
 from .spectral import (WaveSnapshot, energy_of as wave_energy_of, norm_of,

@@ -34,17 +34,10 @@ def gaussian_alpha(sigma0: float, params: PhysicsParams) -> float:
 
 
 def gaussian_scale_factor(t, alpha: float):
-    """Dilation factor T = sqrt(1 + alpha t^2) and its second derivative."""
+    """Dilation factor T = sqrt(1 + alpha t^2), the solution of
+    T'' = alpha / T^3 with T(0) = 1, T'(0) = 0."""
     t = np.asarray(t, dtype=float)
-    T = np.sqrt(1.0 + alpha * t**2)
-    d2T = alpha * (1.0 + alpha * t**2) ** -1.5
-    return T, d2T
-
-
-def ode_check_T(t: float, alpha: float) -> float:
-    """Residual of T = sqrt(1 + alpha t^2) in T'' = alpha / T^3, analytically."""
-    T, d2T = gaussian_scale_factor(t, alpha)
-    return float(d2T - alpha / T**3)
+    return np.sqrt(1.0 + alpha * t**2)
 
 
 def gaussian_trajectory(a, t, sigma0: float, params: PhysicsParams,
@@ -54,7 +47,7 @@ def gaussian_trajectory(a, t, sigma0: float, params: PhysicsParams,
     a = np.asarray(a, dtype=float)
     t = np.asarray(t, dtype=float)
     alpha = gaussian_alpha(sigma0, params)
-    T, _ = gaussian_scale_factor(t, alpha)
+    T = gaussian_scale_factor(t, alpha)
     drift = params.hbar * boost_k / params.mass
     q = a * T + drift * t
     qdot = a * alpha * t / T + drift
@@ -65,7 +58,7 @@ def gaussian_wavefunction(x, t, sigma0: float, params: PhysicsParams):
     """Exact free-Gaussian fields (rho, S) at time t (validated phase form)."""
     x = np.asarray(x, dtype=float)
     alpha = gaussian_alpha(sigma0, params)
-    T, _ = gaussian_scale_factor(t, alpha)
+    T = gaussian_scale_factor(t, alpha)
     sig2 = sigma0**2 * T**2
     rho = (2.0 * np.pi * sig2) ** -0.5 * np.exp(-(x**2) / (2.0 * sig2))
     hbar, m = params.hbar, params.mass

@@ -134,7 +134,7 @@ def _cmd_compare(args) -> int:
     for entry in report["comparisons"]:
         line = f"t = {entry['t']:.6g}: "
         line += ", ".join(f"{k} = {v:.3e}" for k, v in entry.items()
-                          if k not in ("t", "points") and v is not None)
+                          if k not in ("t", "points"))
         _say(args, line)
     return EXIT_OK
 

@@ -10,58 +10,11 @@ of propagating NaNs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .errors import ValidationError
 
 RHO_FLOOR_REL = 1e-14
-
-
-@dataclass(frozen=True)
-class DeformGradient:
-    """Deformation gradient with optional higher label derivatives.
-
-    ``second`` must be symmetric in its two derivative indices and
-    ``third`` in its last three; physical flows carry det(g) in (0, inf),
-    which callers check where it matters.
-    """
-
-    g: np.ndarray
-    second: Optional[np.ndarray] = None
-    third: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        g = np.asarray(self.g, dtype=float)
-        if g.shape != (3, 3):
-            raise ValidationError("g must be a 3x3 array")
-        object.__setattr__(self, "g", g)
-        if self.second is not None:
-            s = np.asarray(self.second, dtype=float)
-            if s.shape != (3, 3, 3):
-                raise ValidationError("second derivatives must be 3x3x3")
-            if not np.array_equal(s, s.transpose(0, 2, 1)):
-                raise ValidationError("second derivatives must be symmetric "
-                                      "in the derivative indices")
-            object.__setattr__(self, "second", s)
-        if self.third is not None:
-            t = np.asarray(self.third, dtype=float)
-            if t.shape != (3, 3, 3, 3):
-                raise ValidationError("third derivatives must be 3x3x3x3")
-            for perm in ((0, 1, 3, 2), (0, 2, 1, 3), (0, 3, 2, 1)):
-                if not np.array_equal(t, t.transpose(*perm)):
-                    raise ValidationError("third derivatives must be symmetric "
-                                          "in the derivative indices")
-            object.__setattr__(self, "third", t)
-
-    def jacobian(self) -> float:
-        return float(jacobian(self.g))
-
-
-def _gradient_of(g):
-    return g.g if isinstance(g, DeformGradient) else np.asarray(g, dtype=float)
 
 
 def levi_civita() -> np.ndarray:
@@ -81,7 +34,7 @@ def jacobian(g) -> np.ndarray:
     Written out on its own, not through :func:`cofactor_matrix`, so that
     the identity g^T C = J I compares two independent formulas.
     """
-    g = _gradient_of(g)
+    g = np.asarray(g, dtype=float)
     r0, r1, r2 = g[..., 0, :], g[..., 1, :], g[..., 2, :]
     return (r0[..., 0] * (r1[..., 1] * r2[..., 2] - r1[..., 2] * r2[..., 1])
             + r0[..., 1] * (r1[..., 2] * r2[..., 0] - r1[..., 0] * r2[..., 2])
@@ -94,7 +47,7 @@ def cofactor_matrix(g) -> np.ndarray:
     Each entry is its 2x2 minor g[j, m] g[k, n] - g[j, n] g[k, m], with
     (i, j, k) and (l, m, n) cyclic.
     """
-    g = _gradient_of(g)
+    g = np.asarray(g, dtype=float)
     C = np.empty(g.shape)
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
@@ -109,7 +62,7 @@ def hyper_cofactor(g) -> np.ndarray:
 
     H[j, m, l, n] = d C[j, l] / d g[m, n]; linear in g.
     """
-    g = _gradient_of(g)
+    g = np.asarray(g, dtype=float)
     return np.einsum("jmk,lnr,...kr->...jmln", _EPS, _EPS, g)
 
 
@@ -163,9 +116,8 @@ def internal_energy(rho, grad_rho, hbar: float, mass: float):
     return np.where(valid, u, 0.0), valid
 
 
-def stress_lagrangian(g, second=None, third=None, rho0=None, drho0=None,
-                      d2rho0=None, hbar: float = 1.0,
-                      mass: float = 1.0) -> np.ndarray:
+def stress_lagrangian(g, second, third, rho0, drho0, d2rho0,
+                      hbar: float = 1.0, mass: float = 1.0) -> np.ndarray:
     """Quantum stress in label variables (gradient, its label derivatives,
     and the initial density with its first two label gradients).
 
@@ -181,12 +133,6 @@ def stress_lagrangian(g, second=None, third=None, rho0=None, drho0=None,
     derivatives of the map.  Symmetry in (i, j) is not manifest term by
     term; it emerges from the cofactor identities and is asserted in tests.
     """
-    if isinstance(g, DeformGradient):
-        if second is None:
-            second = g.second
-        if third is None:
-            third = g.third
-        g = g.g
     g = np.asarray(g, dtype=float)
     Q = np.asarray(second, dtype=float)
     T = np.asarray(third, dtype=float)

@@ -293,13 +293,6 @@ def acceleration_newton(traj: TrajectoryState, init: InitialState,
                               _vq_from(data, params, kin))
 
 
-def quantum_potential_labels(traj: TrajectoryState, init: InitialState,
-                             params: PhysicsParams) -> np.ndarray:
-    """V_Q evaluated at each fluid element of a snapshot."""
-    data = _LabelData(init, params)
-    return _vq_from(data, params, _kinematics(data, traj.q, traj.t))
-
-
 def energy_of(traj: TrajectoryState, init: InitialState, params: PhysicsParams,
               *, data: Optional[_LabelData] = None, kin=None) -> float:
     """Discrete total energy sum_i w_i rho0_i (m qdot^2/2 + U + V).

@@ -68,10 +68,6 @@ class TabulatedPotential:
         if np.min(x) < self.x_grid[0] or np.max(x) > self.x_grid[-1]:
             raise ValidationError("evaluation point outside the tabulated potential grid")
 
-    def matches_grid(self, x_grid, tol=1e-12) -> bool:
-        x = np.asarray(x_grid, dtype=float)
-        return x.shape == self.x_grid.shape and np.allclose(x, self.x_grid, atol=tol)
-
 
 Potential = FreePotential | HarmonicPotential | TabulatedPotential
 
@@ -293,19 +289,20 @@ class TrajectoryState:
 
 @dataclass(frozen=True)
 class EulerianField:
-    """Fields on a fixed spatial grid; unpopulated members are None.
+    """Density, phase, velocity and wavefunction on a fixed spatial grid.
 
     ``mask`` marks the points covered by valid data (for trajectory
-    reconstructions, the image of the label interval).  Where both psi and
-    (rho, S) are populated they must describe the same state.
+    reconstructions, the image of the label interval).  On the masked
+    support psi must describe the state (rho, S): |psi|^2 = rho and
+    arg psi = S / hbar (mod 2 pi).
     """
 
     x: np.ndarray
     t: float
-    rho: Optional[np.ndarray] = None
-    S: Optional[np.ndarray] = None
-    v: Optional[np.ndarray] = None
-    psi: Optional[np.ndarray] = None
+    rho: np.ndarray
+    S: np.ndarray
+    v: np.ndarray
+    psi: np.ndarray
     mask: Optional[np.ndarray] = None
     hbar: float = 1.0
 
@@ -318,27 +315,24 @@ class EulerianField:
             raise ValidationError("mask must match the grid shape")
         object.__setattr__(self, "mask", mask)
         for name in ("rho", "S", "v", "psi"):
-            val = getattr(self, name)
-            if val is None:
-                continue
-            val = np.asarray(val, dtype=complex if name == "psi" else float)
+            val = np.asarray(getattr(self, name),
+                             dtype=complex if name == "psi" else float)
             if val.shape != x.shape:
                 raise ValidationError(f"{name} must match the grid shape")
             object.__setattr__(self, name, val)
-        if self.rho is not None and np.any(self.rho[mask] < 0):
+        if np.any(self.rho[mask] < 0):
             raise ValidationError("rho must be nonnegative on the support")
-        if self.psi is not None and self.rho is not None and self.S is not None:
-            m = mask & (self.rho > 0)
-            if np.any(m):
-                scale = float(np.max(self.rho[m]))
-                err = np.max(np.abs(np.abs(self.psi[m]) ** 2 - self.rho[m]))
-                if err > 1e-12 * scale + 1e-300:
-                    raise ValidationError(
-                        f"|psi|^2 deviates from rho by {err:.3e} (limit {1e-12 * scale:.3e})"
-                    )
-                dphase = np.angle(self.psi[m] * np.exp(-1j * self.S[m] / self.hbar))
-                if np.max(np.abs(dphase)) > 1e-8:
-                    raise ValidationError("arg(psi) is inconsistent with S/hbar (mod 2 pi)")
+        m = mask & (self.rho > 0)
+        if np.any(m):
+            scale = float(np.max(self.rho[m]))
+            err = np.max(np.abs(np.abs(self.psi[m]) ** 2 - self.rho[m]))
+            if err > 1e-12 * scale + 1e-300:
+                raise ValidationError(
+                    f"|psi|^2 deviates from rho by {err:.3e} (limit {1e-12 * scale:.3e})"
+                )
+            dphase = np.angle(self.psi[m] * np.exp(-1j * self.S[m] / self.hbar))
+            if np.max(np.abs(dphase)) > 1e-8:
+                raise ValidationError("arg(psi) is inconsistent with S/hbar (mod 2 pi)")
 
     @property
     def dx(self) -> float:
@@ -346,8 +340,6 @@ class EulerianField:
 
     def support_norm(self) -> float:
         """Trapezoid integral of rho over the masked support."""
-        if self.rho is None:
-            raise ValidationError("field has no density")
         m = self.mask
         return float(np.trapezoid(self.rho[m], self.x[m]))
 

@@ -51,12 +51,8 @@ def write_fields(path, fields: Sequence[EulerianField]) -> None:
     lines = [f"# schema: {FIELDS_SCHEMA}", "t,x,rho,S,v,re_psi,im_psi,mask"]
     for f in fields:
         t = _fmt(f.t)
-        n = f.x.size
-        rho = f.rho if f.rho is not None else np.full(n, np.nan)
-        S = f.S if f.S is not None else np.full(n, np.nan)
-        v = f.v if f.v is not None else np.full(n, np.nan)
-        psi = f.psi if f.psi is not None else np.full(n, np.nan, dtype=complex)
-        for i in range(n):
+        rho, S, v, psi = f.rho, f.S, f.v, f.psi
+        for i in range(f.x.size):
             ok = bool(f.mask[i])
             vals = (rho[i], S[i], v[i], psi[i].real, psi[i].imag) if ok else \
                 (math.nan,) * 5

@@ -10,16 +10,15 @@ with no spatial grid and no history.  ``evolve`` builds chi from that
 same quadrature, so on its output the check reads rounding; it guards
 snapshots built elsewhere, by hand or read back from a CSV.
 
-A reconstruction builds one inverse map, by :func:`invert_map`, and it
-serves rho, v and S.  The residual diagnostics take V_Q from
-``PhysicsParams.quantum_potential``.
+:func:`reconstruct_wavefunction` is the one push-forward: it builds one
+inverse map, by :func:`invert_map`, and it serves rho, v and S.  The
+residual diagnostics take V_Q from ``PhysicsParams.quantum_potential``.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -111,37 +110,9 @@ def invert_map(traj: TrajectoryState, x_grid):
     return a_of_x, mask
 
 
-def _pushforward_at(traj, init, J, a_query):
-    """rho0 and J = dq/da at the labels ``a_query`` (rho = rho0 / J there),
-    given J on the labels."""
-    J_at = _pchip_linear_edges(traj.labels, J)(a_query)
-    if init.forms is not None and init.forms.rho0 is not None:
-        rho0_at = np.asarray(init.forms.rho0(a_query), dtype=float)
-    else:
-        rho0_at = _pchip_linear_edges(traj.labels, init.rho0)(a_query)
-    return rho0_at, J_at
-
-
 def _jacobian(traj):
     """J = dq/da on the labels (fourth-order stencil)."""
     return derivative(traj.q, grid_spacing(traj.labels), 1)
-
-
-def eulerian_density(traj: TrajectoryState, init: InitialState, x_grid):
-    """rho(x) = [rho0 / J] at a(x); masked outside the trajectory image."""
-    a_of_x, mask = invert_map(traj, x_grid)
-    rho = np.full(mask.shape, np.nan)
-    rho0_at, J_at = _pushforward_at(traj, init, _jacobian(traj), a_of_x[mask])
-    rho[mask] = np.maximum(rho0_at / J_at, 0.0)
-    return rho, mask
-
-
-def eulerian_velocity(traj: TrajectoryState, x_grid):
-    """v(x) = qdot at a(x), by the same interpolation as the inverse map."""
-    a_of_x, mask = invert_map(traj, x_grid)
-    v = np.full(mask.shape, np.nan)
-    v[mask] = _pchip_linear_edges(traj.labels, traj.qdot)(a_of_x[mask])
-    return v, mask
 
 
 def _phase_deviation(traj, init, params, J):
@@ -169,10 +140,13 @@ def reconstruct_wavefunction(history: Sequence[TrajectoryState],
                              x_grid) -> EulerianField:
     """Assemble the full Eulerian field (rho, S, v, psi) at the last snapshot.
 
-    Only ``history[-1]`` is read.  The phase is carried along trajectories
-    (S = S0 + chi composed with the inverse map).  The snapshot's
-    quasi-potential condition (:func:`phase_consistency_deviation`) is
-    checked on the way, and a deviation beyond ``DUAL_PHASE_TOL`` raises a
+    Only ``history[-1]`` is read.  Each field is a label quantity composed
+    with the inverse map a(x), by the interpolation the map itself uses:
+    rho = rho0 / J (rho0 from the analytic form when the initial state has
+    one), v = qdot and S = S0 + chi.  Points outside the trajectory image
+    are masked and hold zeros.  The snapshot's quasi-potential condition
+    (:func:`phase_consistency_deviation`) is checked on the way, and a
+    deviation beyond ``DUAL_PHASE_TOL`` raises a
     :class:`PhaseInconsistencyWarning` (the reconstruction itself is
     returned regardless).
     """
@@ -190,7 +164,11 @@ def reconstruct_wavefunction(history: Sequence[TrajectoryState],
     v = np.zeros(x.shape)
     psi = np.zeros(x.shape, dtype=complex)
     J = _jacobian(final)
-    rho0_at, J_at = _pushforward_at(final, init, J, aq)
+    J_at = _pchip_linear_edges(final.labels, J)(aq)
+    if init.forms is not None and init.forms.rho0 is not None:
+        rho0_at = np.asarray(init.forms.rho0(aq), dtype=float)
+    else:
+        rho0_at = _pchip_linear_edges(final.labels, init.rho0)(aq)
     rho[mask] = np.maximum(rho0_at / J_at, 0.0)
     v[mask] = _pchip_linear_edges(final.labels, final.qdot)(aq)
     S[mask] = _pchip_linear_edges(final.labels, init.s0 + final.chi)(aq)
@@ -243,9 +221,6 @@ def qhj_residual(field_a: EulerianField, field_b: EulerianField,
     """Phase-evolution residual dS/dt + (dS/dx)^2/2m + V + V_Q at the
     midpoint of two consecutive snapshots.  Returns (r, mask)."""
     _check_pair(field_a, field_b)
-    for f in (field_a, field_b):
-        if f.S is None or f.rho is None:
-            raise ValidationError("qhj_residual needs rho and S populated")
     x = field_a.x
     h = grid_spacing(x)
     dt = field_b.t - field_a.t
@@ -265,9 +240,6 @@ def continuity_euler_residuals(field_a: EulerianField, field_b: EulerianField,
     """Residuals of mass transport and of the velocity equation between two
     consecutive snapshots.  Returns (r_cont, r_euler, mask)."""
     _check_pair(field_a, field_b)
-    for f in (field_a, field_b):
-        if f.rho is None or f.v is None:
-            raise ValidationError("residuals need rho and v populated")
     x = field_a.x
     h = grid_spacing(x)
     dt = field_b.t - field_a.t
@@ -312,45 +284,21 @@ def advect_labels_check(field_history: Sequence[EulerianField],
     return float(np.max(np.abs(xs - q_at)))
 
 
-@dataclass(frozen=True)
-class Moments:
-    """Mean position and momentum per picture; None when not supplied."""
+def lagrangian_moments(traj: TrajectoryState, init: InitialState,
+                       params: PhysicsParams) -> tuple[float, float]:
+    """<x> and <p> of the trajectory ensemble: sums of w rho0 q and
+    w rho0 m qdot over the labels (w the trapezoid weights)."""
+    w = trapezoid_weights(traj.labels) * init.rho0
+    return (float(np.sum(w * traj.q)),
+            float(np.sum(w * params.mass * traj.qdot)))
 
-    lagrangian: Optional[tuple] = None
-    eulerian: Optional[tuple] = None
 
-
-def ensemble_moments(traj: Optional[TrajectoryState] = None,
-                     field: Optional[EulerianField] = None,
-                     init: Optional[InitialState] = None,
-                     params: Optional[PhysicsParams] = None) -> Moments:
-    """<x> and <p> from the trajectory ensemble and/or from the fields.
-
-    Trajectory route: sums of w rho0 q and w rho0 m qdot over labels.
-    Field route: integrals of x rho and rho dS/dx over the support.
-    """
-    lagr = euler = None
-    if traj is not None:
-        if init is None or params is None:
-            raise ValidationError("trajectory moments need init and params")
-        w = trapezoid_weights(traj.labels) * init.rho0
-        lagr = (float(np.sum(w * traj.q)),
-                float(np.sum(w * params.mass * traj.qdot)))
-    if field is not None:
-        if params is None:
-            raise ValidationError("field moments need params")
-        if field.rho is None:
-            raise ValidationError("field moments need rho")
-        m = field.mask
-        x = field.x[m]
-        rho = field.rho[m]
-        mean_x = float(np.trapezoid(x * rho, x))
-        if field.v is not None:
-            dsdx = params.mass * field.v[m]
-        elif field.S is not None:
-            dsdx = derivative(field.S, grid_spacing(field.x), 1)[m]
-        else:
-            raise ValidationError("field moments need v or S")
-        mean_p = float(np.trapezoid(rho * dsdx, x))
-        euler = (mean_x, mean_p)
-    return Moments(lagrangian=lagr, eulerian=euler)
+def eulerian_moments(field: EulerianField,
+                     params: PhysicsParams) -> tuple[float, float]:
+    """<x> and <p> of the fields: trapezoid integrals of x rho and
+    rho m v over the masked support."""
+    m = field.mask
+    x = field.x[m]
+    rho = field.rho[m]
+    return (float(np.trapezoid(x * rho, x)),
+            float(np.trapezoid(rho * (params.mass * field.v[m]), x)))

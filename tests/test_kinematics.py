@@ -101,7 +101,10 @@ class TestJacobian:
     @settings(max_examples=100, deadline=None)
     @given(matrices)
     def test_matches_determinant(self, g):
-        assert jacobian(g) == pytest.approx(np.linalg.det(g), abs=1e-10)
+        # numpy's det warns of a division by zero on some singular draws
+        with np.errstate(divide="ignore", invalid="ignore"):
+            det = np.linalg.det(g)
+        assert jacobian(g) == pytest.approx(det, abs=1e-10)
 
     def test_levi_civita(self):
         eps = levi_civita()
@@ -157,13 +160,6 @@ class TestClosedForms:
         assert np.all(np.abs(C - _einsum_cofactor(g))
                       <= 8 * ULP * _cofactor_scale(g))
 
-    def test_deform_gradient_input(self):
-        from qflow.kinematics import DeformGradient
-        g = np.random.default_rng(14).normal(size=(3, 3))
-        dg = DeformGradient(g)
-        assert jacobian(dg) == jacobian(g) == dg.jacobian()
-        assert np.array_equal(cofactor_matrix(dg), cofactor_matrix(g))
-
     def test_jacobian_independent_of_cofactors(self, monkeypatch):
         # tensor_check's g^T C = J I must compare two separate formulas
         def fail(g):
@@ -171,7 +167,6 @@ class TestClosedForms:
         monkeypatch.setattr(kinematics, "cofactor_matrix", fail)
         g = np.random.default_rng(15).normal(size=(5, 3, 3))
         assert np.allclose(jacobian(g), np.linalg.det(g), rtol=1e-12, atol=1e-12)
-        assert kinematics.DeformGradient(g[0]).jacobian() == jacobian(g[0])
 
 
 class TestForceIdentityFields:
@@ -349,29 +344,3 @@ class TestInternalEnergy:
             uk, _ = internal_energy(rho_i[:, k], gk, 1.0, 1.0)
             parts += uk
         assert np.max(np.abs(total - parts)) <= 1e-12
-
-
-class TestDeformGradientType:
-    def test_wraps_functions(self):
-        from qflow.kinematics import DeformGradient
-        dg = DeformGradient(np.diag([2.0, 3.0, 4.0]))
-        assert jacobian(dg) == pytest.approx(24.0)
-        assert dg.jacobian() == pytest.approx(24.0)
-        assert cofactor_matrix(dg) == pytest.approx(np.diag([12.0, 8.0, 6.0]))
-
-    def test_symmetry_validation(self):
-        from qflow.kinematics import DeformGradient
-        second = np.zeros((3, 3, 3))
-        second[0, 1, 2] = 1.0  # not symmetric in (1, 2)
-        with pytest.raises(ValidationError, match="symmetric"):
-            DeformGradient(np.eye(3), second=second)
-
-    def test_carries_derivatives_into_stress(self):
-        from qflow.kinematics import DeformGradient
-        pt = np.array([0.3, -0.4, 0.2])
-        _, g, second, third = _synthetic_map(pt)
-        rho0, dr, d2r = _gauss3(pt)
-        dg = DeformGradient(g, second, third)
-        a = stress_lagrangian(dg, rho0=rho0, drho0=dr, d2rho0=d2r)
-        b = stress_lagrangian(g, second, third, rho0, dr, d2r, 1.0, 1.0)
-        assert np.array_equal(a, b)

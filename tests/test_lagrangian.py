@@ -9,7 +9,7 @@ from qflow.lagrangian import (ModeProjector, SolverConfig, _accel_direct_from,
                               _projected_force, _vq_from,
                               acceleration_direct, acceleration_newton,
                               default_projection_degree, energy_of, evolve,
-                              initial_velocity, quantum_potential_labels)
+                              initial_velocity)
 from qflow.model import (MAX_STEPS, AnalyticForms, HarmonicPotential,
                          InitialState, PhysicsParams, TrajectoryState,
                          make_gaussian_state, plan_steps)
@@ -185,8 +185,8 @@ class TestAccelerations:
         assert np.max(np.abs(acceleration_direct(state, init, PARAMS))) < 1e-8
 
     def test_quantum_potential_values(self):
-        state = _state_from(self.init)
-        vq = quantum_potential_labels(state, self.init, PARAMS)
+        data = _LabelData(self.init, PARAMS)
+        vq = _vq_from(data, PARAMS, _kinematics(data, self.init.labels))
         i0 = np.argmin(np.abs(self.init.labels))
         i1 = np.argmin(np.abs(self.init.labels - 1.0))
         assert vq[i0] == pytest.approx(0.25, abs=1e-8)
@@ -221,8 +221,6 @@ class TestAccelerations:
                              - acc_ref)) <= tol
         assert np.max(np.abs(_accel_direct_from(data, PARAMS, q, kin)
                              - acc_ref)) <= tol
-        assert np.array_equal(quantum_potential_labels(state, self.init, PARAMS),
-                              vq_ref)
         assert np.array_equal(_vq_from(data, PARAMS, kin), vq_ref)
 
     @pytest.mark.parametrize("potential", [None, HarmonicPotential(omega=1.5)])

@@ -48,12 +48,6 @@ class TestPotentials:
         with pytest.raises(ValidationError):
             p.potential_energy(np.array([1.5]))
 
-    def test_tabulated_grid_match(self):
-        grid = np.linspace(0, 1, 9)
-        pot = TabulatedPotential(grid, np.zeros(9))
-        assert pot.matches_grid(grid)
-        assert not pot.matches_grid(grid + 1e-3)
-
 
 class TestGaussianState:
     def test_peak_value(self):
@@ -199,16 +193,29 @@ class TestStateTypes:
         x = np.linspace(-1, 1, 33)
         rho = np.full_like(x, 0.5)
         S = 0.3 * x
+        v = np.full_like(x, 0.3)
         psi = assemble_wavefunction(rho, S, 1.0)
-        EulerianField(x=x, t=0.0, rho=rho, S=S, psi=psi)  # consistent: fine
+        EulerianField(x=x, t=0.0, rho=rho, S=S, v=v, psi=psi)  # consistent: fine
         with pytest.raises(ValidationError):
-            EulerianField(x=x, t=0.0, rho=rho, S=S + 0.5, psi=psi)
+            EulerianField(x=x, t=0.0, rho=rho, S=S + 0.5, v=v, psi=psi)
         with pytest.raises(ValidationError):
-            EulerianField(x=x, t=0.0, rho=rho * 1.01, S=S, psi=psi)
+            EulerianField(x=x, t=0.0, rho=rho * 1.01, S=S, v=v, psi=psi)
 
-    def test_support_norm(self):
+    @pytest.mark.parametrize("member", ["rho", "S", "v", "psi"])
+    def test_field_members_required(self, make_field, member):
+        # a field always carries all four: omitted or None is rejected
+        x = np.linspace(-1, 1, 33)
+        full = make_field(x, 0.0, np.full_like(x, 0.5), S=0.3 * x)
+        members = {name: getattr(full, name) for name in ("rho", "S", "v", "psi")}
+        partial = {k: val for k, val in members.items() if k != member}
+        with pytest.raises(TypeError, match=f"'{member}'"):
+            EulerianField(x=x, t=0.0, **partial)
+        with pytest.raises(ValidationError, match=f"{member} must match"):
+            EulerianField(x=x, t=0.0, **partial, **{member: None})
+
+    def test_support_norm(self, make_field):
         x = np.linspace(0, 1, 101)
-        field = EulerianField(x=x, t=0.0, rho=np.ones_like(x))
+        field = make_field(x, 0.0, np.ones_like(x))
         assert field.support_norm() == pytest.approx(1.0)
 
 

@@ -17,10 +17,10 @@ from qflow.model import (AnalyticForms, EulerianField, InitialState,
                          make_gaussian_state)
 from qflow.reconstruction import (_pchip_linear_edges, _pchip_slopes,
                                   advect_labels_check,
-                                  continuity_euler_residuals, ensemble_moments,
-                                  eulerian_density, eulerian_velocity,
-                                  invert_map, phase_consistency_deviation,
-                                  qhj_residual, reconstruct_wavefunction)
+                                  continuity_euler_residuals, eulerian_moments,
+                                  invert_map, lagrangian_moments,
+                                  phase_consistency_deviation, qhj_residual,
+                                  reconstruct_wavefunction)
 from qflow.spectral import reference_fields, split_step_evolve
 
 PARAMS = PhysicsParams()
@@ -29,9 +29,18 @@ INIT = make_gaussian_state(1.0, PARAMS, LABELS)
 
 
 def _exact_traj(t, boost=0.0):
+    """Closed-form snapshot, optionally Galilean-boosted; chi is the
+    closed-form phase S(q, t) (S0 = 0), so the snapshot is quasi-potential."""
     q, qdot = gaussian_trajectory(LABELS, t, 1.0, PARAMS)
+    _, S = gaussian_wavefunction(q, t, 1.0, PARAMS)
+    chi = S + PARAMS.mass * boost * q + 0.5 * PARAMS.mass * boost**2 * t
     return TrajectoryState(labels=LABELS, q=q + boost * t, qdot=qdot + boost,
-                           chi=np.zeros_like(q), t=t)
+                           chi=chi, t=t)
+
+
+def _reconstruct_at(traj, x):
+    """The field a reconstruction from the single snapshot ``traj`` gives."""
+    return reconstruct_wavefunction([traj], INIT, PARAMS, x)
 
 
 def _analytic_field(t, x, boost=0.0):
@@ -180,32 +189,33 @@ class TestInvertMap:
 class TestPushForward:
     def test_density_resample_at_start(self):
         x = np.linspace(-8, 8, 501)
-        rho, mask = eulerian_density(_exact_traj(0.0), INIT, x)
+        field = _reconstruct_at(_exact_traj(0.0), x)
         expected = INIT.forms.rho0(x)
-        assert np.max(np.abs(rho[mask] - expected[mask])) < 1e-8
+        assert np.max(np.abs(field.rho[field.mask] - expected[field.mask])) < 1e-8
 
     def test_density_spread_peak(self):
-        rho, mask = eulerian_density(_exact_traj(2.0), INIT, np.array([0.0]))
-        assert rho[0] == pytest.approx(0.2820948, abs=1e-6)
+        field = _reconstruct_at(_exact_traj(2.0), np.array([0.0]))
+        assert field.rho[0] == pytest.approx(0.2820948, abs=1e-6)
 
     def test_density_norm_preserved(self):
         x = np.linspace(-12, 12, 1024, endpoint=False)
-        rho, mask = eulerian_density(_exact_traj(2.0), INIT, x)
-        norm = np.trapezoid(rho[mask], x[mask])
+        field = _reconstruct_at(_exact_traj(2.0), x)
+        norm = np.trapezoid(field.rho[field.mask], x[field.mask])
         assert abs(norm - 1.0) <= 1e-4
 
     def test_velocity_at_rest(self):
-        v, mask = eulerian_velocity(_exact_traj(0.0), np.linspace(-5, 5, 21))
-        assert np.max(np.abs(v[mask])) == 0.0
+        field = _reconstruct_at(_exact_traj(0.0), np.linspace(-5, 5, 21))
+        assert np.max(np.abs(field.v[field.mask])) == 0.0
 
     def test_velocity_spread_value(self):
-        v, mask = eulerian_velocity(_exact_traj(2.0), np.array([1.0]))
-        assert v[0] == pytest.approx(0.25, abs=1e-6)
+        field = _reconstruct_at(_exact_traj(2.0), np.array([1.0]))
+        assert field.v[0] == pytest.approx(0.25, abs=1e-6)
 
     def test_velocity_boosted_uniform(self):
-        v, mask = eulerian_velocity(_exact_traj(0.0, boost=1.0),
-                                    np.linspace(-5, 5, 41))
-        assert v[mask] == pytest.approx(np.ones(mask.sum()), abs=1e-9)
+        field = _reconstruct_at(_exact_traj(0.0, boost=1.0),
+                                np.linspace(-5, 5, 41))
+        assert field.v[field.mask] == pytest.approx(np.ones(field.mask.sum()),
+                                                    abs=1e-9)
 
 
 @pytest.fixture(scope="module")
@@ -255,20 +265,24 @@ def mixture_run():
 
 class TestReconstruct:
     def test_fields_equal_the_public_maps(self, short_run):
+        # reference: rho0 / J, qdot and S0 + chi at the labels a(x) of the
+        # public inverse map, by the interpolant the map itself uses
         x = np.linspace(-12, 12, 1024, endpoint=False)
         field = reconstruct_wavefunction(short_run, INIT, PARAMS, x)
         final = short_run[-1]
-        rho, mask = eulerian_density(final, INIT, x)
-        v, _ = eulerian_velocity(final, x)
-        # S0 + chi composed through the inverse map: the velocity route
-        # applied to a snapshot carrying S0 + chi in place of qdot
-        carried = dataclasses.replace(final, qdot=INIT.s0 + final.chi)
-        S, _ = eulerian_velocity(carried, x)
+        a_of_x, mask = invert_map(final, x)
+        aq = a_of_x[mask]
+        J = stencils.derivative(final.q, stencils.grid_spacing(LABELS), 1)
+        rho = np.maximum(INIT.forms.rho0(aq)
+                         / _pchip_linear_edges(LABELS, J)(aq), 0.0)
+        v = _pchip_linear_edges(LABELS, final.qdot)(aq)
+        S = _pchip_linear_edges(LABELS, INIT.s0 + final.chi)(aq)
         assert np.array_equal(field.mask, mask)
         for got, want in ((field.rho, rho), (field.v, v), (field.S, S)):
-            assert np.array_equal(got, np.where(mask, want, 0.0))
+            assert np.array_equal(got[mask], want)
+            assert not np.any(got[~mask])
         assert np.array_equal(field.psi[mask],
-                              assemble_wavefunction(rho[mask], S[mask], PARAMS.hbar))
+                              assemble_wavefunction(rho, S, PARAMS.hbar))
         assert not np.any(field.psi[~mask])
 
     def test_one_inverse_map_per_snapshot(self, monkeypatch, short_run):
@@ -367,19 +381,19 @@ class TestResiduals:
         assert mask.sum() > 100
         assert np.max(np.abs(r[mask])) < 1e-4
 
-    def test_qhj_constant_phase_drift(self):
+    def test_qhj_constant_phase_drift(self, make_field):
         x = np.linspace(-4, 4, 257)
         rho = np.full_like(x, 0.125)
         for E, expected in ((0.3, -0.3), (0.0, 0.0)):
-            fa = EulerianField(x=x, t=1.0, rho=rho, S=np.full_like(x, -E * 1.0))
-            fb = EulerianField(x=x, t=1.01, rho=rho, S=np.full_like(x, -E * 1.01))
+            fa = make_field(x, 1.0, rho, S=np.full_like(x, -E * 1.0))
+            fb = make_field(x, 1.01, rho, S=np.full_like(x, -E * 1.01))
             r, mask = qhj_residual(fa, fb, PARAMS)
             assert r[mask] == pytest.approx(np.full(mask.sum(), expected),
                                             abs=1e-9)
 
-    def test_qhj_requires_two_snapshots(self):
+    def test_qhj_requires_two_snapshots(self, make_field):
         x = np.linspace(-4, 4, 65)
-        f = EulerianField(x=x, t=0.0, rho=np.ones_like(x), S=np.zeros_like(x))
+        f = make_field(x, 0.0, np.ones_like(x))
         with pytest.raises(ValidationError):
             qhj_residual(f, None, PARAMS)
         with pytest.raises(ValidationError):
@@ -393,19 +407,19 @@ class TestResiduals:
         assert np.max(np.abs(r_cont[mask])) < 1e-4
         assert np.max(np.abs(r_euler[mask])) < 1e-4
 
-    def test_static_state_continuity(self):
+    def test_static_state_continuity(self, make_field):
         x = np.linspace(-6, 6, 257)
         rho = np.exp(-x**2) / np.sqrt(np.pi)
-        fa = EulerianField(x=x, t=0.0, rho=rho, v=np.zeros_like(x))
-        fb = EulerianField(x=x, t=0.1, rho=rho, v=np.zeros_like(x))
+        fa = make_field(x, 0.0, rho)
+        fb = make_field(x, 0.1, rho)
         r_cont, _, mask = continuity_euler_residuals(fa, fb, PARAMS)
         assert np.max(np.abs(r_cont[mask])) == 0.0
 
-    def test_grid_mismatch_rejected(self):
+    def test_grid_mismatch_rejected(self, make_field):
         xa = np.linspace(-4, 4, 65)
         xb = np.linspace(-4, 4, 66)
-        fa = EulerianField(x=xa, t=0.0, rho=np.ones_like(xa), v=np.zeros_like(xa))
-        fb = EulerianField(x=xb, t=0.1, rho=np.ones_like(xb), v=np.zeros_like(xb))
+        fa = make_field(xa, 0.0, np.ones_like(xa))
+        fb = make_field(xb, 0.1, np.ones_like(xb))
         with pytest.raises(ValidationError):
             continuity_euler_residuals(fa, fb, PARAMS)
 
@@ -436,22 +450,22 @@ class TestAdvectLabels:
 
 class TestMoments:
     def test_resting_packet_is_centered(self):
-        mom = ensemble_moments(traj=_exact_traj(0.0), init=INIT, params=PARAMS)
-        assert abs(mom.lagrangian[0]) <= 1e-10
-        assert abs(mom.lagrangian[1]) <= 1e-10
+        mean_x, mean_p = lagrangian_moments(_exact_traj(0.0), INIT, PARAMS)
+        assert abs(mean_x) <= 1e-10
+        assert abs(mean_p) <= 1e-10
 
     def test_boosted_momentum(self):
         boosted = make_gaussian_state(1.0, PARAMS, LABELS, boost_k=1.0)
         traj = TrajectoryState(labels=LABELS, q=LABELS,
                                qdot=np.ones_like(LABELS),
                                chi=np.zeros_like(LABELS), t=0.0)
-        mom = ensemble_moments(traj=traj, init=boosted, params=PARAMS)
-        assert mom.lagrangian[1] == pytest.approx(1.0, abs=1e-6)
+        mean_p = lagrangian_moments(traj, boosted, PARAMS)[1]
+        assert mean_p == pytest.approx(1.0, abs=1e-6)
 
     def test_two_route_agreement(self):
         x = np.linspace(-14, 14, 1401)
         field = _analytic_field(2.0, x)
-        mom = ensemble_moments(traj=_exact_traj(2.0), field=field, init=INIT,
-                               params=PARAMS)
-        assert abs(mom.lagrangian[0] - mom.eulerian[0]) <= 1e-6
-        assert abs(mom.lagrangian[1] - mom.eulerian[1]) <= 1e-6
+        lagr = lagrangian_moments(_exact_traj(2.0), INIT, PARAMS)
+        euler = eulerian_moments(field, PARAMS)
+        assert abs(lagr[0] - euler[0]) <= 1e-6
+        assert abs(lagr[1] - euler[1]) <= 1e-6
