@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import PhysicsParams
+from .stencils import trapezoid_weights
 
 
 def gaussian_alpha(sigma0: float, params: PhysicsParams) -> float:
@@ -91,8 +92,6 @@ def error_norms(field_a, field_b, x_grid, mask=None) -> Norms:
     mask = np.ones(x.shape, bool) if mask is None else np.asarray(mask, bool)
     if not np.any(mask):
         raise ValidationError("empty mask")
-    from .stencils import trapezoid_weights
-
     w = trapezoid_weights(x[mask])
     d = a[mask] - b[mask]
     l2 = float(np.sqrt(np.sum(w * np.abs(d) ** 2)))

@@ -42,15 +42,6 @@ def _as_int(s):
     return int(v)
 
 
-def _as_bool(s):
-    low = s.strip().lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {s}")
-
-
 def _as_str(s):
     return s
 
@@ -79,7 +70,6 @@ SCHEMA = {
     "physics.potential_file": (_as_str, ""),
     "state.sigma0": (_as_float, 1.0),
     "state.boost_k": (_as_float, 0.0),
-    "state.analytic_forms": (_as_bool, True),
     "grid.n_labels": (_as_int, 401),
     "grid.label_min": (_as_float, -8.0),
     "grid.label_max": (_as_float, 8.0),
@@ -217,8 +207,7 @@ class Settings:
 
     def initial_state(self, params: PhysicsParams) -> InitialState:
         return make_gaussian_state(self["state.sigma0"], params, self.label_grid(),
-                                   boost_k=self["state.boost_k"],
-                                   analytic=self["state.analytic_forms"])
+                                   boost_k=self["state.boost_k"])
 
     def solver_config(self) -> SolverConfig:
         cfg = SolverConfig(

@@ -181,7 +181,7 @@ class _LabelData:
         self.d1 = Stencil(a.size, self.h, 1)
         self.quantum_coeff = params.hbar**2 / (4.0 * params.mass**2)
         self.mass_weights = trapezoid_weights(a) * init.rho0
-        if forms is not None and forms.rho0 and forms.drho0 and forms.d2rho0:
+        if forms is not None:
             r = np.asarray(forms.rho0(a), dtype=float)
             if np.any(r <= 0):
                 raise ValidationError(f"analytic rho0 underflows to 0 on the label "
@@ -221,7 +221,7 @@ def _kinematics(data: _LabelData, q, t=0.0):
 
 def initial_velocity(init: InitialState, params: PhysicsParams) -> np.ndarray:
     """v0 = (1/m) dS0/da, from the analytic form when available."""
-    if init.forms is not None and init.forms.ds0 is not None:
+    if init.forms is not None:
         ds = np.asarray(init.forms.ds0(init.labels), dtype=float)
     else:
         ds = derivative(init.s0, grid_spacing(init.labels), 1)

@@ -120,17 +120,17 @@ class PhysicsParams:
 class AnalyticForms:
     """Closed-form callbacks for the initial density/phase and derivatives.
 
-    When present, the solvers evaluate log-density derivatives from these
-    instead of differencing sampled values; the ratio drho0/rho0 of two
-    closed forms stays accurate deep into the tails where the sampled
-    quotient would not.
+    When an initial state carries them, the solvers evaluate log-density
+    derivatives from these instead of differencing sampled values; the
+    ratio drho0/rho0 of two closed forms stays accurate deep into the tails
+    where the sampled quotient would not.  ``d2s0`` is not read.
     """
 
-    rho0: Optional[Callable] = None
-    drho0: Optional[Callable] = None
-    d2rho0: Optional[Callable] = None
-    s0: Optional[Callable] = None
-    ds0: Optional[Callable] = None
+    rho0: Callable
+    drho0: Callable
+    d2rho0: Callable
+    s0: Callable
+    ds0: Callable
     d2s0: Optional[Callable] = None
 
 
@@ -197,7 +197,6 @@ def _gaussian_forms(sigma0: float, hbar: float, boost_k: float = 0.0,
         d2rho0=lambda x: rho0_f(x) * ((np.asarray(x, dtype=float) / s2) ** 2 - 1.0 / s2),
         s0=lambda x: hbar * k * np.asarray(x, dtype=float),
         ds0=lambda x: np.full_like(np.asarray(x, dtype=float), hbar * k),
-        d2s0=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
     )
 
 
@@ -294,7 +293,7 @@ class EulerianField:
     ``mask`` marks the points covered by valid data (for trajectory
     reconstructions, the image of the label interval).  On the masked
     support psi must describe the state (rho, S): |psi|^2 = rho and
-    arg psi = S / hbar (mod 2 pi).
+    arg psi = S / hbar (mod 2 pi).  Every entry, off the mask too, is finite.
     """
 
     x: np.ndarray
@@ -320,6 +319,7 @@ class EulerianField:
             if val.shape != x.shape:
                 raise ValidationError(f"{name} must match the grid shape")
             object.__setattr__(self, name, val)
+        _require_finite(rho=self.rho, S=self.S, v=self.v, psi=self.psi)
         if np.any(self.rho[mask] < 0):
             raise ValidationError("rho must be nonnegative on the support")
         m = mask & (self.rho > 0)

@@ -19,9 +19,9 @@ from .kinematics import (cofactor_matrix, jacobian, quantum_potential,
                          stress_eulerian, stress_lagrangian)
 from .lagrangian import (SolverConfig, _LabelData, acceleration_direct,
                          acceleration_newton, evolve)
-from .model import (FreePotential, InitialState, PhysicsParams,
-                    TrajectoryState, _gaussian_forms, assemble_wavefunction,
-                    make_gaussian_state)
+from .model import (FreePotential, HarmonicPotential, InitialState,
+                    PhysicsParams, TrajectoryState, _gaussian_forms,
+                    assemble_wavefunction, make_gaussian_state)
 from .qtm import qtm_evolve
 from .reconstruction import (continuity_euler_residuals, eulerian_moments,
                              lagrangian_moments, phase_consistency_deviation,
@@ -158,12 +158,13 @@ def run_qtm(settings: Settings):
     return result, trajectories, summary
 
 
-def compare_fields(fields_a, fields_b, time_tol: float = 1e-9) -> dict:
-    """Error norms between two field sets at their common snapshot times."""
+def compare_fields(fields_a, fields_b) -> dict:
+    """Error norms between two field sets at their common snapshot times
+    (times within 1e-9 of each other)."""
     by_time = []
     for fa in fields_a:
         for fb in fields_b:
-            if abs(fa.t - fb.t) <= time_tol:
+            if abs(fa.t - fb.t) <= 1e-9:
                 by_time.append((fa, fb))
                 break
     if not by_time:
@@ -571,8 +572,6 @@ def temporal_convergence(params: PhysicsParams | None = None,
     All runs share one spatial discretization; the reference uses dt
     sixteen times smaller than the finest rung.
     """
-    from .model import HarmonicPotential
-
     base = params or PhysicsParams()
     params = PhysicsParams(hbar=base.hbar, mass=base.mass,
                            potential=HarmonicPotential(omega=1.0))

@@ -69,25 +69,23 @@ class QtmConfig:
 @dataclass(frozen=True)
 class ParticleSet:
     """Positions, log-density and phase carried by each particle, and the
-    velocity ``v = (dS/dx) / m`` of the fit at this state (``None`` when
-    built without one)."""
+    velocity ``v = (dS/dx) / m`` of the fit at this state."""
 
     x: np.ndarray
     log_rho: np.ndarray
     S: np.ndarray
     t: float
-    v: Optional[np.ndarray] = None
+    v: np.ndarray
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
         object.__setattr__(self, "x", x)
-        names = ("log_rho", "S") + (("v",) if self.v is not None else ())
-        for name in names:
+        for name in ("log_rho", "S", "v"):
             v = np.asarray(getattr(self, name), dtype=float)
             if v.shape != x.shape:
                 raise ValidationError(f"{name} must match the particle count")
             object.__setattr__(self, name, v)
-        _require_finite(**{name: getattr(self, name) for name in ("x",) + names})
+        _require_finite(x=x, log_rho=self.log_rho, S=self.S, v=self.v)
         if np.any(np.diff(x) <= 0):
             i = int(np.argmin(np.diff(x)))
             raise ValidationError(f"particle positions must increase (index {i})")

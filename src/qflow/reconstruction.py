@@ -165,7 +165,7 @@ def reconstruct_wavefunction(history: Sequence[TrajectoryState],
     psi = np.zeros(x.shape, dtype=complex)
     J = _jacobian(final)
     J_at = _pchip_linear_edges(final.labels, J)(aq)
-    if init.forms is not None and init.forms.rho0 is not None:
+    if init.forms is not None:
         rho0_at = np.asarray(init.forms.rho0(aq), dtype=float)
     else:
         rho0_at = _pchip_linear_edges(final.labels, init.rho0)(aq)

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, WrapAroundRiskWarning
-from .model import EulerianField, PhysicsParams, madelung_decompose, plan_steps
+from .errors import NodeEncountered, ValidationError, WrapAroundRiskWarning
+from .model import (NODE_FLOOR_REL, EulerianField, PhysicsParams,
+                    madelung_decompose, plan_steps)
 from .stencils import derivative, grid_spacing
 
 EDGE_MARGIN_FRACTION = 0.10
@@ -101,19 +102,16 @@ def split_step_evolve(psi0, x_grid, params: PhysicsParams, dt: float,
     return snapshots
 
 
-def reference_fields(snapshot: WaveSnapshot, x_grid, params: PhysicsParams,
-                     x_ref: int | None = None) -> EulerianField:
+def reference_fields(snapshot: WaveSnapshot, x_grid,
+                     params: PhysicsParams) -> EulerianField:
     """Hydrodynamic fields (rho, S, v) of a wave snapshot.
 
     The decomposition runs on the contiguous support where |psi| clears
     the node floor; far-tail points below it are masked out.  A sub-floor
     dip in the interior is a genuine node and raises.  The phase is
-    unwrapped and pinned at ``x_ref`` (grid center by default); the
-    velocity is the phase gradient over the mass.
+    unwrapped and pinned at the grid centre ``x.size // 2``; the velocity
+    is the phase gradient over the mass.
     """
-    from .errors import NodeEncountered
-    from .model import NODE_FLOOR_REL
-
     x = np.asarray(x_grid, dtype=float)
     psi = np.asarray(snapshot.psi, dtype=complex)
     amag = np.abs(psi)
@@ -128,12 +126,11 @@ def reference_fields(snapshot: WaveSnapshot, x_grid, params: PhysicsParams,
     if not np.all(inside):
         i = lo + int(np.argmin(inside))
         raise NodeEncountered(i, amag[i], floor)
-    if x_ref is None:
-        x_ref = x.size // 2
-    if not (lo <= x_ref < hi):
-        raise ValidationError("x_ref lies outside the nodeless support")
-    rho_w, S_w = madelung_decompose(psi[lo:hi], x_ref - lo, params.hbar)
-    v_w = derivative(S_w, grid_spacing(x), 1, 4) / params.mass
+    centre = x.size // 2
+    if not (lo <= centre < hi):
+        raise ValidationError("the grid centre lies outside the nodeless support")
+    rho_w, S_w = madelung_decompose(psi[lo:hi], centre - lo, params.hbar)
+    v_w = derivative(S_w, grid_spacing(x), 1) / params.mass
     mask = np.zeros(x.shape, dtype=bool)
     mask[lo:hi] = True
     rho = np.zeros(x.shape)

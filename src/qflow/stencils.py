@@ -1,13 +1,14 @@
 """Finite-difference stencils on uniform grids.
 
-Interior points use centred stencils; the outermost points fall back to
-one-sided stencils of the same order, mirrored with a sign flip for odd
-derivatives at the right edge.  Every row of every requested derivative,
-edge rows included, lives in one cached sparse operator per grid size, so
-a call is a single sparse product.  Each row sums its stencil in weight
-order starting from zero, and the scaling by ``h**m`` comes last.  Weights
-are generated from the Vandermonde system rather than hard-coded tables,
-so any (derivative, order) pair stays consistent by construction.
+Interior points use centred fourth-order stencils; the outermost points
+fall back to one-sided stencils of the same order, mirrored with a sign
+flip for odd derivatives at the right edge.  Every row of every requested
+derivative, edge rows included, lives in one cached sparse operator per
+grid size, so a call is a single sparse product.  Each row sums its
+stencil in weight order starting from zero, and the scaling by ``h**m``
+comes last.  Weights are generated from the Vandermonde system rather
+than hard-coded tables, so every derivative's rows stay consistent by
+construction.
 
 A :class:`Stencil` binds that operator and the ``h**m`` column to one grid
 and runs scipy's CSR kernel on it directly; a caller that differentiates on
@@ -28,10 +29,10 @@ from scipy.sparse import _sparsetools
 
 from .errors import ValidationError
 
-#: centered half-width per (derivative m, accuracy order p)
-_HALF = {(1, 2): 1, (2, 2): 1, (3, 2): 2, (1, 4): 2, (2, 4): 2, (3, 4): 3}
-#: one-sided stencil length per (m, p)
-_EDGE = {(1, 2): 3, (2, 2): 4, (3, 2): 5, (1, 4): 5, (2, 4): 6, (3, 4): 7}
+#: centred half-width per derivative m (fourth-order accuracy)
+_HALF = {1: 2, 2: 2, 3: 3}
+#: one-sided stencil length per m
+_EDGE = {1: 5, 2: 6, 3: 7}
 
 
 def fd_weights(offsets, m: int) -> np.ndarray:
@@ -44,18 +45,18 @@ def fd_weights(offsets, m: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _stencil_table(m: int, order: int):
-    if (m, order) not in _HALF:
-        raise ValidationError(f"unsupported derivative/order pair ({m}, {order})")
-    half = _HALF[(m, order)]
-    edge = _EDGE[(m, order)]
+def _stencil_table(m: int):
+    if m not in _HALF:
+        raise ValidationError(f"unsupported derivative order {m}")
+    half = _HALF[m]
+    edge = _EDGE[m]
     center = fd_weights(np.arange(-half, half + 1), m)
     rows = np.array([fd_weights(np.arange(edge) - i, m) for i in range(half)])
     return half, edge, center, rows
 
 
 @lru_cache(maxsize=64)
-def _operator(n: int, ms: tuple, order: int):
+def _operator(n: int, ms: tuple):
     """CSR of the unscaled weights of every row of every ``m`` in ``ms``.
 
     Row ``k * n + i`` holds the stencil of derivative ``ms[k]`` at point
@@ -63,7 +64,7 @@ def _operator(n: int, ms: tuple, order: int):
     one-sided rows at the left edge, and those rows mirrored (reversed
     columns, sign-flipped for odd ``m``) at the right edge.
     """
-    tables = [_stencil_table(m, order) for m in ms]
+    tables = [_stencil_table(m) for m in ms]
     edge_max = max(t[1] for t in tables)
     if n < edge_max:
         raise ValidationError(f"grid too short for stencils: {n} < {edge_max} points")
@@ -90,7 +91,7 @@ class Stencil:
     """The ``m``-th derivative (``m`` an int or a tuple) on a uniform grid of
     ``n`` points and spacing ``h``, as :func:`derivative` defines it.
 
-    Holds the CSR arrays of ``_operator(n, ms, order)`` and the ``h**m``
+    Holds the CSR arrays of ``_operator(n, ms)`` and the ``h**m``
     column, one entry per operator row.  A call runs scipy's CSR kernel
     (``csr_matvec``, or ``csr_matvecs`` for n-D ``f``) on a zeroed output,
     the kernel that ``op @ f`` runs, without the sparse-array dispatch
@@ -98,10 +99,10 @@ class Stencil:
     so the call checks its length first.
     """
 
-    def __init__(self, n: int, h: float, m=1, order: int = 4):
+    def __init__(self, n: int, h: float, m=1):
         single = np.ndim(m) == 0
         ms = (m,) if single else tuple(m)
-        op = _operator(n, ms, order)
+        op = _operator(n, ms)
         self.n = n
         self._csr = (op.shape[0], n, op.indptr, op.indices, op.data)
         self._h_m = np.repeat([h**k for k in ms], n)
@@ -133,7 +134,7 @@ class Stencil:
         return sparse.csr_array((data / scale, indices, indptr), shape=(rows, n))
 
 
-def derivative(f: np.ndarray, h: float, m=1, order: int = 4) -> np.ndarray:
+def derivative(f: np.ndarray, h: float, m=1) -> np.ndarray:
     """m-th derivative of samples ``f`` on a uniform grid of spacing ``h``.
 
     ``m`` may be a tuple of derivative orders; the result is then stacked,
@@ -143,7 +144,7 @@ def derivative(f: np.ndarray, h: float, m=1, order: int = 4) -> np.ndarray:
     single-``m`` result.
     """
     f = np.asarray(f, dtype=float)
-    return Stencil(f.shape[0], h, m, order)(f)
+    return Stencil(f.shape[0], h, m)(f)
 
 
 def grid_spacing(x: np.ndarray, rtol: float = 1e-9) -> float:

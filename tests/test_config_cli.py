@@ -186,6 +186,23 @@ class TestCli:
                   if abs(c["t"] - 0.2) < 1e-9]
         assert finals and finals[0]["psi_phase_reduced_l2"] < 1e-4
 
+    def test_compare_rejects_non_finite_field(self, tmp_path, capsys):
+        # a nan on the support would otherwise read back and compare as nan
+        cfg = _write_config(tmp_path / "cheap.cfg", CHEAP_RUN)
+        lag = tmp_path / "lag"
+        assert main(["run-lagrangian", "--config", str(cfg),
+                     "--out", str(lag), "--quiet"]) == 0
+        lines = (lag / "fields.csv").read_text().splitlines()
+        i = next(k for k, line in enumerate(lines) if line.endswith(",1"))
+        cols = lines[i].split(",")
+        cols[2] = "nan"
+        lines[i] = ",".join(cols)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["compare", str(bad), str(lag), "--config", str(cfg),
+                     "--out", str(tmp_path / "cmp"), "--quiet"]) == 2
+        assert f"rho[{i - 2}] = nan" in capsys.readouterr().err
+
     def test_run_qtm(self, small_config, tmp_path):
         out = tmp_path / "qtm"
         assert main(["run-qtm", "--config", str(small_config),
@@ -206,6 +223,7 @@ class TestCli:
             "solver.integrator = rk4",
             "solver.acceleration_path = direct",
             "solver.stencil_order = 4",
+            "state.analytic_forms = true",
         ]])
     def test_unknown_key_exits_2(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"

@@ -201,12 +201,12 @@ class TestAccelerations:
         q = a + 0.1 * np.sin(a)
         data = _LabelData(self.init, PARAMS)
         h, L1, L2 = data.h, data.L1, data.L2
-        J, Jp, Jpp = (derivative(q, h, m, 4) for m in (1, 2, 3))
+        J, Jp, Jpp = (derivative(q, h, m) for m in (1, 2, 3))
         Ji = 1.0 / J
         G = (2.0 * Ji**5 * Jp**2 - Ji**4 * Jp * L1 - Ji**4 * Jpp
              + Ji**3 * L2 - Ji**3 * L1**2)
         acc_ref = ((PARAMS.hbar**2 / (4.0 * PARAMS.mass**2))
-                   * (L1 * G + derivative(G, h, 1, 4))
+                   * (L1 * G + derivative(G, h, 1))
                    - PARAMS.potential_gradient(q) / PARAMS.mass)
         ca = L1 - Jp * Ji
         caa = (L2 - L1**2) - (Jpp * Ji - (Jp * Ji) ** 2)
@@ -372,7 +372,7 @@ class TestEvolve:
         _operator.cache_clear()
         evolve(init, PARAMS, SolverConfig(t_final=0.05, dt=0.01))
         info = _operator.cache_info()
-        # every build is a new (n, ms, order) key: (1, 2, 3) for the
+        # every build is a new (n, ms) key: (1, 2, 3) for the
         # kinematics and 1 for dG/da, each bound once for the whole run
         assert info.misses == info.currsize == 2
         assert info.hits == 0
@@ -424,8 +424,8 @@ class TestEnergyAndInvariants:
             cfg = SolverConfig(t_final=1.2, dt=dt, projection_degree=16,
                                snapshot_stride=10**9)
             s = evolve(init, harmonic, cfg)[-1]
-            lhs = harmonic.mass * s.qdot * derivative(s.q, h, 1, 4)
-            rhs = derivative(init.s0 + s.chi, h, 1, 4)
+            lhs = harmonic.mass * s.qdot * derivative(s.q, h, 1)
+            rhs = derivative(init.s0 + s.chi, h, 1)
             assert np.max(np.abs(lhs - rhs)) <= 1e-10, dt
 
 

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from qflow.benchmarks import gaussian_wavefunction
 from qflow.errors import NodeEncountered, ValidationError
-from qflow.model import (MAX_STEPS, EulerianField, HarmonicPotential,
-                         InitialState, PhysicsParams, TabulatedPotential,
+from qflow.model import (MAX_STEPS, AnalyticForms, EulerianField,
+                         HarmonicPotential, InitialState, PhysicsParams, TabulatedPotential,
                          TrajectoryState, assemble_wavefunction,
                          madelung_decompose, make_gaussian_state, plan_steps)
 
@@ -212,6 +212,25 @@ class TestStateTypes:
             EulerianField(x=x, t=0.0, **partial)
         with pytest.raises(ValidationError, match=f"{member} must match"):
             EulerianField(x=x, t=0.0, **partial, **{member: None})
+
+    @pytest.mark.parametrize("member", ["rho", "S", "v", "psi"])
+    def test_field_rejects_non_finite(self, make_field, member):
+        # NaN passes the sign and |psi|^2 / arg psi tests on the support
+        x = np.linspace(-1, 1, 33)
+        full = make_field(x, 0.0, np.full_like(x, 0.5), S=0.3 * x)
+        members = {name: getattr(full, name).copy()
+                   for name in ("rho", "S", "v", "psi")}
+        members[member][7] = np.nan
+        with pytest.raises(ValidationError, match=rf"{member}\[7\] = \(?nan"):
+            EulerianField(x=x, t=0.0, **members)
+
+    @pytest.mark.parametrize("member", ["rho0", "drho0", "d2rho0", "s0", "ds0"])
+    def test_analytic_forms_members_required(self, member):
+        # every reader calls all five; only the unread d2s0 may be left out
+        given = {name: np.zeros_like for name in
+                 ("rho0", "drho0", "d2rho0", "s0", "ds0") if name != member}
+        with pytest.raises(TypeError, match=f"'{member}'"):
+            AnalyticForms(**given)
 
     def test_support_norm(self, make_field):
         x = np.linspace(0, 1, 101)

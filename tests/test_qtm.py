@@ -358,13 +358,21 @@ class TestQtmEvolve:
     def test_particle_set_validation(self):
         x = np.array([0.0, 1.0, 0.5])
         with pytest.raises(ValidationError):
-            ParticleSet(x=x, log_rho=np.zeros(3), S=np.zeros(3), t=0.0)
+            ParticleSet(x=x, log_rho=np.zeros(3), S=np.zeros(3), t=0.0,
+                        v=np.zeros(3))
 
     def test_particle_set_rejects_non_finite(self):
         # NaN passes the ordering test
         x = np.array([0.0, np.nan, 1.0])
         with pytest.raises(ValidationError, match=r"x\[1\] = nan"):
-            ParticleSet(x=x, log_rho=np.zeros(3), S=np.zeros(3), t=0.0)
+            ParticleSet(x=x, log_rho=np.zeros(3), S=np.zeros(3), t=0.0,
+                        v=np.zeros(3))
+
+    def test_particle_set_requires_velocity(self):
+        # every snapshot carries the fitted velocity
+        with pytest.raises(TypeError, match="'v'"):
+            ParticleSet(x=np.arange(3.0), log_rho=np.zeros(3), S=np.zeros(3),
+                        t=0.0)
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):

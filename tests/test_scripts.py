@@ -42,3 +42,23 @@ def test_kernel_timings_short_run():
     # the CLI's import loads scipy's sparse kernel, not its interpolators
     loaded = lines[8].split(": ")[1].split()
     assert "sparse" in loaded and "interpolate" not in loaded
+
+
+def test_line_count_on_a_known_module(tmp_path):
+    # 13 lines: the docstrings, the comment and the blank line are not code;
+    # the non-docstring string spans two code lines
+    (tmp_path / "m.py").write_text(
+        '"""Module\n docstring."""\n'
+        "\n"
+        "# a comment\n"
+        "class A:\n"
+        '    """Class docstring."""\n'
+        "    def f(self):\n"
+        '        """Function\n        docstring."""\n'
+        '        s = """two\n        lines"""\n'
+        "        return s  # trailing comment\n"
+        "X = 1\n")
+    proc = _run_script("line_count.py", str(tmp_path))
+    assert proc.stdout.splitlines() == ["total lines 13", "code lines  6"]
+    default = _run_script("line_count.py").stdout.splitlines()
+    assert [line.split()[0] for line in default] == ["total", "code"]
