@@ -8,6 +8,9 @@ from qflow.stencils import (_EDGE, Stencil, _operator, _stencil_table,
                             derivative, fd_weights, grid_spacing,
                             trapezoid_weights)
 
+#: accuracy order of every stencil, named in the ids of the cases it sets
+ORDER = 4
+
 
 def _loop_derivative(f, h, m):
     """Reference: per-offset products summed in stencil order, every row."""
@@ -60,11 +63,12 @@ def _dpoly(coeffs, x, m):
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
-def test_polynomial_exactness(m):
-    # fourth-order stencils differentiate quartics exactly, including the
-    # one-sided edge rows
+@pytest.mark.parametrize("order", [ORDER])
+def test_polynomial_exactness(m, order):
+    # stencils of accuracy p differentiate degree-p polynomials exactly,
+    # including the one-sided edge rows
     rng = np.random.default_rng(3)
-    coeffs = rng.normal(size=5)
+    coeffs = rng.normal(size=order + 1)
     x = np.linspace(-1.0, 2.0, 37)
     h = x[1] - x[0]
     got = derivative(_poly(coeffs, x), h, m)
@@ -72,8 +76,8 @@ def test_polynomial_exactness(m):
     assert np.max(np.abs(got - expected)) < 1e-8 * max(1.0, np.max(np.abs(expected)))
 
 
-@pytest.mark.parametrize("m", [1, 2])
-def test_convergence_rate_on_sine(m):
+@pytest.mark.parametrize("m,order,rate", [(1, ORDER, 4), (2, ORDER, 4)])
+def test_convergence_rate_on_sine(m, order, rate):
     errs = []
     for n in (33, 65, 129):
         x = np.linspace(0.0, np.pi, n)
@@ -82,7 +86,7 @@ def test_convergence_rate_on_sine(m):
         exact = np.sin(x + m * np.pi / 2)
         errs.append(np.max(np.abs(got - exact)))
     observed = np.log2(errs[0] / errs[1])
-    assert observed > 4 - 0.35
+    assert observed > rate - 0.35
 
 
 def test_fd_weights_center_first_derivative():
@@ -108,12 +112,14 @@ def test_trapezoid_weights_integrate_linear():
     assert np.sum(w * x) == pytest.approx(np.trapezoid(x, x))
 
 
-@pytest.mark.parametrize("m", sorted(_EDGE))
-def test_grid_of_exactly_one_edge_stencil(m):
-    # n == edge: the mirrored rows read the whole grid, reversed
+@pytest.mark.parametrize("m,order", [(m, ORDER) for m in sorted(_EDGE)])
+def test_grid_of_exactly_one_edge_stencil(m, order):
+    # n == edge: the mirrored rows read the whole grid, reversed; a
+    # one-sided stencil of accuracy p for the m-th derivative has p + m points
     n = _EDGE[m]
+    assert n == order + m
     rng = np.random.default_rng(5)
-    coeffs = rng.normal(size=5)
+    coeffs = rng.normal(size=order + 1)
     x = np.linspace(0.0, 1.0, n)
     got = derivative(_poly(coeffs, x), x[1] - x[0], m)
     expected = _dpoly(coeffs, x, m)
@@ -121,10 +127,12 @@ def test_grid_of_exactly_one_edge_stencil(m):
     assert np.max(np.abs(got - expected)) < 1e-7 * max(1.0, np.max(np.abs(expected)))
 
 
+@pytest.mark.parametrize("order", [ORDER])
 @pytest.mark.parametrize("size", ["edge", "edge+1", 37, 401])
 @pytest.mark.parametrize("smooth", [True, False])
-def test_stacked_rows_bit_identical_to_single_derivatives(size, smooth):
-    edge = max(_EDGE.values())
+def test_stacked_rows_bit_identical_to_single_derivatives(order, size, smooth):
+    # the third derivative's one-sided rows are the longest: order + 3 points
+    edge = order + 3
     n = {"edge": edge, "edge+1": edge + 1}.get(size, size)
     x = np.linspace(-8.0, 8.0, n)
     f = (np.exp(-0.5 * x**2) * np.cos(x) if smooth
@@ -144,11 +152,12 @@ def test_stacked_short_grid_rejected():
         derivative(np.ones(6), 0.1, (1, 2, 3))
 
 
+@pytest.mark.parametrize("order", [ORDER])
 @pytest.mark.parametrize("size", ["edge", "edge+1", 37, 401])
-def test_edge_rows_within_rounding_of_blas_products(size):
+def test_edge_rows_within_rounding_of_blas_products(order, size):
     # the edge rows sum in weight order, where the BLAS products summed in
     # an order of their own: the two agree to rounding of each row's scale
-    edge = max(_EDGE.values())
+    edge = order + 3
     n = {"edge": edge, "edge+1": edge + 1}.get(size, size)
     x = np.linspace(-8.0, 8.0, n)
     h = x[1] - x[0]
@@ -180,25 +189,27 @@ def _sparse_product(f, h, m):
 _ALL_MS = [1, 2, 3] + [p for r in (1, 2, 3) for p in permutations((1, 2, 3), r)]
 
 
+@pytest.mark.parametrize("cols", [2, 4])
 @pytest.mark.parametrize("size", ["edge", "edge+1", 37, 401])
 @pytest.mark.parametrize("m", _ALL_MS, ids=str)
-def test_bound_kernel_bit_identical_to_sparse_product(size, m):
+def test_bound_kernel_bit_identical_to_sparse_product(cols, size, m):
     # the bound kernel runs scipy's CSR kernel directly: same bits as
-    # ``op @ f`` for every layout of f, and as the raw product at h = 1
+    # ``op @ f`` for every layout of f, and as the raw product at h = 1;
+    # ``cols`` is the column count of the 2-D layouts (``csr_matvecs``)
     ms = (m,) if np.ndim(m) == 0 else m
     edge = max(_EDGE[k] for k in ms)
     n = {"edge": edge, "edge+1": edge + 1}.get(size, size)
     rng = np.random.default_rng(n)
     h = 16.0 / (n - 1)
-    block = rng.normal(size=(2 * n, 6))
+    block = rng.normal(size=(2 * n, 2 * cols))
     layouts = {
         "1-D": block[:n, 0].copy(),
         "1-D strided": block[::2, 1],
         "column": block[:n, :1].copy(),
-        "2-D": block[:n].copy(),
+        "2-D": block[:n, :cols].copy(),
         "2-D strided": block[::2, ::2],
-        "2-D Fortran": np.asfortranarray(block[:n]),
-        "3-D": block[:n].reshape(n, 2, 3).copy(),
+        "2-D Fortran": np.asfortranarray(block[:n, :cols]),
+        "3-D": block[:n].reshape(n, 2, cols).copy(),
     }
     for name, f in layouts.items():
         got = Stencil(n, h, m)(f)
