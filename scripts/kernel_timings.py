@@ -16,6 +16,10 @@ Prints the best-of-``--repeats`` time per call, in microseconds, of
   run on the default spatial grid (``grid.n_x``, 1 024 points): the inverse
   map, the push-forward and the quasi-potential phase check (a tenth of
   ``--calls`` per timing: each call takes about a millisecond);
+* one ``tensor_check(0)``, the identity suite behind ``qflow tensor-check``
+  (one call per timing, and half of ``--repeats`` timings: each call takes
+  about a second), with the ``tracemalloc`` peak of one more call in the
+  row's name;
 * start-up: the wall time of ``python -c "import qflow.cli"`` in a fresh
   interpreter, the import every CLI command pays, followed by the list of
   ``scipy`` subpackages that import loaded.
@@ -30,6 +34,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +45,7 @@ from qflow.lagrangian import (ModeProjector, _kinematics, _LabelData,
                               _log_density_derivatives, _projected_force,
                               default_projection_degree, evolve)
 from qflow.model import plan_steps
-from qflow.pipeline import _truncated_gaussian_state
+from qflow.pipeline import _truncated_gaussian_state, tensor_check
 from qflow.qtm import _qtm_rhs
 from qflow.reconstruction import reconstruct_wavefunction
 
@@ -82,6 +87,16 @@ def startup(repeats: int):
     return best * 1e6, proc.stdout.split()
 
 
+def traced_peak_mb(fn) -> float:
+    """Peak of the memory traced by ``tracemalloc`` during one call, in MB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--n-labels", type=int, default=401)
@@ -121,6 +136,8 @@ def main():
     evolve_s = best_us(lambda: evolve(init, params, config), 1, args.repeats) / 1e6
     final = evolve(init, params, config)[-1:]
     x_grid = settings.x_grid()
+    tensor_us = best_us(lambda: tensor_check(0), 1, max(1, args.repeats // 2))
+    tensor_mb = traced_peak_mb(lambda: tensor_check(0))
 
     print(f"{n} labels, projection degree {degree}; best of {args.repeats}")
     print(f"{'kernel':<34} {'us/call':>10}")
@@ -136,6 +153,7 @@ def main():
         (f"reconstruct ({x_grid.size} x points)",
          best_us(lambda: reconstruct_wavefunction(final, init, params, x_grid),
                  max(1, args.calls // 10), args.repeats)),
+        (f"tensor-check (traced peak {tensor_mb:.0f} MB)", tensor_us),
         ("start-up (import qflow.cli)", startup_us),
     ]
     for name, us in rows:

@@ -21,8 +21,9 @@ from .benchmarks import (Norms, error_norms, gaussian_alpha,
                          gaussian_wavefunction)
 from .config import ConfigError, Settings
 from .errors import (NodeEncountered, NumericalInstability,
-                     PhaseInconsistencyWarning, QflowError, QtmDerivativeError,
-                     TrajectoryCrossing, ValidationError, WrapAroundRiskWarning)
+                     OutsidePotentialTable, PhaseInconsistencyWarning,
+                     QflowError, QtmDerivativeError, TrajectoryCrossing,
+                     ValidationError, WrapAroundRiskWarning)
 from .kinematics import (cofactor_matrix, hyper_cofactor, internal_energy,
                          jacobian, levi_civita, quantum_potential,
                          stress_eulerian, stress_lagrangian)

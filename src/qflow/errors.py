@@ -9,6 +9,22 @@ class ValidationError(QflowError, ValueError):
     """Bad inputs or configuration (caller error, exit code 2 in the CLI)."""
 
 
+class OutsidePotentialTable(ValidationError):
+    """A potential was evaluated outside its tabulated grid.
+
+    ``index`` is the offending point's position in the evaluated array.  As
+    bad input it exits 2; the solvers re-raise it as
+    :class:`NumericalInstability` when a trajectory leaves the table after
+    t = 0.
+    """
+
+    def __init__(self, index, x, lo, hi):
+        self.index = int(index)
+        super().__init__(
+            f"evaluation point x[{index}] = {x:.6g} outside the tabulated "
+            f"potential grid [{lo:.6g}, {hi:.6g}]")
+
+
 class NodeEncountered(QflowError):
     """A wavefunction magnitude fell below the node floor.
 

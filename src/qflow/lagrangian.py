@@ -77,7 +77,8 @@ from typing import Optional
 import numpy as np
 from scipy import sparse
 
-from .errors import NumericalInstability, TrajectoryCrossing, ValidationError
+from .errors import (NumericalInstability, OutsidePotentialTable,
+                     TrajectoryCrossing, ValidationError)
 from .model import InitialState, PhysicsParams, TrajectoryState, plan_steps
 from .stencils import (Stencil, cumulative_trapezoid, derivative, grid_spacing,
                        trapezoid_weights)
@@ -327,9 +328,11 @@ def evolve(init: InitialState, params: PhysicsParams,
     ``snapshot_stride`` steps (the initial and final states are always
     included), each carrying the energy that the drift check computed for
     it and the least J of the same kinematics pass.  Monotonicity of q is
-    asserted at every accepted step; a non-finite state or a relative
-    energy drift above 10% aborts with :class:`NumericalInstability`.  A
-    step plan over ``MAX_STEPS`` is rejected up front.
+    asserted at every accepted step; a non-finite state, a relative
+    energy drift above 10% or a label that leaves a tabulated potential's
+    grid after t = 0 aborts with :class:`NumericalInstability` (labels
+    outside it at t = 0 are bad input).  A step plan over ``MAX_STEPS`` is
+    rejected up front.
     """
     config.validate()
     data = _LabelData(init, params)
@@ -392,16 +395,24 @@ def evolve(init: InitialState, params: PhysicsParams,
         snapshots.append(snap)
 
     t = 0.0
-    for step in range(n_steps):
-        k1 = rhs(y, t)
-        k2 = rhs(y + 0.5 * dt * k1, t + 0.5 * dt)
-        k3 = rhs(y + 0.5 * dt * k2, t + 0.5 * dt)
-        k4 = rhs(y + dt * k3, t + dt)
-        y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        gaps = np.diff(y[:n])
-        if gaps.min() <= 0:
-            raise TrajectoryCrossing(int(np.argmin(gaps)), t + dt)
-        t = (step + 1) * dt
-        if (step + 1) % config.snapshot_stride == 0 or step + 1 == n_steps:
-            snapshot(t)
+    try:
+        for step in range(n_steps):
+            k1 = rhs(y, t)
+            k2 = rhs(y + 0.5 * dt * k1, t + 0.5 * dt)
+            k3 = rhs(y + 0.5 * dt * k2, t + 0.5 * dt)
+            k4 = rhs(y + dt * k3, t + dt)
+            y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            gaps = np.diff(y[:n])
+            if gaps.min() <= 0:
+                raise TrajectoryCrossing(int(np.argmin(gaps)), t + dt)
+            t = (step + 1) * dt
+            if (step + 1) % config.snapshot_stride == 0 or step + 1 == n_steps:
+                snapshot(t)
+    except OutsidePotentialTable as exc:
+        # every stage evaluates V on the whole of q before q[i0] alone, so
+        # the index is a label index
+        raise NumericalInstability(
+            f"label index {exc.index} left the tabulated potential grid in "
+            f"the step from t = {step * dt:.6g} to {(step + 1) * dt:.6g}"
+        ) from exc
     return snapshots

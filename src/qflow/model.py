@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NodeEncountered, ValidationError
+from .errors import NodeEncountered, OutsidePotentialTable, ValidationError
 from .stencils import derivative, grid_spacing
 
 NORMALIZATION_TOL = 1e-8
@@ -65,8 +65,11 @@ class TabulatedPotential:
         object.__setattr__(self, "_spline", CubicSpline(x, v))
 
     def _check_range(self, x):
-        if np.min(x) < self.x_grid[0] or np.max(x) > self.x_grid[-1]:
-            raise ValidationError("evaluation point outside the tabulated potential grid")
+        lo, hi = self.x_grid[0], self.x_grid[-1]
+        if np.min(x) < lo or np.max(x) > hi:
+            x = np.ravel(x)
+            i = int(np.argmax((x < lo) | (x > hi)))
+            raise OutsidePotentialTable(i, x[i], lo, hi)
 
 
 Potential = FreePotential | HarmonicPotential | TabulatedPotential

@@ -29,8 +29,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (NumericalInstability, QtmDerivativeError,
-                     TrajectoryCrossing, ValidationError)
+from .errors import (NumericalInstability, OutsidePotentialTable,
+                     QtmDerivativeError, TrajectoryCrossing, ValidationError)
 from .model import InitialState, PhysicsParams, _require_finite, plan_steps
 from .stencils import trapezoid_weights
 
@@ -274,7 +274,8 @@ def qtm_evolve(init: InitialState, params: PhysicsParams,
 
     Particles start at the labels with c = ln rho0 and S = S0; the state
     (x, c, S) advances by RK4 and the divergence integral by the trapezoid
-    rule between accepted steps.  A particle crossing or a non-finite state
+    rule between accepted steps.  A particle crossing, a non-finite state
+    or a particle that leaves a tabulated potential's grid after t = 0
     aborts; a step plan over ``MAX_STEPS`` is rejected up front.
     """
     config.validate()
@@ -308,26 +309,32 @@ def qtm_evolve(init: InitialState, params: PhysicsParams,
             f"qtm.degree = {config.degree} or qtm.stencil_size = "
             f"{config.stencil_size}") from exc
     snapshots = [ParticleSet(x.copy(), c.copy(), S.copy(), 0.0, k1[0])]
-    for step in range(n_steps):
-        k2 = rhs(x + 0.5 * dt * k1[0], c + 0.5 * dt * k1[1], S + 0.5 * dt * k1[2])
-        k3 = rhs(x + 0.5 * dt * k2[0], c + 0.5 * dt * k2[1], S + 0.5 * dt * k2[2])
-        k4 = rhs(x + dt * k3[0], c + dt * k3[1], S + dt * k3[2])
-        x = x + dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        c = c + dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        S = S + dt / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        t = (step + 1) * dt
-        # NaN passes the ordering checks, so test finiteness first
-        if not all(np.all(np.isfinite(u)) for u in (x, c, S)):
-            raise NumericalInstability(
-                f"non-finite particle state at t = {t:.6g}; reduce qtm.dt")
-        gaps = np.diff(x)
-        if np.any(gaps <= 0):
-            raise TrajectoryCrossing(int(np.argmin(gaps)), t, "particle crossing")
-        k_end = rhs(x, c, S)
-        div_int += 0.5 * dt * (k1[3] + k_end[3])
-        k1 = k_end
-        if (step + 1) % config.snapshot_stride == 0 or step + 1 == n_steps:
-            snapshots.append(ParticleSet(x.copy(), c.copy(), S.copy(), t, k_end[0]))
+    try:
+        for step in range(n_steps):
+            k2 = rhs(x + 0.5 * dt * k1[0], c + 0.5 * dt * k1[1], S + 0.5 * dt * k1[2])
+            k3 = rhs(x + 0.5 * dt * k2[0], c + 0.5 * dt * k2[1], S + 0.5 * dt * k2[2])
+            k4 = rhs(x + dt * k3[0], c + dt * k3[1], S + dt * k3[2])
+            x = x + dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+            c = c + dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+            S = S + dt / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+            t = (step + 1) * dt
+            # NaN passes the ordering checks, so test finiteness first
+            if not all(np.all(np.isfinite(u)) for u in (x, c, S)):
+                raise NumericalInstability(
+                    f"non-finite particle state at t = {t:.6g}; reduce qtm.dt")
+            gaps = np.diff(x)
+            if np.any(gaps <= 0):
+                raise TrajectoryCrossing(int(np.argmin(gaps)), t, "particle crossing")
+            k_end = rhs(x, c, S)
+            div_int += 0.5 * dt * (k1[3] + k_end[3])
+            k1 = k_end
+            if (step + 1) % config.snapshot_stride == 0 or step + 1 == n_steps:
+                snapshots.append(ParticleSet(x.copy(), c.copy(), S.copy(), t,
+                                             k_end[0]))
+    except OutsidePotentialTable as exc:
+        raise NumericalInstability(
+            f"particle {exc.index} left the tabulated potential grid in the "
+            f"step from t = {step * dt:.6g} to {(step + 1) * dt:.6g}") from exc
 
     amplitude = np.sqrt(init.rho0) * np.exp(-0.5 * div_int)
     psi = amplitude * np.exp(1j * S / params.hbar)

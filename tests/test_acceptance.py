@@ -8,11 +8,14 @@ line.  Tolerances are pinned literally in this file.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qflow.cli import main
+from qflow.kinematics import quantum_potential, stress_eulerian
+from qflow.pipeline import _smooth_rho3, tensor_check
 
 
 @pytest.fixture(scope="session")
@@ -117,6 +120,45 @@ class TestCriterion4TensorIdentities:
             tensor_report["cofactor_divergence_errors"],
             [2.3405411380378327e-05, 5.967957807245794e-06,
              1.4985221145902283e-06], rtol=1e-12, atol=0)
+
+
+def _whole_grid_force_error(n, hbar=1.0, mass=1.0):
+    """The force-identity residual of an n^3 grid with every field built on
+    the whole grid at once: the reference tensor_check's slabs reproduce."""
+    axis = np.linspace(-1.0, 1.0, n)
+    h = axis[1] - axis[0]
+    rho, grad, hess = _smooth_rho3(
+        *np.meshgrid(axis, axis, axis, indexing="ij", sparse=True))
+    sigma, _ = stress_eulerian(rho, grad, hess, hbar, mass)
+    lap = np.trace(hess, axis1=-2, axis2=-1)
+    vq, _ = quantum_potential(rho, grad, lap, hbar, mass)
+    resid = np.zeros(rho.shape + (3,))
+    for i in range(3):
+        div_i = np.zeros(rho.shape)
+        for j in range(3):
+            div_i += np.gradient(sigma[..., i, j], h, axis=j, edge_order=2)
+        resid[..., i] = div_i / rho - np.gradient(vq, h, axis=i, edge_order=2)
+    return float(np.max(np.abs(resid[2:-2, 2:-2, 2:-2])))
+
+
+class TestForceIdentitySlabs:
+    """tensor_check evaluates the force-identity grids a slab of planes at a
+    time: the residuals must not move, and the memory must not come back."""
+
+    def test_slabs_equal_the_whole_grid(self, tensor_report):
+        whole = [_whole_grid_force_error(n) for n in (33, 65)]
+        assert tensor_report["force_identity_errors"][:2] == whole
+
+    def test_traced_peak_memory(self):
+        # 3x3 fields built on the whole 129^3 grid (2.1 M points) trace
+        # about 570 MB; built a slab at a time, about 55 MB
+        tracemalloc.start()
+        try:
+            tensor_check(0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 200e6
 
 
 class TestCriterion5DynamicsResiduals:

@@ -343,6 +343,34 @@ class TestCli:
         assert main(["run-lagrangian", "--config", str(cfg),
                      "--out", str(tmp_path / "o"), "--quiet"]) == 3
 
+    @pytest.mark.parametrize("command,span,code,fragment", [
+        # V = -50 x pushes the packet right, out of the [-7, 7] table
+        pytest.param("run-lagrangian", 6, 3,
+                     "numerical abort: label index 100 left the tabulated "
+                     "potential grid in the step from t = 0.19", id="lagrangian"),
+        pytest.param("run-qtm", 6, 3,
+                     "numerical abort: particle 50 left the tabulated "
+                     "potential grid in the step from t = 0.26", id="qtm"),
+        # labels outside the table from the start are bad input
+        pytest.param("run-lagrangian", 8, 2,
+                     "x[0] = -8 outside the tabulated potential grid [-7, 7]",
+                     id="outside-at-t0"),
+    ])
+    def test_leaving_the_potential_table(self, tmp_path, capsys, command, span,
+                                         code, fragment):
+        table = tmp_path / "slope.csv"
+        table.write_text("\n".join(f"{x},{-50.0 * x}"
+                                   for x in np.linspace(-7, 7, 141)))
+        cfg = tmp_path / "slope.cfg"
+        cfg.write_text(f"physics.potential = tabulated\n"
+                       f"physics.potential_file = {table}\n"
+                       f"grid.label_min = {-span}\ngrid.label_max = {span}\n"
+                       f"grid.n_labels = 101\nsolver.t_final = 0.5\n"
+                       f"qtm.n_particles = 51\nqtm.t_final = 0.5\n")
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "o"), "--quiet"]) == code
+        assert fragment in capsys.readouterr().err
+
     def test_tensor_check_reports_all_draws(self, tmp_path, capsys):
         out = tmp_path / "tensor"
         code = main(["tensor-check", "--out", str(out), "--seed", "0"])

@@ -45,8 +45,9 @@ class TestPotentials:
     def test_tabulated_out_of_range(self):
         p = PhysicsParams(potential=TabulatedPotential(np.linspace(0, 1, 9),
                                                        np.zeros(9)))
-        with pytest.raises(ValidationError):
-            p.potential_energy(np.array([1.5]))
+        with pytest.raises(ValidationError, match=r"x\[1\] = 1.5 outside") as exc:
+            p.potential_energy(np.array([0.5, 1.5]))
+        assert exc.value.index == 1
 
 
 class TestGaussianState:

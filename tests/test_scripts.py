@@ -2,6 +2,7 @@
 unnoticed."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -33,14 +34,18 @@ def test_kernel_timings_short_run():
     lines = proc.stdout.splitlines()
     # 0.02 / (0.1 * 0.16^2) = 7.8 -> 8 steps, 32 right-hand sides
     assert lines[-1].startswith("evolve to t = 0.02: 8 steps")
-    rows = lines[2:8]
+    rows = lines[2:9]
     assert [row.split()[0] for row in rows] == ["stencil", "projected", "RHS",
-                                                "QTM", "reconstruct", "start-up"]
+                                                "QTM", "reconstruct",
+                                                "tensor-check", "start-up"]
     assert all(float(row.split()[-1]) > 0 for row in rows)
     assert rows[3].startswith("QTM RHS (201 particles)")
     assert rows[4].startswith("reconstruct (1024 x points)")
+    # the force-identity grids are built a slab of planes at a time
+    peak = re.fullmatch(r"tensor-check \(traced peak (\d+) MB\)\s+\S+", rows[5])
+    assert peak and 0 < int(peak.group(1)) <= 200
     # the CLI's import loads scipy's sparse kernel, not its interpolators
-    loaded = lines[8].split(": ")[1].split()
+    loaded = lines[9].split(": ")[1].split()
     assert "sparse" in loaded and "interpolate" not in loaded
 
 
