@@ -3,9 +3,11 @@
 
 Prints the best-of-``--repeats`` time per call, in microseconds, of
 
-* the stacked (1, 2, 3) stencil product that gives (J, J', J'');
+* the stacked (1, 2, 3) stencil product that gives (J, J', J''), written
+  into a preallocated buffer (``out=``) as ``evolve`` writes it;
 * one call of the projected-force operator (a ``ModeProjector`` composed
-  with the conservation-form force map) on the stacked (G, dV/dq) buffer;
+  with the conservation-form force map) on the stacked (G, dV/dq) buffer,
+  into a preallocated row (``out=``) as ``evolve`` calls it;
 * one right-hand-side evaluation, taken as the wall time of ``evolve`` on
   the default config divided by its 4 x steps evaluations (snapshots and
   their energy checks included);
@@ -123,6 +125,8 @@ def main():
     kin = _kinematics(data, q)
     G_dV = np.stack((_log_density_derivatives(data, kin)[1] * kin[3],
                      params.potential_gradient(q)))
+    # the output buffers evolve's right-hand side writes into
+    D, projected = np.empty((3, n)), np.empty(n)
 
     # the particle solver's first right-hand side, as run-qtm seeds it
     particles = _truncated_gaussian_state(settings["state.sigma0"], params,
@@ -142,10 +146,10 @@ def main():
     print(f"{n} labels, projection degree {degree}; best of {args.repeats}")
     print(f"{'kernel':<34} {'us/call':>10}")
     rows = [
-        ("stencil (1, 2, 3) product", best_us(lambda: data.d123(q), args.calls,
-                                              args.repeats)),
-        ("projected force (ModeProjector)", best_us(lambda: force(G_dV), args.calls,
-                                                   args.repeats)),
+        ("stencil (1, 2, 3) product", best_us(lambda: data.d123(q, out=D),
+                                              args.calls, args.repeats)),
+        ("projected force (ModeProjector)",
+         best_us(lambda: force(G_dV, out=projected), args.calls, args.repeats)),
         (f"RHS evaluation (evolve / {4 * n_steps})", evolve_s / (4 * n_steps) * 1e6),
         (f"QTM RHS ({particles.n} particles)",
          best_us(lambda: _qtm_rhs(params, qtm_config, *seeded), args.calls,

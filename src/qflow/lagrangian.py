@@ -66,6 +66,17 @@ as the bound stencil's sparse matrix): a right-hand side stacks G and
 dV/dq and makes one call of the composed operator, with no stencil
 product for dG/da.  A right-hand side is thus one stencil product, the
 log-density arithmetic and one projection.
+
+Workspace.  Python and numpy call overhead, not arithmetic, sets the cost
+of a right-hand side on a few hundred labels, so ``evolve`` allocates its
+arrays once per run and every kernel of the loop writes into them through
+an optional ``out=`` (the stencil, the projection, ``_kinematics``,
+``_log_density_derivatives`` and ``potential_gradient``).  The RK4 stages
+and the final combination are ufunc calls with ``out=`` in the operation
+order of the plain array expressions, so the results are bit for bit
+those of an allocating loop; callers outside the loop (the energy check,
+the snapshot kinematics, the acceleration routes) call the same kernels
+without ``out=``.
 """
 
 from __future__ import annotations
@@ -167,8 +178,11 @@ class ModeProjector:
         composed.coeffs = np.ascontiguousarray(self.coeffs @ A)
         return composed
 
-    def __call__(self, f: np.ndarray) -> np.ndarray:
-        return self.lift @ (self.coeffs @ np.ravel(f))
+    def __call__(self, f: np.ndarray, out=None) -> np.ndarray:
+        """The projection ``lift @ (coeffs @ f)`` of ``f`` (read flattened),
+        written into ``out`` (one entry per label) when given, else into a
+        new array; the bits are the same either way."""
+        return np.dot(self.lift, np.dot(self.coeffs, f.ravel()), out=out)
 
 
 class _LabelData:
@@ -182,6 +196,7 @@ class _LabelData:
         self.d1 = Stencil(a.size, self.h, 1)
         self.quantum_coeff = params.hbar**2 / (4.0 * params.mass**2)
         self.mass_weights = trapezoid_weights(a) * init.rho0
+        self.zeros3 = np.zeros((3, a.size))
         if forms is not None:
             r = np.asarray(forms.rho0(a), dtype=float)
             if np.any(r <= 0):
@@ -202,22 +217,29 @@ class _LabelData:
         self.L2_minus_L1_sq = self.L2 - self.L1**2
 
 
-def _kinematics(data: _LabelData, q, t=0.0):
-    """(J, J', J'', 1/J) of the map from one stacked stencil product.
+def _kinematics(data: _LabelData, q, t=0.0, out=None):
+    """(J, J', J'', 1/J) of the map from one stacked stencil product, the
+    rows of ``out`` (a C-contiguous ``(4, n)`` buffer) when given, else of
+    a new array.
 
     Raises :class:`NumericalInstability` on a non-finite state and
     :class:`TrajectoryCrossing` when J falls to the floor.
     """
-    D = data.d123(q)
-    if not np.isfinite(D).all():
+    if out is None:
+        out = np.empty((4, data.L1.size))
+    D = data.d123(q, out=out[:3])
+    # 0 * x is NaN exactly when x is NaN or infinite, so the dot product of
+    # D with zeros is 0 when D is finite and NaN otherwise
+    if not np.vdot(D, data.zeros3) == 0.0:
         raise NumericalInstability(
             f"non-finite trajectory state at t = {t:.6g}; reduce dt or check "
             f"the initial data")
-    J, Jp, Jpp = D
+    J = D[0]
     if J.min() <= J_FLOOR:
         i = int(np.argmax(J <= J_FLOOR))
         raise TrajectoryCrossing(i, t, f"J = {J[i]:.3e} <= floor {J_FLOOR:.1e}")
-    return J, Jp, Jpp, 1.0 / J
+    np.divide(1.0, J, out=out[3])
+    return out
 
 
 def initial_velocity(init: InitialState, params: PhysicsParams) -> np.ndarray:
@@ -229,14 +251,33 @@ def initial_velocity(init: InitialState, params: PhysicsParams) -> np.ndarray:
     return ds / params.mass
 
 
-def _log_density_derivatives(data: _LabelData, kin):
-    """(c_x, c_xx), the spatial derivatives of c = ln rho along the map."""
+def _log_density_derivatives(data: _LabelData, kin, out=None):
+    """(c_x, c_xx), the spatial derivatives of c = ln rho along the map,
+    from the label ones
+
+        c_a = L1 - J'/J,   c_aa = (L2 - L1^2) - (J''/J - (J'/J)^2),
+        c_x = c_a / J,     c_xx = (c_aa - c_a J' / J) / J^2.
+
+    They are the first two rows of ``out`` (a ``(3, n)`` buffer whose last
+    row is scratch) when given, else of a new array; the operations are
+    the same either way.
+    """
     _, Jp, Jpp, Ji = kin
-    JpJi = Jp * Ji
-    ca = data.L1 - JpJi                          # d(ln rho)/da
-    caa = data.L2_minus_L1_sq - (Jpp * Ji - JpJi**2)
-    cx = ca * Ji                                 # d(ln rho)/dq
-    cxx = (caa - ca * Jp * Ji) * Ji**2
+    if out is None:
+        out = np.empty((3, Ji.size))
+    cx, cxx, tmp = out
+    np.multiply(Jp, Ji, out=tmp)                 # J'/J
+    np.subtract(data.L1, tmp, out=cx)            # c_a, until c_x replaces it
+    np.square(tmp, out=tmp)
+    np.multiply(Jpp, Ji, out=cxx)
+    np.subtract(cxx, tmp, out=cxx)
+    np.subtract(data.L2_minus_L1_sq, cxx, out=cxx)  # c_aa
+    np.multiply(cx, Jp, out=tmp)
+    np.multiply(tmp, Ji, out=tmp)
+    np.subtract(cxx, tmp, out=cxx)
+    np.square(Ji, out=tmp)
+    np.multiply(cxx, tmp, out=cxx)               # c_xx
+    np.multiply(cx, Ji, out=cx)                  # c_x
     return cx, cxx
 
 
@@ -344,21 +385,24 @@ def evolve(init: InitialState, params: PhysicsParams,
     degree = min(degree, n - 1)
     force = _projected_force(data, params,
                              ModeProjector(init.labels, init.rho0, degree))
-    G_dV = np.empty((2, n))
+    # the run's workspace: every right-hand side and RK4 stage writes here
+    kin_buf = np.empty((4, n))         # (J, J', J'', 1/J)
+    logd_buf = np.empty((3, n))        # (c_x, c_xx, scratch)
+    G_dV = np.empty((2, n))            # (G, dV/dq), the force input
+    k1, k2, k3, k4, stage, acc = np.empty((6, 2 * n + 1))
+    gaps = np.empty(n - 1)
 
-    def rhs(y, t):
-        """Time derivative of the flat state y = (q, qdot, chi[i0])."""
+    def rhs(y, t, k):
+        """Time derivative of the flat state y = (q, qdot, chi[i0]), into k."""
         q, qd = y[:n], y[n:-1]
-        kin = _kinematics(data, q, t)
-        cx, cxx = _log_density_derivatives(data, kin)
+        kin = _kinematics(data, q, t, out=kin_buf)
+        cx, cxx = _log_density_derivatives(data, kin, out=logd_buf)
         np.multiply(cxx, kin[3], out=G_dV[0])
-        G_dV[1] = params.potential_gradient(q)
-        k = np.empty_like(y)
+        params.potential_gradient(q, out=G_dV[1])
         k[:n] = qd
-        k[n:-1] = force(G_dV)
+        force(G_dV, out=k[n:-1])
         k[-1] = (0.5 * params.mass * qd[i0]**2 - params.potential_energy(q[i0])
                  - params.quantum_potential(cx[i0], cxx[i0]))
-        return k
 
     n_steps, dt = plan_steps(config.t_final, config.auto_dt(data.h, params))
 
@@ -394,15 +438,28 @@ def evolve(init: InitialState, params: PhysicsParams,
             )
         snapshots.append(snap)
 
+    def staged(k, scale):
+        """The stage state y + scale * k, in ``stage``."""
+        np.multiply(scale, k, out=stage)
+        return np.add(y, stage, out=stage)
+
     t = 0.0
+    half = 0.5 * dt
     try:
         for step in range(n_steps):
-            k1 = rhs(y, t)
-            k2 = rhs(y + 0.5 * dt * k1, t + 0.5 * dt)
-            k3 = rhs(y + 0.5 * dt * k2, t + 0.5 * dt)
-            k4 = rhs(y + dt * k3, t + dt)
-            y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            gaps = np.diff(y[:n])
+            rhs(y, t, k1)
+            rhs(staged(k1, half), t + half, k2)
+            rhs(staged(k2, half), t + half, k3)
+            rhs(staged(k3, dt), t + dt, k4)
+            # y += dt/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right
+            np.multiply(2.0, k2, out=acc)
+            np.add(k1, acc, out=acc)
+            np.multiply(2.0, k3, out=stage)
+            np.add(acc, stage, out=acc)
+            np.add(acc, k4, out=acc)
+            np.multiply(dt / 6.0, acc, out=acc)
+            np.add(y, acc, out=y)
+            np.subtract(y[1:n], y[:n - 1], out=gaps)
             if gaps.min() <= 0:
                 raise TrajectoryCrossing(int(np.argmin(gaps)), t + dt)
             t = (step + 1) * dt

@@ -93,7 +93,7 @@ class PhysicsParams:
         x = np.asarray(x, dtype=float)
         p = self.potential
         if isinstance(p, FreePotential):
-            return np.zeros_like(x)
+            return np.zeros(x.shape)
         if isinstance(p, HarmonicPotential):
             return 0.5 * self.mass * p.omega**2 * x**2
         p._check_range(x)
@@ -104,15 +104,21 @@ class PhysicsParams:
         from the spatial derivatives c1, c2 of the log-density c = ln rho."""
         return -(self.hbar**2 / (4.0 * self.mass)) * (c2 + 0.5 * c1**2)
 
-    def potential_gradient(self, x) -> np.ndarray:
+    def potential_gradient(self, x, out=None) -> np.ndarray:
+        """dV/dx at ``x``, written into ``out`` (an array of ``x``'s shape)
+        when given, else into a new array."""
         x = np.asarray(x, dtype=float)
+        if out is None:
+            out = np.empty_like(x)
         p = self.potential
         if isinstance(p, FreePotential):
-            return np.zeros_like(x)
-        if isinstance(p, HarmonicPotential):
-            return self.mass * p.omega**2 * x
-        p._check_range(x)
-        return p._spline(x, 1)
+            out.fill(0.0)
+        elif isinstance(p, HarmonicPotential):
+            np.multiply(self.mass * p.omega**2, x, out=out)
+        else:
+            p._check_range(x)
+            out[...] = p._spline(x, 1)
+        return out
 
 
 # ---------------------------------------------------------------------------

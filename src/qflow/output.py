@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -28,12 +29,18 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _strings(values):
+    """Each value's shortest round-trip string, one column at a time (a
+    float64 is a ``float``, so ``float.__repr__`` formats it without a
+    list of Python floats)."""
+    return map(float.__repr__, np.asarray(values, dtype=float))
+
+
 def write_trajectories(path, snapshots: Sequence[TrajectoryState]) -> None:
     lines = [f"# schema: {TRAJECTORY_SCHEMA}", "t,a,q,qdot,chi"]
     for snap in snapshots:
-        t = _fmt(snap.t)
-        for a, q, qd, chi in zip(snap.labels, snap.q, snap.qdot, snap.chi):
-            lines.append(f"{t},{_fmt(a)},{_fmt(q)},{_fmt(qd)},{_fmt(chi)}")
+        columns = (snap.labels, snap.q, snap.qdot, snap.chi)
+        lines += map(",".join, zip(repeat(_fmt(snap.t)), *map(_strings, columns)))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -50,15 +57,11 @@ def read_trajectories(path) -> list[TrajectoryState]:
 def write_fields(path, fields: Sequence[EulerianField]) -> None:
     lines = [f"# schema: {FIELDS_SCHEMA}", "t,x,rho,S,v,re_psi,im_psi,mask"]
     for f in fields:
-        t = _fmt(f.t)
-        rho, S, v, psi = f.rho, f.S, f.v, f.psi
-        for i in range(f.x.size):
-            ok = bool(f.mask[i])
-            vals = (rho[i], S[i], v[i], psi[i].real, psi[i].imag) if ok else \
-                (math.nan,) * 5
-            lines.append(
-                f"{t},{_fmt(f.x[i])},{_fmt(vals[0])},{_fmt(vals[1])},"
-                f"{_fmt(vals[2])},{_fmt(vals[3])},{_fmt(vals[4])},{int(ok)}")
+        masked = (np.where(f.mask, c, math.nan)
+                  for c in (f.rho, f.S, f.v, f.psi.real, f.psi.imag))
+        lines += map(",".join, zip(repeat(_fmt(f.t)), _strings(f.x),
+                                   *map(_strings, masked),
+                                   map(str, f.mask.astype(int).tolist())))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 

@@ -96,7 +96,9 @@ class Stencil:
     (``csr_matvec``, or ``csr_matvecs`` for n-D ``f``) on a zeroed output,
     the kernel that ``op @ f`` runs, without the sparse-array dispatch
     around it, then divides by ``h**m``.  The kernel reads ``f`` unchecked,
-    so the call checks its length first.
+    so the call checks its length first.  The output may be the caller's
+    (``out=``), so a solver that differentiates once per right-hand side
+    allocates nothing per call.
     """
 
     def __init__(self, n: int, h: float, m=1):
@@ -108,22 +110,36 @@ class Stencil:
         self._h_m = np.repeat([h**k for k in ms], n)
         self._lead = () if single else (len(ms),)
 
-    def __call__(self, f: np.ndarray) -> np.ndarray:
+    def __call__(self, f: np.ndarray, out=None) -> np.ndarray:
+        """The derivative(s) of ``f``, shaped ``(len(m),) + f.shape`` for a
+        tuple ``m`` and ``f.shape`` otherwise.  ``out``, a C-contiguous
+        float array of that shape, receives the result in place of a new
+        array: it is zeroed, filled by the kernel and divided by ``h**m``,
+        the steps and bits of a call without it (the kernel rejects a
+        non-float ``out``)."""
         f = np.asarray(f, dtype=float)
         if f.shape[:1] != (self.n,):
             raise ValidationError(f"stencil bound to {self.n} points got an "
                                   f"array of shape {f.shape}")
         rows, n, indptr, indices, data = self._csr
-        if f.ndim == 1:
-            out = np.zeros(rows)
-            _sparsetools.csr_matvec(rows, n, indptr, indices, data, f, out)
-            out /= self._h_m
+        shape = self._lead + f.shape
+        if out is None:
+            out = np.zeros(shape)
+        elif out.shape != shape or not out.flags.c_contiguous:
+            raise ValidationError(f"stencil output must be a C-contiguous "
+                                  f"array of shape {shape}")
         else:
-            out = np.zeros((rows, f.size // n))
-            _sparsetools.csr_matvecs(rows, n, out.shape[1], indptr, indices,
-                                     data, f.ravel(), out.ravel())
-            out /= self._h_m[:, None]
-        return out.reshape(self._lead + f.shape)
+            out.fill(0.0)
+        if f.ndim == 1:
+            flat = out.reshape(rows)
+            _sparsetools.csr_matvec(rows, n, indptr, indices, data, f, flat)
+            flat /= self._h_m
+        else:
+            flat = out.reshape(rows, f.size // n)
+            _sparsetools.csr_matvecs(rows, n, flat.shape[1], indptr, indices,
+                                     data, f.ravel(), flat.ravel())
+            flat /= self._h_m[:, None]
+        return out
 
     def matrix(self) -> sparse.csr_array:
         """The bound operator, ``h**m`` scaling folded in, as a CSR array,

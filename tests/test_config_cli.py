@@ -140,6 +140,33 @@ class TestRoundTripFiles:
         assert np.array_equal(back.rho, rho)
         assert np.array_equal(back.psi, psi)
 
+    def test_writers_emit_the_shortest_repr_of_every_value(self, tmp_path):
+        from qflow.model import EulerianField, TrajectoryState
+        snap = TrajectoryState(labels=[-1.0, 0.0, 1.0], q=[-1.5, -0.0, 1e-300],
+                               qdot=[5e-324, -0.0, 2.5], chi=[0.1, 0.0, -1e-300],
+                               t=0.125)
+        write_trajectories(tmp_path / "t.csv", [snap])
+        assert (tmp_path / "t.csv").read_text() == (
+            "# schema: qflow.trajectories.v1\n"
+            "t,a,q,qdot,chi\n"
+            "0.125,-1.0,-1.5,5e-324,0.1\n"
+            "0.125,0.0,-0.0,-0.0,0.0\n"
+            "0.125,1.0,1e-300,2.5,-1e-300\n")
+        # masked rows are written as nan whatever they hold
+        field = EulerianField(
+            x=[-1.5, -0.0, 1.5, 3.0], t=0.25, rho=[0.5, 0.25, 1e-300, 0.0],
+            S=[1.0, -0.0, 0.0, 0.0], v=[2.0, 5e-324, -2.5, 0.0],
+            psi=[0.7, complex(0.5, -0.0), 1e-150, 0.0],
+            mask=[False, True, True, False])
+        write_fields(tmp_path / "f.csv", [field])
+        assert (tmp_path / "f.csv").read_text() == (
+            "# schema: qflow.fields.v1\n"
+            "t,x,rho,S,v,re_psi,im_psi,mask\n"
+            "0.25,-1.5,nan,nan,nan,nan,nan,0\n"
+            "0.25,-0.0,0.25,-0.0,5e-324,0.5,-0.0,1\n"
+            "0.25,1.5,1e-300,0.0,-2.5,1e-150,0.0,1\n"
+            "0.25,3.0,nan,nan,nan,nan,nan,0\n")
+
     def test_schema_guard(self, tmp_path):
         path = tmp_path / "fields.csv"
         path.write_text("nope\n")
@@ -185,6 +212,28 @@ class TestCli:
         finals = [c for c in report["comparisons"]
                   if abs(c["t"] - 0.2) < 1e-9]
         assert finals and finals[0]["psi_phase_reduced_l2"] < 1e-4
+
+    def test_anharmonic_trap_against_the_reference(self, tmp_path):
+        # a non-quadratic V makes the Gaussian flow non-affine, so the
+        # composed force's projection error shows; the psi error is pinned
+        x = np.linspace(-40.0, 40.0, 8001)
+        table = tmp_path / "trap.csv"
+        table.write_text("\n".join(f"{float(a)!r},{float(0.5 * a * a + 0.05 * a**4)!r}"
+                                   for a in x) + "\n")
+        cfg = tmp_path / "trap.cfg"
+        cfg.write_text(f"physics.potential = tabulated\n"
+                       f"physics.potential_file = {table}\n"
+                       f"grid.label_min = -6\ngrid.label_max = 6\n"
+                       f"solver.t_final = 0.6\n")
+        lag, ref, cmp_dir = (tmp_path / name for name in ("lag", "ref", "cmp"))
+        for args in (["run-lagrangian", "--out", str(lag)],
+                     ["run-reference", "--out", str(ref)],
+                     ["compare", str(lag), str(ref), "--out", str(cmp_dir)]):
+            assert main([*args, "--config", str(cfg), "--quiet"]) == 0
+        report = json.loads((cmp_dir / "compare.json").read_text())
+        final = [c for c in report["comparisons"] if abs(c["t"] - 0.6) < 1e-9]
+        assert final[0]["psi_phase_reduced_l2"] == pytest.approx(9.435356187e-4,
+                                                                 rel=1e-6)
 
     def test_compare_rejects_non_finite_field(self, tmp_path, capsys):
         # a nan on the support would otherwise read back and compare as nan

@@ -11,10 +11,10 @@ from qflow.lagrangian import (ModeProjector, SolverConfig, _accel_direct_from,
                               default_projection_degree, energy_of, evolve,
                               initial_velocity)
 from qflow.model import (MAX_STEPS, AnalyticForms, HarmonicPotential,
-                         InitialState, PhysicsParams, TrajectoryState,
-                         make_gaussian_state, plan_steps)
-from qflow.stencils import (Stencil, _operator, derivative, grid_spacing,
-                            trapezoid_weights)
+                         InitialState, PhysicsParams, TabulatedPotential,
+                         TrajectoryState, make_gaussian_state, plan_steps)
+from qflow.stencils import (Stencil, _operator, cumulative_trapezoid,
+                            derivative, grid_spacing, trapezoid_weights)
 
 PARAMS = PhysicsParams()
 
@@ -110,6 +110,70 @@ def _unstacked_rk4(init, params, config):
         t = (step + 1) * dt
     dphi = phi(q, qd) - phi0
     return n_steps, q, qd, dphi - dphi[i0] + chi0
+
+
+def _allocating_rk4(init, params, config):
+    """Reference: the RK4 loop with a new array for every intermediate, the
+    right-hand side and the stage expressions written out as plain array
+    expressions; snapshots as ``evolve`` measures them.  Returns, per
+    snapshot, (t, q, qdot, chi, energy, min J)."""
+    data = _LabelData(init, params)
+    n, h = init.n, data.h
+    i0 = int(np.argmax(init.rho0))
+    degree = min(config.projection_degree or default_projection_degree(n),
+                 n - 1)
+    force = _projected_force(data, params,
+                             ModeProjector(init.labels, init.rho0, degree))
+
+    def rhs(y):
+        q, qd = y[:n], y[n:-1]
+        J, Jp, Jpp = derivative(q, h, (1, 2, 3))
+        Ji = 1.0 / J
+        JpJi = Jp * Ji
+        ca = data.L1 - JpJi
+        caa = data.L2_minus_L1_sq - (Jpp * Ji - JpJi**2)
+        cx = ca * Ji
+        cxx = (caa - ca * Jp * Ji) * Ji**2
+        k = np.empty_like(y)
+        k[:n] = qd
+        k[n:-1] = force(np.stack((cxx * Ji, params.potential_gradient(q))))
+        k[-1] = (0.5 * params.mass * qd[i0]**2 - params.potential_energy(q[i0])
+                 - params.quantum_potential(cx[i0], cxx[i0]))
+        return k
+
+    def phi(q, qd):
+        return cumulative_trapezoid(params.mass * qd * derivative(q, h, 1),
+                                    init.labels)
+
+    n_steps, dt = plan_steps(config.t_final, config.auto_dt(h, params))
+    y = np.concatenate((init.labels, initial_velocity(init, params), [0.0]))
+    phi0 = phi(y[:n], y[n:-1])
+    snaps = []
+
+    def snapshot(t):
+        q, qd = y[:n].copy(), y[n:-1].copy()
+        dphi = phi(q, qd) - phi0
+        state = TrajectoryState(init.labels, q, qd, dphi - dphi[i0] + y[-1], t)
+        snaps.append((t, q, qd, state.chi, energy_of(state, init, params),
+                      float(derivative(q, h, 1).min())))
+
+    snapshot(0.0)
+    for step in range(n_steps):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * dt * k1)
+        k3 = rhs(y + 0.5 * dt * k2)
+        k4 = rhs(y + dt * k3)
+        y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if (step + 1) % config.snapshot_stride == 0 or step + 1 == n_steps:
+            snapshot((step + 1) * dt)
+    return snaps
+
+
+def _anharmonic_trap():
+    """V = x^2/2 + 0.05 x^4 tabulated on [-40, 40], 8 001 points."""
+    x = np.linspace(-40.0, 40.0, 8001)
+    return PhysicsParams(potential=TabulatedPotential(x, 0.5 * x**2
+                                                      + 0.05 * x**4))
 
 
 class TestInitialVelocity:
@@ -244,6 +308,39 @@ class TestAccelerations:
                 <= 1e-13 * np.max(np.abs(ref[core])))
         assert np.max(np.abs(force - ref)) <= 1e-11 * np.max(np.abs(ref))
 
+    def test_kernels_write_the_bits_of_their_allocating_calls(self):
+        # each kernel of the RK4 loop fills a stale buffer exactly as it
+        # fills a new array
+        params = PhysicsParams(potential=HarmonicPotential(omega=1.5))
+        a = self.init.labels
+        q = a + 0.1 * np.sin(a)
+        data = _LabelData(self.init, params)
+        kin = _kinematics(data, q)
+        stale = np.full((4, a.size), np.nan)
+        assert _kinematics(data, q, out=stale) is stale
+        assert np.array_equal(stale, kin)
+        stale = np.full((3, a.size), np.nan)
+        for got, want in zip(_log_density_derivatives(data, kin, out=stale),
+                             _log_density_derivatives(data, kin)):
+            assert np.array_equal(got, want)
+        stale = np.full(a.size, np.nan)
+        assert params.potential_gradient(q, out=stale) is stale
+        assert np.array_equal(stale, params.potential_gradient(q))
+        assert np.array_equal(PARAMS.potential_gradient(q, out=stale), 0 * q)
+        force = _projected_force(data, params, ModeProjector(
+            a, self.init.rho0, default_projection_degree(a.size)))
+        G_dV = np.stack((q, np.cos(a)))
+        stale = np.full(a.size, np.nan)
+        assert force(G_dV, out=stale) is stale
+        assert np.array_equal(stale, force(G_dV))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_kinematics_rejected(self, bad):
+        q = self.init.labels.copy()
+        q[200] = bad
+        with pytest.raises(NumericalInstability, match="non-finite"):
+            _kinematics(_LabelData(self.init, PARAMS), q)
+
     def test_crossing_detected(self):
         q = self.init.labels.copy()
         # still strictly increasing, but compressed below the J floor
@@ -336,8 +433,8 @@ class TestEvolve:
         calls = []
         apply = Stencil.__call__
 
-        def counting(self, f):
-            out = apply(self, f)
+        def counting(self, f, **kwargs):
+            out = apply(self, f, **kwargs)
             calls.append(out.shape)
             return out
 
@@ -382,14 +479,43 @@ class TestEvolve:
         calls = []
         project = ModeProjector.__call__
 
-        def counting(self, f):
+        def counting(self, f, **kwargs):
             calls.append(1)
-            return project(self, f)
+            return project(self, f, **kwargs)
 
         monkeypatch.setattr(ModeProjector, "__call__", counting)
         init = make_gaussian_state(1.0, PARAMS, np.linspace(-8, 8, 101))
         evolve(init, PARAMS, SolverConfig(t_final=0.07, dt=0.01))
         assert len(calls) == 4 * 7
+
+    @pytest.mark.parametrize("case", ["boosted", "harmonic", "tabulated",
+                                      "non-affine"])
+    def test_workspace_loop_matches_allocating_loop_bit_for_bit(self, case):
+        a = np.linspace(-8, 8, 201)
+        params = {"harmonic": PhysicsParams(potential=HarmonicPotential(1.3)),
+                  "tabulated": _anharmonic_trap()}.get(case, PARAMS)
+        if case == "non-affine":
+            init = _custom_phase_state(lambda a: 0.3 * np.cos(a),
+                                       lambda a: 0.3 * np.sin(a))
+        else:
+            init = make_gaussian_state(1.0, params, a,
+                                       boost_k=2.0 if case == "boosted" else 0.0)
+        cfg = SolverConfig(t_final=0.06, dt=0.005, snapshot_stride=4)
+        runs = [evolve(init, params, cfg) for _ in range(2)]
+        ref = _allocating_rk4(init, params, cfg)
+        assert len(ref) == 4
+        for snaps in runs:
+            assert len(snaps) == len(ref)
+            for s, (t, q, qd, chi, energy, min_j) in zip(snaps, ref):
+                assert s.t == t
+                for got, want in ((s.q, q), (s.qdot, qd), (s.chi, chi),
+                                  (s.energy, energy), (s.min_jacobian, min_j)):
+                    assert np.array_equal(got, want)
+        # the loop's in-place state never leaks into a returned snapshot
+        arrays = [v for snaps in runs for s in snaps for v in (s.q, s.qdot, s.chi)]
+        for i, u in enumerate(arrays):
+            for v in arrays[i + 1:]:
+                assert not np.shares_memory(u, v)
 
     def test_snapshot_stride_and_final_inclusion(self):
         init = make_gaussian_state(1.0, PARAMS, np.linspace(-8, 8, 101))

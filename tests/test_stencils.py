@@ -221,6 +221,27 @@ def test_bound_kernel_bit_identical_to_sparse_product(cols, size, m):
             assert np.array_equal(Stencil(n, 1.0, m)(f), raw), name
 
 
+@pytest.mark.parametrize("m", [1, (1, 2, 3)], ids=str)
+def test_out_buffer_gets_the_bits_of_a_new_array(m):
+    # a caller's buffer holding stale values is zeroed before the kernel
+    n, h = 37, 0.3
+    stencil = Stencil(n, h, m)
+    rng = np.random.default_rng(1)
+    for f in (rng.normal(size=n), rng.normal(size=(n, 2, 3))):
+        ref = stencil(f)
+        out = np.full(ref.shape, np.nan)
+        assert stencil(f, out=out) is out
+        assert np.array_equal(out, ref)
+
+
+def test_out_buffer_of_another_shape_or_layout_rejected():
+    stencil = Stencil(37, 0.1, (1, 2, 3))
+    f = np.ones(37)
+    for out in (np.empty(3 * 37), np.empty((3, 38)), np.empty((37, 3)).T):
+        with pytest.raises(ValidationError, match="C-contiguous"):
+            stencil(f, out=out)
+
+
 def test_bound_kernel_rejects_other_lengths():
     # the CSR kernel reads f unchecked, so the length is checked first
     stencil = Stencil(37, 0.1, (1, 2, 3))
