@@ -16,8 +16,8 @@ Prints the best-of-``--repeats`` time per call, in microseconds, of
   (``qtm.n_particles``, 201 by default);
 * one ``reconstruct_wavefunction`` of the final snapshot of that ``evolve``
   run on the default spatial grid (``grid.n_x``, 1 024 points): the inverse
-  map, the push-forward and the quasi-potential phase check (a tenth of
-  ``--calls`` per timing: each call takes about a millisecond);
+  map and the push-forward of rho, v and S (a tenth of ``--calls`` per
+  timing: each call takes about a millisecond);
 * one ``tensor_check(0)``, the identity suite behind ``qflow tensor-check``
   (one call per timing, and half of ``--repeats`` timings: each call takes
   about a second), with the ``tracemalloc`` peak of one more call in the

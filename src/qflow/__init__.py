@@ -21,9 +21,9 @@ from .benchmarks import (Norms, error_norms, gaussian_alpha,
                          gaussian_wavefunction)
 from .config import ConfigError, Settings
 from .errors import (NodeEncountered, NumericalInstability,
-                     OutsidePotentialTable, PhaseInconsistencyWarning,
-                     QflowError, QtmDerivativeError, TrajectoryCrossing,
-                     ValidationError, WrapAroundRiskWarning)
+                     OutsidePotentialTable, QflowError, QtmDerivativeError,
+                     TrajectoryCrossing, ValidationError,
+                     WrapAroundRiskWarning)
 from .kinematics import (cofactor_matrix, hyper_cofactor, internal_energy,
                          jacobian, levi_civita, quantum_potential,
                          stress_eulerian, stress_lagrangian)
@@ -35,8 +35,8 @@ from .model import (AnalyticForms, EulerianField, FreePotential,
                     TabulatedPotential, TrajectoryState, assemble_wavefunction,
                     madelung_decompose, make_gaussian_state)
 from .qtm import ParticleSet, QtmConfig, QtmResult, mwls_derivatives, qtm_evolve
-from .reconstruction import (advect_labels_check, continuity_euler_residuals,
-                             eulerian_moments, invert_map, lagrangian_moments,
+from .reconstruction import (continuity_euler_residuals, eulerian_moments,
+                             invert_map, lagrangian_moments,
                              phase_consistency_deviation, qhj_residual,
                              reconstruct_wavefunction)
 from .spectral import (WaveSnapshot, energy_of as wave_energy_of, norm_of,

@@ -180,7 +180,11 @@ class Settings:
             path = self["physics.potential_file"]
             if not path:
                 raise ConfigError("physics.potential_file required for tabulated")
-            data = np.loadtxt(path, delimiter=",", comments="#")
+            try:
+                data = np.loadtxt(path, delimiter=",", comments="#")
+            except (OSError, ValueError) as exc:
+                raise ConfigError(
+                    f"cannot read physics.potential_file {path!r}: {exc}") from exc
             if data.ndim != 2 or data.shape[1] != 2:
                 raise ConfigError("potential file must hold two columns: x, V")
             pot = TabulatedPotential(data[:, 0], data[:, 1])

@@ -66,9 +66,5 @@ class QtmDerivativeError(QflowError):
         super().__init__(f"derivative fit failed at particle {particle}: {reason}")
 
 
-class PhaseInconsistencyWarning(UserWarning):
-    """The two phase-assembly routes disagree beyond tolerance (non-fatal)."""
-
-
 class WrapAroundRiskWarning(UserWarning):
     """Wavepacket density is approaching the periodic domain edge."""

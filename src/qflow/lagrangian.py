@@ -82,7 +82,8 @@ without ``out=``.
 from __future__ import annotations
 
 from copy import copy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -339,9 +340,10 @@ def energy_of(traj: TrajectoryState, init: InitialState, params: PhysicsParams,
               *, data: Optional[_LabelData] = None, kin=None) -> float:
     """Discrete total energy sum_i w_i rho0_i (m qdot^2/2 + U + V).
 
-    ``data`` is the label data of (init, params) and ``kin`` the snapshot's
-    ``_kinematics`` tuple when the caller already holds them, as
-    :func:`evolve` does.
+    Of ``traj`` only ``q`` and ``qdot`` are read (and ``t`` when ``kin`` is
+    not given).  ``data`` is the label data of (init, params) and ``kin``
+    the snapshot's ``_kinematics`` tuple when the caller already holds
+    them, as :func:`evolve` does, before it builds the snapshot.
     """
     if data is None:
         data = _LabelData(init, params)
@@ -419,9 +421,10 @@ def evolve(init: InitialState, params: PhysicsParams,
         if phi0 is None:
             phi0 = phi
         dphi = phi - phi0
-        snap = TrajectoryState(init.labels, q, qd, dphi - dphi[i0] + y[-1], tn)
-        return replace(snap, energy=energy_of(snap, init, params, data=data, kin=kin),
-                       min_jacobian=float(kin[0].min()))
+        energy = energy_of(SimpleNamespace(q=q, qdot=qd), init, params,
+                           data=data, kin=kin)
+        return TrajectoryState(init.labels, q, qd, dphi - dphi[i0] + y[-1], tn,
+                               energy=energy, min_jacobian=float(kin[0].min()))
 
     snapshots = [measured(0.0)]
     e0 = snapshots[0].energy

@@ -260,8 +260,9 @@ class TrajectoryState:
     """Positions, velocities and accumulated phase of every fluid element.
 
     ``chi`` is the phase gained since t = 0 (S = S0 + chi).  The trajectory
-    solver builds it from the velocity (see ``lagrangian.evolve``); one
-    built elsewhere is what the reconstruction's phase check tests.
+    solver builds it from the velocity (see ``lagrangian.evolve``);
+    ``reconstruction.phase_consistency_deviation`` measures how far a
+    snapshot's chi departs from that quasi-potential form.
     ``energy`` is the discrete total energy and ``min_jacobian`` the least
     J = dq/da when the producer computed them (the trajectory solver does,
     for its drift check), else None.

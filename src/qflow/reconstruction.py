@@ -3,26 +3,25 @@
 The map a -> q(a, t) is inverted on the spatial grid (monotone cubic
 interpolation, well-posed because J > 0), densities push forward by
 rho = rho0 / J, velocities by composition, and the phase rides along the
-trajectories as S = S0 + chi.  The phase is checked, not rebuilt, by the
-quasi-potential condition m v = dS/dx written on the labels of one
-snapshot, m qdot J = d(S0 + chi)/da: a running trapezoid over the labels,
-with no spatial grid and no history.  ``evolve`` builds chi from that
-same quadrature, so on its output the check reads rounding; it guards
-snapshots built elsewhere, by hand or read back from a CSV.
+trajectories as S = S0 + chi.  :func:`reconstruct_wavefunction` is the
+one push-forward, and only that: it builds one inverse map, by
+:func:`invert_map`, and it serves rho, v and S.
 
-:func:`reconstruct_wavefunction` is the one push-forward: it builds one
-inverse map, by :func:`invert_map`, and it serves rho, v and S.  The
+:func:`phase_consistency_deviation` is the phase check, run on demand:
+the quasi-potential condition m v = dS/dx written on the labels of one
+snapshot, m qdot J = d(S0 + chi)/da, a running trapezoid over the labels
+with no spatial grid and no history.  ``evolve`` builds chi from that
+same quadrature, so on its output the check reads rounding.  The
 residual diagnostics take V_Q from ``PhysicsParams.quantum_potential``.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Sequence
 
 import numpy as np
 
-from .errors import PhaseInconsistencyWarning, TrajectoryCrossing, ValidationError
+from .errors import TrajectoryCrossing, ValidationError
 from .model import (EulerianField, InitialState, PhysicsParams,
                     TrajectoryState, assemble_wavefunction)
 from .stencils import (cumulative_trapezoid, derivative, grid_spacing,
@@ -32,7 +31,6 @@ from .stencils import (cumulative_trapezoid, derivative, grid_spacing,
 # clears this fraction of its peak; farther out the reconstructed
 # log-density carries interpolation noise that derivative stencils amplify
 RHO_INTERIOR_REL = 1e-6
-DUAL_PHASE_TOL = 1e-3
 
 
 def _pchip_slopes(xs, ys):
@@ -115,13 +113,6 @@ def _jacobian(traj):
     return derivative(traj.q, grid_spacing(traj.labels), 1)
 
 
-def _phase_deviation(traj, init, params, J):
-    """max |d - mean(d)| of d = S0 + chi - int m qdot J da, given J."""
-    d = init.s0 + traj.chi - cumulative_trapezoid(
-        params.mass * traj.qdot * J, traj.labels)
-    return float(np.max(np.abs(d - np.mean(d))))
-
-
 def phase_consistency_deviation(traj: TrajectoryState, init: InitialState,
                                 params: PhysicsParams) -> float:
     """Departure of one snapshot from quasi-potential flow.
@@ -132,7 +123,9 @@ def phase_consistency_deviation(traj: TrajectoryState, init: InitialState,
     fourth-order stencil), and the largest deviation left after removing
     their mean difference is returned.
     """
-    return _phase_deviation(traj, init, params, _jacobian(traj))
+    d = init.s0 + traj.chi - cumulative_trapezoid(
+        params.mass * traj.qdot * _jacobian(traj), traj.labels)
+    return float(np.max(np.abs(d - np.mean(d))))
 
 
 def reconstruct_wavefunction(history: Sequence[TrajectoryState],
@@ -144,11 +137,9 @@ def reconstruct_wavefunction(history: Sequence[TrajectoryState],
     with the inverse map a(x), by the interpolation the map itself uses:
     rho = rho0 / J (rho0 from the analytic form when the initial state has
     one), v = qdot and S = S0 + chi.  Points outside the trajectory image
-    are masked and hold zeros.  The snapshot's quasi-potential condition
-    (:func:`phase_consistency_deviation`) is checked on the way, and a
-    deviation beyond ``DUAL_PHASE_TOL`` raises a
-    :class:`PhaseInconsistencyWarning` (the reconstruction itself is
-    returned regardless).
+    are masked and hold zeros.  The phase is composed as carried; whether
+    it satisfies the quasi-potential condition is
+    :func:`phase_consistency_deviation`'s question, not this function's.
     """
     if len(history) == 0:
         raise ValidationError("empty trajectory history")
@@ -163,8 +154,7 @@ def reconstruct_wavefunction(history: Sequence[TrajectoryState],
     S = np.zeros(x.shape)
     v = np.zeros(x.shape)
     psi = np.zeros(x.shape, dtype=complex)
-    J = _jacobian(final)
-    J_at = _pchip_linear_edges(final.labels, J)(aq)
+    J_at = _pchip_linear_edges(final.labels, _jacobian(final))(aq)
     if init.forms is not None:
         rho0_at = np.asarray(init.forms.rho0(aq), dtype=float)
     else:
@@ -173,11 +163,6 @@ def reconstruct_wavefunction(history: Sequence[TrajectoryState],
     v[mask] = _pchip_linear_edges(final.labels, final.qdot)(aq)
     S[mask] = _pchip_linear_edges(final.labels, init.s0 + final.chi)(aq)
     psi[mask] = assemble_wavefunction(rho[mask], S[mask], params.hbar)
-    dev = _phase_deviation(final, init, params, J)
-    if dev > DUAL_PHASE_TOL:
-        warnings.warn(
-            f"quasi-potential phase deviation {dev:.2e} exceeds "
-            f"{DUAL_PHASE_TOL:.0e}", PhaseInconsistencyWarning, stacklevel=2)
     return EulerianField(x=x, t=final.t, rho=rho, S=S, v=v, psi=psi,
                          mask=mask, hbar=params.hbar)
 
@@ -187,8 +172,6 @@ def reconstruct_wavefunction(history: Sequence[TrajectoryState],
 # ---------------------------------------------------------------------------
 
 def _check_pair(field_a: EulerianField, field_b: EulerianField):
-    if field_a is None or field_b is None:
-        raise ValidationError("two consecutive field snapshots are required")
     if field_a.x.shape != field_b.x.shape or not np.allclose(field_a.x, field_b.x):
         raise ValidationError("field snapshots live on different grids")
     if field_b.t == field_a.t:
@@ -254,34 +237,6 @@ def continuity_euler_residuals(field_a: EulerianField, field_b: EulerianField,
                + v_mid * derivative(v_mid, h, 1)
                + force / params.mass)
     return np.where(mask, r_cont, 0.0), np.where(mask, r_euler, 0.0), mask
-
-
-def advect_labels_check(field_history: Sequence[EulerianField],
-                        traj_history: Sequence[TrajectoryState],
-                        x0s) -> float:
-    """Advect sample points through the reference velocity history and
-    compare the arrival positions with the trajectories q(a = x0, t).
-
-    Returns the largest absolute deviation over the sample points.
-    """
-    if len(field_history) < 2:
-        raise ValidationError("need a velocity history with >= 2 snapshots")
-    x0s = np.atleast_1d(np.asarray(x0s, dtype=float))
-    xs = x0s.copy()
-
-    def v_at(field, pos):
-        m = field.mask & np.isfinite(field.v)
-        return np.interp(pos, field.x[m], field.v[m])
-
-    for fa, fb in zip(field_history[:-1], field_history[1:]):
-        dt = fb.t - fa.t
-        v0 = v_at(fa, xs)
-        pred = xs + dt * v0
-        xs = xs + 0.5 * dt * (v0 + v_at(fb, pred))
-
-    final = traj_history[-1]
-    q_at = _pchip_linear_edges(final.labels, final.q)(x0s)
-    return float(np.max(np.abs(xs - q_at)))
 
 
 def lagrangian_moments(traj: TrajectoryState, init: InitialState,

@@ -420,6 +420,26 @@ class TestCli:
                      "--out", str(tmp_path / "o"), "--quiet"]) == code
         assert fragment in capsys.readouterr().err
 
+    @pytest.mark.parametrize("table", [
+        pytest.param(None, id="missing"),
+        # numpy scalar reprs, as printing an array's elements writes them
+        pytest.param("\n".join(f"{x!r},{-x * x!r}" for x in
+                               np.linspace(-40.0, 40.0, 81)), id="reprs"),
+    ])
+    def test_unreadable_potential_file_exits_2(self, tmp_path, capsys, table):
+        path = tmp_path / "potential.csv"
+        if table is not None:
+            assert table.startswith("np.float64(-40.0),")
+            path.write_text(table)
+        cfg = tmp_path / "bad_table.cfg"
+        cfg.write_text(f"physics.potential = tabulated\n"
+                       f"physics.potential_file = {path}\n")
+        assert main(["run-lagrangian", "--config", str(cfg),
+                     "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot read physics.potential_file '{path}'" in err
+        assert "Traceback" not in err
+
     def test_tensor_check_reports_all_draws(self, tmp_path, capsys):
         out = tmp_path / "tensor"
         code = main(["tensor-check", "--out", str(out), "--seed", "0"])

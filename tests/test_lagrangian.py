@@ -372,6 +372,22 @@ class TestEvolve:
         assert np.all(snaps[0].q == init.labels)
         assert np.all(snaps[0].chi == 0.0)
 
+    def test_each_snapshot_validated_once(self, monkeypatch):
+        # each snapshot is built once, its energy and min J included
+        validated = []
+        post_init = TrajectoryState.__post_init__
+
+        def counting(self):
+            validated.append(self.t)
+            post_init(self)
+
+        monkeypatch.setattr(TrajectoryState, "__post_init__", counting)
+        init = make_gaussian_state(1.0, PARAMS, np.linspace(-8, 8, 101))
+        snaps = evolve(init, PARAMS, SolverConfig(t_final=0.05, dt=0.005,
+                                                  snapshot_stride=2))
+        assert len(snaps) == 6
+        assert validated == [s.t for s in snaps]
+
     def test_short_free_run_tracks_closed_form(self):
         init = make_gaussian_state(1.0, PARAMS, np.linspace(-8, 8, 201))
         snaps = evolve(init, PARAMS, SolverConfig(t_final=0.5))
