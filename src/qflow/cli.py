@@ -141,7 +141,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_tensor_check(args) -> int:
     settings = _load_settings(args)
-    seed = settings["run.seed"]
+    seed = settings.seed()
     report = tensor_check(seed=seed, params=settings.physics())
     args.out.mkdir(parents=True, exist_ok=True)
     payload = dict(report)

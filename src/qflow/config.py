@@ -214,6 +214,9 @@ class Settings:
                                    boost_k=self["state.boost_k"])
 
     def solver_config(self) -> SolverConfig:
+        cfl = self["solver.cfl"]
+        if not cfl > 0:
+            raise ConfigError(f"solver.cfl must be positive, got {cfl!r}")
         cfg = SolverConfig(
             t_final=self["solver.t_final"],
             dt=self["solver.dt"],
@@ -245,6 +248,18 @@ class Settings:
         if not 9 <= n <= MAX_GRID_POINTS:
             raise ConfigError(f"9 <= qtm.n_particles <= {MAX_GRID_POINTS} required")
         return np.linspace(-span, span, n)
+
+    def field_times(self) -> int:
+        n = self["output.field_times"]
+        if n < 1:
+            raise ConfigError(f"output.field_times must be >= 1, got {n}")
+        return n
+
+    def seed(self) -> int:
+        seed = self["run.seed"]
+        if seed < 0:
+            raise ConfigError(f"run.seed must be >= 0, got {seed}")
+        return seed
 
     def reference_t_final(self) -> float:
         t = self["reference.t_final"]

@@ -61,9 +61,13 @@ source that the projection could make disagree with it (see ``evolve``).
 
 Projected force.  That projection is linear, and so is the map
 (G, dV/dq) -> (hbar^2/4m^2)(L1 G + dG/da) - (1/m) dV/dq, so ``evolve``
-composes the two once per run (:meth:`ModeProjector.compose`, d/da taken
-as the bound stencil's sparse matrix): a right-hand side stacks G and
-dV/dq and makes one call of the composed operator, with no stencil
+composes the two once per run (:meth:`ModeProjector.compose`): the map is
+the matrix A = [(hbar^2/4m^2)(diag L1 + d/da) | -I/m], its CSR rows built
+in numpy from the bound d/da stencil's arrays, and the composed
+coefficients ``coeffs @ A`` come from scipy's compiled CSR kernel
+(:func:`~qflow.stencils.left_product`), which adds up the rows of A in
+ascending order as scipy's sparse product does.  A right-hand side stacks
+G and dV/dq and makes one call of the composed operator, with no stencil
 product for dG/da.  A right-hand side is thus one stencil product, the
 log-density arithmetic and one projection.
 
@@ -87,13 +91,13 @@ from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
+from numpy.polynomial.legendre import legvander
 
 from .errors import (NumericalInstability, OutsidePotentialTable,
                      TrajectoryCrossing, ValidationError)
 from .model import InitialState, PhysicsParams, TrajectoryState, plan_steps
 from .stencils import (Stencil, cumulative_trapezoid, derivative, grid_spacing,
-                       trapezoid_weights)
+                       left_product, trapezoid_weights)
 
 J_FLOOR = 1e-10
 TAIL_FLOOR_REL = 1e-12
@@ -116,7 +120,8 @@ class SolverConfig:
         if self.dt is not None and not (self.dt > 0):
             raise ValidationError(f"dt must be positive, got {self.dt}")
         if not (self.cfl_coefficient > 0):
-            raise ValidationError(f"cfl_coefficient must be positive")
+            raise ValidationError("cfl_coefficient must be positive, "
+                                  f"got {self.cfl_coefficient}")
         if self.snapshot_stride < 1:
             raise ValidationError("snapshot_stride must be >= 1")
         if self.projection_degree is not None and self.projection_degree < 1:
@@ -158,7 +163,7 @@ class ModeProjector:
         labels = np.asarray(labels, dtype=float)
         w = trapezoid_weights(labels)
         t = 2.0 * (labels - labels[0]) / (labels[-1] - labels[0]) - 1.0
-        V = np.polynomial.legendre.legvander(t, degree)
+        V = legvander(t, degree)
         rho0 = np.asarray(rho0, dtype=float)
         weight = np.maximum(rho0, self.WEIGHT_FLOOR_REL * float(np.max(rho0)))
         weight_root = np.sqrt(weight * w)[:, None]
@@ -169,14 +174,14 @@ class ModeProjector:
         self.lift = V @ np.linalg.inv(R)
         self.coeffs = np.ascontiguousarray((Q * weight_root).T)
 
-    def compose(self, A) -> ModeProjector:
-        """The projection of ``A @ f``, for a fixed (sparse or dense) map
-        ``A`` with one row per label, as one projector: its ``coeffs`` are
-        ``coeffs @ A``, so a call costs what a plain projection does.  A call
-        reads ``f`` flattened, so ``f`` may come stacked, one block of
-        labels per column block of ``A``."""
+    def compose(self, indptr, indices, data, n_cols: int) -> ModeProjector:
+        """The projection of ``A @ f``, for a fixed map ``A`` with one row per
+        label, given as its CSR arrays and column count, as one projector:
+        its ``coeffs`` are ``coeffs @ A``, so a call costs what a plain
+        projection does.  A call reads ``f`` flattened, so ``f`` may come
+        stacked, one block of labels per column block of ``A``."""
         composed = copy(self)
-        composed.coeffs = np.ascontiguousarray(self.coeffs @ A)
+        composed.coeffs = left_product(self.coeffs, indptr, indices, data, n_cols)
         return composed
 
     def __call__(self, f: np.ndarray, out=None) -> np.ndarray:
@@ -302,11 +307,20 @@ def _projected_force(data: _LabelData, params: PhysicsParams,
                      project: ModeProjector) -> ModeProjector:
     """``project`` composed with the map from the stacked (G, dV/dq) to the
     conservation-form acceleration (hbar^2/4m^2)(L1 G + dG/da) - (1/m) dV/dq,
-    d/da taken from the run's bound stencil: one mode projection per call."""
+    d/da taken from the run's bound stencil: one mode projection per call.
+
+    Row ``j`` of the map is ``(hbar^2/4m^2)`` times the d/da stencil row with
+    ``L1[j]`` added to its diagonal entry (every stencil row has one),
+    followed by ``-1/m`` in column ``n + j``.
+    """
     n = data.L1.size
-    return project.compose(sparse.hstack((
-        data.quantum_coeff * (sparse.diags_array(data.L1) + data.d1.matrix()),
-        sparse.eye_array(n) * (-1.0 / params.mass))))
+    indptr, cols, w = data.d1.matrix()
+    w[cols == np.repeat(np.arange(n), np.diff(indptr))] += data.L1
+    w *= data.quantum_coeff
+    ends = indptr[1:]
+    return project.compose(indptr + np.arange(n + 1),
+                           np.insert(cols, ends, n + np.arange(n)),
+                           np.insert(w, ends, -1.0 / params.mass), 2 * n)
 
 
 def acceleration_direct(traj: TrajectoryState, init: InitialState,

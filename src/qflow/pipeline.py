@@ -11,6 +11,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng
 
 from .benchmarks import error_norms, gaussian_trajectory, gaussian_wavefunction
 from .config import Settings
@@ -35,10 +36,12 @@ from .stencils import grid_spacing
 # ---------------------------------------------------------------------------
 
 def _field_snapshot_indices(n_snapshots: int, n_times: int) -> list[int]:
-    """Evenly spread output times plus the final adjacent pair."""
+    """Evenly spread output times plus the final adjacent pair; asking for
+    more times than there are snapshots picks every snapshot."""
     if n_snapshots <= 2:
         return list(range(n_snapshots))
-    picks = set(np.linspace(0, n_snapshots - 1, max(2, n_times)).astype(int).tolist())
+    n_times = max(2, min(n_times, n_snapshots))
+    picks = set(np.linspace(0, n_snapshots - 1, n_times).astype(int).tolist())
     picks.add(n_snapshots - 2)
     picks.add(n_snapshots - 1)
     return sorted(picks)
@@ -49,12 +52,13 @@ def run_lagrangian(settings: Settings):
     params = settings.physics()
     init = settings.initial_state(params)
     config = settings.solver_config()
+    n_times = settings.field_times()
     t0 = time.perf_counter()
     snapshots = evolve(init, params, config)
     wall = time.perf_counter() - t0
 
     x_grid = settings.x_grid()
-    indices = _field_snapshot_indices(len(snapshots), settings["output.field_times"])
+    indices = _field_snapshot_indices(len(snapshots), n_times)
     fields = [reconstruct_wavefunction(snapshots[:i + 1], init, params, x_grid)
               for i in indices]
 
@@ -98,6 +102,7 @@ def run_reference(settings: Settings):
     """Spectral solve of the same initial state on the spatial grid."""
     params = settings.physics()
     x = settings.x_grid()
+    n_times = settings.field_times()
     forms = _gaussian_forms(settings["state.sigma0"], params.hbar,
                             settings["state.boost_k"])
     psi0 = assemble_wavefunction(forms.rho0(x), forms.s0(x), params.hbar)
@@ -107,7 +112,7 @@ def run_reference(settings: Settings):
                               settings.reference_t_final(),
                               settings["reference.snapshot_stride"])
     norms = [norm_of(w.psi, dx) for w in waves]
-    indices = _field_snapshot_indices(len(waves), settings["output.field_times"])
+    indices = _field_snapshot_indices(len(waves), n_times)
     fields = [reference_fields(waves[i], x, params) for i in indices]
     summary = {
         "config": settings.echo(),
@@ -282,7 +287,7 @@ def _chain_rule_stress(point, params: PhysicsParams, h: float = 0.02):
 def tensor_check(seed: int = 0, params: PhysicsParams | None = None) -> dict:
     """The deformation-algebra identity suite (reported values + pass flags)."""
     params = params or PhysicsParams()
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
 
     # cofactor identity over seeded nonsingular gradients
     worst = 0.0

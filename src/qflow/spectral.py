@@ -13,6 +13,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.fft import fft, fftfreq, ifft
 
 from .errors import NodeEncountered, ValidationError, WrapAroundRiskWarning
 from .model import (NODE_FLOOR_REL, EulerianField, PhysicsParams,
@@ -41,8 +42,8 @@ def energy_of(psi, x_grid, params: PhysicsParams) -> float:
     x = np.asarray(x_grid, dtype=float)
     dx = grid_spacing(x)
     n = x.size
-    k = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
-    psi_k = np.fft.fft(psi)
+    k = 2.0 * np.pi * fftfreq(n, d=dx)
+    psi_k = fft(psi)
     kinetic = np.sum((params.hbar**2 * k**2 / (2.0 * params.mass))
                      * np.abs(psi_k) ** 2) * dx / n
     potential = np.sum(params.potential_energy(x) * np.abs(psi) ** 2) * dx
@@ -84,7 +85,7 @@ def split_step_evolve(psi0, x_grid, params: PhysicsParams, dt: float,
         raise ValidationError(
             f"psi0 is not normalized (norm = {norm_of(psi, dx)!r})")
     n = x.size
-    k = 2.0 * np.pi * np.fft.fftfreq(n, d=dx)
+    k = 2.0 * np.pi * fftfreq(n, d=dx)
     n_steps, dt = plan_steps(t_final, dt)
     half_kinetic = np.exp(-1j * params.hbar * k**2 * dt / (4.0 * params.mass))
     potential_step = np.exp(-1j * params.potential_energy(x) * dt / params.hbar)
@@ -92,9 +93,9 @@ def split_step_evolve(psi0, x_grid, params: PhysicsParams, dt: float,
     snapshots = [WaveSnapshot(0.0, psi.copy())]
     _edge_check(psi, 0.0)
     for step in range(n_steps):
-        psi = np.fft.ifft(half_kinetic * np.fft.fft(psi))
+        psi = ifft(half_kinetic * fft(psi))
         psi *= potential_step
-        psi = np.fft.ifft(half_kinetic * np.fft.fft(psi))
+        psi = ifft(half_kinetic * fft(psi))
         t = (step + 1) * dt
         if (step + 1) % snapshot_stride == 0 or step + 1 == n_steps:
             _edge_check(psi, t)

@@ -3,7 +3,7 @@
 Interior points use centred fourth-order stencils; the outermost points
 fall back to one-sided stencils of the same order, mirrored with a sign
 flip for odd derivatives at the right edge.  Every row of every requested
-derivative, edge rows included, lives in one cached sparse operator per
+derivative, edge rows included, lives in one cached CSR operator per
 grid size, so a call is a single sparse product.  Each row sums its
 stencil in weight order starting from zero, and the scaling by ``h**m``
 comes last.  Weights are generated from the Vandermonde system rather
@@ -11,23 +11,58 @@ than hard-coded tables, so every derivative's rows stay consistent by
 construction.
 
 A :class:`Stencil` binds that operator and the ``h**m`` column to one grid
-and runs scipy's CSR kernel on it directly; a caller that differentiates on
+and runs scipy's compiled CSR kernel on it; a caller that differentiates on
 the same grid many times (the trajectory solver, once per right-hand side)
 holds one, and :func:`derivative` builds one per call.
-:meth:`Stencil.matrix` hands out the bound operator as a sparse array for
-composing it with other linear maps once per run.
+:meth:`Stencil.matrix` hands out the bound operator's CSR arrays, and
+:func:`left_product` multiplies a dense matrix by such arrays, for
+composing the operator with other linear maps once per run.
+
+The kernels come from scipy's extension module ``_sparsetools``, loaded
+from its file without importing ``scipy.sparse``: that package's
+array-API layer imports most of numpy (``numpy.f2py``, ``numpy.testing``,
+``numpy.ma``, ...) and took about 0.2 s of every command's start-up.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+import sys
 from functools import lru_cache
+from importlib.machinery import (EXTENSION_SUFFIXES, ExtensionFileLoader,
+                                 FileFinder)
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import _sparsetools
 
 from .errors import ValidationError
+
+
+def _load_sparsetools():
+    """scipy's ``scipy.sparse._sparsetools``, loaded from its extension file
+    without running the ``scipy.sparse`` package init."""
+    name = "scipy.sparse._sparsetools"
+    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    finder = FileFinder(os.path.join(scipy_dir, "sparse"),
+                        (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    spec = finder.find_spec(name)
+    saved = sys.modules.get(name)
+    try:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        # the loader registers the module under its name; left there, a
+        # later ``import scipy.sparse`` would find it and never set the
+        # package's ``_sparsetools`` attribute
+        if saved is None:
+            sys.modules.pop(name, None)
+        else:
+            sys.modules[name] = saved
+    return module
+
+
+_sparsetools = _load_sparsetools()
 
 #: centred half-width per derivative m (fourth-order accuracy)
 _HALF = {1: 2, 2: 2, 3: 3}
@@ -57,7 +92,9 @@ def _stencil_table(m: int):
 
 @lru_cache(maxsize=64)
 def _operator(n: int, ms: tuple):
-    """CSR of the unscaled weights of every row of every ``m`` in ``ms``.
+    """CSR arrays ``(indptr, indices, data)`` of the unscaled weights of
+    every row of every ``m`` in ``ms``, an operator of ``len(ms) * n`` rows
+    and ``n`` columns; cached, so read-only.
 
     Row ``k * n + i`` holds the stencil of derivative ``ms[k]`` at point
     ``i``, its entries in weight order: the centred stencil inside, the
@@ -81,10 +118,11 @@ def _operator(n: int, ms: tuple):
                  (sign * edge_rows[::-1]).ravel()]
         counts += [np.full(half, edge), np.full(inner.size, center.size),
                    np.full(half, edge)]
-    indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
-    return sparse.csr_array(
-        (np.concatenate(data), np.concatenate(indices), indptr),
-        shape=(len(ms) * n, n))
+    csr = (np.concatenate(([0], np.cumsum(np.concatenate(counts)))),
+           np.concatenate(indices), np.concatenate(data))
+    for array in csr:
+        array.flags.writeable = False
+    return csr
 
 
 class Stencil:
@@ -104,9 +142,8 @@ class Stencil:
     def __init__(self, n: int, h: float, m=1):
         single = np.ndim(m) == 0
         ms = (m,) if single else tuple(m)
-        op = _operator(n, ms)
         self.n = n
-        self._csr = (op.shape[0], n, op.indptr, op.indices, op.data)
+        self._csr = (len(ms) * n, n) + _operator(n, ms)
         self._h_m = np.repeat([h**k for k in ms], n)
         self._lead = () if single else (len(ms),)
 
@@ -141,13 +178,33 @@ class Stencil:
             flat /= self._h_m[:, None]
         return out
 
-    def matrix(self) -> sparse.csr_array:
-        """The bound operator, ``h**m`` scaling folded in, as a CSR array,
-        for composing it with other linear maps; a call stays the way to
-        apply it (it scales last, this does not)."""
-        rows, n, indptr, indices, data = self._csr
-        scale = np.repeat(self._h_m, np.diff(indptr))
-        return sparse.csr_array((data / scale, indices, indptr), shape=(rows, n))
+    def matrix(self):
+        """The bound operator, ``h**m`` scaling folded in, as the CSR arrays
+        ``(indptr, indices, data)`` of its ``len(m) * n`` rows (``data`` a
+        new array, the index arrays the cached read-only ones), for
+        composing it with other linear maps; a call stays the way to apply
+        it (it scales last, this does not)."""
+        _, _, indptr, indices, data = self._csr
+        return indptr, indices, data / np.repeat(self._h_m, np.diff(indptr))
+
+
+def left_product(C: np.ndarray, indptr, indices, data, n_cols: int) -> np.ndarray:
+    """``C @ A`` for a dense ``C`` and the CSR arrays of ``A`` (``C.shape[1]``
+    rows, ``n_cols`` columns), as a new C-contiguous array.
+
+    Column ``k`` of the product sums ``C[:, j] * A[j, k]`` over the rows
+    ``j`` of ``A`` in ascending order, starting from zero: scipy's kernel
+    ``csc_matvecs`` on the transpose, whose CSC arrays are ``A``'s CSR
+    arrays.  These are the sums, and bits, of scipy's ``C @ csr_array(A)``.
+    The kernel reads its arrays unchecked, so the shapes are checked first.
+    """
+    if indptr.size != C.shape[1] + 1 or (indices.size and indices.max() >= n_cols):
+        raise ValidationError(f"CSR arrays of {indptr.size - 1} rows do not fit "
+                              f"a product of {C.shape} by {n_cols} columns")
+    out = np.zeros((n_cols, C.shape[0]))
+    _sparsetools.csc_matvecs(n_cols, C.shape[1], C.shape[0], indptr, indices,
+                             data, np.ascontiguousarray(C.T).ravel(), out.ravel())
+    return np.ascontiguousarray(out.T)
 
 
 def derivative(f: np.ndarray, h: float, m=1) -> np.ndarray:

@@ -440,6 +440,50 @@ class TestCli:
         assert f"cannot read physics.potential_file '{path}'" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command,line,fragment", [
+        pytest.param(command, line, fragment, id=f"{command}-{line}")
+        for command, line, fragment in [
+            ("tensor-check", "run.seed = -1", "run.seed must be >= 0, got -1"),
+            # fewer than one output time used to run as two
+            ("run-lagrangian", "output.field_times = 0",
+             "output.field_times must be >= 1, got 0"),
+            ("run-reference", "output.field_times = -1",
+             "output.field_times must be >= 1, got -1"),
+            ("run-lagrangian", "solver.cfl = 0",
+             "solver.cfl must be positive, got 0.0"),
+            ("run-lagrangian", "solver.cfl = -1",
+             "solver.cfl must be positive, got -1.0"),
+        ]])
+    def test_bad_setting_names_its_key(self, tmp_path, capsys, command, line,
+                                       fragment):
+        key, value = line.split(" = ")
+        cfg = _write_config(tmp_path / "bad.cfg", {**CHEAP_RUN, key: value})
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert fragment in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_seed_option_exits_2(self, tmp_path, capsys):
+        assert main(["tensor-check", "--seed", "-1",
+                     "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        assert "run.seed must be >= 0, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run-lagrangian", "run-reference"])
+    def test_more_field_times_than_snapshots(self, tmp_path, command):
+        # every snapshot, without a grid of 1e18 candidate times
+        cfg = _write_config(tmp_path / "many.cfg", {
+            **CHEAP_RUN, "output.field_times": "1e18", "solver.dt": "2e-3",
+            "reference.dt": "2e-3", "solver.snapshot_stride": "1",
+            "reference.snapshot_stride": "1"})
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out),
+                     "--quiet"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert len(summary["times"]) > 3
+        assert summary["field_times"] == summary["times"]
+
     def test_tensor_check_reports_all_draws(self, tmp_path, capsys):
         out = tmp_path / "tensor"
         code = main(["tensor-check", "--out", str(out), "--seed", "0"])

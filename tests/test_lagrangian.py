@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from qflow.benchmarks import gaussian_trajectory
 from qflow.errors import (NumericalInstability, TrajectoryCrossing,
@@ -307,6 +308,30 @@ class TestAccelerations:
         assert (np.max(np.abs(force - ref)[core])
                 <= 1e-13 * np.max(np.abs(ref[core])))
         assert np.max(np.abs(force - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("params", [
+        pytest.param(PARAMS, id="free"),
+        pytest.param(PhysicsParams(hbar=0.7, mass=2.0,
+                                   potential=HarmonicPotential(omega=1.5)),
+                     id="harmonic"),
+        pytest.param(_anharmonic_trap(), id="tabulated")])
+    def test_composed_coefficients_are_scipys_sparse_product(self, params):
+        # the numpy-built CSR rows and the dense-times-CSR kernel give the
+        # coefficients of scipy's product with the stacked sparse map, bit
+        # for bit
+        a = self.init.labels
+        data = _LabelData(self.init, params)
+        project = ModeProjector(a, self.init.rho0,
+                                default_projection_degree(a.size))
+        d1 = sparse.csr_array(data.d1.matrix()[::-1], shape=(a.size, a.size))
+        ref = project.coeffs @ sparse.hstack((
+            data.quantum_coeff * (sparse.diags_array(data.L1) + d1),
+            sparse.eye_array(a.size) * (-1.0 / params.mass)))
+        kept = project.coeffs.copy()
+        got = _projected_force(data, params, project).coeffs
+        assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
+        # composing leaves the plain projection as it was
+        assert np.array_equal(project.coeffs, kept)
 
     def test_kernels_write_the_bits_of_their_allocating_calls(self):
         # each kernel of the RK4 loop fills a stale buffer exactly as it

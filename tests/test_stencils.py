@@ -2,10 +2,11 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from qflow.errors import ValidationError
 from qflow.stencils import (_EDGE, Stencil, _operator, _stencil_table,
-                            derivative, fd_weights, grid_spacing,
+                            derivative, fd_weights, grid_spacing, left_product,
                             trapezoid_weights)
 
 #: accuracy order of every stencil, named in the ids of the cases it sets
@@ -175,13 +176,19 @@ def test_edge_rows_within_rounding_of_blas_products(order, size):
             assert np.all(np.abs(got[k][ends] - blas) <= 8 * eps * scale)
 
 
+def _csr_array(indptr, indices, data, n):
+    """scipy's sparse array on CSR arrays of ``n`` columns."""
+    return sparse.csr_array((data, indices, indptr),
+                            shape=(indptr.size - 1, n))
+
+
 def _sparse_product(f, h, m):
     """Reference: scipy's ``op @ f`` on the cached operator, then the
     division by the h**m column (n-D ``f`` flattened to columns)."""
     ms = (m,) if np.ndim(m) == 0 else tuple(m)
     n = f.shape[0]
     flat = f if f.ndim <= 2 else f.reshape(n, -1)
-    out = (_operator(n, ms) @ flat).reshape((len(ms),) + f.shape)
+    out = (_csr_array(*_operator(n, ms), n) @ flat).reshape((len(ms),) + f.shape)
     out /= np.array([h**k for k in ms]).reshape((-1,) + (1,) * f.ndim)
     return out[0] if np.ndim(m) == 0 else out
 
@@ -217,7 +224,7 @@ def test_bound_kernel_bit_identical_to_sparse_product(cols, size, m):
         assert np.array_equal(got, _sparse_product(f, h, m)), name
         assert np.array_equal(derivative(f, h, m), got), name
         if f.ndim <= 2:
-            raw = (_operator(n, ms) @ f).reshape(got.shape)
+            raw = (_csr_array(*_operator(n, ms), n) @ f).reshape(got.shape)
             assert np.array_equal(Stencil(n, 1.0, m)(f), raw), name
 
 
@@ -252,13 +259,45 @@ def test_bound_kernel_rejects_other_lengths():
 
 @pytest.mark.parametrize("m", [1, (1, 2, 3)], ids=str)
 def test_matrix_is_the_scaled_operator(m):
-    # the sparse form composes into other maps; it scales the weights
-    # first, so it agrees with a call to rounding, not bit for bit
+    # the CSR arrays compose into other maps; they scale the weights
+    # first, so they agree with a call to rounding, not bit for bit
     n, h = 41, 0.2
     stencil = Stencil(n, h, m)
     f = np.sin(np.linspace(-4, 4, n))
     ref = stencil(f)
-    got = (stencil.matrix() @ f).reshape(ref.shape)
+    got = (_csr_array(*stencil.matrix(), n) @ f).reshape(ref.shape)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
     # the cached operator the calls run is left as it was
     assert np.array_equal(stencil(f), derivative(f, h, m))
+
+
+def test_cached_operator_is_read_only():
+    # matrix() hands out the cached index arrays, so they cannot be written
+    indptr, indices, data = _operator(41, (1,))
+    for array in (indptr, indices, data) + Stencil(41, 0.2).matrix()[:2]:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+
+
+@pytest.mark.parametrize("rows,cols", [(7, 7), (41, 82), (401, 802)])
+def test_left_product_bit_identical_to_scipy(rows, cols):
+    # dense times CSR sums the rows of A in ascending order, scipy's
+    # ``C @ csr_array`` to the bit; the product leaves C as it was
+    rng = np.random.default_rng(rows)
+    A = sparse.random_array((rows, cols), density=0.1, format="csr", rng=rng)
+    A.data = rng.normal(size=A.nnz)
+    C = rng.normal(size=(25, rows))
+    kept = C.copy()
+    got = left_product(C, A.indptr, A.indices, A.data, cols)
+    assert got.flags.c_contiguous and got.shape == (25, cols)
+    assert got.tobytes() == np.ascontiguousarray(C @ A).tobytes()
+    assert np.array_equal(C, kept)
+
+
+def test_left_product_rejects_arrays_of_another_shape():
+    # the kernel reads the arrays unchecked
+    A = sparse.csr_array(np.eye(4))
+    C = np.ones((2, 4))
+    for rows, cols in ((C[:, :3], 4), (C, 3)):
+        with pytest.raises(ValidationError, match="do not fit"):
+            left_product(rows, A.indptr, A.indices, A.data, cols)
