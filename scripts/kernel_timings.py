@@ -18,10 +18,14 @@ Prints the best-of-``--repeats`` time per call, in microseconds, of
   run on the default spatial grid (``grid.n_x``, 1 024 points): the inverse
   map and the push-forward of rho, v and S (a tenth of ``--calls`` per
   timing: each call takes about a millisecond);
-* one ``tensor_check(0)``, the identity suite behind ``qflow tensor-check``
-  (one call per timing, and half of ``--repeats`` timings: each call takes
-  about a second), with the ``tracemalloc`` peak of one more call in the
-  row's name;
+* three parts of the identity suite behind ``qflow tensor-check``: the
+  cofactor-divergence grids (17^3, 33^3 and 65^3), the force-identity grids
+  (33^3, 65^3 and 129^3, a slab of planes at a time) and the chain-rule
+  stress oracle at the suite's three label points;
+* one ``tensor_check(0)``, the whole suite, with the ``tracemalloc`` peak
+  of one more call in the row's name (this row and the three above: one
+  call per timing, and half of ``--repeats`` timings, since the suite
+  takes about half a second);
 * start-up: the wall time of ``python -c "import qflow.cli"`` in a fresh
   interpreter, the import every CLI command pays, followed by the list of
   ``scipy`` subpackages that import loaded.
@@ -47,7 +51,10 @@ from qflow.lagrangian import (ModeProjector, _kinematics, _LabelData,
                               _log_density_derivatives, _projected_force,
                               default_projection_degree, evolve)
 from qflow.model import plan_steps
-from qflow.pipeline import _truncated_gaussian_state, tensor_check
+from qflow.pipeline import (_ORACLE_POINTS, _chain_rule_stress,
+                            _cofactor_divergence_errors,
+                            _force_identity_errors, _truncated_gaussian_state,
+                            tensor_check)
 from qflow.qtm import _qtm_rhs
 from qflow.reconstruction import reconstruct_wavefunction
 
@@ -140,7 +147,12 @@ def main():
     evolve_s = best_us(lambda: evolve(init, params, config), 1, args.repeats) / 1e6
     final = evolve(init, params, config)[-1:]
     x_grid = settings.x_grid()
-    tensor_us = best_us(lambda: tensor_check(0), 1, max(1, args.repeats // 2))
+    suite_repeats = max(1, args.repeats // 2)
+    divergence_us = best_us(_cofactor_divergence_errors, 1, suite_repeats)
+    force_us = best_us(lambda: _force_identity_errors(params), 1, suite_repeats)
+    oracle_us = best_us(lambda: [_chain_rule_stress(pt, params)
+                                 for pt in _ORACLE_POINTS], 1, suite_repeats)
+    tensor_us = best_us(lambda: tensor_check(0), 1, suite_repeats)
     tensor_mb = traced_peak_mb(lambda: tensor_check(0))
 
     print(f"{n} labels, projection degree {degree}; best of {args.repeats}")
@@ -157,6 +169,9 @@ def main():
         (f"reconstruct ({x_grid.size} x points)",
          best_us(lambda: reconstruct_wavefunction(final, init, params, x_grid),
                  max(1, args.calls // 10), args.repeats)),
+        ("cofactor divergence (3 grids)", divergence_us),
+        ("force identity (3 grids)", force_us),
+        (f"chain-rule oracle ({len(_ORACLE_POINTS)} points)", oracle_us),
         (f"tensor-check (traced peak {tensor_mb:.0f} MB)", tensor_us),
         ("start-up (import qflow.cli)", startup_us),
     ]

@@ -213,31 +213,40 @@ class Settings:
         return make_gaussian_state(self["state.sigma0"], params, self.label_grid(),
                                    boost_k=self["state.boost_k"])
 
+    def _checked(self, key, ok, requirement: str):
+        """The value of ``key``, or a ConfigError naming the key and value
+        when ``ok(value)`` fails; ``auto`` (None) always passes."""
+        v = self[key]
+        if v is not None and not ok(v):
+            raise ConfigError(f"{key} {requirement}, got {v!r}")
+        return v
+
+    def _positive(self, key):
+        return self._checked(key, lambda v: v > 0, "must be positive")
+
+    def _stride(self, key):
+        return self._checked(key, lambda v: v >= 1, "must be >= 1")
+
     def solver_config(self) -> SolverConfig:
-        cfl = self["solver.cfl"]
-        if not cfl > 0:
-            raise ConfigError(f"solver.cfl must be positive, got {cfl!r}")
         cfg = SolverConfig(
-            t_final=self["solver.t_final"],
-            dt=self["solver.dt"],
-            cfl_coefficient=self["solver.cfl"],
-            snapshot_stride=self["solver.snapshot_stride"],
-            projection_degree=self["solver.projection_degree"],
+            t_final=self._positive("solver.t_final"),
+            dt=self._positive("solver.dt"),
+            cfl_coefficient=self._positive("solver.cfl"),
+            snapshot_stride=self._stride("solver.snapshot_stride"),
+            projection_degree=self._stride("solver.projection_degree"),
         )
         cfg.validate()
         return cfg
 
     def qtm_config(self) -> QtmConfig:
-        t_final = self["qtm.t_final"]
-        if t_final is None:
-            t_final = self["solver.t_final"]
+        key = "solver.t_final" if self["qtm.t_final"] is None else "qtm.t_final"
         cfg = QtmConfig(
-            t_final=t_final,
-            dt=self["qtm.dt"],
+            t_final=self._checked(key, lambda v: v >= 0, "must be nonnegative"),
+            dt=self._positive("qtm.dt"),
             degree=self["qtm.degree"],
             stencil_size=self["qtm.stencil_size"],
             weight_width_mult=self["qtm.weight_width"],
-            snapshot_stride=self["qtm.snapshot_stride"],
+            snapshot_stride=self._stride("qtm.snapshot_stride"),
         )
         cfg.validate()
         return cfg
@@ -262,5 +271,10 @@ class Settings:
         return seed
 
     def reference_t_final(self) -> float:
-        t = self["reference.t_final"]
-        return self["solver.t_final"] if t is None else t
+        t = self._positive("reference.t_final")
+        return self._positive("solver.t_final") if t is None else t
+
+    def reference_controls(self) -> tuple[float, float, int]:
+        """(dt, t_final, snapshot_stride) of the spectral reference run."""
+        return (self._positive("reference.dt"), self.reference_t_final(),
+                self._stride("reference.snapshot_stride"))

@@ -45,10 +45,11 @@ def cofactor_matrix(g) -> np.ndarray:
     """Cofactors C[i, l] = dJ/dg[i, l]; satisfies g[k, j] C[k, i] = J delta_ij.
 
     Each entry is its 2x2 minor g[j, m] g[k, n] - g[j, n] g[k, m], with
-    (i, j, k) and (l, m, n) cyclic.
+    (i, j, k) and (l, m, n) cyclic.  C takes g's memory layout, so a
+    component-major g gives a component-major C.
     """
     g = np.asarray(g, dtype=float)
-    C = np.empty(g.shape)
+    C = np.empty_like(g)
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
         for l in range(3):

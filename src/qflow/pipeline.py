@@ -108,9 +108,7 @@ def run_reference(settings: Settings):
     psi0 = assemble_wavefunction(forms.rho0(x), forms.s0(x), params.hbar)
     dx = grid_spacing(x)
     psi0 = psi0 / np.sqrt(norm_of(psi0, dx))
-    waves = split_step_evolve(psi0, x, params, settings["reference.dt"],
-                              settings.reference_t_final(),
-                              settings["reference.snapshot_stride"])
+    waves = split_step_evolve(psi0, x, params, *settings.reference_controls())
     norms = [norm_of(w.psi, dx) for w in waves]
     indices = _field_snapshot_indices(len(waves), n_times)
     fields = [reference_fields(waves[i], x, params) for i in indices]
@@ -222,10 +220,14 @@ _RICH_DIRS = np.array([[0.0, 1.0, 0.6], [0.7, 0.0, 1.0], [1.0, 0.8, 0.0]])
 def _rich_map_gradient(points):
     """Deformation gradient of q_i = a_i + eps_i sin(dirs_i . a)."""
     a = np.asarray(points, dtype=float)
-    g = np.zeros(a.shape[:-1] + (3, 3))
+    # component-major, so that each g[..., i, l] is one contiguous plane
+    g = np.moveaxis(np.empty((3, 3) + a.shape[:-1]), (0, 1), (-2, -1))
     for i in range(3):
-        u = np.tensordot(a, _RICH_DIRS[i], axes=([-1], [0]))
-        g[..., i, :] = _RICH_EPS[i] * np.cos(u)[..., None] * _RICH_DIRS[i]
+        # tensordot on the stacked points: an open-mesh sum of the three
+        # products rounds differently in the last bit
+        amp = _RICH_EPS[i] * np.cos(np.tensordot(a, _RICH_DIRS[i], axes=([-1], [0])))
+        for l in range(3):
+            np.multiply(amp, _RICH_DIRS[i, l], out=g[..., i, l])
         g[..., i, i] += 1.0
     return g
 
@@ -245,6 +247,11 @@ def _gauss3(points):
     return rho, grad, hess
 
 
+# the label points where tensor_check compares the closed-form stress with
+# the chain-rule oracle
+_ORACLE_POINTS = np.array([[0.3, -0.4, 0.2], [-0.6, 0.1, 0.5], [0.0, 0.7, -0.3]])
+
+
 def _chain_rule_stress(point, params: PhysicsParams, h: float = 0.02):
     """Numeric push-forward oracle: spatial density derivatives built by
     applying the label-to-space derivative operator with finite differences.
@@ -259,26 +266,30 @@ def _chain_rule_stress(point, params: PhysicsParams, h: float = 0.02):
         return r / jacobian(g)
 
     def d_space(f, a):
-        """(d f / d q_j)(a) for a scalar field given in label variables."""
+        """(d f / d q)(a) for a field given in label variables; for a
+        3-vector f, row j is the spatial gradient of f[j]."""
         _, g, _, _ = _synthetic_map(a)
         J = jacobian(g)
         C = cofactor_matrix(g)
-        grad_lbl = np.zeros(3)
+        # d f / d a_l by the five-point rule, one f call per stencil point
+        grad_lbl = []
         for l in range(3):
+            acc = 0.0
             for o, w in zip(offsets, weights):
                 if w == 0.0:
                     continue
                 shifted = a.copy()
                 shifted[l] += o * h
-                grad_lbl[l] += w * f(shifted)
-            grad_lbl[l] /= h
-        return (C @ grad_lbl) / J
+                acc = acc + w * f(shifted)
+            grad_lbl.append(acc / h)
+        # one matrix-vector product per component of f (a matrix-matrix
+        # product rounds differently)
+        rows = np.stack(grad_lbl, axis=-1)
+        return (C @ rows[..., None])[..., 0] / J
 
     rho = rho_of(point)
     first = d_space(rho_of, point)
-    second = np.zeros((3, 3))
-    for j in range(3):
-        second[j] = d_space(lambda a, jj=j: d_space(rho_of, a)[jj], point)
+    second = d_space(lambda a: d_space(rho_of, a), point)
     second = 0.5 * (second + second.T)
     sigma, _ = stress_eulerian(rho, first, second, params.hbar, params.mass)
     return sigma
@@ -307,9 +318,8 @@ def tensor_check(seed: int = 0, params: PhysicsParams | None = None) -> dict:
                   for i in range(len(div_errors) - 1)]
 
     # closed-form stress versus the chain-rule oracle
-    test_points = np.array([[0.3, -0.4, 0.2], [-0.6, 0.1, 0.5], [0.0, 0.7, -0.3]])
     stress_rel = 0.0
-    for pt in test_points:
+    for pt in _ORACLE_POINTS:
         _, g, second, third = _synthetic_map(pt)
         rho0, dr, d2r = _gauss3(pt)
         sig = stress_lagrangian(g, second, third, rho0, dr, d2r,
@@ -346,11 +356,26 @@ def _cofactor_divergence_errors() -> list[float]:
         h = axis[1] - axis[0]
         grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
         C = cofactor_matrix(_rich_map_gradient(grid))
-        div = np.zeros(grid.shape[:-1] + (3,))
-        for j in range(3):
-            div += np.gradient(C[..., :, j], h, axis=j, edge_order=2)
-        errors.append(float(np.max(np.abs(div[2:-2, 2:-2, 2:-2]))))
+        del grid
+        worst = 0.0
+        for i in range(3):
+            div_i = (_centred_difference(C[..., i, 0], h, 0, (2, 2, 2))
+                     + _centred_difference(C[..., i, 1], h, 1, (2, 2, 2))
+                     + _centred_difference(C[..., i, 2], h, 2, (2, 2, 2)))
+            worst = max(worst, float(np.max(np.abs(div_i))))
+        errors.append(worst)
     return errors
+
+
+def _centred_difference(f, h, axis, margins):
+    """``np.gradient``'s interior formula (f[i+1] - f[i-1]) / (2. * h) along
+    ``axis``, on the box that drops ``margins[k]`` >= 1 points at each end
+    of axis k (the same bits as ``np.gradient`` there)."""
+    box = [slice(m, n - m) for m, n in zip(margins, f.shape)]
+    lo, hi = list(box), list(box)
+    m, n = margins[axis], f.shape[axis]
+    lo[axis], hi[axis] = slice(m - 1, n - m - 1), slice(m + 1, n - m + 1)
+    return (f[tuple(hi)] - f[tuple(lo)]) / (2. * h)
 
 
 # interior planes per slab of the force-identity grids (see
@@ -364,11 +389,12 @@ def _force_identity_errors(params: PhysicsParams) -> list[float]:
     129^3 grids of the smooth density.
 
     Each grid is evaluated in slabs of ``_FORCE_SLAB_PLANES`` interior
-    planes along the first axis, with one halo plane on each side.  Only the
-    centred differences of ``np.gradient`` are read, and they see the same
-    neighbours as on the whole grid, so the residuals are the whole-grid
-    ones bit for bit.  ``stress_eulerian`` and ``quantum_potential`` take
-    their density floor from the slab's largest rho instead of the grid's;
+    planes along the first axis, with one halo plane on each side.  Only
+    ``np.gradient``'s centred differences are taken, on the points the
+    maximum reads, and they see the same neighbours as on the whole grid,
+    so the residuals are the whole-grid ones bit for bit.
+    ``stress_eulerian`` and ``quantum_potential`` take their density floor
+    from the slab's largest rho instead of the grid's;
     min rho / max rho is about 0.3 on [-1, 1]^3, so the 1e-14 floor marks
     no point either way.
     """
@@ -385,12 +411,16 @@ def _force_identity_errors(params: PhysicsParams) -> list[float]:
             sigma, _ = stress_eulerian(rho, grad, hess, params.hbar, params.mass)
             lap = np.trace(hess, axis1=-2, axis2=-1)
             vq, _ = quantum_potential(rho, grad, lap, params.hbar, params.mass)
+            # the slab's planes 1 .. -2, as [2:-2] on the whole grid
+            margins = (1, 2, 2)
+            rho_box = rho[1:-1, 2:-2, 2:-2]
             for i in range(3):
-                div_i = np.zeros(rho.shape)
-                for j in range(3):
-                    div_i += np.gradient(sigma[..., i, j], h, axis=j, edge_order=2)
-                resid = div_i / rho - np.gradient(vq, h, axis=i, edge_order=2)
-                worst = max(worst, float(np.max(np.abs(resid[1:-1, 2:-2, 2:-2]))))
+                resid = (_centred_difference(sigma[..., i, 0], h, 0, margins)
+                         + _centred_difference(sigma[..., i, 1], h, 1, margins)
+                         + _centred_difference(sigma[..., i, 2], h, 2, margins))
+                resid /= rho_box
+                resid -= _centred_difference(vq, h, i, margins)
+                worst = max(worst, float(np.max(np.abs(resid))))
         errors.append(worst)
     return errors
 

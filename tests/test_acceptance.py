@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from qflow.cli import main
-from qflow.kinematics import quantum_potential, stress_eulerian
-from qflow.pipeline import _smooth_rho3, tensor_check
+from qflow.kinematics import cofactor_matrix, quantum_potential, stress_eulerian
+from qflow.pipeline import _RICH_DIRS, _RICH_EPS, _smooth_rho3, tensor_check
 
 
 @pytest.fixture(scope="session")
@@ -139,6 +139,34 @@ def _whole_grid_force_error(n, hbar=1.0, mass=1.0):
             div_i += np.gradient(sigma[..., i, j], h, axis=j, edge_order=2)
         resid[..., i] = div_i / rho - np.gradient(vq, h, axis=i, edge_order=2)
     return float(np.max(np.abs(resid[2:-2, 2:-2, 2:-2])))
+
+
+def _whole_grid_divergence_error(n):
+    """max |div C| on the interior of an n^3 grid, with the rich map's
+    cofactors built on the stacked (point-major) grid and differenced by
+    ``np.gradient`` over the whole grid."""
+    axis = np.linspace(-1.0, 1.0, n)
+    h = axis[1] - axis[0]
+    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
+    g = np.zeros(grid.shape[:-1] + (3, 3))
+    for i in range(3):
+        u = np.tensordot(grid, _RICH_DIRS[i], axes=([-1], [0]))
+        g[..., i, :] = _RICH_EPS[i] * np.cos(u)[..., None] * _RICH_DIRS[i]
+        g[..., i, i] += 1.0
+    C = cofactor_matrix(g)
+    div = np.zeros(grid.shape[:-1] + (3,))
+    for j in range(3):
+        div += np.gradient(C[..., :, j], h, axis=j, edge_order=2)
+    return float(np.max(np.abs(div[2:-2, 2:-2, 2:-2])))
+
+
+class TestCofactorDivergenceInterior:
+    """tensor_check builds the cofactor field component-major and takes the
+    centred differences on the interior it reads: the errors must not move."""
+
+    def test_interior_equals_the_whole_grid(self, tensor_report):
+        whole = [_whole_grid_divergence_error(n) for n in (17, 33, 65)]
+        assert tensor_report["cofactor_divergence_errors"] == whole
 
 
 class TestForceIdentitySlabs:

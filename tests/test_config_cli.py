@@ -453,6 +453,19 @@ class TestCli:
              "solver.cfl must be positive, got 0.0"),
             ("run-lagrangian", "solver.cfl = -1",
              "solver.cfl must be positive, got -1.0"),
+            # three keys share the name snapshot_stride
+            ("run-lagrangian", "solver.snapshot_stride = 0",
+             "solver.snapshot_stride must be >= 1, got 0"),
+            ("run-reference", "reference.snapshot_stride = 0",
+             "reference.snapshot_stride must be >= 1, got 0"),
+            ("run-qtm", "qtm.snapshot_stride = 0",
+             "qtm.snapshot_stride must be >= 1, got 0"),
+            ("run-lagrangian", "solver.projection_degree = 0",
+             "solver.projection_degree must be >= 1, got 0"),
+            ("run-reference", "reference.dt = -1",
+             "reference.dt must be positive, got -1.0"),
+            ("run-reference", "reference.t_final = 0",
+             "reference.t_final must be positive, got 0.0"),
         ]])
     def test_bad_setting_names_its_key(self, tmp_path, capsys, command, line,
                                        fragment):

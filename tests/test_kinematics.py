@@ -9,8 +9,8 @@ from qflow.kinematics import (cofactor_matrix, hyper_cofactor, internal_energy,
                               jacobian, levi_civita, quantum_potential,
                               stress_eulerian, stress_lagrangian)
 import qflow.kinematics as kinematics
-from qflow.pipeline import (_chain_rule_stress, _gauss3, _smooth_rho3,
-                            _synthetic_map)
+from qflow.pipeline import (_ORACLE_POINTS, _chain_rule_stress, _gauss3,
+                            _smooth_rho3, _synthetic_map)
 from qflow.model import PhysicsParams
 
 PARAMS = PhysicsParams()
@@ -112,6 +112,42 @@ class TestJacobian:
         assert np.count_nonzero(eps) == 6
 
 
+def _nested_chain_rule_stress(point, params, h=0.02):
+    """The chain-rule oracle with row j of the spatial Hessian built from
+    the inner derivative's component j alone, recomputed for each j."""
+    offsets = np.arange(-2, 3)
+    weights = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
+
+    def rho_of(a):
+        _, g, _, _ = _synthetic_map(a)
+        r, _, _ = _gauss3(a)
+        return r / jacobian(g)
+
+    def d_space(f, a):
+        _, g, _, _ = _synthetic_map(a)
+        J = jacobian(g)
+        C = cofactor_matrix(g)
+        grad_lbl = np.zeros(3)
+        for l in range(3):
+            for o, w in zip(offsets, weights):
+                if w == 0.0:
+                    continue
+                shifted = a.copy()
+                shifted[l] += o * h
+                grad_lbl[l] += w * f(shifted)
+            grad_lbl[l] /= h
+        return (C @ grad_lbl) / J
+
+    rho = rho_of(point)
+    first = d_space(rho_of, point)
+    second = np.zeros((3, 3))
+    for j in range(3):
+        second[j] = d_space(lambda a, jj=j: d_space(rho_of, a)[jj], point)
+    second = 0.5 * (second + second.T)
+    sigma, _ = stress_eulerian(rho, first, second, params.hbar, params.mass)
+    return sigma
+
+
 class TestCofactor:
     def test_identity(self):
         assert cofactor_matrix(np.eye(3)) == pytest.approx(np.eye(3))
@@ -137,6 +173,15 @@ class TestCofactor:
         g = rng.uniform(-1, 1, (3, 3)) + 2 * np.eye(3)
         adj = np.linalg.det(g) * np.linalg.inv(g)
         assert cofactor_matrix(g) == pytest.approx(adj.T)
+
+    def test_component_major_layout_kept(self):
+        # tensor_check's divergence grids read each C[..., i, l] as one plane
+        g = np.moveaxis(np.random.default_rng(9).normal(size=(3, 3, 4, 5, 6)),
+                        (0, 1), (-2, -1))
+        C = cofactor_matrix(g)
+        assert C.strides == g.strides
+        assert (np.ascontiguousarray(C).tobytes()
+                == cofactor_matrix(np.ascontiguousarray(g)).tobytes())
 
 
 class TestClosedForms:
@@ -285,6 +330,13 @@ class TestStressLagrangian:
             oracle = _chain_rule_stress(pt, PARAMS)
             rel = np.max(np.abs(sig - oracle)) / np.max(np.abs(oracle))
             assert rel <= 1e-6
+
+    def test_chain_rule_oracle_shares_inner_derivatives(self):
+        # the oracle takes each inner derivative once, the nested form once
+        # per output component
+        for pt in _ORACLE_POINTS:
+            assert (_chain_rule_stress(pt, PARAMS).tobytes()
+                    == _nested_chain_rule_stress(pt, PARAMS).tobytes())
 
     def test_symmetry_emerges(self):
         pt = np.array([0.5, 0.3, -0.7])

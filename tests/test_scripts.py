@@ -34,19 +34,22 @@ def test_kernel_timings_short_run():
     lines = proc.stdout.splitlines()
     # 0.02 / (0.1 * 0.16^2) = 7.8 -> 8 steps, 32 right-hand sides
     assert lines[-1].startswith("evolve to t = 0.02: 8 steps")
-    rows = lines[2:9]
+    rows = lines[2:12]
     assert [row.split()[0] for row in rows] == ["stencil", "projected", "RHS",
                                                 "QTM", "reconstruct",
-                                                "tensor-check", "start-up"]
+                                                "cofactor", "force",
+                                                "chain-rule", "tensor-check",
+                                                "start-up"]
     assert all(float(row.split()[-1]) > 0 for row in rows)
     assert rows[3].startswith("QTM RHS (201 particles)")
     assert rows[4].startswith("reconstruct (1024 x points)")
+    assert rows[7].startswith("chain-rule oracle (3 points)")
     # the force-identity grids are built a slab of planes at a time
-    peak = re.fullmatch(r"tensor-check \(traced peak (\d+) MB\)\s+\S+", rows[5])
+    peak = re.fullmatch(r"tensor-check \(traced peak (\d+) MB\)\s+\S+", rows[8])
     assert peak and 0 < int(peak.group(1)) <= 200
     # the CLI's import loads scipy's CSR kernel from its extension file,
     # none of scipy's subpackages
-    assert lines[9] == "scipy subpackages at start-up: none"
+    assert lines[12] == "scipy subpackages at start-up: none"
 
 
 def test_line_count_on_a_known_module(tmp_path):
