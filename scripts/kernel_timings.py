@@ -3,11 +3,13 @@
 
 Prints the best-of-``--repeats`` time per call, in microseconds, of
 
-* the stacked (1, 2, 3) stencil product that gives (J, J', J''), written
-  into a preallocated buffer (``out=``) as ``evolve`` writes it;
+* the kinematics product ``K3 @ z`` that gives the stacked (J, J', J'')
+  from the modal state z = (1, t, c), written into a preallocated buffer
+  (``out=``) as ``evolve``'s right-hand side writes it;
 * one call of the projected-force operator (a ``ModeProjector`` composed
   with the conservation-form force map) on the stacked (G, dV/dq) buffer,
-  into a preallocated row (``out=``) as ``evolve`` calls it;
+  writing the mode coefficients into a preallocated row (``out=``) as
+  ``evolve`` calls it;
 * one right-hand-side evaluation, taken as the wall time of ``evolve`` on
   the default config divided by its 4 x steps evaluations (snapshots and
   their energy checks included);
@@ -48,8 +50,9 @@ import numpy as np
 import qflow
 from qflow.config import Settings
 from qflow.lagrangian import (ModeProjector, _kinematics, _LabelData,
-                              _log_density_derivatives, _projected_force,
-                              default_projection_degree, evolve)
+                              _log_density_derivatives, _modal_basis,
+                              _projected_force, default_projection_degree,
+                              evolve, initial_velocity)
 from qflow.model import plan_steps
 from qflow.pipeline import (_ORACLE_POINTS, _chain_rule_stress,
                             _cofactor_divergence_errors,
@@ -124,16 +127,20 @@ def main():
     data = _LabelData(init, params)
     n = init.n
     degree = min(config.projection_degree or default_projection_degree(n), n - 1)
-    force = _projected_force(data, params,
-                             ModeProjector(init.labels, init.rho0, degree))
+    project = ModeProjector(init.labels, init.rho0, degree)
+    force = _projected_force(data, params, project)
+    _, K3 = _modal_basis(data, init.labels, initial_velocity(init, params),
+                         project.lift)
 
-    # a non-affine map, so the force inputs are not trivially zero
+    # a non-affine map, so the force inputs are not trivially zero, and the
+    # modal state z = (1, 0, c) of its projection
     q = init.labels + 0.1 * np.sin(init.labels)
+    z = np.concatenate(([1.0, 0.0], project(q - init.labels)))
     kin = _kinematics(data, q)
     G_dV = np.stack((_log_density_derivatives(data, kin)[1] * kin[3],
                      params.potential_gradient(q)))
     # the output buffers evolve's right-hand side writes into
-    D, projected = np.empty((3, n)), np.empty(n)
+    D, modes = np.empty(3 * n), np.empty(degree + 1)
 
     # the particle solver's first right-hand side, as run-qtm seeds it
     particles = _truncated_gaussian_state(settings["state.sigma0"], params,
@@ -158,10 +165,10 @@ def main():
     print(f"{n} labels, projection degree {degree}; best of {args.repeats}")
     print(f"{'kernel':<34} {'us/call':>10}")
     rows = [
-        ("stencil (1, 2, 3) product", best_us(lambda: data.d123(q, out=D),
-                                              args.calls, args.repeats)),
+        (f"kinematics product (K3 {3 * n} x {degree + 3})",
+         best_us(lambda: np.dot(K3, z, out=D), args.calls, args.repeats)),
         ("projected force (ModeProjector)",
-         best_us(lambda: force(G_dV, out=projected), args.calls, args.repeats)),
+         best_us(lambda: force(G_dV, out=modes), args.calls, args.repeats)),
         (f"RHS evaluation (evolve / {4 * n_steps})", evolve_s / (4 * n_steps) * 1e6),
         (f"QTM RHS ({particles.n} particles)",
          best_us(lambda: _qtm_rhs(params, qtm_config, *seeded), args.calls,

@@ -210,7 +210,7 @@ class Settings:
         return np.linspace(lo, hi, n, endpoint=False)
 
     def initial_state(self, params: PhysicsParams) -> InitialState:
-        return make_gaussian_state(self["state.sigma0"], params, self.label_grid(),
+        return make_gaussian_state(self.sigma0(), params, self.label_grid(),
                                    boost_k=self["state.boost_k"])
 
     def _checked(self, key, ok, requirement: str):
@@ -226,6 +226,12 @@ class Settings:
 
     def _stride(self, key):
         return self._checked(key, lambda v: v >= 1, "must be >= 1")
+
+    def sigma0(self) -> float:
+        # the Gaussian forms divide by the square, and 1e-300 squares to 0
+        return self._checked(
+            "state.sigma0", lambda v: v > 0 and 0.0 < v * v < math.inf,
+            "must be positive, with a square neither 0 nor infinite")
 
     def solver_config(self) -> SolverConfig:
         cfg = SolverConfig(
@@ -253,7 +259,7 @@ class Settings:
 
     def qtm_labels(self) -> np.ndarray:
         n = self["qtm.n_particles"]
-        span = self["qtm.span"] * self["state.sigma0"]
+        span = self["qtm.span"] * self.sigma0()
         if not 9 <= n <= MAX_GRID_POINTS:
             raise ConfigError(f"9 <= qtm.n_particles <= {MAX_GRID_POINTS} required")
         return np.linspace(-span, span, n)

@@ -31,15 +31,17 @@ integrates the conservation form only; the Newton form is evaluated by the
 acceptance battery and the run summary.
 
 Label kinematics.  Both forms, V_Q in the phase density and the energy
-check read one tuple (J, J', J'', 1/J), which ``_kinematics`` takes from a
-single stacked stencil product ``derivative(q, h, (1, 2, 3))`` once
-per force evaluation; the Jacobian floor and a finiteness check are
-applied there too.  The stacked product sums every stencil row in weight
-order and scales by h**m last, exactly as a single-derivative call does.
-``_log_density_derivatives`` turns the tuple into (c_x, c_xx), the one
-kernel behind V_Q and G.  ``_LabelData`` binds the two stencils a run
+check read one tuple (J, J', J'', 1/J).  ``_kinematics`` takes it from a
+single stacked stencil product ``derivative(q, h, (1, 2, 3))`` of a label
+state q; the Jacobian floor and a finiteness check are applied there too
+(``_checked_kinematics``).  The stacked product sums every stencil row in
+weight order and scales by h**m last, exactly as a single-derivative call
+does.  ``_log_density_derivatives`` turns the tuple into (c_x, c_xx), the
+one kernel behind V_Q and G.  ``_LabelData`` binds the two stencils a run
 needs, the (1, 2, 3) stack and d/da, once per run
-(:class:`~qflow.stencils.Stencil`).
+(:class:`~qflow.stencils.Stencil`).  Inside ``evolve`` the map is affine
+in the mode coefficients (below), so the right-hand side takes
+(J, J', J'') from one dense product instead of a stencil product.
 
 Stability of the time stepping.  The pointwise collocation operator is
 exponentially unstable on fine grids: linearizing about a smooth flow
@@ -48,7 +50,7 @@ Gaussian at +-8 sigma and 400 labels exceeds 100 per time unit (measured
 directly as real parts of the discrete eigenvalues).  The continuum
 operator is self-adjoint under the mass-weighted inner product, so the
 growth is purely a discretization artifact living in grid-scale modes.
-``evolve`` therefore advances (q, qdot) with the acceleration field
+``evolve`` therefore advances the trajectories with the acceleration field
 projected onto a mass-weighted polynomial subspace each evaluation: the
 projection is the rho0-weighted least-squares fit onto Legendre
 polynomials in the label, it preserves every affine flow exactly (uniform
@@ -67,19 +69,31 @@ in numpy from the bound d/da stencil's arrays, and the composed
 coefficients ``coeffs @ A`` come from scipy's compiled CSR kernel
 (:func:`~qflow.stencils.left_product`), which adds up the rows of A in
 ascending order as scipy's sparse product does.  A right-hand side stacks
-G and dV/dq and makes one call of the composed operator, with no stencil
-product for dG/da.  A right-hand side is thus one stencil product, the
-log-density arithmetic and one projection.
+G and dV/dq and makes one call of the composed operator, which returns
+the r = degree + 1 mode coefficients of the acceleration, not their lift
+to the labels.
+
+Modal state.  Every acceleration lies in the span of the lift, so
+qdot = qdot0 + lift @ e and q = a + t qdot0 + lift @ c hold for all t,
+with c the modes of the displacement and e = dc/dt.  ``evolve`` therefore
+runs RK4 on y = (c, e, chi[i0]), 2r + 1 values (51 at the default degree
+24) instead of 2n + 1.  With z = (1, t, c), q is ``basis @ z`` and the
+stacked (J, J', J'') is ``K3 @ z``, both matrices built once per run
+(``_modal_basis``), ``K3`` with the bound (1, 2, 3) stencil.  A right-hand
+side is thus one dense ``K3`` product, the log-density arithmetic and one
+call of the composed projector; q itself is formed only where labels are
+needed: the potential, the per-step crossing check and the snapshots.
 
 Workspace.  Python and numpy call overhead, not arithmetic, sets the cost
 of a right-hand side on a few hundred labels, so ``evolve`` allocates its
-arrays once per run and every kernel of the loop writes into them through
-an optional ``out=`` (the stencil, the projection, ``_kinematics``,
-``_log_density_derivatives`` and ``potential_gradient``).  The RK4 stages
-and the final combination are ufunc calls with ``out=`` in the operation
-order of the plain array expressions, so the results are bit for bit
-those of an allocating loop; callers outside the loop (the energy check,
-the snapshot kinematics, the acceleration routes) call the same kernels
+arrays once per run and every kernel of the loop writes into them: the
+dense products, the projection, ``_log_density_derivatives`` and
+``potential_gradient`` through an optional ``out=``, and
+``_checked_kinematics`` in place.  The RK4 stages and the final
+combination are ufunc calls with ``out=`` in the operation order of the
+plain array expressions, so the results are bit for bit those of an
+allocating modal loop; callers outside the loop (the energy check, the
+snapshot kinematics, the acceleration routes) call the same kernels
 without ``out=``.
 """
 
@@ -95,7 +109,8 @@ from numpy.polynomial.legendre import legvander
 
 from .errors import (NumericalInstability, OutsidePotentialTable,
                      TrajectoryCrossing, ValidationError)
-from .model import InitialState, PhysicsParams, TrajectoryState, plan_steps
+from .model import (FreePotential, InitialState, PhysicsParams,
+                    TrajectoryState, plan_steps)
 from .stencils import (Stencil, cumulative_trapezoid, derivative, grid_spacing,
                        left_product, trapezoid_weights)
 
@@ -153,8 +168,10 @@ class ModeProjector:
     With ``w_r V = Q R`` the QR factorization of the root-weighted Legendre
     Vandermonde matrix, the projection is ``lift @ (coeffs @ f)`` with
     ``coeffs = (Q w_r)^T`` (labels to mode coefficients) and
-    ``lift = Q / w_r`` (modes back to the labels).  :meth:`compose` folds a
-    fixed linear map into ``coeffs``.
+    ``lift = Q / w_r`` (modes back to the labels).  A call returns the
+    coefficients ``coeffs @ f`` only: the trajectory solver advances them
+    and lifts to the labels only where it needs label values.
+    :meth:`compose` folds a fixed linear map into ``coeffs``.
     """
 
     WEIGHT_FLOOR_REL = 1e-8
@@ -185,10 +202,11 @@ class ModeProjector:
         return composed
 
     def __call__(self, f: np.ndarray, out=None) -> np.ndarray:
-        """The projection ``lift @ (coeffs @ f)`` of ``f`` (read flattened),
-        written into ``out`` (one entry per label) when given, else into a
-        new array; the bits are the same either way."""
-        return np.dot(self.lift, np.dot(self.coeffs, f.ravel()), out=out)
+        """The mode coefficients ``coeffs @ f`` of ``f`` (read flattened),
+        written into ``out`` (one entry per mode) when given, else into a
+        new array; the bits are the same either way.  The projection of
+        ``f`` is ``lift`` times them."""
+        return np.dot(self.coeffs, f.ravel(), out=out)
 
 
 class _LabelData:
@@ -223,17 +241,23 @@ class _LabelData:
         self.L2_minus_L1_sq = self.L2 - self.L1**2
 
 
-def _kinematics(data: _LabelData, q, t=0.0, out=None):
+def _kinematics(data: _LabelData, q, t=0.0):
     """(J, J', J'', 1/J) of the map from one stacked stencil product, the
-    rows of ``out`` (a C-contiguous ``(4, n)`` buffer) when given, else of
-    a new array.
+    rows of a new array, checked as :func:`_checked_kinematics` checks
+    them."""
+    kin = np.empty((4, data.L1.size))
+    data.d123(q, out=kin[:3])
+    return _checked_kinematics(data, kin, t)
+
+
+def _checked_kinematics(data: _LabelData, kin, t):
+    """``kin``, whose first three rows hold (J, J', J''), with 1/J written
+    into its last row.
 
     Raises :class:`NumericalInstability` on a non-finite state and
     :class:`TrajectoryCrossing` when J falls to the floor.
     """
-    if out is None:
-        out = np.empty((4, data.L1.size))
-    D = data.d123(q, out=out[:3])
+    D = kin[:3]
     # 0 * x is NaN exactly when x is NaN or infinite, so the dot product of
     # D with zeros is 0 when D is finite and NaN otherwise
     if not np.vdot(D, data.zeros3) == 0.0:
@@ -241,11 +265,11 @@ def _kinematics(data: _LabelData, q, t=0.0, out=None):
             f"non-finite trajectory state at t = {t:.6g}; reduce dt or check "
             f"the initial data")
     J = D[0]
-    if J.min() <= J_FLOOR:
+    if np.minimum.reduce(J) <= J_FLOOR:
         i = int(np.argmax(J <= J_FLOOR))
         raise TrajectoryCrossing(i, t, f"J = {J[i]:.3e} <= floor {J_FLOOR:.1e}")
-    np.divide(1.0, J, out=out[3])
-    return out
+    np.divide(1.0, J, out=kin[3])
+    return kin
 
 
 def initial_velocity(init: InitialState, params: PhysicsParams) -> np.ndarray:
@@ -323,6 +347,19 @@ def _projected_force(data: _LabelData, params: PhysicsParams,
                            np.insert(w, ends, -1.0 / params.mass), 2 * n)
 
 
+def _modal_basis(data: _LabelData, labels, qdot0, lift):
+    """``(basis, K3)``, the labels' kinematics as linear maps of the modal
+    state: with z = (1, t, c), ``q = a + t qdot0 + lift @ c`` is
+    ``basis @ z`` and the stacked (J, J', J'') is ``K3 @ z``, ``K3`` the
+    product of the run's (1, 2, 3) stencil with ``basis``.  Both are in
+    Fortran order, the faster layout for their matrix-vector products (at
+    401 labels and 25 modes, single-threaded on a shared 2-core Xeon:
+    5.4-5.6 against 6.8-7.5 us for ``K3``, 2.1 against 2.5-2.9 us for
+    ``basis``)."""
+    basis = np.asfortranarray(np.column_stack((labels, qdot0, lift)))
+    return basis, np.asfortranarray(data.d123(basis).reshape(3 * labels.size, -1))
+
+
 def acceleration_direct(traj: TrajectoryState, init: InitialState,
                         params: PhysicsParams, *,
                         data: Optional[_LabelData] = None) -> np.ndarray:
@@ -374,22 +411,25 @@ def evolve(init: InitialState, params: PhysicsParams,
            config: SolverConfig) -> list[TrajectoryState]:
     """Integrate the trajectory continuum from t = 0 to t_final.
 
-    Classical RK4 on the flat state (q, qdot, chi[i0]), driven by the
-    projected conservation-form acceleration; chi[i0] integrates
+    Classical RK4 on the modal state (c, e, chi[i0]) of the module doc,
+    driven by the mode coefficients of the projected conservation-form
+    acceleration, so that q = a + t qdot0 + lift @ c and
+    qdot = qdot0 + lift @ e, qdot0 the initial velocity; chi[i0] integrates
     m qdot^2/2 - V - V_Q at the density peak ``i0 = argmax(rho0)``.  Each
-    snapshot sets chi = dPhi - dPhi[i0] + chi[i0], dPhi the change since
-    t = 0 of the running trapezoid of m qdot J over the labels (J from the
-    snapshot's kinematics pass), so chi is exactly 0 at t = 0 and the
-    phase satisfies the quasi-potential condition d(S0 + chi)/da = m qdot J
-    to rounding.  Returns snapshots every
-    ``snapshot_stride`` steps (the initial and final states are always
-    included), each carrying the energy that the drift check computed for
-    it and the least J of the same kinematics pass.  Monotonicity of q is
-    asserted at every accepted step; a non-finite state, a relative
-    energy drift above 10% or a label that leaves a tabulated potential's
-    grid after t = 0 aborts with :class:`NumericalInstability` (labels
-    outside it at t = 0 are bad input).  A step plan over ``MAX_STEPS`` is
-    rejected up front.
+    snapshot lifts (c, e) to the labels and sets
+    chi = dPhi - dPhi[i0] + chi[i0], dPhi the change since t = 0 of the
+    running trapezoid of m qdot J over the labels (J from the snapshot's
+    kinematics pass), so chi is exactly 0 at t = 0 and the phase satisfies
+    the quasi-potential condition d(S0 + chi)/da = m qdot J to rounding.
+    Returns snapshots every ``snapshot_stride`` steps (the initial and
+    final states are always included), each carrying the energy that the
+    drift check computed for it and the least J of the same kinematics
+    pass.  J is checked against its floor at every right-hand side and the
+    monotonicity of the lifted q at every accepted step; a non-finite
+    state, a relative energy drift above 10% or a label that leaves a
+    tabulated potential's grid after t = 0 aborts with
+    :class:`NumericalInstability` (labels outside it at t = 0 are bad
+    input).  A step plan over ``MAX_STEPS`` is rejected up front.
     """
     config.validate()
     data = _LabelData(init, params)
@@ -399,37 +439,59 @@ def evolve(init: InitialState, params: PhysicsParams,
     if degree is None:
         degree = default_projection_degree(n)
     degree = min(degree, n - 1)
-    force = _projected_force(data, params,
-                             ModeProjector(init.labels, init.rho0, degree))
+    project = ModeProjector(init.labels, init.rho0, degree)
+    force = _projected_force(data, params, project)
+    r = degree + 1
+    qdot0 = initial_velocity(init, params)
+    lift_i0 = project.lift[i0]
+    basis, K3 = _modal_basis(data, init.labels, qdot0, project.lift)
+    free = isinstance(params.potential, FreePotential)
     # the run's workspace: every right-hand side and RK4 stage writes here
     kin_buf = np.empty((4, n))         # (J, J', J'', 1/J)
+    kin_rows = kin_buf[:3].reshape(3 * n)  # (J, J', J''), flat: K3 @ z
     logd_buf = np.empty((3, n))        # (c_x, c_xx, scratch)
-    G_dV = np.empty((2, n))            # (G, dV/dq), the force input
-    k1, k2, k3, k4, stage, acc = np.empty((6, 2 * n + 1))
+    G_dV = np.zeros((2, n))            # (G, dV/dq), the force input
+    q = np.empty(n)
+    z = np.empty(r + 2)
+    z[0] = 1.0
+    k1, k2, k3, k4, stage, acc = np.empty((6, 2 * r + 1))
     gaps = np.empty(n - 1)
 
+    def at(t, c):
+        """The point z = (1, t, c), in ``z``."""
+        z[1] = t
+        z[2:] = c
+        return z
+
     def rhs(y, t, k):
-        """Time derivative of the flat state y = (q, qdot, chi[i0]), into k."""
-        q, qd = y[:n], y[n:-1]
-        kin = _kinematics(data, q, t, out=kin_buf)
+        """Time derivative of the modal state y = (c, e, chi[i0]), into k."""
+        e = y[r:-1]
+        np.dot(K3, at(t, y[:r]), out=kin_rows)
+        kin = _checked_kinematics(data, kin_buf, t)
         cx, cxx = _log_density_derivatives(data, kin, out=logd_buf)
         np.multiply(cxx, kin[3], out=G_dV[0])
-        params.potential_gradient(q, out=G_dV[1])
-        k[:n] = qd
-        force(G_dV, out=k[n:-1])
-        k[-1] = (0.5 * params.mass * qd[i0]**2 - params.potential_energy(q[i0])
+        v = 0.0
+        if not free:   # else dV/dq stays 0 and q is not needed
+            np.dot(basis, z, out=q)
+            params.potential_gradient(q, out=G_dV[1])
+            v = params.potential_energy(q[i0])
+        k[:r] = e
+        force(G_dV, out=k[r:-1])
+        qd = qdot0[i0] + np.dot(lift_i0, e)
+        k[-1] = (0.5 * params.mass * qd**2 - v
                  - params.quantum_potential(cx[i0], cxx[i0]))
 
     n_steps, dt = plan_steps(config.t_final, config.auto_dt(data.h, params))
 
-    y = np.concatenate((init.labels, initial_velocity(init, params), [0.0]))
+    y = np.zeros(2 * r + 1)
     phi0 = None
 
     def measured(tn):
         """The current state as a snapshot, carrying its energy and min J
         from one kinematics pass, and chi from the J of that pass."""
         nonlocal phi0
-        q, qd = y[:n].copy(), y[n:-1].copy()
+        q = basis @ at(tn, y[:r])
+        qd = qdot0 + project.lift @ y[r:-1]
         kin = _kinematics(data, q, tn)
         phi = cumulative_trapezoid(params.mass * qd * kin[0], init.labels)
         if phi0 is None:
@@ -476,10 +538,11 @@ def evolve(init: InitialState, params: PhysicsParams,
             np.add(acc, k4, out=acc)
             np.multiply(dt / 6.0, acc, out=acc)
             np.add(y, acc, out=y)
-            np.subtract(y[1:n], y[:n - 1], out=gaps)
-            if gaps.min() <= 0:
-                raise TrajectoryCrossing(int(np.argmin(gaps)), t + dt)
             t = (step + 1) * dt
+            np.dot(basis, at(t, y[:r]), out=q)
+            np.subtract(q[1:], q[:-1], out=gaps)
+            if gaps.min() <= 0:
+                raise TrajectoryCrossing(int(np.argmin(gaps)), t)
             if (step + 1) % config.snapshot_stride == 0 or step + 1 == n_steps:
                 snapshot(t)
     except OutsidePotentialTable as exc:

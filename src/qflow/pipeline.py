@@ -87,7 +87,7 @@ def run_lagrangian(settings: Settings):
         summary["accel_path_disagreement_rel"] = float(
             np.max(np.abs(acc_d - acc_n)) / scale)
     if isinstance(params.potential, FreePotential):
-        sigma0 = settings["state.sigma0"]
+        sigma0 = settings.sigma0()
         k = settings["state.boost_k"]
         err = 0.0
         for s in snapshots:
@@ -103,7 +103,7 @@ def run_reference(settings: Settings):
     params = settings.physics()
     x = settings.x_grid()
     n_times = settings.field_times()
-    forms = _gaussian_forms(settings["state.sigma0"], params.hbar,
+    forms = _gaussian_forms(settings.sigma0(), params.hbar,
                             settings["state.boost_k"])
     psi0 = assemble_wavefunction(forms.rho0(x), forms.s0(x), params.hbar)
     dx = grid_spacing(x)
@@ -141,7 +141,7 @@ def run_qtm(settings: Settings):
     """Particle-method solve seeded on its own (narrower) label grid."""
     params = settings.physics()
     labels = settings.qtm_labels()
-    init = _truncated_gaussian_state(settings["state.sigma0"], params, labels,
+    init = _truncated_gaussian_state(settings.sigma0(), params, labels,
                                      boost_k=settings["state.boost_k"])
     config = settings.qtm_config()
     result = qtm_evolve(init, params, config)
@@ -497,7 +497,7 @@ def gaussian_accept(settings: Settings | None = None):
             "leave physics.potential = free and state.boost_k = 0")
     checks: list[Check] = []
     details: dict = {}
-    sigma0 = settings["state.sigma0"]
+    sigma0 = settings.sigma0()
 
     # -- criterion 1: trajectories against the closed form ------------------
     snapshots, fields, summary, wall = run_lagrangian(settings)

@@ -13,8 +13,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qflow import pipeline
 from qflow.cli import main
 from qflow.kinematics import cofactor_matrix, quantum_potential, stress_eulerian
+from qflow.model import InitialState, PhysicsParams, make_gaussian_state
 from qflow.pipeline import _RICH_DIRS, _RICH_EPS, _smooth_rho3, tensor_check
 
 
@@ -254,6 +256,22 @@ class TestCriterion10Convergence:
         v = _value(acceptance_report, "temporal convergence order")
         ladder = acceptance_report["details"]["temporal_ladder"]
         assert _line(10, f"temporal order {ladder['orders']}", v, 3.5, op=">=")
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_verdict_survives_a_last_bit_draw_of_rho0(self, monkeypatch, seed):
+        # each rho0 entry of both ladders times 1 +- 2^-52, the signs drawn
+        # from the seed: the verdict must not hang on the last bit
+        def drawn(sigma0, params, labels, **kwargs):
+            init = make_gaussian_state(sigma0, params, labels, **kwargs)
+            signs = np.random.default_rng(seed).choice([-1, 1], init.n)
+            return InitialState(init.labels, init.rho0 * (1 + signs * 2.0**-52),
+                                init.s0, init.forms)
+
+        monkeypatch.setattr(pipeline, "make_gaussian_state", drawn)
+        for ladder in (pipeline.temporal_convergence,
+                       pipeline.spatial_convergence):
+            orders = ladder(PhysicsParams())["orders"]
+            assert min(orders) >= 3.5, (ladder.__name__, orders)
 
 
 class TestOverall:

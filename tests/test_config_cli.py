@@ -478,6 +478,22 @@ class TestCli:
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("value", ["1e-300", "5e-324", "1e300"])
+    @pytest.mark.parametrize("command", ["run-lagrangian", "run-reference",
+                                         "run-qtm"])
+    def test_sigma0_without_a_square_exits_2(self, tmp_path, capsys, command,
+                                             value):
+        # 1e-300 squares to 0, which the Gaussian forms divide by
+        cfg = _write_config(tmp_path / "bad.cfg",
+                            {**CHEAP_RUN, "state.sigma0": value})
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert (f"state.sigma0 must be positive, with a square neither 0 nor "
+                f"infinite, got {float(value)!r}") in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_negative_seed_option_exits_2(self, tmp_path, capsys):
         assert main(["tensor-check", "--seed", "-1",
                      "--out", str(tmp_path / "o"), "--quiet"]) == 2

@@ -35,12 +35,14 @@ def test_kernel_timings_short_run():
     # 0.02 / (0.1 * 0.16^2) = 7.8 -> 8 steps, 32 right-hand sides
     assert lines[-1].startswith("evolve to t = 0.02: 8 steps")
     rows = lines[2:12]
-    assert [row.split()[0] for row in rows] == ["stencil", "projected", "RHS",
+    assert [row.split()[0] for row in rows] == ["kinematics", "projected", "RHS",
                                                 "QTM", "reconstruct",
                                                 "cofactor", "force",
                                                 "chain-rule", "tensor-check",
                                                 "start-up"]
     assert all(float(row.split()[-1]) > 0 for row in rows)
+    # the right-hand side's one dense product: 3 x 101 rows, 12 + 3 columns
+    assert rows[0].startswith("kinematics product (K3 303 x 15)")
     assert rows[3].startswith("QTM RHS (201 particles)")
     assert rows[4].startswith("reconstruct (1024 x points)")
     assert rows[7].startswith("chain-rule oracle (3 points)")
