@@ -3,9 +3,10 @@
 Subcommands: ``run-lagrangian``, ``run-reference``, ``run-qtm``,
 ``compare``, ``tensor-check``, ``gaussian-accept``.  Outputs are CSV and
 JSON files in the chosen directory, byte-identical for identical
-configuration and seed.  Exit codes: 0 success, 2 validation failure,
-3 numerical abort (crossing or instability); a failed acceptance or
-identity suite exits 1.
+configuration and seed.  Exit codes: 0 success, 2 validation failure
+(any ``ValidationError``), 3 numerical abort (any other ``QflowError``:
+a crossing, an instability, a node); a failed acceptance or identity
+suite exits 1.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ import sys
 import time
 from pathlib import Path
 
-from .config import ConfigError, Settings
-from .errors import (NumericalInstability, QtmDerivativeError,
-                     TrajectoryCrossing, ValidationError)
+from .config import Settings
+from .errors import QflowError, ValidationError
 from .output import (COMPARE_SCHEMA, read_fields, write_fields, write_summary,
                      write_trajectories)
 from .pipeline import (compare_fields, gaussian_accept, run_lagrangian,
@@ -64,9 +64,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_settings(args) -> Settings:
     settings = (Settings.from_file(args.config) if args.config
                 else Settings.defaults())
-    if args.seed is not None:
-        settings.values["run.seed"] = int(args.seed)
-    return settings
+    if args.seed is None:
+        return settings
+    return Settings({**settings.values, "run.seed": int(args.seed)})
 
 
 def _say(args, message: str):
@@ -141,7 +141,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_tensor_check(args) -> int:
     settings = _load_settings(args)
-    seed = settings.seed()
+    seed = settings["run.seed"]
     report = tensor_check(seed=seed, params=settings.physics())
     args.out.mkdir(parents=True, exist_ok=True)
     payload = dict(report)
@@ -196,10 +196,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, ValidationError) as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (TrajectoryCrossing, NumericalInstability, QtmDerivativeError) as exc:
+    except QflowError as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -3,12 +3,16 @@
 Lines are UTF-8, ``#`` starts a comment, keys are namespaced
 (``solver.dt``, ``grid.n_labels``, ...).  Unknown keys are rejected with
 the full offending list so typos never silently fall back to defaults.
+Each key's bound sits in its ``SCHEMA`` entry; building a ``Settings``
+checks every bound and the few cross-key rules once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -23,8 +27,7 @@ class ConfigError(ValidationError):
     """Malformed configuration file or values."""
 
 
-# the most points one grid may hold; a larger count fails to allocate or
-# runs for hours, so it is rejected up front
+# the most points one grid may hold
 MAX_GRID_POINTS = 10**6
 
 
@@ -62,38 +65,58 @@ def _choice(*options):
     return parse
 
 
+# Bounds: each is None or a (test, requirement) pair; ``auto`` (None)
+# always passes.  A value failing its test exits 2 naming key and value.
+POSITIVE = (lambda v: v > 0, "must be positive")
+# the Gaussian forms divide by the square, and 1e-300 squares to 0
+POSITIVE_SQUARE = (lambda v: v > 0 and 0.0 < v * v < math.inf,
+                   "must be positive, with a square neither 0 nor infinite")
+
+
+def _at_least(lo):
+    return (lambda v: v >= lo, f"must be >= {lo}")
+
+
+def _grid_points(lo):
+    # a larger grid fails to allocate or runs for hours
+    return (lambda n: lo <= n <= MAX_GRID_POINTS,
+            f"must be between {lo} and {MAX_GRID_POINTS}")
+
+
+# key: (parse, default, bound)
 SCHEMA = {
-    "physics.hbar": (_as_float, 1.0),
-    "physics.mass": (_as_float, 1.0),
-    "physics.potential": (_choice("free", "harmonic", "tabulated"), "free"),
-    "physics.omega": (_as_float, 1.0),
-    "physics.potential_file": (_as_str, ""),
-    "state.sigma0": (_as_float, 1.0),
-    "state.boost_k": (_as_float, 0.0),
-    "grid.n_labels": (_as_int, 401),
-    "grid.label_min": (_as_float, -8.0),
-    "grid.label_max": (_as_float, 8.0),
-    "grid.n_x": (_as_int, 1024),
-    "grid.x_min": (_as_float, -12.0),
-    "grid.x_max": (_as_float, 12.0),
-    "solver.t_final": (_as_float, 2.0),
-    "solver.dt": (_auto_or_float, None),
-    "solver.cfl": (_as_float, 0.1),
-    "solver.snapshot_stride": (_as_int, 25),
-    "solver.projection_degree": (_auto_or_int, None),
-    "reference.dt": (_as_float, 1e-3),
-    "reference.t_final": (_auto_or_float, None),
-    "reference.snapshot_stride": (_as_int, 50),
-    "qtm.n_particles": (_as_int, 201),
-    "qtm.span": (_as_float, 5.0),
-    "qtm.dt": (_auto_or_float, None),
-    "qtm.t_final": (_auto_or_float, None),
-    "qtm.degree": (_as_int, 4),
-    "qtm.stencil_size": (_as_int, 9),
-    "qtm.weight_width": (_as_float, 3.0),
-    "qtm.snapshot_stride": (_as_int, 40),
-    "output.field_times": (_as_int, 5),
-    "run.seed": (_as_int, 0),
+    "physics.hbar": (_as_float, 1.0, POSITIVE_SQUARE),
+    "physics.mass": (_as_float, 1.0, POSITIVE_SQUARE),
+    "physics.potential": (_choice("free", "harmonic", "tabulated"), "free", None),
+    "physics.omega": (_as_float, 1.0, POSITIVE_SQUARE),
+    "physics.potential_file": (_as_str, "", None),
+    "state.sigma0": (_as_float, 1.0, POSITIVE_SQUARE),
+    "state.boost_k": (_as_float, 0.0, None),
+    "grid.n_labels": (_as_int, 401, _grid_points(9)),
+    "grid.label_min": (_as_float, -8.0, None),
+    "grid.label_max": (_as_float, 8.0, None),
+    "grid.n_x": (_as_int, 1024, _grid_points(16)),
+    "grid.x_min": (_as_float, -12.0, None),
+    "grid.x_max": (_as_float, 12.0, None),
+    "solver.t_final": (_as_float, 2.0, POSITIVE),
+    "solver.dt": (_auto_or_float, None, POSITIVE),
+    "solver.cfl": (_as_float, 0.1, POSITIVE),
+    "solver.snapshot_stride": (_as_int, 25, _at_least(1)),
+    "solver.projection_degree": (_auto_or_int, None, _at_least(1)),
+    "reference.dt": (_as_float, 1e-3, POSITIVE),
+    "reference.t_final": (_auto_or_float, None, POSITIVE),
+    "reference.snapshot_stride": (_as_int, 50, _at_least(1)),
+    "qtm.n_particles": (_as_int, 201, _grid_points(9)),
+    "qtm.span": (_as_float, 5.0, POSITIVE),
+    "qtm.dt": (_auto_or_float, None, POSITIVE),
+    "qtm.t_final": (_auto_or_float, None, _at_least(0)),
+    # the fits supply second derivatives
+    "qtm.degree": (_as_int, 4, _at_least(2)),
+    "qtm.stencil_size": (_as_int, 9, None),
+    "qtm.weight_width": (_as_float, 3.0, POSITIVE),
+    "qtm.snapshot_stride": (_as_int, 40, _at_least(1)),
+    "output.field_times": (_as_int, 5, _at_least(1)),
+    "run.seed": (_as_int, 0, _at_least(0)),
 }
 
 
@@ -122,7 +145,7 @@ def parse_config_text(text: str) -> dict:
 def resolve(raw: dict) -> dict:
     """Typed values for the full schema (defaults filled in)."""
     out = {}
-    for key, (parse, default) in SCHEMA.items():
+    for key, (parse, default, _) in SCHEMA.items():
         if key in raw:
             try:
                 out[key] = parse(raw[key])
@@ -133,11 +156,37 @@ def resolve(raw: dict) -> dict:
     return out
 
 
+def _check(values) -> None:
+    """Raise a ConfigError naming the key and value of the first value out
+    of its SCHEMA bound, then of the first broken cross-key rule."""
+    for key, (_, _, bound) in SCHEMA.items():
+        value = values[key]
+        if bound is not None and value is not None and not bound[0](value):
+            raise ConfigError(f"{key} {bound[1]}, got {value!r}")
+    v = values
+    for key, ok, requirement in (
+            ("grid.label_max", v["grid.label_max"] > v["grid.label_min"],
+             f"must be > grid.label_min = {v['grid.label_min']!r}"),
+            ("grid.x_max", v["grid.x_max"] > v["grid.x_min"],
+             f"must be > grid.x_min = {v['grid.x_min']!r}"),
+            ("qtm.stencil_size", v["qtm.stencil_size"] >= v["qtm.degree"] + 1,
+             f"must be >= qtm.degree + 1 = {v['qtm.degree'] + 1}"),
+            ("qtm.n_particles", v["qtm.n_particles"] >= v["qtm.stencil_size"],
+             f"must be >= qtm.stencil_size = {v['qtm.stencil_size']}")):
+        if not ok:
+            raise ConfigError(f"{key} {requirement}, got {v[key]!r}")
+
+
 @dataclass(frozen=True)
 class Settings:
-    """Typed view over a resolved configuration."""
+    """Typed, read-only view over a resolved configuration, checked
+    against every bound when it is built."""
 
-    values: dict = field(default_factory=dict)
+    values: Mapping
+
+    def __post_init__(self):
+        _check(self.values)
+        object.__setattr__(self, "values", MappingProxyType(dict(self.values)))
 
     @classmethod
     def from_file(cls, path) -> "Settings":
@@ -163,14 +212,6 @@ class Settings:
     # -- constructors ------------------------------------------------------
 
     def physics(self) -> PhysicsParams:
-        # squared on Python floats: an overflow raises, a zero square divides by 0
-        for key in ("physics.hbar", "physics.mass", "physics.omega"):
-            v = self[key]
-            if not v > 0:
-                raise ConfigError(f"{key} must be positive, got {v!r}")
-            if not 0.0 < v * v < math.inf:
-                raise ConfigError(
-                    f"{key} = {v!r} is out of range (square not finite or 0)")
         kind = self["physics.potential"]
         if kind == "free":
             pot = FreePotential()
@@ -191,96 +232,52 @@ class Settings:
         return PhysicsParams(hbar=self["physics.hbar"], mass=self["physics.mass"],
                              potential=pot)
 
-    def label_grid(self) -> np.ndarray:
-        n = self["grid.n_labels"]
-        lo, hi = self["grid.label_min"], self["grid.label_max"]
-        if not (9 <= n <= MAX_GRID_POINTS and hi > lo):
-            raise ConfigError(f"9 <= grid.n_labels <= {MAX_GRID_POINTS} and "
-                              f"label_max > label_min required")
-        return np.linspace(lo, hi, n)
-
     def x_grid(self) -> np.ndarray:
-        n = self["grid.n_x"]
-        lo, hi = self["grid.x_min"], self["grid.x_max"]
-        if not (16 <= n <= MAX_GRID_POINTS and hi > lo):
-            raise ConfigError(f"16 <= grid.n_x <= {MAX_GRID_POINTS} and "
-                              f"x_max > x_min required")
         # periodic convention (right endpoint excluded): one grid serves both
         # the spectral reference and the reconstructions
-        return np.linspace(lo, hi, n, endpoint=False)
+        return np.linspace(self["grid.x_min"], self["grid.x_max"],
+                           self["grid.n_x"], endpoint=False)
 
     def initial_state(self, params: PhysicsParams) -> InitialState:
-        return make_gaussian_state(self.sigma0(), params, self.label_grid(),
-                                   boost_k=self["state.boost_k"])
-
-    def _checked(self, key, ok, requirement: str):
-        """The value of ``key``, or a ConfigError naming the key and value
-        when ``ok(value)`` fails; ``auto`` (None) always passes."""
-        v = self[key]
-        if v is not None and not ok(v):
-            raise ConfigError(f"{key} {requirement}, got {v!r}")
-        return v
-
-    def _positive(self, key):
-        return self._checked(key, lambda v: v > 0, "must be positive")
-
-    def _stride(self, key):
-        return self._checked(key, lambda v: v >= 1, "must be >= 1")
-
-    def sigma0(self) -> float:
-        # the Gaussian forms divide by the square, and 1e-300 squares to 0
-        return self._checked(
-            "state.sigma0", lambda v: v > 0 and 0.0 < v * v < math.inf,
-            "must be positive, with a square neither 0 nor infinite")
+        labels = np.linspace(self["grid.label_min"], self["grid.label_max"],
+                             self["grid.n_labels"])
+        try:
+            return make_gaussian_state(self["state.sigma0"], params, labels,
+                                       boost_k=self["state.boost_k"])
+        except ValidationError as exc:
+            # the span and spacing that hold the Gaussian to the
+            # normalization tolerance depend on all four keys
+            names = ", ".join(f"{k} = {self[k]!r}" for k in (
+                "state.sigma0", "grid.label_min", "grid.label_max",
+                "grid.n_labels"))
+            raise ConfigError(f"the label grid cannot carry the Gaussian at "
+                              f"{names}: {exc}") from exc
 
     def solver_config(self) -> SolverConfig:
-        cfg = SolverConfig(
-            t_final=self._positive("solver.t_final"),
-            dt=self._positive("solver.dt"),
-            cfl_coefficient=self._positive("solver.cfl"),
-            snapshot_stride=self._stride("solver.snapshot_stride"),
-            projection_degree=self._stride("solver.projection_degree"),
-        )
-        cfg.validate()
-        return cfg
+        return SolverConfig(
+            t_final=self["solver.t_final"], dt=self["solver.dt"],
+            cfl_coefficient=self["solver.cfl"],
+            snapshot_stride=self["solver.snapshot_stride"],
+            projection_degree=self["solver.projection_degree"])
 
     def qtm_config(self) -> QtmConfig:
-        key = "solver.t_final" if self["qtm.t_final"] is None else "qtm.t_final"
-        cfg = QtmConfig(
-            t_final=self._checked(key, lambda v: v >= 0, "must be nonnegative"),
-            dt=self._positive("qtm.dt"),
-            degree=self["qtm.degree"],
+        t_final = self["qtm.t_final"]
+        return QtmConfig(
+            t_final=self["solver.t_final"] if t_final is None else t_final,
+            dt=self["qtm.dt"], degree=self["qtm.degree"],
             stencil_size=self["qtm.stencil_size"],
             weight_width_mult=self["qtm.weight_width"],
-            snapshot_stride=self._stride("qtm.snapshot_stride"),
-        )
-        cfg.validate()
-        return cfg
+            snapshot_stride=self["qtm.snapshot_stride"])
 
     def qtm_labels(self) -> np.ndarray:
-        n = self["qtm.n_particles"]
-        span = self["qtm.span"] * self.sigma0()
-        if not 9 <= n <= MAX_GRID_POINTS:
-            raise ConfigError(f"9 <= qtm.n_particles <= {MAX_GRID_POINTS} required")
-        return np.linspace(-span, span, n)
-
-    def field_times(self) -> int:
-        n = self["output.field_times"]
-        if n < 1:
-            raise ConfigError(f"output.field_times must be >= 1, got {n}")
-        return n
-
-    def seed(self) -> int:
-        seed = self["run.seed"]
-        if seed < 0:
-            raise ConfigError(f"run.seed must be >= 0, got {seed}")
-        return seed
+        span = self["qtm.span"] * self["state.sigma0"]
+        return np.linspace(-span, span, self["qtm.n_particles"])
 
     def reference_t_final(self) -> float:
-        t = self._positive("reference.t_final")
-        return self._positive("solver.t_final") if t is None else t
+        t = self["reference.t_final"]
+        return self["solver.t_final"] if t is None else t
 
     def reference_controls(self) -> tuple[float, float, int]:
         """(dt, t_final, snapshot_stride) of the spectral reference run."""
-        return (self._positive("reference.dt"), self.reference_t_final(),
-                self._stride("reference.snapshot_stride"))
+        return (self["reference.dt"], self.reference_t_final(),
+                self["reference.snapshot_stride"])

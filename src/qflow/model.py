@@ -215,19 +215,12 @@ def make_gaussian_state(sigma0: float, params: PhysicsParams, labels,
 
     ``rho0(a) = (2 pi sigma0^2)^(-1/2) exp(-a^2 / 2 sigma0^2)`` and
     ``s0(a) = hbar * boost_k * a`` (zero phase means a packet at rest).
-    The label grid must reach at least +-4 sigma0 on both sides or the
-    state cannot be normalized to tolerance.
+    The state's trapezoid-normalization check sets the span the labels
+    must cover: about +-5.7 sigma0 on a fine grid.
     """
     if not (sigma0 > 0):
         raise ValidationError(f"sigma0 must be positive, got {sigma0}")
     a = np.asarray(labels, dtype=float)
-    if a.size < 2 or np.any(np.diff(a) <= 0):
-        raise ValidationError("labels must be strictly increasing")
-    if a[0] > -4.0 * sigma0 or a[-1] < 4.0 * sigma0:
-        raise ValidationError(
-            f"label span [{a[0]}, {a[-1]}] is narrower than +-4 sigma0 = "
-            f"{4.0 * sigma0}; normalization unattainable"
-        )
     forms = _gaussian_forms(sigma0, params.hbar, boost_k)
     return InitialState(labels=a, rho0=forms.rho0(a), s0=forms.s0(a),
                         forms=forms if analytic else None)

@@ -52,7 +52,7 @@ def run_lagrangian(settings: Settings):
     params = settings.physics()
     init = settings.initial_state(params)
     config = settings.solver_config()
-    n_times = settings.field_times()
+    n_times = settings["output.field_times"]
     t0 = time.perf_counter()
     snapshots = evolve(init, params, config)
     wall = time.perf_counter() - t0
@@ -87,7 +87,7 @@ def run_lagrangian(settings: Settings):
         summary["accel_path_disagreement_rel"] = float(
             np.max(np.abs(acc_d - acc_n)) / scale)
     if isinstance(params.potential, FreePotential):
-        sigma0 = settings.sigma0()
+        sigma0 = settings["state.sigma0"]
         k = settings["state.boost_k"]
         err = 0.0
         for s in snapshots:
@@ -102,8 +102,8 @@ def run_reference(settings: Settings):
     """Spectral solve of the same initial state on the spatial grid."""
     params = settings.physics()
     x = settings.x_grid()
-    n_times = settings.field_times()
-    forms = _gaussian_forms(settings.sigma0(), params.hbar,
+    n_times = settings["output.field_times"]
+    forms = _gaussian_forms(settings["state.sigma0"], params.hbar,
                             settings["state.boost_k"])
     psi0 = assemble_wavefunction(forms.rho0(x), forms.s0(x), params.hbar)
     dx = grid_spacing(x)
@@ -141,7 +141,7 @@ def run_qtm(settings: Settings):
     """Particle-method solve seeded on its own (narrower) label grid."""
     params = settings.physics()
     labels = settings.qtm_labels()
-    init = _truncated_gaussian_state(settings.sigma0(), params, labels,
+    init = _truncated_gaussian_state(settings["state.sigma0"], params, labels,
                                      boost_k=settings["state.boost_k"])
     config = settings.qtm_config()
     result = qtm_evolve(init, params, config)
@@ -497,7 +497,7 @@ def gaussian_accept(settings: Settings | None = None):
             "leave physics.potential = free and state.boost_k = 0")
     checks: list[Check] = []
     details: dict = {}
-    sigma0 = settings.sigma0()
+    sigma0 = settings["state.sigma0"]
 
     # -- criterion 1: trajectories against the closed form ------------------
     snapshots, fields, summary, wall = run_lagrangian(settings)
@@ -552,9 +552,8 @@ def gaussian_accept(settings: Settings | None = None):
     checks.append(Check.le(7, "acceleration path disagreement", worst, 1e-4))
 
     # -- criterion 3: cross-solver oracle on the boosted packet -------------
-    boosted = Settings(dict(settings.values))
-    boosted.values.update({"state.boost_k": 1.0, "solver.t_final": 1.0,
-                           "reference.t_final": 1.0})
+    boosted = Settings({**settings.values, "state.boost_k": 1.0,
+                        "solver.t_final": 1.0, "reference.t_final": 1.0})
     b_snapshots, b_fields, b_summary, _ = run_lagrangian(boosted)
     _, bref_fields, _ = run_reference(boosted)
     cmp = compare_fields([b_fields[-1]], [bref_fields[-1]])

@@ -65,6 +65,12 @@ class QtmConfig:
         if self.snapshot_stride < 1:
             raise ValidationError("snapshot_stride must be >= 1")
 
+    def auto_dt(self, spacing: float, params: PhysicsParams) -> float:
+        """Dispersive rule dt = 0.5 * dx^2 * m / hbar on the seeded spacing."""
+        if self.dt is not None:
+            return self.dt
+        return 0.5 * spacing**2 * params.mass / params.hbar
+
 
 @dataclass(frozen=True)
 class ParticleSet:
@@ -290,11 +296,8 @@ def qtm_evolve(init: InitialState, params: PhysicsParams,
     S = init.s0.copy()
     rhs = partial(_qtm_rhs, params, config)
 
-    dt = config.dt
-    if dt is None:
-        dx0 = float(np.min(np.diff(init.labels)))
-        dt = 0.5 * dx0**2 * params.mass / params.hbar
-    n_steps, dt = plan_steps(config.t_final, dt)
+    n_steps, dt = plan_steps(config.t_final, config.auto_dt(
+        float(np.min(np.diff(init.labels))), params))
 
     div_int = np.zeros_like(x)
     # each end-of-step evaluation (for div_int) is the next step's k1 and

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import math
+import struct
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -11,7 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qflow.cli import main
-from qflow.config import ConfigError, Settings, parse_config_text, resolve
+from qflow.config import (MAX_GRID_POINTS, POSITIVE_SQUARE, SCHEMA, ConfigError,
+                          Settings, parse_config_text, resolve)
+from qflow.errors import NodeEncountered, ValidationError
+from qflow.model import plan_steps
+from qflow.pipeline import _truncated_gaussian_state
+from qflow.stencils import grid_spacing
 from qflow.output import (read_fields, read_trajectories, write_fields,
                           write_trajectories)
 
@@ -286,8 +294,10 @@ class TestCli:
             ("grid.n_labels = 1e400", "finite"),
             ("physics.omega = nan", "finite"),
             # finite, but their squares overflow
-            ("physics.omega = 1e160", "physics.omega = 1e+160 is out of range"),
-            ("physics.hbar = 1e200", "physics.hbar = 1e+200 is out of range"),
+            ("physics.omega = 1e160",
+             "physics.omega must be positive, with a square neither 0 nor infinite, got 1e+160"),
+            ("physics.hbar = 1e200",
+             "physics.hbar must be positive, with a square neither 0 nor infinite, got 1e+200"),
             # a frequency must be positive
             ("physics.omega = 0", "physics.omega must be positive"),
             ("physics.omega = -1", "physics.omega must be positive"),
@@ -313,13 +323,14 @@ class TestCli:
     @pytest.mark.parametrize("line,fragment", [
         pytest.param(line, fragment, id=line) for line, fragment in [
             ("qtm.degree = 1", "degree must be >= 2"),
-            ("qtm.stencil_size = 4", "stencil_size must be >= degree + 1 = 5"),
+            ("qtm.stencil_size = 4",
+             "qtm.stencil_size must be >= qtm.degree + 1 = 5, got 4"),
             ("qtm.stencil_size = 500",
-             "need at least stencil_size = 500 particles, got 201"),
+             "qtm.n_particles must be >= qtm.stencil_size = 500, got 201"),
             # a zero width used to end in a non-finite state (exit 3), a
             # negative one ran as its absolute value
-            ("qtm.weight_width = 0", "qtm.weight_width) must be positive, got 0.0"),
-            ("qtm.weight_width = -3", "qtm.weight_width) must be positive, got -3.0"),
+            ("qtm.weight_width = 0", "qtm.weight_width must be positive, got 0.0"),
+            ("qtm.weight_width = -3", "qtm.weight_width must be positive, got -3.0"),
             # the first fit runs on the seeded grid, so a width that leaves
             # it rank-deficient can never work
             ("qtm.weight_width = 1e-3", "widen qtm.weight_width = 0.001"),
@@ -343,9 +354,12 @@ class TestCli:
 
     @pytest.mark.parametrize("command,line,fragment", [
         pytest.param(command, line, fragment, id=line) for command, line, fragment in [
-            ("run-lagrangian", "grid.n_labels = 1e18", "grid.n_labels <= 1000000"),
-            ("run-lagrangian", "grid.n_x = 9223372036854775808", "grid.n_x <= 1000000"),
-            ("run-qtm", "qtm.n_particles = 1e300", "qtm.n_particles <= 1000000"),
+            ("run-lagrangian", "grid.n_labels = 1e18",
+             "grid.n_labels must be between 9 and 1000000"),
+            ("run-lagrangian", "grid.n_x = 9223372036854775808",
+             "grid.n_x must be between 16 and 1000000"),
+            ("run-qtm", "qtm.n_particles = 1e300",
+             "qtm.n_particles must be between 9 and 1000000"),
             # the auto time step underflows to 0
             ("run-lagrangian", "solver.cfl = 5e-324", "over the budget"),
             ("run-qtm", "qtm.span = 1e-300", "over the budget"),
@@ -556,3 +570,173 @@ class TestConfigFuzz:
                              "--out", str(Path(tmp) / "o"), "--quiet"])
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err.getvalue()
+
+
+def _adjacent_floats(pred, a, b):
+    """The two adjacent positive floats between ``a`` and ``b`` where the
+    monotone ``pred`` turns from ``pred(a)`` to ``pred(b)`` (bisection on
+    the bit patterns, which positive doubles order like their values)."""
+    def as_float(n):
+        return struct.unpack("<d", struct.pack("<q", n))[0]
+
+    bits = [struct.unpack("<q", struct.pack("<d", v))[0] for v in (a, b)]
+    while bits[1] - bits[0] > 1:
+        mid = (bits[0] + bits[1]) // 2
+        bits[pred(as_float(mid)) != pred(a)] = mid
+    return tuple(as_float(n) for n in bits)
+
+
+def _square_edges():
+    """The smallest and the largest float whose square is neither 0 nor
+    infinite, each paired with its neighbour outside."""
+    below, lo = _adjacent_floats(lambda v: v * v > 0, 0.0, 1.0)
+    hi, above = _adjacent_floats(lambda v: v * v == math.inf, 1.0,
+                                 sys.float_info.max)
+    return [(below, lo), (above, hi)]
+
+
+def _at_least_edges(lo):
+    return [(lo - 1, lo), (math.nextafter(lo, -math.inf), lo)]
+
+
+def _grid_edges(lo):
+    return [(lo - 1, lo), (MAX_GRID_POINTS + 1, MAX_GRID_POINTS)]
+
+
+# (outside, inside) value pairs at each bound's edges, by requirement
+BOUND_EDGES = {
+    "must be positive": [(0.0, 5e-324)],
+    POSITIVE_SQUARE[1]: _square_edges(),
+    "must be >= 0": _at_least_edges(0),
+    "must be >= 1": _at_least_edges(1),
+    "must be >= 2": _at_least_edges(2),
+    f"must be between 9 and {MAX_GRID_POINTS}": _grid_edges(9),
+    f"must be between 16 and {MAX_GRID_POINTS}": _grid_edges(16),
+}
+NUMERIC_KEYS = [k for k, (_, default, _) in SCHEMA.items()
+                if not isinstance(default, str)]
+COMMON_VALUES = [0, -1, 5e-324, 1e-300, 1e300]
+
+
+def _is_int_key(key):
+    try:
+        SCHEMA[key][0]("4.5")
+    except ValueError:
+        return True
+    return False
+
+
+def _fuzz_values(key):
+    values = list(COMMON_VALUES)
+    if _is_int_key(key):
+        values.append(4.5)
+    bound = SCHEMA[key][2]
+    if bound is not None:
+        for pair in BOUND_EDGES[bound[1]]:
+            values.extend(pair)
+    return values
+
+
+def _set_up(settings):
+    """Everything a run does before its first time step."""
+    params = settings.physics()
+    init = settings.initial_state(params)
+    settings.x_grid()
+    cfg = settings.solver_config()
+    plan_steps(cfg.t_final, cfg.auto_dt(grid_spacing(init.labels), params))
+    labels = settings.qtm_labels()
+    seeded = _truncated_gaussian_state(settings["state.sigma0"], params, labels,
+                                       boost_k=settings["state.boost_k"])
+    qcfg = settings.qtm_config()
+    # the particle solver seeds only a strictly positive density
+    if np.all(seeded.rho0 > 0):
+        plan_steps(qcfg.t_final,
+                   qcfg.auto_dt(float(np.min(np.diff(labels))), params))
+    dt, t_final, _ = settings.reference_controls()
+    plan_steps(t_final, dt)
+
+
+class TestSchemaBounds:
+    def test_every_bound_has_edges(self):
+        for key, (_, _, bound) in SCHEMA.items():
+            if bound is None:
+                continue
+            ok, requirement = bound
+            assert requirement in BOUND_EDGES, key
+            for outside, inside in BOUND_EDGES[requirement]:
+                assert not ok(outside) and ok(inside), (key, outside, inside)
+
+    def test_defaults_pass_every_bound(self):
+        _set_up(Settings.defaults())
+
+    @pytest.mark.parametrize("key", NUMERIC_KEYS)
+    def test_set_up_fails_only_by_naming_the_key(self, key):
+        bound = SCHEMA[key][2]
+        for value in _fuzz_values(key):
+            rejected = ((_is_int_key(key) and value != int(value))
+                        or (bound is not None and not bound[0](value)))
+            try:
+                # extreme values over- and underflow on the way to the
+                # ValidationError; numpy warns, and nothing else may raise
+                with np.errstate(all="ignore"):
+                    _set_up(Settings(resolve({key: repr(value)})))
+            except ConfigError as exc:
+                assert key in str(exc) or not rejected, (value, str(exc))
+            except ValidationError as exc:
+                assert not rejected, (value, str(exc))
+
+    @pytest.mark.parametrize("command", ["run-lagrangian", "run-reference",
+                                         "compare", "tensor-check"])
+    def test_out_of_bound_value_exits_2_from_every_command(self, tmp_path,
+                                                           capsys, command):
+        cfg = _write_config(tmp_path / "bad.cfg", {"qtm.span": "0"})
+        args = ["a", "b"] if command == "compare" else []
+        assert main([command, *args, "--config", str(cfg),
+                     "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        assert "qtm.span must be positive, got 0.0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("line", ["state.sigma0 = 2", "state.sigma0 = 1e-150",
+                                      "grid.n_labels = 9", "grid.n_labels = 10"])
+    def test_unnormalizable_gaussian_names_its_keys(self, tmp_path, capsys, line):
+        key, value = line.split(" = ")
+        cfg = _write_config(tmp_path / "bad.cfg", {key: value})
+        assert main(["run-lagrangian", "--config", str(cfg),
+                     "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        for name in ("state.sigma0", "grid.label_min", "grid.label_max",
+                     "grid.n_labels"):
+            assert name in err
+        assert f"{key} = {SCHEMA[key][0](value)!r}" in err
+        assert "not normalized" in err
+
+    def test_readme_table_matches_schema(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text(encoding="utf-8").split("### Configuration")[1]
+        rows = [[cell.strip().strip("`") for cell in line.strip("|").split("|")]
+                for line in section.split("###")[0].splitlines()
+                if line.startswith("| `")]
+        assert [row[0] for row in rows] == list(SCHEMA)
+        for key, default, bound, _ in rows:
+            _, expected, rule = SCHEMA[key]
+            assert default == ("auto" if expected is None else str(expected)), key
+            if rule is not None:
+                assert bound.startswith(rule[1].removeprefix("must be ")), key
+
+    def test_settings_are_read_only(self):
+        settings = Settings.defaults()
+        with pytest.raises(TypeError):
+            settings.values["run.seed"] = 1
+
+
+def test_node_in_reference_exits_3(tmp_path, capsys, monkeypatch):
+    def node(*args, **kwargs):
+        raise NodeEncountered(7, 0.0, 1e-300)
+
+    monkeypatch.setattr("qflow.pipeline.reference_fields", node)
+    cfg = _write_config(tmp_path / "cheap.cfg", CHEAP_RUN)
+    assert main(["run-reference", "--config", str(cfg),
+                 "--out", str(tmp_path / "o"), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert "numerical abort: |psi| = 0.000e+00 at grid index 7" in err
+    assert "Traceback" not in err

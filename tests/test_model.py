@@ -70,12 +70,12 @@ class TestGaussianState:
         assert abs(np.trapezoid(init.rho0, a) - 1.0) < 1e-10
 
     def test_narrow_span_rejected(self):
-        with pytest.raises(ValidationError, match="normalization unattainable"):
+        with pytest.raises(ValidationError, match="not normalized"):
             make_gaussian_state(1.0, PARAMS, np.linspace(-3.9, 3.9, 101))
 
     def test_marginal_span_fails_normalization(self):
-        # between 4 and 6 sigma the constructor runs but the state invariant
-        # (trapezoid norm within 1e-8) cannot hold
+        # short of about 5.7 sigma the state invariant (trapezoid norm
+        # within 1e-8) cannot hold
         with pytest.raises(ValidationError, match="not normalized"):
             make_gaussian_state(1.0, PARAMS, np.linspace(-4.5, 4.5, 201))
 
