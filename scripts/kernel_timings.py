@@ -22,8 +22,9 @@ Prints the best-of-``--repeats`` time per call, in microseconds, of
   timing: each call takes about a millisecond);
 * three parts of the identity suite behind ``qflow tensor-check``: the
   cofactor-divergence grids (17^3, 33^3 and 65^3), the force-identity grids
-  (33^3, 65^3 and 129^3, a slab of planes at a time) and the chain-rule
-  stress oracle at the suite's three label points;
+  (33^3, 65^3 and 129^3; both sets built one plane at a time, over a
+  sliding window of three planes) and the chain-rule stress oracle at the
+  suite's three label points;
 * one ``tensor_check(0)``, the whole suite, with the ``tracemalloc`` peak
   of one more call in the row's name (this row and the three above: one
   call per timing, and half of ``--repeats`` timings, since the suite

@@ -10,6 +10,7 @@ checks every bound and the few cross-key rules once.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -156,14 +157,25 @@ def resolve(raw: dict) -> dict:
     return out
 
 
+def _shown(value) -> str:
+    """repr of a value, but an integer past 2**53 as the float it was read
+    from: ``1e300`` parses to an integer of 301 digits."""
+    if isinstance(value, int) and 2**53 < abs(value) <= sys.float_info.max:
+        return repr(float(value))
+    return repr(value)
+
+
 def _check(values) -> None:
     """Raise a ConfigError naming the key and value of the first value out
     of its SCHEMA bound, then of the first broken cross-key rule."""
     for key, (_, _, bound) in SCHEMA.items():
         value = values[key]
         if bound is not None and value is not None and not bound[0](value):
-            raise ConfigError(f"{key} {bound[1]}, got {value!r}")
+            raise ConfigError(f"{key} {bound[1]}, got {_shown(value)}")
     v = values
+    # a packet narrower than one x cell leaves the reference a support of
+    # a point or two
+    dx = (v["grid.x_max"] - v["grid.x_min"]) / v["grid.n_x"]
     for key, ok, requirement in (
             ("grid.label_max", v["grid.label_max"] > v["grid.label_min"],
              f"must be > grid.label_min = {v['grid.label_min']!r}"),
@@ -172,9 +184,12 @@ def _check(values) -> None:
             ("qtm.stencil_size", v["qtm.stencil_size"] >= v["qtm.degree"] + 1,
              f"must be >= qtm.degree + 1 = {v['qtm.degree'] + 1}"),
             ("qtm.n_particles", v["qtm.n_particles"] >= v["qtm.stencil_size"],
-             f"must be >= qtm.stencil_size = {v['qtm.stencil_size']}")):
+             f"must be >= qtm.stencil_size = {v['qtm.stencil_size']}"),
+            ("state.sigma0", v["state.sigma0"] >= dx,
+             f"must be >= the x spacing (grid.x_max - grid.x_min) / "
+             f"grid.n_x = {dx!r}")):
         if not ok:
-            raise ConfigError(f"{key} {requirement}, got {v[key]!r}")
+            raise ConfigError(f"{key} {requirement}, got {_shown(v[key])}")
 
 
 @dataclass(frozen=True)

@@ -174,7 +174,7 @@ class InitialState:
         if np.any(r < 0):
             i = int(np.argmin(r))
             raise ValidationError(f"rho0 must be nonnegative; rho0[{i}] = {r[i]}")
-        norm = np.trapezoid(r, a)
+        norm = float(np.trapezoid(r, a))
         if abs(norm - 1.0) > NORMALIZATION_TOL:
             raise ValidationError(
                 f"rho0 is not normalized on the label grid: trapezoid = {norm!r} "

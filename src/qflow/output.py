@@ -81,7 +81,11 @@ def read_fields(path, hbar: float = 1.0) -> list[EulerianField]:
 
 
 def _read_csv(path, schema: str, header: str) -> np.ndarray:
-    text = Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        text = Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ValidationError(f"cannot read {path}: {reason}") from exc
     if not text or not text[0].startswith("# schema:"):
         raise ValidationError(f"{path}: missing schema header line")
     found = text[0].split(":", 1)[1].strip()

@@ -347,82 +347,78 @@ def tensor_check(seed: int = 0, params: PhysicsParams | None = None) -> dict:
     }
 
 
+def _plane_interior_max(n, build, residuals) -> float:
+    """max |residual| on the interior [2:-2]^3 of an n^3 grid on [-1, 1]^3.
+
+    ``build(x1, x2, x3)`` makes the fields of one plane of fixed x1 from its
+    open mesh, and ``residuals(planes, h)`` the residuals on the interior of
+    the middle one of three consecutive planes.  The window of three planes
+    slides along x1, so each plane is built once."""
+    axis = np.linspace(-1.0, 1.0, n)
+    h = axis[1] - axis[0]
+    x2, x3 = axis[:, None], axis[None, :]
+    planes = [None] + [build(axis[p:p + 1, None], x2, x3) for p in (1, 2)]
+    worst = 0.0
+    for p in range(3, n - 1):
+        planes = planes[1:] + [build(axis[p:p + 1, None], x2, x3)]
+        for resid in residuals(planes, h):
+            worst = max(worst, float(np.max(np.abs(resid))))
+    return worst
+
+
+def _centred(planes, h, axis):
+    """``np.gradient``'s interior formula (f[i+1] - f[i-1]) / (2. * h) on
+    the points [2:-2, 2:-2] of the middle one of a field's three planes:
+    across the planes for ``axis`` 0, within the middle plane for 1 and 2."""
+    prev, cur, nxt = planes
+    if axis == 0:
+        return (nxt[2:-2, 2:-2] - prev[2:-2, 2:-2]) / (2. * h)
+    if axis == 1:
+        return (cur[3:-1, 2:-2] - cur[1:-3, 2:-2]) / (2. * h)
+    return (cur[2:-2, 3:-1] - cur[2:-2, 1:-3]) / (2. * h)
+
+
+def _divergence_rows(tensors, h):
+    """sum_j d T[i, j] / dx_j for i = 0, 1, 2 by centred differences, the
+    tensor field T given on three consecutive planes."""
+    return [_centred([T[..., i, 0] for T in tensors], h, 0)
+            + _centred([T[..., i, 1] for T in tensors], h, 1)
+            + _centred([T[..., i, 2] for T in tensors], h, 2) for i in range(3)]
+
+
 def _cofactor_divergence_errors() -> list[float]:
     """max |div C| on the interior of 17^3, 33^3 and 65^3 grids, C the
     cofactor field of the rich map (divergence-free in the continuum)."""
-    errors = []
-    for n in (17, 33, 65):
-        axis = np.linspace(-1.0, 1.0, n)
-        h = axis[1] - axis[0]
-        grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
-        C = cofactor_matrix(_rich_map_gradient(grid))
-        del grid
-        worst = 0.0
-        for i in range(3):
-            div_i = (_centred_difference(C[..., i, 0], h, 0, (2, 2, 2))
-                     + _centred_difference(C[..., i, 1], h, 1, (2, 2, 2))
-                     + _centred_difference(C[..., i, 2], h, 2, (2, 2, 2)))
-            worst = max(worst, float(np.max(np.abs(div_i))))
-        errors.append(worst)
-    return errors
 
+    def build(x1, x2, x3):
+        points = np.stack(np.broadcast_arrays(x1, x2, x3), axis=-1)
+        return cofactor_matrix(_rich_map_gradient(points))
 
-def _centred_difference(f, h, axis, margins):
-    """``np.gradient``'s interior formula (f[i+1] - f[i-1]) / (2. * h) along
-    ``axis``, on the box that drops ``margins[k]`` >= 1 points at each end
-    of axis k (the same bits as ``np.gradient`` there)."""
-    box = [slice(m, n - m) for m, n in zip(margins, f.shape)]
-    lo, hi = list(box), list(box)
-    m, n = margins[axis], f.shape[axis]
-    lo[axis], hi[axis] = slice(m - 1, n - m - 1), slice(m + 1, n - m + 1)
-    return (f[tuple(hi)] - f[tuple(lo)]) / (2. * h)
-
-
-# interior planes per slab of the force-identity grids (see
-# _force_identity_errors): a slab holds these plus two halo planes of n x n
-# points, so the 129^3 grid never takes a full-grid 3x3 field
-_FORCE_SLAB_PLANES = 8
+    return [_plane_interior_max(n, build, _divergence_rows) for n in (17, 33, 65)]
 
 
 def _force_identity_errors(params: PhysicsParams) -> list[float]:
     """max |div(sigma)/rho - grad V_Q| on the interior of 33^3, 65^3 and
     129^3 grids of the smooth density.
 
-    Each grid is evaluated in slabs of ``_FORCE_SLAB_PLANES`` interior
-    planes along the first axis, with one halo plane on each side.  Only
-    ``np.gradient``'s centred differences are taken, on the points the
-    maximum reads, and they see the same neighbours as on the whole grid,
-    so the residuals are the whole-grid ones bit for bit.
-    ``stress_eulerian`` and ``quantum_potential`` take their density floor
-    from the slab's largest rho instead of the grid's;
-    min rho / max rho is about 0.3 on [-1, 1]^3, so the 1e-14 floor marks
-    no point either way.
+    The density floor of ``stress_eulerian`` and ``quantum_potential`` is
+    set by the plane's largest rho, not the grid's; min rho / max rho is
+    about 0.3 on [-1, 1]^3, so the 1e-14 floor marks no point either way.
     """
-    errors = []
-    for n in (33, 65, 129):
-        axis = np.linspace(-1.0, 1.0, n)
-        h = axis[1] - axis[0]
-        x1, x2, x3 = np.meshgrid(axis, axis, axis, indexing="ij", sparse=True)
-        worst = 0.0
-        # interior planes 2 .. n-3, as [2:-2] on the whole grid
-        for lo in range(2, n - 2, _FORCE_SLAB_PLANES):
-            hi = min(lo + _FORCE_SLAB_PLANES, n - 2)
-            rho, grad, hess = _smooth_rho3(x1[lo - 1:hi + 1], x2, x3)
-            sigma, _ = stress_eulerian(rho, grad, hess, params.hbar, params.mass)
-            lap = np.trace(hess, axis1=-2, axis2=-1)
-            vq, _ = quantum_potential(rho, grad, lap, params.hbar, params.mass)
-            # the slab's planes 1 .. -2, as [2:-2] on the whole grid
-            margins = (1, 2, 2)
-            rho_box = rho[1:-1, 2:-2, 2:-2]
-            for i in range(3):
-                resid = (_centred_difference(sigma[..., i, 0], h, 0, margins)
-                         + _centred_difference(sigma[..., i, 1], h, 1, margins)
-                         + _centred_difference(sigma[..., i, 2], h, 2, margins))
-                resid /= rho_box
-                resid -= _centred_difference(vq, h, i, margins)
-                worst = max(worst, float(np.max(np.abs(resid))))
-        errors.append(worst)
-    return errors
+
+    def build(x1, x2, x3):
+        rho, grad, hess = _smooth_rho3(x1, x2, x3)
+        sigma, _ = stress_eulerian(rho, grad, hess, params.hbar, params.mass)
+        lap = np.trace(hess, axis1=-2, axis2=-1)
+        vq, _ = quantum_potential(rho, grad, lap, params.hbar, params.mass)
+        return rho, sigma, vq
+
+    def residuals(planes, h):
+        rhos, sigmas, vqs = zip(*planes)
+        return [div / rhos[1][2:-2, 2:-2] - _centred(vqs, h, i)
+                for i, div in enumerate(_divergence_rows(sigmas, h))]
+
+    return [_plane_interior_max(n, build, residuals) for n in (33, 65, 129)]
 
 
 def _smooth_rho3(x1, x2, x3):

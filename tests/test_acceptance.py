@@ -126,7 +126,7 @@ class TestCriterion4TensorIdentities:
 
 def _whole_grid_force_error(n, hbar=1.0, mass=1.0):
     """The force-identity residual of an n^3 grid with every field built on
-    the whole grid at once: the reference tensor_check's slabs reproduce."""
+    the whole grid at once: the reference tensor_check's planes reproduce."""
     axis = np.linspace(-1.0, 1.0, n)
     h = axis[1] - axis[0]
     rho, grad, hess = _smooth_rho3(
@@ -163,32 +163,34 @@ def _whole_grid_divergence_error(n):
 
 
 class TestCofactorDivergenceInterior:
-    """tensor_check builds the cofactor field component-major and takes the
-    centred differences on the interior it reads: the errors must not move."""
+    """tensor_check builds the cofactor field one plane at a time and takes
+    the centred differences on the interior it reads: the errors must not
+    move."""
 
     def test_interior_equals_the_whole_grid(self, tensor_report):
         whole = [_whole_grid_divergence_error(n) for n in (17, 33, 65)]
         assert tensor_report["cofactor_divergence_errors"] == whole
 
 
-class TestForceIdentitySlabs:
-    """tensor_check evaluates the force-identity grids a slab of planes at a
-    time: the residuals must not move, and the memory must not come back."""
+class TestForceIdentityPlanes:
+    """tensor_check evaluates the force-identity grids one plane at a time,
+    over a sliding window of three planes: the residuals must not move, and
+    the memory must not come back."""
 
-    def test_slabs_equal_the_whole_grid(self, tensor_report):
+    def test_planes_equal_the_whole_grid(self, tensor_report):
         whole = [_whole_grid_force_error(n) for n in (33, 65)]
         assert tensor_report["force_identity_errors"][:2] == whole
 
     def test_traced_peak_memory(self):
         # 3x3 fields built on the whole 129^3 grid (2.1 M points) trace
-        # about 570 MB; built a slab at a time, about 55 MB
+        # about 570 MB; three planes at a time, about 8 MB
         tracemalloc.start()
         try:
             tensor_check(0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 200e6
+        assert peak <= 40e6
 
 
 class TestCriterion5DynamicsResiduals:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import struct
 import sys
 import tempfile
@@ -260,6 +261,22 @@ class TestCli:
                      "--out", str(tmp_path / "cmp"), "--quiet"]) == 2
         assert f"rho[{i - 2}] = nan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content,reason", [
+        (None, "No such file or directory"),
+        (b"\xff\xfe\x00", "'utf-8' codec can't decode")])
+    def test_compare_on_an_unreadable_result_exits_2(self, tmp_path, capsys,
+                                                     content, reason):
+        path = tmp_path / "result" / "fields.csv"
+        if content is not None:
+            path.parent.mkdir()
+            path.write_bytes(content)
+        assert main(["compare", str(path), str(path),
+                     "--out", str(tmp_path / "c"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot read {path}: {reason}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "c").exists()
+
     def test_run_qtm(self, small_config, tmp_path):
         out = tmp_path / "qtm"
         assert main(["run-qtm", "--config", str(small_config),
@@ -358,13 +375,15 @@ class TestCli:
              "grid.n_labels must be between 9 and 1000000"),
             ("run-lagrangian", "grid.n_x = 9223372036854775808",
              "grid.n_x must be between 16 and 1000000"),
+            # the integer read from 1e300 is echoed as the float it came from
             ("run-qtm", "qtm.n_particles = 1e300",
-             "qtm.n_particles must be between 9 and 1000000"),
+             "qtm.n_particles must be between 9 and 1000000, got 1e+300\n"),
             # the auto time step underflows to 0
             ("run-lagrangian", "solver.cfl = 5e-324", "over the budget"),
             ("run-qtm", "qtm.span = 1e-300", "over the budget"),
-            # 128 points about 8e15 apart: none inside the trajectory support
-            ("run-lagrangian", "grid.x_max = 1e18", "no x-grid point"),
+            # 128 points about 8e15 apart: the packet is narrower than a cell
+            ("run-lagrangian", "grid.x_max = 1e18",
+             "state.sigma0 must be >= the x spacing"),
         ]])
     def test_extreme_size_or_step_exits_2(self, tmp_path, capsys, command, line,
                                           fragment):
@@ -696,7 +715,9 @@ class TestSchemaBounds:
         assert "qtm.span must be positive, got 0.0" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("line", ["state.sigma0 = 2", "state.sigma0 = 1e-150",
+    # sigma0 = 0.03 is narrower than the label spacing 0.04, wider than the
+    # x spacing 0.023
+    @pytest.mark.parametrize("line", ["state.sigma0 = 2", "state.sigma0 = 0.03",
                                       "grid.n_labels = 9", "grid.n_labels = 10"])
     def test_unnormalizable_gaussian_names_its_keys(self, tmp_path, capsys, line):
         key, value = line.split(" = ")
@@ -709,6 +730,24 @@ class TestSchemaBounds:
             assert name in err
         assert f"{key} = {SCHEMA[key][0](value)!r}" in err
         assert "not normalized" in err
+        # the trapezoid is printed as a plain float, not a numpy repr
+        assert re.search(r"trapezoid = \d\.\d+(e[+-]\d+)? \(tolerance", err)
+
+    @pytest.mark.parametrize("value", ["1e-150", "1e-8", "0.02"])
+    @pytest.mark.parametrize("command", ["run-lagrangian", "run-reference",
+                                         "run-qtm"])
+    def test_sigma0_narrower_than_an_x_cell_exits_2(self, tmp_path, capsys,
+                                                     command, value):
+        # the default x spacing is 24 / 1024 = 0.0234375
+        cfg = _write_config(tmp_path / "bad.cfg", {"state.sigma0": value})
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert ("state.sigma0 must be >= the x spacing (grid.x_max - "
+                f"grid.x_min) / grid.n_x = 0.0234375, got {float(value)!r}"
+                in err)
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_readme_table_matches_schema(self):
         readme = Path(__file__).resolve().parents[1] / "README.md"
