@@ -338,6 +338,13 @@ def qtm_evolve(init: InitialState, params: PhysicsParams,
         raise NumericalInstability(
             f"particle {exc.index} left the tabulated potential grid in the "
             f"step from t = {step * dt:.6g} to {(step + 1) * dt:.6g}") from exc
+    except TrajectoryCrossing as exc:
+        if not np.isnan(exc.time):
+            raise
+        # a stage's ordering check knows no time: name the step
+        raise TrajectoryCrossing(
+            exc.index, step * dt, f"particle ordering lost in a stage of the "
+            f"step from t = {step * dt:.6g} to {(step + 1) * dt:.6g}") from exc
 
     amplitude = np.sqrt(init.rho0) * np.exp(-0.5 * div_int)
     psi = amplitude * np.exp(1j * S / params.hbar)

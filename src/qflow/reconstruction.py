@@ -1,11 +1,13 @@
 """Eulerian fields and the wavefunction rebuilt from trajectory snapshots.
 
-The map a -> q(a, t) is inverted on the spatial grid (monotone cubic
-interpolation, well-posed because J > 0), densities push forward by
-rho = rho0 / J, velocities by composition, and the phase rides along the
-trajectories as S = S0 + chi.  :func:`reconstruct_wavefunction` is the
-one push-forward, and only that: it builds one inverse map, by
-:func:`invert_map`, and it serves rho, v and S.
+The map a -> q(a, t) is inverted on the spatial grid (cubic Hermite
+interpolation on the slopes 1/J, checked monotone), densities push
+forward by rho = rho0 / J, velocities by composition, and the phase
+rides along the trajectories as S = S0 + chi, each field one cubic
+Hermite composition on knot slopes the solver already has.
+:func:`reconstruct_wavefunction` is the one push-forward, and only that:
+it builds one inverse map, by :func:`invert_map`, and it serves rho, v
+and S.
 
 :func:`phase_consistency_deviation` is the phase check, run on demand:
 the quasi-potential condition m v = dS/dx written on the labels of one
@@ -33,67 +35,39 @@ from .stencils import (cumulative_trapezoid, derivative, grid_spacing,
 RHO_INTERIOR_REL = 1e-6
 
 
-def _pchip_slopes(xs, ys):
-    """Knot slopes of the monotone cubic (PCHIP): the weighted harmonic mean
-    of the neighbouring secants, zero where they differ in sign or one
-    vanishes.  The end slopes stay zero: :func:`_pchip_linear_edges` never
-    evaluates the cubic in the end intervals."""
-    h = np.diff(xs)
-    m = np.diff(ys) / h
-    d = np.zeros_like(ys)
-    if xs.size > 2:
-        sm = np.sign(m)
-        keep = (sm[1:] == sm[:-1]) & (m[1:] != 0) & (m[:-1] != 0)
-        w1 = (2.0 * h[1:] + h[:-1])[keep]
-        w2 = (h[1:] + 2.0 * h[:-1])[keep]
-        # scipy's operation order, so the slopes match it to the bit
-        d[1:-1][keep] = 1.0 / ((w1 / m[:-1][keep] + w2 / m[1:][keep]) / (w1 + w2))
-    return h, m, d
+def _hermite_basis(xs, x):
+    """Interval index ``i`` of each ``x`` among the increasing knots ``xs``
+    and the cubic Hermite weights of ``y[i]``, ``dy[i]``, ``y[i + 1]`` and
+    ``dy[i + 1]`` there; a point on a knot takes that knot's value."""
+    i = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, xs.size - 2)
+    h = xs[i + 1] - xs[i]
+    s = (x - xs[i]) / h
+    u = 1.0 - s
+    return i, (u * u * (1.0 + 2.0 * s), s * u * u * h,
+               s * s * (3.0 - 2.0 * s), -s * s * u * h)
 
 
-def _pchip_linear_edges(xs, ys):
-    """Shape-preserving interpolant with a linear fallback in the first and
-    last intervals (the monotone cubic's one-sided slopes are least
-    trustworthy there).
+def _compose(basis, y, dy):
+    """The cubic Hermite interpolant of knot values ``y`` and knot slopes
+    ``dy`` at the points of ``basis`` (from :func:`_hermite_basis`)."""
+    i, (w0, w1, w2, w3) = basis
+    return w0 * y[i] + w1 * dy[i] + w2 * y[i + 1] + w3 * dy[i + 1]
 
-    Inside, the cubic Hermite polynomial of each interval is evaluated in
-    the power basis of ``s = x - xs[i]``, summed from 0.0 in the order
-    ``c3 + c2 s + c1 s^2 + c0 s^3``: the arithmetic of scipy's
-    ``PchipInterpolator``, down to the sign of a zero.
-    """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
-        raise ValidationError("interpolation data must be finite")
-    h, m, d = _pchip_slopes(xs, ys)
-    t = (d[:-1] + d[1:] - 2.0 * m) / h
-    c0 = t / h
-    c1 = (m - d[:-1]) / h - t
-    c2 = d[:-1]
-    c3 = ys[:-1]
 
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        i = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, xs.size - 2)
-        s = x - xs[i]
-        s2 = s * s
-        out = 0.0 + c3[i] + c2[i] * s + c1[i] * s2 + c0[i] * (s2 * s)
-        lo = x <= xs[1]
-        hi = x >= xs[-2]
-        if np.any(lo):
-            s = (ys[1] - ys[0]) / (xs[1] - xs[0])
-            out[lo] = ys[0] + s * (x[lo] - xs[0])
-        if np.any(hi):
-            s = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
-            out[hi] = ys[-2] + s * (x[hi] - xs[-2])
-        return out
-
-    return f
+def _jacobian(traj):
+    """J = dq/da on the labels (fourth-order stencil)."""
+    return derivative(traj.q, grid_spacing(traj.labels), 1)
 
 
 def invert_map(traj: TrajectoryState, x_grid):
     """Labels a(x) of the trajectories passing through the grid points.
 
+    a(x) is the cubic Hermite interpolant through the points (q_i, a_i)
+    with the slopes da/dx = 1/J.  It is monotone on an interval when the
+    Fritsch-Carlson condition holds there (SIAM J. Numer. Anal. 17, 238
+    (1980)): alpha, beta >= 0 and alpha^2 + beta^2 <= 9, alpha and beta
+    the two knot slopes over the secant.  An interval that fails it, a
+    non-positive J among them, raises :class:`TrajectoryCrossing`.
     Points outside [q_first, q_last] are masked, never extrapolated.
     Returns (a_of_x, mask).
     """
@@ -101,16 +75,20 @@ def invert_map(traj: TrajectoryState, x_grid):
     q = traj.q
     if np.any(np.diff(q) <= 0):
         raise TrajectoryCrossing(int(np.argmin(np.diff(q))), traj.t)
+    with np.errstate(all="ignore"):
+        slope = 1.0 / _jacobian(traj)
+        secant = np.diff(traj.labels) / np.diff(q)
+        alpha, beta = slope[:-1] / secant, slope[1:] / secant
+        bad = ~((alpha >= 0) & (beta >= 0) & (alpha**2 + beta**2 <= 9.0))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise TrajectoryCrossing(i, traj.t, f"inverse map not monotone "
+                                 f"between labels {i} and {i + 1}")
     mask = (x >= q[0]) & (x <= q[-1])
     a_of_x = np.full(x.shape, np.nan)
     if np.any(mask):
-        a_of_x[mask] = _pchip_linear_edges(q, traj.labels)(x[mask])
+        a_of_x[mask] = _compose(_hermite_basis(q, x[mask]), traj.labels, slope)
     return a_of_x, mask
-
-
-def _jacobian(traj):
-    """J = dq/da on the labels (fourth-order stencil)."""
-    return derivative(traj.q, grid_spacing(traj.labels), 1)
 
 
 def phase_consistency_deviation(traj: TrajectoryState, init: InitialState,
@@ -134,9 +112,11 @@ def reconstruct_wavefunction(history: Sequence[TrajectoryState],
     """Assemble the full Eulerian field (rho, S, v, psi) at the last snapshot.
 
     Only ``history[-1]`` is read.  Each field is a label quantity composed
-    with the inverse map a(x), by the interpolation the map itself uses:
-    rho = rho0 / J (rho0 from the analytic form when the initial state has
-    one), v = qdot and S = S0 + chi.  Points outside the trajectory image
+    with the inverse map a(x) by the cubic Hermite interpolant the map
+    itself uses, on knot slopes the solver already has: rho = rho0 / J
+    (J's slope J'; rho0 from the analytic form when the initial state has
+    one, else composed on its stencil slope), v = qdot (stencil slope) and
+    S = S0 + chi (slope m qdot J).  Points outside the trajectory image
     are masked and hold zeros.  The phase is composed as carried; whether
     it satisfies the quasi-potential condition is
     :func:`phase_consistency_deviation`'s question, not this function's.
@@ -154,14 +134,16 @@ def reconstruct_wavefunction(history: Sequence[TrajectoryState],
     S = np.zeros(x.shape)
     v = np.zeros(x.shape)
     psi = np.zeros(x.shape, dtype=complex)
-    J_at = _pchip_linear_edges(final.labels, _jacobian(final))(aq)
+    h = grid_spacing(final.labels)
+    J, dJ = derivative(final.q, h, (1, 2))
+    at = _hermite_basis(final.labels, aq)
     if init.forms is not None:
         rho0_at = np.asarray(init.forms.rho0(aq), dtype=float)
     else:
-        rho0_at = _pchip_linear_edges(final.labels, init.rho0)(aq)
-    rho[mask] = np.maximum(rho0_at / J_at, 0.0)
-    v[mask] = _pchip_linear_edges(final.labels, final.qdot)(aq)
-    S[mask] = _pchip_linear_edges(final.labels, init.s0 + final.chi)(aq)
+        rho0_at = _compose(at, init.rho0, derivative(init.rho0, h, 1))
+    rho[mask] = np.maximum(rho0_at / _compose(at, J, dJ), 0.0)
+    v[mask] = _compose(at, final.qdot, derivative(final.qdot, h, 1))
+    S[mask] = _compose(at, init.s0 + final.chi, params.mass * final.qdot * J)
     psi[mask] = assemble_wavefunction(rho[mask], S[mask], params.hbar)
     return EulerianField(x=x, t=final.t, rho=rho, S=S, v=v, psi=psi,
                          mask=mask, hbar=params.hbar)

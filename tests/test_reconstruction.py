@@ -4,7 +4,6 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
-from scipy.interpolate import PchipInterpolator
 
 from qflow import stencils
 from qflow.benchmarks import (error_norms, gaussian_trajectory,
@@ -14,7 +13,7 @@ from qflow.lagrangian import SolverConfig, evolve
 from qflow.model import (AnalyticForms, EulerianField, InitialState,
                          PhysicsParams, TrajectoryState, assemble_wavefunction,
                          make_gaussian_state)
-from qflow.reconstruction import (_pchip_linear_edges, _pchip_slopes,
+from qflow.reconstruction import (_compose, _hermite_basis,
                                   continuity_euler_residuals, eulerian_moments,
                                   invert_map, lagrangian_moments,
                                   phase_consistency_deviation, qhj_residual,
@@ -50,85 +49,78 @@ def _analytic_field(t, x):
     return EulerianField(x=x, t=t, rho=rho, S=S, v=v, psi=psi)
 
 
-def _scipy_pchip_linear_edges(xs, ys):
-    """Reference: the interpolant as built on scipy's ``PchipInterpolator``."""
-    p = PchipInterpolator(xs, ys, extrapolate=False)
-
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        out = p(x)
-        lo = x <= xs[1]
-        hi = x >= xs[-2]
-        if np.any(lo):
-            s = (ys[1] - ys[0]) / (xs[1] - xs[0])
-            out[lo] = ys[0] + s * (x[lo] - xs[0])
-        if np.any(hi):
-            s = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
-            out[hi] = ys[-2] + s * (x[hi] - xs[-2])
-        return out
-
-    return f
+def _forged_snapshot(labels, q):
+    """A snapshot at rest built past the validating constructor, for maps
+    that the constructor would refuse."""
+    traj = object.__new__(TrajectoryState)
+    for name, val in (("labels", labels), ("q", q),
+                      ("qdot", np.zeros_like(q)), ("chi", np.zeros_like(q)),
+                      ("t", 0.0)):
+        object.__setattr__(traj, name, val)
+    return traj
 
 
-def _knot_data(kind, n, rng):
-    """Uneven knots and values: monotone, sign-changing, or with flat
-    segments (so both slope branches run)."""
-    xs = np.cumsum(rng.uniform(0.05, 1.0, n)) - 0.4 * n
+def _cubic(kind, rng):
+    """A cubic and its derivative: increasing, sign-changing, or with a
+    stationary inflection point (zero knot slopes nearby)."""
     if kind == "monotone":
-        ys = np.cumsum(rng.uniform(0.0, 1.0, n))
+        # a x^3 + b x^2 + c x + d with b^2 < 3ac has p' > 0 everywhere
+        a, c = rng.uniform(0.1, 1.0, 2)
+        b = -rng.uniform(0.0, 1.0) * np.sqrt(3.0 * a * c)
+        p = np.poly1d([a, b, c, rng.normal()])
     elif kind == "signed":
-        ys = rng.normal(size=n)
+        p = np.poly1d(rng.normal(size=4))
     else:
-        ys = np.round(rng.normal(size=n))
-    return xs, ys
+        p = rng.normal() * np.poly1d([1.0, -rng.normal()]) ** 3
+    return p, p.deriv()
 
 
 class TestNumpyKernels:
     @pytest.mark.parametrize("kind", ["monotone", "signed", "flat"])
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 9, 40])
-    def test_pchip_bit_identical_to_scipy(self, kind, n):
+    def test_hermite_reproduces_a_cubic(self, kind, n):
+        # given exact knot slopes the composition is exact on any cubic,
+        # on uneven knots, at the knots and between them
         rng = np.random.default_rng([n, len(kind)])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for _ in range(25):
-                xs, ys = _knot_data(kind, n, rng)
-                x = np.concatenate((xs, [xs[1], xs[-2]],
-                                    rng.uniform(xs[0] - 0.5, xs[-1] + 0.5, 64)))
-                got = _pchip_linear_edges(xs, ys)(x)
-                want = _scipy_pchip_linear_edges(xs, ys)(x)
-                assert np.array_equal(got, want)
-                assert np.array_equal(np.signbit(got), np.signbit(want))
-
-    def test_flat_segments_take_the_zero_slope_branch(self):
-        xs = np.arange(6.0)
-        ys = np.array([0.0, 1.0, 1.0, 2.0, 0.5, 0.0])
-        _, _, d = _pchip_slopes(xs, ys)
-        # a flat secant beside knots 1, 2; a sign change at knot 3
-        assert np.array_equal(d[1:4], [0.0, 0.0, 0.0])
-        assert d[4] < 0
-        x = np.linspace(0.0, 5.0, 101)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert np.array_equal(_pchip_linear_edges(xs, ys)(x),
-                                  _scipy_pchip_linear_edges(xs, ys)(x))
+        for _ in range(25):
+            xs = np.cumsum(rng.uniform(0.05, 1.0, n)) - 0.4 * n
+            p, dp = _cubic(kind, rng)
+            x = np.concatenate((xs, rng.uniform(xs[0], xs[-1], 64)))
+            got = _compose(_hermite_basis(xs, x), p(xs), dp(xs))
+            scale = np.max(np.abs(p(x))) + np.max(np.abs(p(xs)))
+            assert np.max(np.abs(got - p(x))) <= 1e-13 * scale
+            assert np.array_equal(got[:n], p(xs))
 
     def test_non_finite_data_rejected(self):
-        # as scipy's constructor does: never a silent NaN in a(x)
-        xs = np.arange(5.0)
-        for bad in ((xs, np.array([0.0, 1.0, np.nan, 3.0, 4.0])),
-                    (np.array([0.0, 1.0, np.inf, 3.0, 4.0]), xs)):
-            with pytest.raises(ValidationError, match="finite"):
-                _pchip_linear_edges(*bad)
+        # never a silent NaN in a(x): an infinite position breaks the
+        # ordering, and a NaN, which passes it, fails the monotonicity
+        # condition of the intervals its stencil reaches
+        labels = np.linspace(-1.0, 1.0, 11)
+        for bad, fragment in ((np.inf, "index 5, t = 0$"),
+                              (np.nan, "not monotone between labels 2 and 3")):
+            q = labels.copy()
+            q[5] = bad
+            with pytest.raises(TrajectoryCrossing, match=fragment):
+                invert_map(_forged_snapshot(labels, q), np.linspace(-1, 1, 9))
 
-    def test_signed_zero_matches_scipy(self):
-        # at the knot valued -0.0 every power-basis term is -0.0; scipy sums
-        # from +0.0, so the value there is +0.0 (the sign reaches the CSVs)
-        xs = np.arange(6.0)
-        ys = np.array([0.5, 0.25, -0.0, -1.0, -20.0, -21.0])
-        got = _pchip_linear_edges(xs, ys)(xs)
-        assert np.array_equal(np.signbit(got),
-                              np.signbit(_scipy_pchip_linear_edges(xs, ys)(xs)))
-        assert not np.signbit(got[2])
+    def test_non_monotone_cubic_rejected(self):
+        # a strictly increasing map with one short step between long ones:
+        # the slopes 1/J overshoot the secants and the unguarded cubic a(x)
+        # turns back, so invert_map raises at the first failing interval
+        a = np.linspace(0.0, 1.0, 11)
+        q = a.copy()
+        q[5:] += 1.0
+        q[5] -= 0.999
+        traj = TrajectoryState(labels=a, q=q, qdot=np.zeros_like(a),
+                               chi=np.zeros_like(a), t=0.25)
+        x = np.linspace(q[0], q[-1], 2001)
+        slope = 1.0 / stencils.derivative(q, 0.1, 1)
+        unguarded = _compose(_hermite_basis(q, x), a, slope)
+        assert np.any(np.diff(unguarded) < 0)
+        with pytest.raises(TrajectoryCrossing,
+                           match=r"label index 3, t = 0\.25 \(inverse map not "
+                                 r"monotone between labels 3 and 4\)"):
+            invert_map(traj, x)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 50])
     def test_cumulative_trapezoid_bit_identical_to_scipy(self, n):
@@ -170,15 +162,10 @@ class TestInvertMap:
     def test_folded_map_rejected(self):
         # defense-in-depth path: a folded map cannot be built through the
         # validating constructor, so forge one
-        traj = object.__new__(TrajectoryState)
         q = LABELS.copy()
         q[7] = q[9]
-        for name, val in (("labels", LABELS), ("q", q),
-                          ("qdot", np.zeros_like(q)),
-                          ("chi", np.zeros_like(q)), ("t", 0.0)):
-            object.__setattr__(traj, name, val)
         with pytest.raises(TrajectoryCrossing):
-            invert_map(traj, np.linspace(-1, 1, 5))
+            invert_map(_forged_snapshot(LABELS, q), np.linspace(-1, 1, 5))
 
 
 class TestPushForward:
@@ -261,17 +248,19 @@ def mixture_run():
 class TestReconstruct:
     def test_fields_equal_the_public_maps(self, short_run):
         # reference: rho0 / J, qdot and S0 + chi at the labels a(x) of the
-        # public inverse map, by the interpolant the map itself uses
+        # public inverse map, by the cubic Hermite composition the map
+        # itself uses, on the slopes J', dqdot/da and m qdot J
         x = np.linspace(-12, 12, 1024, endpoint=False)
         field = reconstruct_wavefunction(short_run, INIT, PARAMS, x)
         final = short_run[-1]
         a_of_x, mask = invert_map(final, x)
         aq = a_of_x[mask]
-        J = stencils.derivative(final.q, stencils.grid_spacing(LABELS), 1)
-        rho = np.maximum(INIT.forms.rho0(aq)
-                         / _pchip_linear_edges(LABELS, J)(aq), 0.0)
-        v = _pchip_linear_edges(LABELS, final.qdot)(aq)
-        S = _pchip_linear_edges(LABELS, INIT.s0 + final.chi)(aq)
+        h = stencils.grid_spacing(LABELS)
+        J, dJ = stencils.derivative(final.q, h, (1, 2))
+        at = _hermite_basis(LABELS, aq)
+        rho = np.maximum(INIT.forms.rho0(aq) / _compose(at, J, dJ), 0.0)
+        v = _compose(at, final.qdot, stencils.derivative(final.qdot, h, 1))
+        S = _compose(at, INIT.s0 + final.chi, PARAMS.mass * final.qdot * J)
         assert np.array_equal(field.mask, mask)
         for got, want in ((field.rho, rho), (field.v, v), (field.S, S)):
             assert np.array_equal(got[mask], want)
@@ -309,14 +298,34 @@ class TestReconstruct:
         x = np.linspace(-12, 12, 1024, endpoint=False)
         field = reconstruct_wavefunction(snaps, INIT, PARAMS, x)
         rho_e, S_e = gaussian_wavefunction(x, 0.5, 1.0, PARAMS)
-        # erode the support edges where the linear interpolation fallback
-        # limits accuracy
-        m = field.mask.copy()
-        m[:-2] &= field.mask[2:]
-        m[2:] &= field.mask[:-2]
-        assert np.max(np.abs(field.rho[m] - rho_e[m])) < 1e-7
+        # the whole support, edge intervals included: the cubic composes
+        # the affine map and the quadratic phase exactly, so what is left
+        # is the trajectories' error (rho 9e-14, S 1.3e-9 here)
+        m = field.mask
+        assert np.max(np.abs(field.rho[m] - rho_e[m])) < 1e-12
         dS = field.S[m] - S_e[m]
-        assert np.max(np.abs(dS)) < 2e-5  # trajectory phase carries no offset
+        assert np.max(np.abs(dS)) < 1e-8  # trajectory phase carries no offset
+
+    def test_label_refinement_is_not_floored_by_the_push_forward(self):
+        # the default Gaussian to t = 2 at cfl 10, where dt = cfl da^2
+        # shrinks 4x as the labels double: the psi error falls with the
+        # step (8.3e-9 -> 3.3e-11 here) only if the push-forward adds no
+        # error floor of its own
+        x = np.linspace(-12, 12, 1024, endpoint=False)
+        rho_e, S_e = gaussian_wavefunction(x, 2.0, 1.0, PARAMS)
+        psi_e = assemble_wavefunction(rho_e, S_e, PARAMS.hbar)
+        errs = []
+        for n in (201, 401):
+            labels = np.linspace(-8, 8, n)
+            init = make_gaussian_state(1.0, PARAMS, labels)
+            snaps = evolve(init, PARAMS, SolverConfig(
+                t_final=2.0, cfl_coefficient=10.0, snapshot_stride=10**9))
+            field = reconstruct_wavefunction(snaps, init, PARAMS, x)
+            window = field.mask & (np.abs(x) <= 4.0)
+            errs.append(error_norms(field.psi, psi_e, x,
+                                    window).phase_reduced_l2)
+        assert errs[1] <= errs[0] / 16.0
+        assert errs[1] <= 1e-10
 
     def test_dual_route_phase_consistency(self):
         cfg = SolverConfig(t_final=0.5, snapshot_stride=25)
@@ -362,7 +371,9 @@ class TestReconstruct:
             warnings.simplefilter("error")
             field = reconstruct_wavefunction([bent], init, PARAMS, MIXTURE_X)
         a_of_x, mask = invert_map(bent, MIXTURE_X)
-        S = _pchip_linear_edges(init.labels, init.s0 + bent.chi)(a_of_x[mask])
+        J = stencils.derivative(bent.q, stencils.grid_spacing(init.labels), 1)
+        S = _compose(_hermite_basis(init.labels, a_of_x[mask]),
+                     init.s0 + bent.chi, PARAMS.mass * bent.qdot * J)
         assert np.array_equal(field.S[mask], S)
         assert phase_consistency_deviation(bent, init, PARAMS) > 1e-3
 
