@@ -6,10 +6,13 @@ Prints the best-of-``--repeats`` time per call, in microseconds, of
 * the kinematics product ``K3 @ z`` that gives the stacked (J, J', J'')
   from the modal state z = (1, t, c), written into a preallocated buffer
   (``out=``) as ``evolve``'s right-hand side writes it;
+* the log-density kernel ``_log_density``, (c_a, c_xx) from the rows
+  J', J'', 1/J into preallocated rows, as ``evolve``'s right-hand side
+  binds it;
 * one call of the projected-force operator (a ``ModeProjector`` composed
-  with the conservation-form force map) on the stacked (G, dV/dq) buffer,
-  writing the mode coefficients into a preallocated row (``out=``) as
-  ``evolve`` calls it;
+  with the conservation-form force map) on G alone under a free potential,
+  else on the stacked (G, dV/dq) buffer, writing the mode coefficients
+  into a preallocated row (``out=``) as ``evolve`` calls it;
 * one right-hand-side evaluation, taken as the wall time of ``evolve`` on
   the default config divided by its 4 x steps evaluations (snapshots and
   their energy checks included);
@@ -51,10 +54,11 @@ import numpy as np
 import qflow
 from qflow.config import Settings
 from qflow.lagrangian import (ModeProjector, _kinematics, _LabelData,
-                              _log_density_derivatives, _modal_basis,
-                              _projected_force, default_projection_degree,
-                              evolve, initial_velocity)
-from qflow.model import plan_steps
+                              _log_density, _log_density_derivatives,
+                              _modal_basis, _projected_force,
+                              default_projection_degree, evolve,
+                              initial_velocity)
+from qflow.model import FreePotential, plan_steps
 from qflow.pipeline import (_ORACLE_POINTS, _chain_rule_stress,
                             _cofactor_divergence_errors,
                             _force_identity_errors, _truncated_gaussian_state,
@@ -129,7 +133,8 @@ def main():
     n = init.n
     degree = min(config.projection_degree or default_projection_degree(n), n - 1)
     project = ModeProjector(init.labels, init.rho0, degree)
-    force = _projected_force(data, params, project)
+    free = isinstance(params.potential, FreePotential)
+    force = _projected_force(data, params, project, g_only=free)
     _, K3 = _modal_basis(data, init.labels, initial_velocity(init, params),
                          project.lift)
 
@@ -138,10 +143,11 @@ def main():
     q = init.labels + 0.1 * np.sin(init.labels)
     z = np.concatenate(([1.0, 0.0], project(q - init.labels)))
     kin = _kinematics(data, q)
-    G_dV = np.stack((_log_density_derivatives(data, kin)[1] * kin[3],
-                     params.potential_gradient(q)))
+    G = _log_density_derivatives(data, kin)[1] * kin[3]
+    force_in = G if free else np.stack((G, params.potential_gradient(q)))
     # the output buffers evolve's right-hand side writes into
-    D, modes = np.empty(3 * n), np.empty(degree + 1)
+    D, modes, logd = np.empty(3 * n), np.empty(degree + 1), np.empty((3, n))
+    logd_args = (data.L1, data.L2_minus_L1_sq, *kin[1:], *logd)
 
     # the particle solver's first right-hand side, as run-qtm seeds it
     particles = _truncated_gaussian_state(settings["state.sigma0"], params,
@@ -168,8 +174,10 @@ def main():
     rows = [
         (f"kinematics product (K3 {3 * n} x {degree + 3})",
          best_us(lambda: np.dot(K3, z, out=D), args.calls, args.repeats)),
-        ("projected force (ModeProjector)",
-         best_us(lambda: force(G_dV, out=modes), args.calls, args.repeats)),
+        ("log-density kernel (c_a, c_xx)",
+         best_us(lambda: _log_density(*logd_args), args.calls, args.repeats)),
+        (f"projected force ({force.coeffs.shape[0]} x {force.coeffs.shape[1]})",
+         best_us(lambda: force(force_in, out=modes), args.calls, args.repeats)),
         (f"RHS evaluation (evolve / {4 * n_steps})", evolve_s / (4 * n_steps) * 1e6),
         (f"QTM RHS ({particles.n} particles)",
          best_us(lambda: _qtm_rhs(params, qtm_config, *seeded), args.calls,

@@ -36,12 +36,12 @@ single stacked stencil product ``derivative(q, h, (1, 2, 3))`` of a label
 state q; the Jacobian floor and a finiteness check are applied there too
 (``_checked_kinematics``).  The stacked product sums every stencil row in
 weight order and scales by h**m last, exactly as a single-derivative call
-does.  ``_log_density_derivatives`` turns the tuple into (c_x, c_xx), the
-one kernel behind V_Q and G.  ``_LabelData`` binds the two stencils a run
-needs, the (1, 2, 3) stack and d/da, once per run
-(:class:`~qflow.stencils.Stencil`).  Inside ``evolve`` the map is affine
-in the mode coefficients (below), so the right-hand side takes
-(J, J', J'') from one dense product instead of a stencil product.
+does.  ``_log_density`` turns the tuple into (c_a, c_xx), c_a = dc/da and
+c_x = c_a / J, the one kernel behind V_Q, G and the energy check.
+``_LabelData`` binds the two stencils a run needs, the (1, 2, 3) stack and
+d/da, once per run (:class:`~qflow.stencils.Stencil`).  Inside ``evolve``
+the map is affine in the mode coefficients (below), so the right-hand side
+takes (J, J', J'') from one dense product instead of a stencil product.
 
 Stability of the time stepping.  The pointwise collocation operator is
 exponentially unstable on fine grids: linearizing about a smooth flow
@@ -71,7 +71,8 @@ coefficients ``coeffs @ A`` come from scipy's compiled CSR kernel
 ascending order as scipy's sparse product does.  A right-hand side stacks
 G and dV/dq and makes one call of the composed operator, which returns
 the r = degree + 1 mode coefficients of the acceleration, not their lift
-to the labels.
+to the labels.  Under a free potential dV/dq is 0, so the map stops at its
+G block and the operator reads n values, not 2n.
 
 Modal state.  Every acceleration lies in the span of the lift, so
 qdot = qdot0 + lift @ e and q = a + t qdot0 + lift @ c hold for all t,
@@ -87,20 +88,25 @@ needed: the potential, the per-step crossing check and the snapshots.
 Workspace.  Python and numpy call overhead, not arithmetic, sets the cost
 of a right-hand side on a few hundred labels, so ``evolve`` allocates its
 arrays once per run and every kernel of the loop writes into them: the
-dense products, the projection, ``_log_density_derivatives`` and
-``potential_gradient`` through an optional ``out=``, and
-``_checked_kinematics`` in place.  The RK4 stages and the final
-combination are ufunc calls with ``out=`` in the operation order of the
-plain array expressions, so the results are bit for bit those of an
-allocating modal loop; callers outside the loop (the energy check, the
-snapshot kinematics, the acceleration routes) call the same kernels
-without ``out=``.
+dense products, the projection and ``potential_gradient`` through an
+optional ``out=``, ``_check_kinematics`` and ``_log_density`` into row
+views bound once per run, with the run's constants, so that no slicing,
+unpacking or attribute lookup runs per call.  The log-density kernel makes
+nine ufunc calls, G one more, and the value at the density peak is read
+as Python floats.  The four RK4 slopes are the rows of one array, so the
+update is one product with dt (1/6, 1/3, 1/3, 1/6) and one add.  Every
+step is a ufunc or product call in the operation order of the plain
+array expressions, so the results are bit for bit those of an allocating
+modal loop; callers outside the loop (the energy check, the snapshot
+kinematics, the acceleration routes) call the same kernels through
+``_checked_kinematics`` and ``_log_density_derivatives``, on new arrays.
 """
 
 from __future__ import annotations
 
 from copy import copy
 from dataclasses import dataclass
+from functools import partial
 from types import SimpleNamespace
 from typing import Optional
 
@@ -252,24 +258,28 @@ def _kinematics(data: _LabelData, q, t=0.0):
 
 def _checked_kinematics(data: _LabelData, kin, t):
     """``kin``, whose first three rows hold (J, J', J''), with 1/J written
-    into its last row.
+    into its last row, checked as :func:`_check_kinematics` checks it."""
+    _check_kinematics(kin[:3], kin[0], kin[3], data.zeros3, t)
+    return kin
 
-    Raises :class:`NumericalInstability` on a non-finite state and
+
+def _check_kinematics(D, J, Ji, zeros, t):
+    """Write 1/J into ``Ji`` once the stacked (J, J', J'') ``D`` is checked.
+
+    ``zeros`` is a zero array of ``D``'s size.  Raises
+    :class:`NumericalInstability` on a non-finite state and
     :class:`TrajectoryCrossing` when J falls to the floor.
     """
-    D = kin[:3]
     # 0 * x is NaN exactly when x is NaN or infinite, so the dot product of
     # D with zeros is 0 when D is finite and NaN otherwise
-    if not np.vdot(D, data.zeros3) == 0.0:
+    if not np.vdot(D, zeros) == 0.0:
         raise NumericalInstability(
             f"non-finite trajectory state at t = {t:.6g}; reduce dt or check "
             f"the initial data")
-    J = D[0]
     if np.minimum.reduce(J) <= J_FLOOR:
         i = int(np.argmax(J <= J_FLOOR))
         raise TrajectoryCrossing(i, t, f"J = {J[i]:.3e} <= floor {J_FLOOR:.1e}")
-    np.divide(1.0, J, out=kin[3])
-    return kin
+    np.divide(1.0, J, out=Ji)
 
 
 def initial_velocity(init: InitialState, params: PhysicsParams) -> np.ndarray:
@@ -281,34 +291,38 @@ def initial_velocity(init: InitialState, params: PhysicsParams) -> np.ndarray:
     return ds / params.mass
 
 
-def _log_density_derivatives(data: _LabelData, kin, out=None):
-    """(c_x, c_xx), the spatial derivatives of c = ln rho along the map,
-    from the label ones
+def _log_density(L1, L2_minus_L1_sq, Jp, Jpp, Ji, ca, cxx, tmp):
+    """(c_a, c_xx), the label derivative of c = ln rho along the map and its
+    second spatial derivative, written into ``ca`` and ``cxx`` (``tmp`` is
+    scratch) from the rows J', J'', 1/J and the run's L1, L2 - L1^2:
 
-        c_a = L1 - J'/J,   c_aa = (L2 - L1^2) - (J''/J - (J'/J)^2),
-        c_x = c_a / J,     c_xx = (c_aa - c_a J' / J) / J^2.
+        A = J'/J,   c_a = L1 - A,
+        c_xx = J^-2 ((2A - L1) A - J''/J + (L2 - L1^2)),
 
-    They are the first two rows of ``out`` (a ``(3, n)`` buffer whose last
-    row is scratch) when given, else of a new array; the operations are
-    the same either way.
+    nine ufunc calls, 2A - L1 taken as A - c_a.  The first spatial
+    derivative is c_x = c_a / J.
     """
+    np.multiply(Jp, Ji, out=tmp)                 # A
+    np.subtract(L1, tmp, out=ca)                 # c_a
+    np.subtract(tmp, ca, out=cxx)                # 2A - L1
+    np.multiply(cxx, tmp, out=cxx)
+    np.multiply(Jpp, Ji, out=tmp)                # J''/J
+    np.subtract(cxx, tmp, out=cxx)
+    np.add(cxx, L2_minus_L1_sq, out=cxx)
+    np.square(Ji, out=tmp)
+    np.multiply(cxx, tmp, out=cxx)               # c_xx
+    return ca, cxx
+
+
+def _log_density_derivatives(data: _LabelData, kin, out=None):
+    """(c_a, c_xx) of :func:`_log_density` for the ``_kinematics`` tuple
+    ``kin``, the first two rows of ``out`` (a ``(3, n)`` buffer whose last
+    row is scratch) when given, else of a new array; the operations are the
+    same either way."""
     _, Jp, Jpp, Ji = kin
     if out is None:
         out = np.empty((3, Ji.size))
-    cx, cxx, tmp = out
-    np.multiply(Jp, Ji, out=tmp)                 # J'/J
-    np.subtract(data.L1, tmp, out=cx)            # c_a, until c_x replaces it
-    np.square(tmp, out=tmp)
-    np.multiply(Jpp, Ji, out=cxx)
-    np.subtract(cxx, tmp, out=cxx)
-    np.subtract(data.L2_minus_L1_sq, cxx, out=cxx)  # c_aa
-    np.multiply(cx, Jp, out=tmp)
-    np.multiply(tmp, Ji, out=tmp)
-    np.subtract(cxx, tmp, out=cxx)
-    np.square(Ji, out=tmp)
-    np.multiply(cxx, tmp, out=cxx)               # c_xx
-    np.multiply(cx, Ji, out=cx)                  # c_x
-    return cx, cxx
+    return _log_density(data.L1, data.L2_minus_L1_sq, Jp, Jpp, Ji, *out)
 
 
 def _accel_direct_from(data: _LabelData, params: PhysicsParams, q, kin):
@@ -319,7 +333,8 @@ def _accel_direct_from(data: _LabelData, params: PhysicsParams, q, kin):
 
 def _vq_from(data: _LabelData, params: PhysicsParams, kin):
     """Quantum potential along the trajectories, in log-density variables."""
-    return params.quantum_potential(*_log_density_derivatives(data, kin))
+    ca, cxx = _log_density_derivatives(data, kin)
+    return params.quantum_potential(ca * kin[3], cxx)
 
 
 def _accel_newton_from(data: _LabelData, params: PhysicsParams, q, kin, vq):
@@ -328,19 +343,25 @@ def _accel_newton_from(data: _LabelData, params: PhysicsParams, q, kin, vq):
 
 
 def _projected_force(data: _LabelData, params: PhysicsParams,
-                     project: ModeProjector) -> ModeProjector:
+                     project: ModeProjector, g_only: bool = False
+                     ) -> ModeProjector:
     """``project`` composed with the map from the stacked (G, dV/dq) to the
     conservation-form acceleration (hbar^2/4m^2)(L1 G + dG/da) - (1/m) dV/dq,
     d/da taken from the run's bound stencil: one mode projection per call.
 
     Row ``j`` of the map is ``(hbar^2/4m^2)`` times the d/da stencil row with
     ``L1[j]`` added to its diagonal entry (every stencil row has one),
-    followed by ``-1/m`` in column ``n + j``.
+    followed by ``-1/m`` in column ``n + j``.  With ``g_only`` the map stops
+    at the G block, and a call takes G alone: under a free potential dV/dq
+    is 0, and the composed coefficients are the first ``n`` columns of the
+    full map's, bit for bit.
     """
     n = data.L1.size
     indptr, cols, w = data.d1.matrix()
     w[cols == np.repeat(np.arange(n), np.diff(indptr))] += data.L1
     w *= data.quantum_coeff
+    if g_only:
+        return project.compose(indptr, cols, w, n)
     ends = indptr[1:]
     return project.compose(indptr + np.arange(n + 1),
                            np.insert(cols, ends, n + np.arange(n)),
@@ -400,7 +421,7 @@ def energy_of(traj: TrajectoryState, init: InitialState, params: PhysicsParams,
         data = _LabelData(init, params)
     if kin is None:
         kin = _kinematics(data, traj.q, traj.t)
-    cx = _log_density_derivatives(data, kin)[0]
+    cx = _log_density_derivatives(data, kin)[0] * kin[3]
     U = params.hbar**2 / (8.0 * params.mass) * cx**2
     dens = (0.5 * params.mass * traj.qdot**2 + U
             + params.potential_energy(traj.q))
@@ -440,58 +461,74 @@ def evolve(init: InitialState, params: PhysicsParams,
         degree = default_projection_degree(n)
     degree = min(degree, n - 1)
     project = ModeProjector(init.labels, init.rho0, degree)
-    force = _projected_force(data, params, project)
+    free = isinstance(params.potential, FreePotential)
+    # under a free potential dV/dq is 0: the force takes G alone
+    force = _projected_force(data, params, project, g_only=free)
     r = degree + 1
     qdot0 = initial_velocity(init, params)
-    lift_i0 = project.lift[i0]
     basis, K3 = _modal_basis(data, init.labels, qdot0, project.lift)
-    free = isinstance(params.potential, FreePotential)
-    # the run's workspace: every right-hand side and RK4 stage writes here
+    # the run's workspace: every right-hand side and RK4 stage writes here,
+    # through row views, bound methods and constants bound once per run
     kin_buf = np.empty((4, n))         # (J, J', J'', 1/J)
     kin_rows = kin_buf[:3].reshape(3 * n)  # (J, J', J''), flat: K3 @ z
-    logd_buf = np.empty((3, n))        # (c_x, c_xx, scratch)
+    J, Jp, Jpp, Ji = kin_buf
+    ca, cxx, scratch = np.empty((3, n))
     G_dV = np.zeros((2, n))            # (G, dV/dq), the force input
+    G, dV = G_dV
+    force_in = G if free else G_dV
+    check = partial(_check_kinematics, kin_rows, J, Ji, data.zeros3)
+    log_density = partial(_log_density, data.L1, data.L2_minus_L1_sq,
+                          Jp, Jpp, Ji, ca, cxx, scratch)
+    ca_at, cxx_at, Ji_at = ca.item, cxx.item, Ji.item
+    quantum_potential = params.quantum_potential
+    potential_gradient = params.potential_gradient
+    potential_energy = params.potential_energy
+    half_m = 0.5 * params.mass
+    qdot0_i0 = float(qdot0[i0])
+    lift_i0_dot = project.lift[i0].dot
     q = np.empty(n)
     z = np.empty(r + 2)
     z[0] = 1.0
-    k1, k2, k3, k4, stage, acc = np.empty((6, 2 * r + 1))
+    z_c = z[2:]
     gaps = np.empty(n - 1)
+    q_hi, q_lo = q[1:], q[:-1]
 
     def at(t, c):
         """The point z = (1, t, c), in ``z``."""
         z[1] = t
-        z[2:] = c
+        z_c[:] = c
         return z
 
-    def rhs(y, t, k):
-        """Time derivative of the modal state y = (c, e, chi[i0]), into k."""
-        e = y[r:-1]
-        np.dot(K3, at(t, y[:r]), out=kin_rows)
-        kin = _checked_kinematics(data, kin_buf, t)
-        cx, cxx = _log_density_derivatives(data, kin, out=logd_buf)
-        np.multiply(cxx, kin[3], out=G_dV[0])
+    def rhs(c, e, k, k_c, k_e, t):
+        """Time derivative of the modal state (c, e, chi[i0]) into the row
+        ``k``, whose c and e blocks are ``k_c`` and ``k_e``."""
+        np.dot(K3, at(t, c), out=kin_rows)
+        check(t)
+        log_density()
+        np.multiply(cxx, Ji, out=G)
         v = 0.0
         if not free:   # else dV/dq stays 0 and q is not needed
             np.dot(basis, z, out=q)
-            params.potential_gradient(q, out=G_dV[1])
-            v = params.potential_energy(q[i0])
-        k[:r] = e
-        force(G_dV, out=k[r:-1])
-        qd = qdot0[i0] + np.dot(lift_i0, e)
-        k[-1] = (0.5 * params.mass * qd**2 - v
-                 - params.quantum_potential(cx[i0], cxx[i0]))
+            potential_gradient(q, out=dV)
+            v = potential_energy(q[i0])
+        k_c[:] = e
+        force(force_in, out=k_e)
+        qd = qdot0_i0 + lift_i0_dot(e)
+        k[-1] = (half_m * qd**2 - v
+                 - quantum_potential(ca_at(i0) * Ji_at(i0), cxx_at(i0)))
 
     n_steps, dt = plan_steps(config.t_final, config.auto_dt(data.h, params))
 
     y = np.zeros(2 * r + 1)
+    y_c, y_e = y[:r], y[r:-1]
     phi0 = None
 
     def measured(tn):
         """The current state as a snapshot, carrying its energy and min J
         from one kinematics pass, and chi from the J of that pass."""
         nonlocal phi0
-        q = basis @ at(tn, y[:r])
-        qd = qdot0 + project.lift @ y[r:-1]
+        q = basis @ at(tn, y_c)
+        qd = qdot0 + project.lift @ y_e
         kin = _kinematics(data, q, tn)
         phi = cumulative_trapezoid(params.mass * qd * kin[0], init.labels)
         if phi0 is None:
@@ -517,31 +554,41 @@ def evolve(init: InitialState, params: PhysicsParams,
             )
         snapshots.append(snap)
 
+    # k1..k4 are the rows of ks; each stage's right-hand side is bound to
+    # its input state and output row
+    ks = np.empty((4, 2 * r + 1))
+    k1, k2, k3, _ = ks
+    stage, acc = np.empty((2, 2 * r + 1))
+    stage_c, stage_e = stage[:r], stage[r:-1]
+    inputs = ((y_c, y_e),) + 3 * ((stage_c, stage_e),)
+    rhs1, rhs2, rhs3, rhs4 = (partial(rhs, c, e, k, k[:r], k[r:-1])
+                              for (c, e), k in zip(inputs, ks))
+    # y += dt/6 (k1 + 2 k2 + 2 k3 + k4), one product with the stacked ks
+    weights = np.array([dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0])
+    min_gap = np.minimum.reduce
+
     def staged(k, scale):
         """The stage state y + scale * k, in ``stage``."""
         np.multiply(scale, k, out=stage)
-        return np.add(y, stage, out=stage)
+        np.add(y, stage, out=stage)
 
     t = 0.0
     half = 0.5 * dt
     try:
         for step in range(n_steps):
-            rhs(y, t, k1)
-            rhs(staged(k1, half), t + half, k2)
-            rhs(staged(k2, half), t + half, k3)
-            rhs(staged(k3, dt), t + dt, k4)
-            # y += dt/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right
-            np.multiply(2.0, k2, out=acc)
-            np.add(k1, acc, out=acc)
-            np.multiply(2.0, k3, out=stage)
-            np.add(acc, stage, out=acc)
-            np.add(acc, k4, out=acc)
-            np.multiply(dt / 6.0, acc, out=acc)
+            rhs1(t)
+            staged(k1, half)
+            rhs2(t + half)
+            staged(k2, half)
+            rhs3(t + half)
+            staged(k3, dt)
+            rhs4(t + dt)
+            np.dot(weights, ks, out=acc)
             np.add(y, acc, out=y)
             t = (step + 1) * dt
-            np.dot(basis, at(t, y[:r]), out=q)
-            np.subtract(q[1:], q[:-1], out=gaps)
-            if gaps.min() <= 0:
+            np.dot(basis, at(t, y_c), out=q)
+            np.subtract(q_hi, q_lo, out=gaps)
+            if min_gap(gaps) <= 0:
                 raise TrajectoryCrossing(int(np.argmin(gaps)), t)
             if (step + 1) % config.snapshot_stride == 0 or step + 1 == n_steps:
                 snapshot(t)

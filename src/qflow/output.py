@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from itertools import repeat
 from pathlib import Path
 from typing import Sequence
@@ -36,12 +37,26 @@ def _strings(values):
     return map(float.__repr__, np.asarray(values, dtype=float))
 
 
+def _write_csv(path, schema: str, header: str, blocks) -> None:
+    """Write the schema and header lines, then each block of rows (an
+    iterable of row strings, one block per snapshot) as it is formed, so
+    only one snapshot's text is held at a time."""
+    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"# schema: {schema}\n{header}\n")
+        for rows in blocks:
+            text = "\n".join(rows)
+            if text:
+                fh.write(text)
+                fh.write("\n")
+
+
 def write_trajectories(path, snapshots: Sequence[TrajectoryState]) -> None:
-    lines = [f"# schema: {TRAJECTORY_SCHEMA}", "t,a,q,qdot,chi"]
-    for snap in snapshots:
-        columns = (snap.labels, snap.q, snap.qdot, snap.chi)
-        lines += map(",".join, zip(repeat(_fmt(snap.t)), *map(_strings, columns)))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    def blocks():
+        for snap in snapshots:
+            columns = (snap.labels, snap.q, snap.qdot, snap.chi)
+            yield map(",".join, zip(repeat(_fmt(snap.t)), *map(_strings, columns)))
+
+    _write_csv(path, TRAJECTORY_SCHEMA, "t,a,q,qdot,chi", blocks())
 
 
 def read_trajectories(path) -> list[TrajectoryState]:
@@ -55,14 +70,15 @@ def read_trajectories(path) -> list[TrajectoryState]:
 
 
 def write_fields(path, fields: Sequence[EulerianField]) -> None:
-    lines = [f"# schema: {FIELDS_SCHEMA}", "t,x,rho,S,v,re_psi,im_psi,mask"]
-    for f in fields:
-        masked = (np.where(f.mask, c, math.nan)
-                  for c in (f.rho, f.S, f.v, f.psi.real, f.psi.imag))
-        lines += map(",".join, zip(repeat(_fmt(f.t)), _strings(f.x),
-                                   *map(_strings, masked),
-                                   map(str, f.mask.astype(int).tolist())))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    def blocks():
+        for f in fields:
+            masked = (np.where(f.mask, c, math.nan)
+                      for c in (f.rho, f.S, f.v, f.psi.real, f.psi.imag))
+            yield map(",".join, zip(repeat(_fmt(f.t)), _strings(f.x),
+                                    *map(_strings, masked),
+                                    map(str, f.mask.astype(int).tolist())))
+
+    _write_csv(path, FIELDS_SCHEMA, "t,x,rho,S,v,re_psi,im_psi,mask", blocks())
 
 
 def read_fields(path, hbar: float = 1.0) -> list[EulerianField]:
@@ -81,20 +97,39 @@ def read_fields(path, hbar: float = 1.0) -> list[EulerianField]:
 
 
 def _read_csv(path, schema: str, header: str) -> np.ndarray:
+    """The data rows of a qflow CSV file, one array row each, after its
+    schema and column header lines are checked.  An unreadable file, a
+    wrong header, a value that is not a number, a row of the wrong length
+    or a file with no rows raises :class:`ValidationError` naming the
+    path."""
+    n_cols = header.count(",") + 1
     try:
-        text = Path(path).read_text(encoding="utf-8").splitlines()
+        with Path(path).open(encoding="utf-8") as fh:
+            first = fh.readline().rstrip("\r\n")
+            if not first.startswith("# schema:"):
+                raise ValidationError(f"{path}: missing schema header line")
+            found = first.split(":", 1)[1].strip()
+            if found != schema:
+                raise ValidationError(f"{path}: schema {found!r}, expected {schema!r}")
+            if fh.readline().rstrip("\r\n") != header:
+                raise ValidationError(f"{path}: expected column header {header!r}")
+            with warnings.catch_warnings():
+                # an empty body is reported below, not warned about
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         raise ValidationError(f"cannot read {path}: {reason}") from exc
-    if not text or not text[0].startswith("# schema:"):
-        raise ValidationError(f"{path}: missing schema header line")
-    found = text[0].split(":", 1)[1].strip()
-    if found != schema:
-        raise ValidationError(f"{path}: schema {found!r}, expected {schema!r}")
-    if len(text) < 2 or text[1] != header:
-        raise ValidationError(f"{path}: expected column header {header!r}")
-    data = [list(map(float, line.split(","))) for line in text[2:] if line]
-    return np.asarray(data, dtype=float)
+    except ValueError as exc:
+        # numpy's reason, without its advice on selecting columns
+        reason = str(exc).split(";")[0].rstrip(".")
+        raise ValidationError(f"{path}: malformed data row: {reason}") from exc
+    if rows.shape[0] == 0:
+        raise ValidationError(f"{path}: no data rows")
+    if rows.shape[1] != n_cols:
+        raise ValidationError(f"{path}: rows of {rows.shape[1]} values, "
+                              f"expected {n_cols} ({header})")
+    return rows
 
 
 def write_summary(path, payload: dict, schema: str = SUMMARY_SCHEMA) -> None:

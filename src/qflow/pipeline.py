@@ -7,11 +7,11 @@ use all exercise identical code paths.
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import default_rng
 
 from .benchmarks import error_norms, gaussian_trajectory, gaussian_wavefunction
 from .config import Settings
@@ -298,14 +298,17 @@ def _chain_rule_stress(point, params: PhysicsParams, h: float = 0.02):
 def tensor_check(seed: int = 0, params: PhysicsParams | None = None) -> dict:
     """The deformation-algebra identity suite (reported values + pass flags)."""
     params = params or PhysicsParams()
-    rng = default_rng(seed)
+    # the standard library's generator: 100 small draws do not need
+    # numpy.random, whose import costs start-up time and memory
+    rng = random.Random(seed)
 
     # cofactor identity over seeded nonsingular gradients
     worst = 0.0
     n_draws = 100
     for _ in range(n_draws):
         while True:
-            g = rng.uniform(-1.0, 1.0, (3, 3))
+            g = np.array([[rng.uniform(-1.0, 1.0) for _ in range(3)]
+                          for _ in range(3)])
             if abs(np.linalg.det(g)) >= 0.3:
                 break
         J = jacobian(g)

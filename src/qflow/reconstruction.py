@@ -71,12 +71,17 @@ def invert_map(traj: TrajectoryState, x_grid):
     Points outside [q_first, q_last] are masked, never extrapolated.
     Returns (a_of_x, mask).
     """
-    x = np.asarray(x_grid, dtype=float)
+    return _invert(traj, np.asarray(x_grid, dtype=float), _jacobian(traj))
+
+
+def _invert(traj: TrajectoryState, x, J):
+    """:func:`invert_map` on the grid ``x`` given the snapshot's J, for a
+    caller that holds it already."""
     q = traj.q
     if np.any(np.diff(q) <= 0):
         raise TrajectoryCrossing(int(np.argmin(np.diff(q))), traj.t)
     with np.errstate(all="ignore"):
-        slope = 1.0 / _jacobian(traj)
+        slope = 1.0 / J
         secant = np.diff(traj.labels) / np.diff(q)
         alpha, beta = slope[:-1] / secant, slope[1:] / secant
         bad = ~((alpha >= 0) & (beta >= 0) & (alpha**2 + beta**2 <= 9.0))
@@ -125,7 +130,9 @@ def reconstruct_wavefunction(history: Sequence[TrajectoryState],
         raise ValidationError("empty trajectory history")
     x = np.asarray(x_grid, dtype=float)
     final = history[-1]
-    a_of_x, mask = invert_map(final, x)
+    h = grid_spacing(final.labels)
+    J, dJ = derivative(final.q, h, (1, 2))
+    a_of_x, mask = _invert(final, x, J)
     if not np.any(mask):
         raise ValidationError("no x-grid point lies inside the trajectory "
                               "support; refine or narrow the x grid")
@@ -134,8 +141,6 @@ def reconstruct_wavefunction(history: Sequence[TrajectoryState],
     S = np.zeros(x.shape)
     v = np.zeros(x.shape)
     psi = np.zeros(x.shape, dtype=complex)
-    h = grid_spacing(final.labels)
-    J, dJ = derivative(final.q, h, (1, 2))
     at = _hermite_basis(final.labels, aq)
     if init.forms is not None:
         rho0_at = np.asarray(init.forms.rho0(aq), dtype=float)

@@ -182,6 +182,52 @@ class TestRoundTripFiles:
         with pytest.raises(Exception, match="schema"):
             read_fields(path)
 
+    @pytest.mark.parametrize("body,reason", [
+        ("", "no data rows"),
+        ("0.0,1.0\n0.0,2.0\n", r"rows of 2 values, expected 5 \(t,a,q,qdot,chi\)")])
+    def test_reader_rejects_an_empty_or_narrow_body(self, tmp_path, body,
+                                                    reason):
+        path = tmp_path / "t.csv"
+        path.write_text("# schema: qflow.trajectories.v1\nt,a,q,qdot,chi\n"
+                        + body)
+        with pytest.raises(ValidationError, match=f"{path}: {reason}"):
+            read_trajectories(path)
+
+    def test_streamed_files_equal_one_join_of_every_row(self, tmp_path):
+        # the writers emit one snapshot's rows at a time; the bytes are those
+        # of the whole file's lines joined at once
+        from qflow.model import (EulerianField, TrajectoryState,
+                                 assemble_wavefunction)
+        a = np.linspace(-1, 1, 5)
+        snaps = [TrajectoryState(a, a * (1 + t), a * t, a * 0 + t / 3, t)
+                 for t in (0.0, 0.5, 1.0)]
+        write_trajectories(tmp_path / "t.csv", snaps)
+        lines = ["# schema: qflow.trajectories.v1", "t,a,q,qdot,chi"]
+        for snap in snaps:
+            lines += [",".join(repr(float(v)) for v in (snap.t, *row))
+                      for row in zip(snap.labels, snap.q, snap.qdot, snap.chi)]
+        assert (tmp_path / "t.csv").read_bytes() == ("\n".join(lines)
+                                                     + "\n").encode()
+        mask = np.array([False, True, True, True, False])
+        rho = np.where(mask, a**2 + 0.1, 0.0)
+        fields = [EulerianField(x=a, t=t, rho=rho, S=np.where(mask, a * t, 0.0),
+                                v=np.where(mask, a + t, 0.0),
+                                psi=assemble_wavefunction(
+                                    rho, np.where(mask, a * t, 0.0), 1.0),
+                                mask=mask)
+                  for t in (0.25, 0.75)]
+        write_fields(tmp_path / "f.csv", fields)
+        lines = ["# schema: qflow.fields.v1", "t,x,rho,S,v,re_psi,im_psi,mask"]
+        for f in fields:
+            for i in range(a.size):
+                values = [f.rho[i], f.S[i], f.v[i], f.psi[i].real, f.psi[i].imag]
+                lines.append(",".join(
+                    [repr(f.t), repr(float(f.x[i]))]
+                    + [repr(float(v)) if f.mask[i] else "nan" for v in values]
+                    + [str(int(f.mask[i]))]))
+        assert (tmp_path / "f.csv").read_bytes() == ("\n".join(lines)
+                                                     + "\n").encode()
+
 
 class TestCli:
     def test_run_lagrangian_outputs(self, small_config, tmp_path, capsys):
@@ -276,6 +322,31 @@ class TestCli:
         assert f"cannot read {path}: {reason}" in err
         assert "Traceback" not in err
         assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("edit,reason", [
+        ("abc", "could not convert string 'abc' to float64"),
+        (None, "the number of columns changed from 8 to 7")])
+    def test_compare_on_a_malformed_result_exits_2(self, tmp_path, capsys,
+                                                   edit, reason):
+        # a value that is not a number, or a row one value short
+        cfg = _write_config(tmp_path / "cheap.cfg", CHEAP_RUN)
+        lag = tmp_path / "lag"
+        assert main(["run-lagrangian", "--config", str(cfg),
+                     "--out", str(lag), "--quiet"]) == 0
+        lines = (lag / "fields.csv").read_text().splitlines()
+        cols = lines[5].split(",")
+        if edit is None:
+            cols.pop()
+        else:
+            cols[3] = edit
+        lines[5] = ",".join(cols)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["compare", str(bad), str(lag), "--config", str(cfg),
+                     "--out", str(tmp_path / "cmp"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: malformed data row: {reason}" in err
+        assert "Traceback" not in err
 
     def test_run_qtm(self, small_config, tmp_path):
         out = tmp_path / "qtm"

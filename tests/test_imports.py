@@ -33,6 +33,14 @@ def test_cli_import_leaves_heavy_scipy_unloaded():
     assert _run(code).split() == []
 
 
+def test_cli_import_leaves_numpy_random_unloaded():
+    # the identity suite draws from the standard library's generator;
+    # numpy.random would also load secrets, hmac and _hashlib
+    code = ("import sys, qflow, qflow.cli; "
+            "print(' '.join(m for m in sys.modules if m.startswith('numpy.random')))")
+    assert _run(code).split() == []
+
+
 def test_cli_import_loads_no_scipy_module():
     code = ("import sys, qflow, qflow.cli; "
             "print(' '.join(m for m in sys.modules if m.startswith('scipy')))")

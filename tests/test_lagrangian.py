@@ -11,9 +11,10 @@ from qflow.lagrangian import (ModeProjector, SolverConfig, _accel_direct_from,
                               _vq_from, acceleration_direct,
                               acceleration_newton, default_projection_degree,
                               energy_of, evolve, initial_velocity)
-from qflow.model import (MAX_STEPS, AnalyticForms, HarmonicPotential,
-                         InitialState, PhysicsParams, TabulatedPotential,
-                         TrajectoryState, make_gaussian_state, plan_steps)
+from qflow.model import (MAX_STEPS, AnalyticForms, FreePotential,
+                         HarmonicPotential, InitialState, PhysicsParams,
+                         TabulatedPotential, TrajectoryState,
+                         make_gaussian_state, plan_steps)
 from qflow.pipeline import _truncated_gaussian_state
 from qflow.stencils import (Stencil, _operator, cumulative_trapezoid,
                             derivative, grid_spacing, trapezoid_weights)
@@ -176,15 +177,18 @@ def _flat_rk4(init, params, config):
 def _allocating_rk4(init, params, config):
     """Reference: the modal RK4 loop on y = (c, e, chi[i0]) with a new array
     for every intermediate, the right-hand side and the stage expressions
-    written out as plain array expressions; snapshots as ``evolve`` measures
-    them.  Returns, per snapshot, (t, q, qdot, chi, energy, min J)."""
+    written out as plain array expressions (the force on G alone under a
+    free potential, as ``evolve`` composes it there); snapshots as
+    ``evolve`` measures them.  Returns, per snapshot, (t, q, qdot, chi,
+    energy, min J)."""
     data = _LabelData(init, params)
     n, h = init.n, data.h
     i0 = int(np.argmax(init.rho0))
     degree = min(config.projection_degree or default_projection_degree(n),
                  n - 1)
     project = ModeProjector(init.labels, init.rho0, degree)
-    force = _projected_force(data, params, project)
+    free = isinstance(params.potential, FreePotential)
+    force = _projected_force(data, params, project, g_only=free)
     r, lift = degree + 1, project.lift
     qdot0 = initial_velocity(init, params)
     basis = np.asfortranarray(np.column_stack((init.labels, qdot0, lift)))
@@ -196,17 +200,17 @@ def _allocating_rk4(init, params, config):
         J, Jp, Jpp = (K3 @ z).reshape(3, n)
         q = basis @ z
         Ji = 1.0 / J
-        JpJi = Jp * Ji
-        ca = data.L1 - JpJi
-        caa = data.L2_minus_L1_sq - (Jpp * Ji - JpJi**2)
-        cx = ca * Ji
-        cxx = (caa - ca * Jp * Ji) * Ji**2
+        A = Jp * Ji
+        ca = data.L1 - A
+        cxx = ((A - ca) * A - Jpp * Ji + data.L2_minus_L1_sq) * Ji**2
+        G = cxx * Ji
         k = np.empty_like(y)
         k[:r] = e
-        k[r:-1] = force(np.stack((cxx * Ji, params.potential_gradient(q))))
-        qd = qdot0[i0] + lift[i0] @ e
+        k[r:-1] = force(G if free else np.stack((G, params.potential_gradient(q))))
+        qd = float(qdot0[i0]) + lift[i0] @ e
         k[-1] = (0.5 * params.mass * qd**2 - params.potential_energy(q[i0])
-                 - params.quantum_potential(cx[i0], cxx[i0]))
+                 - params.quantum_potential(float(ca[i0]) * float(Ji[i0]),
+                                            float(cxx[i0])))
         return k
 
     def phi(q, qd):
@@ -233,10 +237,33 @@ def _allocating_rk4(init, params, config):
         k2 = rhs(y + 0.5 * dt * k1, t + 0.5 * dt)
         k3 = rhs(y + 0.5 * dt * k2, t + 0.5 * dt)
         k4 = rhs(y + dt * k3, t + dt)
-        y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = y + np.dot(np.array([dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0]),
+                       np.stack((k1, k2, k3, k4)))
         if (step + 1) % config.snapshot_stride == 0 or step + 1 == n_steps:
             snapshot((step + 1) * dt)
     return snaps
+
+
+def _two_hump_state(labels):
+    """0.6 N(-1, 0.8) + 0.4 N(1.2, 0.9) at rest, the benchmark's non-affine
+    mixture, with analytic forms normalized on the label span."""
+    def mixture(a, k):
+        a = np.asarray(a, dtype=float)
+        total = np.zeros_like(a)
+        for w, mu, s in ((0.6, -1.0, 0.8), (0.4, 1.2, 0.9)):
+            z = (a - mu) / s
+            total += w * np.exp(-0.5 * z**2) / s * (1.0, -z / s,
+                                                    (z**2 - 1.0) / s**2)[k]
+        return total
+
+    scale = 1.0 / np.trapezoid(mixture(labels, 0), labels)
+    zero = lambda a: np.zeros_like(np.asarray(a, dtype=float))  # noqa: E731
+    forms = AnalyticForms(rho0=lambda a: scale * mixture(a, 0),
+                          drho0=lambda a: scale * mixture(a, 1),
+                          d2rho0=lambda a: scale * mixture(a, 2),
+                          s0=zero, ds0=zero, d2s0=zero)
+    return InitialState(labels=labels, rho0=forms.rho0(labels),
+                        s0=zero(labels), forms=forms)
 
 
 def _anharmonic_trap():
@@ -329,8 +356,8 @@ class TestAccelerations:
     def test_shared_kernel_matches_per_derivative_formulas(self):
         # reference: J, J', J'' from one stencil call each, as the forms
         # were written before the stacked kernel, and G with its five powers
-        # of 1/J; on a non-affine map V_Q must reproduce it bit for bit, the
-        # accelerations (G = c_xx / J) to rounding
+        # of 1/J; on a non-affine map V_Q must reproduce its formula in
+        # A = J'/J bit for bit, the accelerations (G = c_xx / J) to rounding
         a = self.init.labels
         q = a + 0.1 * np.sin(a)
         data = _LabelData(self.init, PARAMS)
@@ -342,11 +369,11 @@ class TestAccelerations:
         acc_ref = ((PARAMS.hbar**2 / (4.0 * PARAMS.mass**2))
                    * (L1 * G + derivative(G, h, 1))
                    - PARAMS.potential_gradient(q) / PARAMS.mass)
-        ca = L1 - Jp * Ji
-        caa = (L2 - L1**2) - (Jpp * Ji - (Jp * Ji) ** 2)
-        cx = ca * Ji
-        cxx = (caa - ca * Jp * Ji) * Ji**2
-        vq_ref = -(PARAMS.hbar**2 / (4.0 * PARAMS.mass)) * (cxx + 0.5 * cx**2)
+        A = Jp * Ji
+        ca = L1 - A
+        cxx = ((A - ca) * A - Jpp * Ji + (L2 - L1**2)) * Ji**2
+        vq_ref = (-(PARAMS.hbar**2 / (4.0 * PARAMS.mass))
+                  * (cxx + 0.5 * (ca * Ji)**2))
 
         state = _state_from(self.init, q=q)
         kin = _kinematics(data, q)
@@ -356,6 +383,48 @@ class TestAccelerations:
         assert np.max(np.abs(_accel_direct_from(data, PARAMS, q, kin)
                              - acc_ref)) <= tol
         assert np.array_equal(_vq_from(data, PARAMS, kin), vq_ref)
+
+    @pytest.mark.parametrize("case", ["gaussian", "two-hump"])
+    def test_log_density_kernel_matches_the_twelve_op_form(self, case):
+        # the kernel's c_xx = J^-2 ((2A - L1) A - J''/J + (L2 - L1^2)),
+        # A = J'/J, against the form it replaced, c_xx = (c_aa - c_a A) / J^2
+        # with c_aa = (L2 - L1^2) - (J''/J - A^2), on evolved maps; measured
+        # worst 2.4e-16 relative on the Gaussian and 9.4e-14 on the two-hump
+        # state, at its outermost labels
+        if case == "gaussian":
+            init, t_final = self.init, 0.2
+        else:
+            init, t_final = _two_hump_state(np.linspace(-6, 6, 401)), 0.3
+        data = _LabelData(init, PARAMS)
+        snaps = evolve(init, PARAMS, SolverConfig(t_final=t_final,
+                                                  snapshot_stride=10**6))
+        for snap in snaps:
+            kin = _kinematics(data, snap.q)
+            _, Jp, Jpp, Ji = kin
+            ca, cxx = _log_density_derivatives(data, kin)
+            caa = data.L2_minus_L1_sq - (Jpp * Ji - (Jp * Ji)**2)
+            cxx_ref = (caa - ca * Jp * Ji) * Ji**2
+            assert np.all(np.abs(cxx - cxx_ref) <= 1e-12 * np.abs(cxx_ref))
+            assert np.array_equal(ca, data.L1 - Jp * Ji)
+
+    def test_free_force_on_g_alone_is_the_full_map_on_g_and_zero(self):
+        # under a free potential evolve composes the force on the G columns
+        # only: the same coefficients bit for bit, and the same modes as the
+        # full map on (G, 0) to rounding
+        a = self.init.labels
+        data = _LabelData(self.init, PARAMS)
+        project = ModeProjector(a, self.init.rho0,
+                                default_projection_degree(a.size))
+        full = _projected_force(data, PARAMS, project)
+        half = _projected_force(data, PARAMS, project, g_only=True)
+        assert full.coeffs.shape == (project.lift.shape[1], 2 * a.size)
+        assert half.coeffs.shape == (project.lift.shape[1], a.size)
+        assert np.array_equal(half.coeffs, full.coeffs[:, :a.size])
+        kin = _kinematics(data, a + 0.1 * np.sin(a))
+        G = _log_density_derivatives(data, kin)[1] * kin[3]
+        want = full(np.stack((G, np.zeros_like(G))))
+        assert (np.max(np.abs(half(G) - want))
+                <= 1e-14 * np.max(np.abs(want)))
 
     @pytest.mark.parametrize("potential", [None, HarmonicPotential(omega=1.5)])
     def test_composed_force_matches_projected_acceleration(self, potential):

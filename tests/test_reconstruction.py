@@ -270,14 +270,17 @@ class TestReconstruct:
         assert not np.any(field.psi[~mask])
 
     def test_one_inverse_map_per_snapshot(self, monkeypatch, short_run):
+        # reconstruct_wavefunction inverts through invert_map's core, on the
+        # J it computes once for the push-forward too
         import qflow.reconstruction as reconstruction
         calls = []
+        invert = reconstruction._invert
 
-        def counting(traj, x_grid):
+        def counting(traj, x, J):
             calls.append(traj.t)
-            return invert_map(traj, x_grid)
+            return invert(traj, x, J)
 
-        monkeypatch.setattr(reconstruction, "invert_map", counting)
+        monkeypatch.setattr(reconstruction, "_invert", counting)
         x = np.linspace(-12, 12, 1024, endpoint=False)
         reconstruct_wavefunction(short_run, INIT, PARAMS, x)
         # the final snapshot's full-grid map serves rho, v and S; the rest
