@@ -34,7 +34,8 @@ Prints the best-of-``--repeats`` time per call, in microseconds, of
   takes about half a second);
 * start-up: the wall time of ``python -c "import qflow.cli"`` in a fresh
   interpreter, the import every CLI command pays, followed by the list of
-  ``scipy`` subpackages that import loaded.
+  ``scipy`` subpackages that import loaded, which is empty: qflow runs on
+  numpy alone.
 
 Run with ``QFLOW_THREADS=1`` for single-threaded numbers, e.g.
 

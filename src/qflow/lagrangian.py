@@ -65,14 +65,14 @@ Projected force.  That projection is linear, and so is the map
 (G, dV/dq) -> (hbar^2/4m^2)(L1 G + dG/da) - (1/m) dV/dq, so ``evolve``
 composes the two once per run (:meth:`ModeProjector.compose`): the map is
 the matrix A = [(hbar^2/4m^2)(diag L1 + d/da) | -I/m], its CSR rows built
-in numpy from the bound d/da stencil's arrays, and the composed
-coefficients ``coeffs @ A`` come from scipy's compiled CSR kernel
-(:func:`~qflow.stencils.left_product`), which adds up the rows of A in
-ascending order as scipy's sparse product does.  A right-hand side stacks
-G and dV/dq and makes one call of the composed operator, which returns
-the r = degree + 1 mode coefficients of the acceleration, not their lift
-to the labels.  Under a free potential dV/dq is 0, so the map stops at its
-G block and the operator reads n values, not 2n.
+from the bound d/da stencil's arrays, and the composed coefficients
+``coeffs @ A`` come from :func:`~qflow.stencils.left_product`, which adds
+up the rows of A in ascending order, a sparse product's sums to the bit.
+A right-hand side stacks G and dV/dq and makes one call of the composed
+operator, which returns the r = degree + 1 mode coefficients of the
+acceleration, not their lift to the labels.  Under a free potential dV/dq
+is 0, so the map stops at its G block and the operator reads n values,
+not 2n.
 
 Modal state.  Every acceleration lies in the span of the lift, so
 qdot = qdot0 + lift @ e and q = a + t qdot0 + lift @ c hold for all t,
@@ -80,10 +80,11 @@ with c the modes of the displacement and e = dc/dt.  ``evolve`` therefore
 runs RK4 on y = (c, e, chi[i0]), 2r + 1 values (51 at the default degree
 24) instead of 2n + 1.  With z = (1, t, c), q is ``basis @ z`` and the
 stacked (J, J', J'') is ``K3 @ z``, both matrices built once per run
-(``_modal_basis``), ``K3`` with the bound (1, 2, 3) stencil.  A right-hand
-side is thus one dense ``K3`` product, the log-density arithmetic and one
-call of the composed projector; q itself is formed only where labels are
-needed: the potential, the per-step crossing check and the snapshots.
+(``_modal_basis``), ``K3`` by one call of the bound (1, 2, 3) stencil on
+``basis``.  A right-hand side is thus one dense ``K3`` product, the
+log-density arithmetic and one call of the composed projector, and no
+stencil call; q itself is formed only where labels are needed: the
+potential, the per-step crossing check and the snapshots.
 
 Workspace.  Python and numpy call overhead, not arithmetic, sets the cost
 of a right-hand side on a few hundred labels, so ``evolve`` allocates its

@@ -21,6 +21,58 @@ MAX_STEPS = 10**7          # step budget of one time integration
 
 
 # ---------------------------------------------------------------------------
+# cubic Hermite interpolation
+# ---------------------------------------------------------------------------
+
+def _hermite_basis(xs, x):
+    """Interval index ``i`` of each ``x`` among the increasing knots ``xs``
+    and the cubic Hermite weights of ``y[i]``, ``dy[i]``, ``y[i + 1]`` and
+    ``dy[i + 1]`` there; a point on a knot takes that knot's value."""
+    i = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, xs.size - 2)
+    h = xs[i + 1] - xs[i]
+    s = (x - xs[i]) / h
+    u = 1.0 - s
+    return i, (u * u * (1.0 + 2.0 * s), s * u * u * h,
+               s * s * (3.0 - 2.0 * s), -s * s * u * h)
+
+
+def _compose(basis, y, dy):
+    """The cubic Hermite interpolant of knot values ``y`` and knot slopes
+    ``dy`` at the points of ``basis`` (from :func:`_hermite_basis`)."""
+    i, (w0, w1, w2, w3) = basis
+    return w0 * y[i] + w1 * dy[i] + w2 * y[i + 1] + w3 * dy[i + 1]
+
+
+def _not_a_knot_spline(x, y):
+    """Knot slopes and knot curvatures of the not-a-knot cubic spline
+    through ``(x, y)``, four knots or more.  The slopes solve the
+    tridiagonal system of scipy's ``CubicSpline`` (a continuous second
+    derivative at the inner knots, a continuous third at the second and the
+    last but one) by the Thomas algorithm; a knot's curvature is that of
+    the cubic on the interval to its right (the last knot's: to its left),
+    continuous up to rounding."""
+    dx = np.diff(x)
+    secant = np.diff(y) / dx
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    lower = [0.0, *dx[1:].tolist(), d1]
+    diag = [dx[1], *(2.0 * (dx[:-1] + dx[1:])).tolist(), dx[-2]]
+    upper = [d0, *dx[:-1].tolist(), 0.0]
+    s = [((dx[0] + 2.0 * d0) * dx[1] * secant[0] + dx[0]**2 * secant[1]) / d0,
+         *(3.0 * (dx[1:] * secant[:-1] + dx[:-1] * secant[1:])).tolist(),
+         (dx[-1]**2 * secant[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * secant[-1]) / d1]
+    for i in range(1, x.size):
+        w = lower[i] / diag[i - 1]
+        diag[i] -= w * upper[i - 1]
+        s[i] -= w * s[i - 1]
+    s[-1] /= diag[-1]
+    for i in range(x.size - 2, -1, -1):
+        s[i] = (s[i] - upper[i] * s[i + 1]) / diag[i]
+    s = np.array(s)
+    curv = (6.0 * secant - 4.0 * s[:-1] - 2.0 * s[1:]) / dx
+    return s, np.append(curv, (2.0 * s[-2] + 4.0 * s[-1] - 6.0 * secant[-1]) / dx[-1])
+
+
+# ---------------------------------------------------------------------------
 # potentials
 # ---------------------------------------------------------------------------
 
@@ -38,7 +90,8 @@ class HarmonicPotential:
 
 @dataclass(frozen=True)
 class TabulatedPotential:
-    """V sampled on a fixed grid; cubic interpolation inside the grid range.
+    """V sampled on a fixed grid; the not-a-knot cubic spline inside the
+    grid range.
 
     Evaluation outside the tabulated range is an error: the table is the
     only source of truth and extrapolating a potential silently would be
@@ -59,17 +112,21 @@ class TabulatedPotential:
             raise ValidationError("tabulated potential contains non-finite values")
         object.__setattr__(self, "x_grid", x)
         object.__setattr__(self, "values", v)
-        # imported here: the spline module pulls in half of scipy, and only
-        # a tabulated-potential run needs it
-        from scipy.interpolate import CubicSpline
-        object.__setattr__(self, "_spline", CubicSpline(x, v))
+        object.__setattr__(self, "_knots", (v, *_not_a_knot_spline(x, v)))
 
-    def _check_range(self, x):
+    def _spline(self, x, nu=0):
+        """The spline (``nu = 0``) or its derivative (``nu = 1``) at ``x``,
+        inside the table: the cubic Hermite form on the knot slopes, and for
+        the derivative, a quadratic, that form on the slopes and the knot
+        curvatures, which reproduces it."""
         lo, hi = self.x_grid[0], self.x_grid[-1]
-        if np.min(x) < lo or np.max(x) > hi:
+        # negated, so that NaN, false in every comparison, is outside
+        if not (np.min(x) >= lo and np.max(x) <= hi):
             x = np.ravel(x)
-            i = int(np.argmax((x < lo) | (x > hi)))
+            i = int(np.argmax(~((x >= lo) & (x <= hi))))
             raise OutsidePotentialTable(i, x[i], lo, hi)
+        knots = self._knots
+        return _compose(_hermite_basis(self.x_grid, x), knots[nu], knots[nu + 1])
 
 
 Potential = FreePotential | HarmonicPotential | TabulatedPotential
@@ -96,7 +153,6 @@ class PhysicsParams:
             return np.zeros(x.shape)
         if isinstance(p, HarmonicPotential):
             return 0.5 * self.mass * p.omega**2 * x**2
-        p._check_range(x)
         return p._spline(x)
 
     def quantum_potential(self, c1, c2):
@@ -116,7 +172,6 @@ class PhysicsParams:
         elif isinstance(p, HarmonicPotential):
             np.multiply(self.mass * p.omega**2, x, out=out)
         else:
-            p._check_range(x)
             out[...] = p._spline(x, 1)
         return out
 

@@ -25,7 +25,8 @@ import numpy as np
 
 from .errors import TrajectoryCrossing, ValidationError
 from .model import (EulerianField, InitialState, PhysicsParams,
-                    TrajectoryState, assemble_wavefunction)
+                    TrajectoryState, _compose, _hermite_basis,
+                    assemble_wavefunction)
 from .stencils import (cumulative_trapezoid, derivative, grid_spacing,
                        trapezoid_weights)
 
@@ -33,25 +34,6 @@ from .stencils import (cumulative_trapezoid, derivative, grid_spacing,
 # clears this fraction of its peak; farther out the reconstructed
 # log-density carries interpolation noise that derivative stencils amplify
 RHO_INTERIOR_REL = 1e-6
-
-
-def _hermite_basis(xs, x):
-    """Interval index ``i`` of each ``x`` among the increasing knots ``xs``
-    and the cubic Hermite weights of ``y[i]``, ``dy[i]``, ``y[i + 1]`` and
-    ``dy[i + 1]`` there; a point on a knot takes that knot's value."""
-    i = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, xs.size - 2)
-    h = xs[i + 1] - xs[i]
-    s = (x - xs[i]) / h
-    u = 1.0 - s
-    return i, (u * u * (1.0 + 2.0 * s), s * u * u * h,
-               s * s * (3.0 - 2.0 * s), -s * s * u * h)
-
-
-def _compose(basis, y, dy):
-    """The cubic Hermite interpolant of knot values ``y`` and knot slopes
-    ``dy`` at the points of ``basis`` (from :func:`_hermite_basis`)."""
-    i, (w0, w1, w2, w3) = basis
-    return w0 * y[i] + w1 * dy[i] + w2 * y[i + 1] + w3 * dy[i + 1]
 
 
 def _jacobian(traj):

@@ -4,65 +4,32 @@ Interior points use centred fourth-order stencils; the outermost points
 fall back to one-sided stencils of the same order, mirrored with a sign
 flip for odd derivatives at the right edge.  Every row of every requested
 derivative, edge rows included, lives in one cached CSR operator per
-grid size, so a call is a single sparse product.  Each row sums its
-stencil in weight order starting from zero, and the scaling by ``h**m``
-comes last.  Weights are generated from the Vandermonde system rather
-than hard-coded tables, so every derivative's rows stay consistent by
-construction.
+grid size.  Each row sums its stencil in weight order starting from zero,
+and the scaling by ``h**m`` comes last.  Weights are generated from the
+Vandermonde system rather than hard-coded tables, so every derivative's
+rows stay consistent by construction.
 
-A :class:`Stencil` binds that operator and the ``h**m`` column to one grid
-and runs scipy's compiled CSR kernel on it; a caller that differentiates on
-the same grid many times (the trajectory solver, once per right-hand side)
-holds one, and :func:`derivative` builds one per call.
-:meth:`Stencil.matrix` hands out the bound operator's CSR arrays, and
-:func:`left_product` multiplies a dense matrix by such arrays, for
-composing the operator with other linear maps once per run.
+A :class:`Stencil` binds that operator and the ``h**m`` column to one grid;
+a caller that differentiates on the same grid many times holds one, and
+:func:`derivative` builds one per call.  :meth:`Stencil.matrix` hands out
+the bound operator's CSR arrays, and :func:`left_product` multiplies a
+dense matrix by such arrays, for composing the operator with other linear
+maps once per run.
 
-The kernels come from scipy's extension module ``_sparsetools``, loaded
-from its file without importing ``scipy.sparse``: that package's
-array-API layer imports most of numpy (``numpy.f2py``, ``numpy.testing``,
-``numpy.ma``, ...) and took about 0.2 s of every command's start-up.
+Both products run one numpy kernel, :func:`_row_sums`: it adds the ``k``-th
+entry of every row in one gather-multiply-add, ``k`` ascending, so each row
+sums its entries in stored order from zero, the sums and bits of a
+compiled CSR product row by row (scipy's ``op @ f``, the tests' reference).
 """
 
 from __future__ import annotations
 
-import importlib.util
 import math
-import os
-import sys
 from functools import lru_cache
-from importlib.machinery import (EXTENSION_SUFFIXES, ExtensionFileLoader,
-                                 FileFinder)
 
 import numpy as np
 
 from .errors import ValidationError
-
-
-def _load_sparsetools():
-    """scipy's ``scipy.sparse._sparsetools``, loaded from its extension file
-    without running the ``scipy.sparse`` package init."""
-    name = "scipy.sparse._sparsetools"
-    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
-    finder = FileFinder(os.path.join(scipy_dir, "sparse"),
-                        (ExtensionFileLoader, EXTENSION_SUFFIXES))
-    spec = finder.find_spec(name)
-    saved = sys.modules.get(name)
-    try:
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    finally:
-        # the loader registers the module under its name; left there, a
-        # later ``import scipy.sparse`` would find it and never set the
-        # package's ``_sparsetools`` attribute
-        if saved is None:
-            sys.modules.pop(name, None)
-        else:
-            sys.modules[name] = saved
-    return module
-
-
-_sparsetools = _load_sparsetools()
 
 #: centred half-width per derivative m (fourth-order accuracy)
 _HALF = {1: 2, 2: 2, 3: 3}
@@ -125,57 +92,79 @@ def _operator(n: int, ms: tuple):
     return csr
 
 
+def _by_rank(indptr, indices, data):
+    """CSR arrays regrouped for :func:`_row_sums`: ``order``, the rows
+    longest first, and per rank ``k`` the count, columns and weights of the
+    ``k``-th entries of the rows that have one, which come first in
+    ``order``."""
+    counts = np.diff(indptr)
+    order = np.argsort(-counts, kind="stable")
+    starts, counts = indptr[:-1][order], counts[order]
+    ats = [starts[counts > k] + k for k in range(counts.max(initial=0))]
+    return order, [(at.size, indices[at], data[at]) for at in ats]
+
+
+def _row_sums(plan, x, out):
+    """Row ``i`` of ``out`` is the sum over row ``i``'s entries, in stored
+    order and starting from zero, of weight times ``x[column]``: the sums,
+    and bits, of a CSR product run row by row; returns ``out``.  ``plan``
+    comes from :func:`_by_rank`; ``x`` and ``out`` may have trailing axes."""
+    order, ranks = plan
+    acc = np.zeros(out.shape)
+    lead = (slice(None),) + (None,) * (x.ndim - 1)
+    # as quiet as a compiled kernel: a non-finite input gives a non-finite
+    # output, which the callers check
+    with np.errstate(all="ignore"):
+        for rows, cols, w in ranks:
+            acc[:rows] += w[lead] * x[cols]
+    out[order] = acc
+    return out
+
+
+@lru_cache(maxsize=64)
+def _stencil_plan(n: int, ms: tuple):
+    """``_operator(n, ms)`` regrouped for :func:`_row_sums`; cached."""
+    return _by_rank(*_operator(n, ms))
+
+
 class Stencil:
     """The ``m``-th derivative (``m`` an int or a tuple) on a uniform grid of
     ``n`` points and spacing ``h``, as :func:`derivative` defines it.
 
-    Holds the CSR arrays of ``_operator(n, ms)`` and the ``h**m``
-    column, one entry per operator row.  A call runs scipy's CSR kernel
-    (``csr_matvec``, or ``csr_matvecs`` for n-D ``f``) on a zeroed output,
-    the kernel that ``op @ f`` runs, without the sparse-array dispatch
-    around it, then divides by ``h**m``.  The kernel reads ``f`` unchecked,
-    so the call checks its length first.  The output may be the caller's
-    (``out=``), so a solver that differentiates once per right-hand side
-    allocates nothing per call.
+    Holds ``_operator(n, ms)``, grouped by rank for :func:`_row_sums`, and
+    the ``h**m`` column, one entry per operator row.  A call sums every
+    row in weight order from zero, then divides by ``h**m``.  The output
+    may be the caller's (``out=``).
     """
 
     def __init__(self, n: int, h: float, m=1):
         single = np.ndim(m) == 0
         ms = (m,) if single else tuple(m)
         self.n = n
-        self._csr = (len(ms) * n, n) + _operator(n, ms)
+        self._csr = _operator(n, ms)
+        self._plan = _stencil_plan(n, ms)
         self._h_m = np.repeat([h**k for k in ms], n)
         self._lead = () if single else (len(ms),)
 
     def __call__(self, f: np.ndarray, out=None) -> np.ndarray:
         """The derivative(s) of ``f``, shaped ``(len(m),) + f.shape`` for a
         tuple ``m`` and ``f.shape`` otherwise.  ``out``, a C-contiguous
-        float array of that shape, receives the result in place of a new
-        array: it is zeroed, filled by the kernel and divided by ``h**m``,
-        the steps and bits of a call without it (the kernel rejects a
-        non-float ``out``)."""
-        f = np.asarray(f, dtype=float)
+        float64 array of that shape, receives the result in place of a new
+        array, with the bits of a call without it."""
+        f = np.asarray(f, dtype=float, order="C")
         if f.shape[:1] != (self.n,):
             raise ValidationError(f"stencil bound to {self.n} points got an "
                                   f"array of shape {f.shape}")
-        rows, n, indptr, indices, data = self._csr
         shape = self._lead + f.shape
         if out is None:
-            out = np.zeros(shape)
-        elif out.shape != shape or not out.flags.c_contiguous:
+            out = np.empty(shape)
+        elif (out.shape != shape or out.dtype != np.float64
+              or not out.flags.c_contiguous):
             raise ValidationError(f"stencil output must be a C-contiguous "
-                                  f"array of shape {shape}")
-        else:
-            out.fill(0.0)
-        if f.ndim == 1:
-            flat = out.reshape(rows)
-            _sparsetools.csr_matvec(rows, n, indptr, indices, data, f, flat)
-            flat /= self._h_m
-        else:
-            flat = out.reshape(rows, f.size // n)
-            _sparsetools.csr_matvecs(rows, n, flat.shape[1], indptr, indices,
-                                     data, f.ravel(), flat.ravel())
-            flat /= self._h_m[:, None]
+                                  f"float64 array of shape {shape}")
+        flat = out.reshape((-1,) + f.shape[1:])
+        _row_sums(self._plan, f, flat)
+        flat /= self._h_m.reshape((-1,) + (1,) * (f.ndim - 1))
         return out
 
     def matrix(self):
@@ -184,7 +173,7 @@ class Stencil:
         new array, the index arrays the cached read-only ones), for
         composing it with other linear maps; a call stays the way to apply
         it (it scales last, this does not)."""
-        _, _, indptr, indices, data = self._csr
+        indptr, indices, data = self._csr
         return indptr, indices, data / np.repeat(self._h_m, np.diff(indptr))
 
 
@@ -193,17 +182,19 @@ def left_product(C: np.ndarray, indptr, indices, data, n_cols: int) -> np.ndarra
     rows, ``n_cols`` columns), as a new C-contiguous array.
 
     Column ``k`` of the product sums ``C[:, j] * A[j, k]`` over the rows
-    ``j`` of ``A`` in ascending order, starting from zero: scipy's kernel
-    ``csc_matvecs`` on the transpose, whose CSC arrays are ``A``'s CSR
-    arrays.  These are the sums, and bits, of scipy's ``C @ csr_array(A)``.
-    The kernel reads its arrays unchecked, so the shapes are checked first.
+    ``j`` of ``A`` in ascending order, starting from zero, the sums and
+    bits of scipy's ``C @ csr_array(A)``: ``A``'s entries sorted stably by
+    column are the CSR rows of ``A.T``, rows of ``A`` ascending in each,
+    and :func:`_row_sums` applies them to ``C.T``.
     """
     if indptr.size != C.shape[1] + 1 or (indices.size and indices.max() >= n_cols):
         raise ValidationError(f"CSR arrays of {indptr.size - 1} rows do not fit "
                               f"a product of {C.shape} by {n_cols} columns")
-    out = np.zeros((n_cols, C.shape[0]))
-    _sparsetools.csc_matvecs(n_cols, C.shape[1], C.shape[0], indptr, indices,
-                             data, np.ascontiguousarray(C.T).ravel(), out.ravel())
+    by_col = np.argsort(indices, kind="stable")
+    rows = np.repeat(np.arange(C.shape[1]), np.diff(indptr))
+    t_indptr = np.concatenate(([0], np.cumsum(np.bincount(indices, minlength=n_cols))))
+    out = _row_sums(_by_rank(t_indptr, rows[by_col], data[by_col]),
+                    np.ascontiguousarray(C.T), np.empty((n_cols, C.shape[0])))
     return np.ascontiguousarray(out.T)
 
 
@@ -216,8 +207,7 @@ def derivative(f: np.ndarray, h: float, m=1) -> np.ndarray:
     ``h**m`` comes last, so each stacked row is bit-identical to the
     single-``m`` result.
     """
-    f = np.asarray(f, dtype=float)
-    return Stencil(f.shape[0], h, m)(f)
+    return Stencil(np.shape(f)[0], h, m)(f)
 
 
 def grid_spacing(x: np.ndarray, rtol: float = 1e-9) -> float:

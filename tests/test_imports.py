@@ -7,10 +7,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# scipy subpackages qflow must not import at start-up: the stencils load
-# scipy's compiled CSR kernel from its extension file, and the spline
-# module, which pulls in the rest, is imported by a tabulated potential
-# when one is built
+# scipy subpackages qflow must not import: its run time needs numpy only,
+# and scipy is a test dependency, the tests' reference for the stencil
+# products and the tabulated potential's spline
 HEAVY = ("scipy.sparse", "scipy.interpolate", "scipy.integrate",
          "scipy.special", "scipy.optimize", "scipy.linalg")
 
@@ -47,21 +46,6 @@ def test_cli_import_loads_no_scipy_module():
     assert _run(code).split() == []
 
 
-def test_scipy_sparse_imported_after_qflow_keeps_its_kernels():
-    # the kernel module qflow loaded is not left registered in scipy's
-    # place, so the package imports and binds its own
-    code = """
-import numpy as np
-import qflow.cli
-import scipy.sparse
-assert scipy.sparse._sparsetools.csr_matvec is not None
-A = scipy.sparse.csr_array(np.array([[1.0, 2.0], [0.0, 3.0]]))
-assert np.array_equal(A @ np.array([1.0, 1.0]), [3.0, 3.0])
-print("ok")
-"""
-    assert _run(code).split() == ["ok"]
-
-
 def test_stencil_after_scipy_sparse_matches_scipy():
     code = """
 import numpy as np
@@ -78,29 +62,53 @@ print("ok")
     assert _run(code).split() == ["ok"]
 
 
-def test_commands_load_no_module_after_start_up():
-    # every numpy submodule a command needs is imported with qflow, so none
-    # loads lazily in the middle of a timed run
-    code = """
-import os, sys, tempfile
-import qflow.cli
+# every command on a cheap config, in a temporary directory ``tmp``
+_COMMANDS = """
+import os, tempfile
 from qflow.cli import main
-before = set(sys.modules)
+cheap = ("grid.n_labels = 41\\ngrid.n_x = 128\\nsolver.t_final = 0.01\\n"
+         "reference.dt = 0.005\\nqtm.n_particles = 21\\nqtm.t_final = 0.01\\n")
 with tempfile.TemporaryDirectory() as tmp:
     cfg = os.path.join(tmp, "cheap.cfg")
     with open(cfg, "w") as fh:
-        fh.write("grid.n_labels = 41\\ngrid.n_x = 128\\nsolver.t_final = 0.01\\n"
-                 "reference.dt = 0.005\\nqtm.n_particles = 21\\n"
-                 "qtm.t_final = 0.01\\n")
+        fh.write(cheap)
     runs = [["run-lagrangian", "--config", cfg, "--out", tmp + "/lag"],
             ["run-reference", "--config", cfg, "--out", tmp + "/ref"],
             ["compare", tmp + "/lag", tmp + "/ref", "--config", cfg,
              "--out", tmp + "/cmp"],
             ["run-qtm", "--config", cfg, "--out", tmp + "/qtm"],
             ["tensor-check", "--out", tmp + "/tensor"]]
+{more}
     for argv in runs:
         assert main(argv + ["--quiet"]) == 0, argv
-new = set(sys.modules) - before
-print(*sorted(m for m in new if m.startswith(("numpy", "scipy"))))
 """
+
+
+def test_commands_load_no_module_after_start_up():
+    # every numpy submodule a command needs is imported with qflow, so none
+    # loads lazily in the middle of a timed run
+    code = ("import sys, qflow.cli\n"
+            "before = set(sys.modules)\n"
+            + _COMMANDS.format(more="")
+            + "new = set(sys.modules) - before\n"
+              "print(*sorted(m for m in new if m.startswith(('numpy', 'scipy'))))\n")
     assert _run(code).split() == []
+
+
+def test_every_command_runs_without_scipy():
+    # scipy is a test dependency only: with it blocked, every command runs,
+    # and run-lagrangian and run-qtm run once more on a tabulated potential
+    tabulated = """
+    table = os.path.join(tmp, "trap.csv")
+    with open(table, "w") as fh:
+        fh.writelines(f"{x / 10!r},{x * x / 200!r}\\n" for x in range(-400, 401))
+    trap = os.path.join(tmp, "trap.cfg")
+    with open(trap, "w") as fh:
+        fh.write(cheap + "physics.potential = tabulated\\n"
+                 f"physics.potential_file = {table}\\n")
+    runs += [["run-lagrangian", "--config", trap, "--out", tmp + "/trap-lag"],
+             ["run-qtm", "--config", trap, "--out", tmp + "/trap-qtm"]]"""
+    code = ("import sys\nsys.modules['scipy'] = None\n"
+            + _COMMANDS.format(more=tabulated)
+            + "print('ok')\n")
+    assert _run(code).split() == ["ok"]

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 from qflow.benchmarks import gaussian_wavefunction
-from qflow.errors import NodeEncountered, ValidationError
+from qflow.errors import NodeEncountered, OutsidePotentialTable, ValidationError
 from qflow.model import (MAX_STEPS, AnalyticForms, EulerianField,
                          HarmonicPotential, InitialState, PhysicsParams, TabulatedPotential,
                          TrajectoryState, assemble_wavefunction,
@@ -48,6 +49,36 @@ class TestPotentials:
         with pytest.raises(ValidationError, match=r"x\[1\] = 1.5 outside") as exc:
             p.potential_energy(np.array([0.5, 1.5]))
         assert exc.value.index == 1
+
+    @pytest.mark.parametrize("evaluate", ["potential_energy", "potential_gradient"])
+    def test_tabulated_nan_position_is_outside(self, evaluate):
+        # every comparison with NaN is false, so a range test of min and max
+        # alone would let it through to a NaN potential
+        p = PhysicsParams(potential=TabulatedPotential(np.linspace(0, 1, 9),
+                                                       np.linspace(0, 1, 9)**2))
+        with pytest.raises(OutsidePotentialTable, match=r"x\[1\] = nan outside") as exc:
+            getattr(p, evaluate)(np.array([0.5, np.nan]))
+        assert exc.value.index == 1
+
+    @pytest.mark.parametrize("x", [
+        pytest.param(np.linspace(-40.0, 40.0, 8001), id="uniform"),
+        pytest.param(np.sort(np.random.default_rng(3).uniform(-2.0, 2.0, 40)),
+                     id="non-uniform"),
+        pytest.param(np.array([0.0, 0.3, 1.1, 1.5]), id="four-points")])
+    def test_tabulated_spline_is_scipys_cubic_spline(self, x):
+        # the not-a-knot spline of scipy's CubicSpline to rounding, V and
+        # dV/dx, at the knots, between them and at both ends
+        v = 0.5 * x**2 + 0.05 * x**4 + np.cos(3.0 * x)
+        p = PhysicsParams(potential=TabulatedPotential(x, v))
+        ref = CubicSpline(x, v)
+        between = np.concatenate((0.5 * (x[1:] + x[:-1]), x[:-1] + 0.1 * np.diff(x)))
+        for at in (x, between, x[[0, -1]]):
+            for got, want in ((p.potential_energy(at), ref(at)),
+                              (p.potential_gradient(at), ref(at, 1))):
+                scale = np.max(np.abs(want))
+                assert np.max(np.abs(got - want)) <= 1e-13 * scale
+        # on a knot the value is the table's own
+        assert np.array_equal(p.potential_energy(x), v)
 
 
 class TestGaussianState:

@@ -11,10 +11,10 @@ from qflow.benchmarks import (error_norms, gaussian_trajectory,
 from qflow.errors import TrajectoryCrossing, ValidationError
 from qflow.lagrangian import SolverConfig, evolve
 from qflow.model import (AnalyticForms, EulerianField, InitialState,
-                         PhysicsParams, TrajectoryState, assemble_wavefunction,
+                         PhysicsParams, TrajectoryState, _compose,
+                         _hermite_basis, assemble_wavefunction,
                          make_gaussian_state)
-from qflow.reconstruction import (_compose, _hermite_basis,
-                                  continuity_euler_residuals, eulerian_moments,
+from qflow.reconstruction import (continuity_euler_residuals, eulerian_moments,
                                   invert_map, lagrangian_moments,
                                   phase_consistency_deviation, qhj_residual,
                                   reconstruct_wavefunction)

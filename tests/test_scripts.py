@@ -51,8 +51,7 @@ def test_kernel_timings_short_run():
     # the identity grids are built one plane at a time
     peak = re.fullmatch(r"tensor-check \(traced peak (\d+) MB\)\s+\S+", rows[9])
     assert peak and 0 < int(peak.group(1)) <= 40
-    # the CLI's import loads scipy's CSR kernel from its extension file,
-    # none of scipy's subpackages
+    # qflow runs on numpy alone: the CLI's import loads no scipy package
     assert lines[13] == "scipy subpackages at start-up: none"
 
 

@@ -200,9 +200,9 @@ _ALL_MS = [1, 2, 3] + [p for r in (1, 2, 3) for p in permutations((1, 2, 3), r)]
 @pytest.mark.parametrize("size", ["edge", "edge+1", 37, 401])
 @pytest.mark.parametrize("m", _ALL_MS, ids=str)
 def test_bound_kernel_bit_identical_to_sparse_product(cols, size, m):
-    # the bound kernel runs scipy's CSR kernel directly: same bits as
-    # ``op @ f`` for every layout of f, and as the raw product at h = 1;
-    # ``cols`` is the column count of the 2-D layouts (``csr_matvecs``)
+    # the bound kernel sums each row as scipy's CSR kernel does: same bits
+    # as ``op @ f`` for every layout of f, and as the raw product at h = 1;
+    # ``cols`` is the column count of the 2-D layouts
     ms = (m,) if np.ndim(m) == 0 else m
     edge = max(_EDGE[k] for k in ms)
     n = {"edge": edge, "edge+1": edge + 1}.get(size, size)
@@ -230,7 +230,7 @@ def test_bound_kernel_bit_identical_to_sparse_product(cols, size, m):
 
 @pytest.mark.parametrize("m", [1, (1, 2, 3)], ids=str)
 def test_out_buffer_gets_the_bits_of_a_new_array(m):
-    # a caller's buffer holding stale values is zeroed before the kernel
+    # stale values in a caller's buffer never reach the result
     n, h = 37, 0.3
     stencil = Stencil(n, h, m)
     rng = np.random.default_rng(1)
@@ -244,13 +244,14 @@ def test_out_buffer_gets_the_bits_of_a_new_array(m):
 def test_out_buffer_of_another_shape_or_layout_rejected():
     stencil = Stencil(37, 0.1, (1, 2, 3))
     f = np.ones(37)
-    for out in (np.empty(3 * 37), np.empty((3, 38)), np.empty((37, 3)).T):
+    for out in (np.empty(3 * 37), np.empty((3, 38)), np.empty((37, 3)).T,
+                np.empty((3, 37), dtype=np.float32), np.empty((3, 37), dtype=int)):
         with pytest.raises(ValidationError, match="C-contiguous"):
             stencil(f, out=out)
 
 
 def test_bound_kernel_rejects_other_lengths():
-    # the CSR kernel reads f unchecked, so the length is checked first
+    # a stencil bound to n points reads only arrays of n rows
     stencil = Stencil(37, 0.1, (1, 2, 3))
     for f in (np.ones(36), np.ones(38), np.ones((36, 2)), np.float64(1.0)):
         with pytest.raises(ValidationError, match="bound to 37 points"):
@@ -295,7 +296,6 @@ def test_left_product_bit_identical_to_scipy(rows, cols):
 
 
 def test_left_product_rejects_arrays_of_another_shape():
-    # the kernel reads the arrays unchecked
     A = sparse.csr_array(np.eye(4))
     C = np.ones((2, 4))
     for rows, cols in ((C[:, :3], 4), (C, 3)):
