@@ -205,8 +205,15 @@ class Settings:
 
     @classmethod
     def from_file(cls, path) -> "Settings":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls(resolve(parse_config_text(fh.read())))
+        """Settings of the config file at ``path``; a file that cannot be
+        read as UTF-8 text raises :class:`ConfigError` naming the path."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise ConfigError(f"cannot read config {path}: {reason}") from exc
+        return cls(resolve(parse_config_text(text)))
 
     @classmethod
     def defaults(cls, **overrides) -> "Settings":

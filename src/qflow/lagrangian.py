@@ -34,7 +34,7 @@ Label kinematics.  Both forms, V_Q in the phase density and the energy
 check read one tuple (J, J', J'', 1/J).  ``_kinematics`` takes it from a
 single stacked stencil product ``derivative(q, h, (1, 2, 3))`` of a label
 state q; the Jacobian floor and a finiteness check are applied there too
-(``_checked_kinematics``).  The stacked product sums every stencil row in
+(``_check_kinematics``).  The stacked product sums every stencil row in
 weight order and scales by h**m last, exactly as a single-derivative call
 does.  ``_log_density`` turns the tuple into (c_a, c_xx), c_a = dc/da and
 c_x = c_a / J, the one kernel behind V_Q, G and the energy check.
@@ -63,16 +63,17 @@ source that the projection could make disagree with it (see ``evolve``).
 
 Projected force.  That projection is linear, and so is the map
 (G, dV/dq) -> (hbar^2/4m^2)(L1 G + dG/da) - (1/m) dV/dq, so ``evolve``
-composes the two once per run (:meth:`ModeProjector.compose`): the map is
-the matrix A = [(hbar^2/4m^2)(diag L1 + d/da) | -I/m], its CSR rows built
-from the bound d/da stencil's arrays, and the composed coefficients
-``coeffs @ A`` come from :func:`~qflow.stencils.left_product`, which adds
-up the rows of A in ascending order, a sparse product's sums to the bit.
-A right-hand side stacks G and dV/dq and makes one call of the composed
-operator, which returns the r = degree + 1 mode coefficients of the
-acceleration, not their lift to the labels.  Under a free potential dV/dq
-is 0, so the map stops at its G block and the operator reads n values,
-not 2n.
+composes the two once per run (``_projected_force``): the map is the
+matrix A = [(hbar^2/4m^2)(diag L1 + d/da) | -I/m].  The G block's CSR
+rows are built from the bound d/da stencil's arrays, and its composed
+coefficients ``coeffs @ A_G`` come from
+:func:`~qflow.stencils.left_product`, which adds up the rows of A_G in
+ascending order, a sparse product's sums to the bit; the -I/m block's are
+the product ``coeffs * (-1/m)``.  A right-hand side stacks G and dV/dq
+and makes one call of the composed operator, which returns the
+r = degree + 1 mode coefficients of the acceleration, not their lift to
+the labels.  Under a free potential dV/dq is 0, so the map stops at its G
+block and the operator reads n values, not 2n.
 
 Modal state.  Every acceleration lies in the span of the lift, so
 qdot = qdot0 + lift @ e and q = a + t qdot0 + lift @ c hold for all t,
@@ -100,7 +101,7 @@ step is a ufunc or product call in the operation order of the plain
 array expressions, so the results are bit for bit those of an allocating
 modal loop; callers outside the loop (the energy check, the snapshot
 kinematics, the acceleration routes) call the same kernels through
-``_checked_kinematics`` and ``_log_density_derivatives``, on new arrays.
+``_kinematics`` and ``_log_density_derivatives``, on new arrays.
 """
 
 from __future__ import annotations
@@ -177,8 +178,9 @@ class ModeProjector:
     ``coeffs = (Q w_r)^T`` (labels to mode coefficients) and
     ``lift = Q / w_r`` (modes back to the labels).  A call returns the
     coefficients ``coeffs @ f`` only: the trajectory solver advances them
-    and lifts to the labels only where it needs label values.
-    :meth:`compose` folds a fixed linear map into ``coeffs``.
+    and lifts to the labels only where it needs label values.  A copy whose
+    ``coeffs`` are ``coeffs @ A`` projects ``A @ f`` at the cost of a plain
+    projection; the trajectory solver's force is one.
     """
 
     WEIGHT_FLOOR_REL = 1e-8
@@ -197,16 +199,6 @@ class ModeProjector:
         # projection at the outermost labels)
         self.lift = V @ np.linalg.inv(R)
         self.coeffs = np.ascontiguousarray((Q * weight_root).T)
-
-    def compose(self, indptr, indices, data, n_cols: int) -> ModeProjector:
-        """The projection of ``A @ f``, for a fixed map ``A`` with one row per
-        label, given as its CSR arrays and column count, as one projector:
-        its ``coeffs`` are ``coeffs @ A``, so a call costs what a plain
-        projection does.  A call reads ``f`` flattened, so ``f`` may come
-        stacked, one block of labels per column block of ``A``."""
-        composed = copy(self)
-        composed.coeffs = left_product(self.coeffs, indptr, indices, data, n_cols)
-        return composed
 
     def __call__(self, f: np.ndarray, out=None) -> np.ndarray:
         """The mode coefficients ``coeffs @ f`` of ``f`` (read flattened),
@@ -250,16 +242,10 @@ class _LabelData:
 
 def _kinematics(data: _LabelData, q, t=0.0):
     """(J, J', J'', 1/J) of the map from one stacked stencil product, the
-    rows of a new array, checked as :func:`_checked_kinematics` checks
+    rows of a new array, checked as :func:`_check_kinematics` checks
     them."""
     kin = np.empty((4, data.L1.size))
     data.d123(q, out=kin[:3])
-    return _checked_kinematics(data, kin, t)
-
-
-def _checked_kinematics(data: _LabelData, kin, t):
-    """``kin``, whose first three rows hold (J, J', J''), with 1/J written
-    into its last row, checked as :func:`_check_kinematics` checks it."""
     _check_kinematics(kin[:3], kin[0], kin[3], data.zeros3, t)
     return kin
 
@@ -315,32 +301,12 @@ def _log_density(L1, L2_minus_L1_sq, Jp, Jpp, Ji, ca, cxx, tmp):
     return ca, cxx
 
 
-def _log_density_derivatives(data: _LabelData, kin, out=None):
+def _log_density_derivatives(data: _LabelData, kin):
     """(c_a, c_xx) of :func:`_log_density` for the ``_kinematics`` tuple
-    ``kin``, the first two rows of ``out`` (a ``(3, n)`` buffer whose last
-    row is scratch) when given, else of a new array; the operations are the
-    same either way."""
+    ``kin``, rows of a new array."""
     _, Jp, Jpp, Ji = kin
-    if out is None:
-        out = np.empty((3, Ji.size))
-    return _log_density(data.L1, data.L2_minus_L1_sq, Jp, Jpp, Ji, *out)
-
-
-def _accel_direct_from(data: _LabelData, params: PhysicsParams, q, kin):
-    G = _log_density_derivatives(data, kin)[1] * kin[3]
-    quantum = data.quantum_coeff * (data.L1 * G + data.d1(G))
-    return quantum - params.potential_gradient(q) / params.mass
-
-
-def _vq_from(data: _LabelData, params: PhysicsParams, kin):
-    """Quantum potential along the trajectories, in log-density variables."""
-    ca, cxx = _log_density_derivatives(data, kin)
-    return params.quantum_potential(ca * kin[3], cxx)
-
-
-def _accel_newton_from(data: _LabelData, params: PhysicsParams, q, kin, vq):
-    dvq = data.d1(vq) / kin[0]
-    return -(params.potential_gradient(q) + dvq) / params.mass
+    return _log_density(data.L1, data.L2_minus_L1_sq, Jp, Jpp, Ji,
+                        *np.empty((3, Ji.size)))
 
 
 def _projected_force(data: _LabelData, params: PhysicsParams,
@@ -350,23 +316,25 @@ def _projected_force(data: _LabelData, params: PhysicsParams,
     conservation-form acceleration (hbar^2/4m^2)(L1 G + dG/da) - (1/m) dV/dq,
     d/da taken from the run's bound stencil: one mode projection per call.
 
-    Row ``j`` of the map is ``(hbar^2/4m^2)`` times the d/da stencil row with
-    ``L1[j]`` added to its diagonal entry (every stencil row has one),
-    followed by ``-1/m`` in column ``n + j``.  With ``g_only`` the map stops
-    at the G block, and a call takes G alone: under a free potential dV/dq
-    is 0, and the composed coefficients are the first ``n`` columns of the
-    full map's, bit for bit.
+    Row ``j`` of the G block is ``(hbar^2/4m^2)`` times the d/da stencil
+    row with ``L1[j]`` added to its diagonal entry (every stencil row has
+    one); its coefficients are ``left_product(coeffs, ...)``.  The dV/dq
+    block is ``-I/m``, whose coefficients are ``coeffs * (-1/m)``, the bits
+    of a sparse product that sums one entry from zero.  A call reads its
+    input flattened, so the stacked (G, dV/dq) meets the two blocks side by
+    side.  With ``g_only`` the coefficients stop at the G block, and a call
+    takes G alone: under a free potential dV/dq is 0.
     """
     n = data.L1.size
     indptr, cols, w = data.d1.matrix()
     w[cols == np.repeat(np.arange(n), np.diff(indptr))] += data.L1
     w *= data.quantum_coeff
-    if g_only:
-        return project.compose(indptr, cols, w, n)
-    ends = indptr[1:]
-    return project.compose(indptr + np.arange(n + 1),
-                           np.insert(cols, ends, n + np.arange(n)),
-                           np.insert(w, ends, -1.0 / params.mass), 2 * n)
+    force = copy(project)
+    force.coeffs = left_product(project.coeffs, indptr, cols, w, n)
+    if not g_only:
+        force.coeffs = np.hstack((force.coeffs,
+                                  project.coeffs * (-1.0 / params.mass)))
+    return force
 
 
 def _modal_basis(data: _LabelData, labels, qdot0, lift):
@@ -383,30 +351,25 @@ def _modal_basis(data: _LabelData, labels, qdot0, lift):
 
 
 def acceleration_direct(traj: TrajectoryState, init: InitialState,
-                        params: PhysicsParams, *,
-                        data: Optional[_LabelData] = None) -> np.ndarray:
-    """Conservation-form acceleration, evaluated pointwise on the labels.
-
-    ``data`` is as in :func:`energy_of`.
-    """
-    if data is None:
-        data = _LabelData(init, params)
-    return _accel_direct_from(data, params, traj.q,
-                              _kinematics(data, traj.q, traj.t))
+                        params: PhysicsParams) -> np.ndarray:
+    """Conservation-form acceleration, evaluated pointwise on the labels."""
+    data = _LabelData(init, params)
+    kin = _kinematics(data, traj.q, traj.t)
+    G = _log_density_derivatives(data, kin)[1] * kin[3]
+    quantum = data.quantum_coeff * (data.L1 * G + data.d1(G))
+    return quantum - params.potential_gradient(traj.q) / params.mass
 
 
 def acceleration_newton(traj: TrajectoryState, init: InitialState,
-                        params: PhysicsParams, *,
-                        data: Optional[_LabelData] = None) -> np.ndarray:
-    """Newton-law acceleration -(1/m) d(V + V_Q)/dq along the trajectories.
-
-    ``data`` is as in :func:`energy_of`.
-    """
-    if data is None:
-        data = _LabelData(init, params)
+                        params: PhysicsParams) -> np.ndarray:
+    """Newton-law acceleration -(1/m) d(V + V_Q)/dq along the trajectories,
+    V_Q taken in log-density variables."""
+    data = _LabelData(init, params)
     kin = _kinematics(data, traj.q, traj.t)
-    return _accel_newton_from(data, params, traj.q, kin,
-                              _vq_from(data, params, kin))
+    ca, cxx = _log_density_derivatives(data, kin)
+    vq = params.quantum_potential(ca * kin[3], cxx)
+    dvq = data.d1(vq) / kin[0]
+    return -(params.potential_gradient(traj.q) + dvq) / params.mass
 
 
 def energy_of(traj: TrajectoryState, init: InitialState, params: PhysicsParams,

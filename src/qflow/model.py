@@ -13,7 +13,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NodeEncountered, OutsidePotentialTable, ValidationError
-from .stencils import derivative, grid_spacing
 
 NORMALIZATION_TOL = 1e-8
 NODE_FLOOR_REL = 1e-12
@@ -28,7 +27,8 @@ def _hermite_basis(xs, x):
     """Interval index ``i`` of each ``x`` among the increasing knots ``xs``
     and the cubic Hermite weights of ``y[i]``, ``dy[i]``, ``y[i + 1]`` and
     ``dy[i + 1]`` there; a point on a knot takes that knot's value."""
-    i = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, xs.size - 2)
+    i = np.minimum(np.maximum(np.searchsorted(xs, x, side="right") - 1, 0),
+                   xs.size - 2)
     h = xs[i + 1] - xs[i]
     s = (x - xs[i]) / h
     u = 1.0 - s
@@ -106,6 +106,8 @@ class TabulatedPotential:
         v = np.asarray(self.values, dtype=float)
         if x.ndim != 1 or x.shape != v.shape or x.size < 4:
             raise ValidationError("tabulated potential needs matching 1-D arrays, >= 4 points")
+        if not np.all(np.isfinite(x)):
+            raise ValidationError("tabulated potential grid contains non-finite points")
         if np.any(np.diff(x) <= 0):
             raise ValidationError("tabulated potential grid must be strictly increasing")
         if not np.all(np.isfinite(v)):
@@ -391,10 +393,6 @@ class EulerianField:
             dphase = np.angle(self.psi[m] * np.exp(-1j * self.S[m] / self.hbar))
             if np.max(np.abs(dphase)) > 1e-8:
                 raise ValidationError("arg(psi) is inconsistent with S/hbar (mod 2 pi)")
-
-    @property
-    def dx(self) -> float:
-        return grid_spacing(self.x)
 
     def support_norm(self) -> float:
         """Trapezoid integral of rho over the masked support."""

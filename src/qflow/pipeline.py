@@ -18,7 +18,7 @@ from .config import Settings
 from .errors import ValidationError
 from .kinematics import (cofactor_matrix, jacobian, quantum_potential,
                          stress_eulerian, stress_lagrangian)
-from .lagrangian import (SolverConfig, _LabelData, acceleration_direct,
+from .lagrangian import (SolverConfig, acceleration_direct,
                          acceleration_newton, evolve)
 from .model import (FreePotential, HarmonicPotential, InitialState,
                     PhysicsParams, TrajectoryState, _gaussian_forms,
@@ -62,7 +62,6 @@ def run_lagrangian(settings: Settings):
     fields = [reconstruct_wavefunction(snapshots[:i + 1], init, params, x_grid)
               for i in indices]
 
-    data = _LabelData(init, params)
     energies = [s.energy for s in snapshots]
     min_j = [s.min_jacobian for s in snapshots]
     e0 = energies[0]
@@ -81,8 +80,8 @@ def run_lagrangian(settings: Settings):
     }
     if len(snapshots) >= 2:
         final = snapshots[-1]
-        acc_d = acceleration_direct(final, init, params, data=data)
-        acc_n = acceleration_newton(final, init, params, data=data)
+        acc_d = acceleration_direct(final, init, params)
+        acc_n = acceleration_newton(final, init, params)
         scale = float(np.max(np.abs(acc_n))) or 1.0
         summary["accel_path_disagreement_rel"] = float(
             np.max(np.abs(acc_d - acc_n)) / scale)

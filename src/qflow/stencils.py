@@ -35,6 +35,8 @@ from .errors import ValidationError
 _HALF = {1: 2, 2: 2, 3: 3}
 #: one-sided stencil length per m
 _EDGE = {1: 5, 2: 6, 3: 7}
+#: relative tolerance of the spacing check in :func:`grid_spacing`
+_GRID_RTOL = 1e-9
 
 
 def fd_weights(offsets, m: int) -> np.ndarray:
@@ -210,14 +212,15 @@ def derivative(f: np.ndarray, h: float, m=1) -> np.ndarray:
     return Stencil(np.shape(f)[0], h, m)(f)
 
 
-def grid_spacing(x: np.ndarray, rtol: float = 1e-9) -> float:
+def grid_spacing(x: np.ndarray) -> float:
     """Spacing of a uniform grid; rejects non-uniform input."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 2:
         raise ValidationError("grid must be a 1-D array with at least 2 points")
     d = np.diff(x)
     h = d[0]
-    if h <= 0 or not np.allclose(d, h, rtol=rtol, atol=rtol * max(abs(h), 1.0)):
+    if h <= 0 or not np.allclose(d, h, rtol=_GRID_RTOL,
+                                 atol=_GRID_RTOL * max(abs(h), 1.0)):
         raise ValidationError("grid is not uniformly spaced")
     return float(h)
 

@@ -355,6 +355,41 @@ class TestCli:
         snaps = read_trajectories(out / "trajectories.csv")
         assert snaps[-1].t == pytest.approx(0.1)
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf-8"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, kind):
+        path = tmp_path / "run.cfg"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf-8":
+            path.write_bytes(b"grid.n_labels = 41\n# \xff\xfe\n")
+        assert main(["run-lagrangian", "--config", str(path),
+                     "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot read config {path}: " in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["run-lagrangian", "run-qtm",
+                                         "run-reference"])
+    @pytest.mark.parametrize("row,point", [(40, "nan"), (0, "-inf"),
+                                           (80, "inf")])
+    def test_non_finite_potential_grid_exits_2(self, tmp_path, capsys, command,
+                                               row, point):
+        # NaN fails every comparison, so the grid's increasing check alone
+        # let a NaN point, or an infinite end, through to a NaN potential
+        rows = [f"{x},{0.5 * x * x}" for x in np.linspace(-40.0, 40.0, 81)]
+        rows[row] = f"{point},0.0"
+        table = tmp_path / "potential.csv"
+        table.write_text("\n".join(rows))
+        cfg = _write_config(tmp_path / "table.cfg", {
+            **CHEAP_RUN, "physics.potential": "tabulated",
+            "physics.potential_file": table})
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "tabulated potential grid contains non-finite points" in err
+        assert "Traceback" not in err
+
     def test_invalid_dt_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("solver.dt = -1\n")

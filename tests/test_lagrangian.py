@@ -5,12 +5,12 @@ from scipy import sparse
 from qflow.benchmarks import gaussian_trajectory
 from qflow.errors import (NumericalInstability, TrajectoryCrossing,
                           ValidationError)
-from qflow.lagrangian import (ModeProjector, SolverConfig, _accel_direct_from,
-                              _checked_kinematics, _kinematics, _LabelData,
+from qflow.lagrangian import (ModeProjector, SolverConfig, _check_kinematics,
+                              _kinematics, _LabelData, _log_density,
                               _log_density_derivatives, _projected_force,
-                              _vq_from, acceleration_direct,
-                              acceleration_newton, default_projection_degree,
-                              energy_of, evolve, initial_velocity)
+                              acceleration_direct, acceleration_newton,
+                              default_projection_degree, energy_of, evolve,
+                              initial_velocity)
 from qflow.model import (MAX_STEPS, AnalyticForms, FreePotential,
                          HarmonicPotential, InitialState, PhysicsParams,
                          TabulatedPotential, TrajectoryState,
@@ -347,7 +347,9 @@ class TestAccelerations:
 
     def test_quantum_potential_values(self):
         data = _LabelData(self.init, PARAMS)
-        vq = _vq_from(data, PARAMS, _kinematics(data, self.init.labels))
+        kin = _kinematics(data, self.init.labels)
+        ca, cxx = _log_density_derivatives(data, kin)
+        vq = PARAMS.quantum_potential(ca * kin[3], cxx)
         i0 = np.argmin(np.abs(self.init.labels))
         i1 = np.argmin(np.abs(self.init.labels - 1.0))
         assert vq[i0] == pytest.approx(0.25, abs=1e-8)
@@ -380,9 +382,8 @@ class TestAccelerations:
         tol = 1e-12 * np.max(np.abs(acc_ref))
         assert np.max(np.abs(acceleration_direct(state, self.init, PARAMS)
                              - acc_ref)) <= tol
-        assert np.max(np.abs(_accel_direct_from(data, PARAMS, q, kin)
-                             - acc_ref)) <= tol
-        assert np.array_equal(_vq_from(data, PARAMS, kin), vq_ref)
+        ca, cxx = _log_density_derivatives(data, kin)
+        assert np.array_equal(PARAMS.quantum_potential(ca * kin[3], cxx), vq_ref)
 
     @pytest.mark.parametrize("case", ["gaussian", "two-hump"])
     def test_log_density_kernel_matches_the_twelve_op_form(self, case):
@@ -483,12 +484,14 @@ class TestAccelerations:
         kin = _kinematics(data, q)
         stale = np.full((4, a.size), np.nan)
         stale[:3] = kin[:3]
-        assert _checked_kinematics(data, stale, 0.0) is stale
+        _check_kinematics(stale[:3], stale[0], stale[3], data.zeros3, 0.0)
         assert np.array_equal(stale, kin)
         stale = np.full((3, a.size), np.nan)
-        for got, want in zip(_log_density_derivatives(data, kin, out=stale),
-                             _log_density_derivatives(data, kin)):
-            assert np.array_equal(got, want)
+        _, Jp, Jpp, Ji = kin
+        got = _log_density(data.L1, data.L2_minus_L1_sq, Jp, Jpp, Ji, *stale)
+        assert all(np.shares_memory(row, stale) for row in got)
+        for row, want in zip(got, _log_density_derivatives(data, kin)):
+            assert np.array_equal(row, want)
         stale = np.full(a.size, np.nan)
         assert params.potential_gradient(q, out=stale) is stale
         assert np.array_equal(stale, params.potential_gradient(q))
@@ -796,10 +799,10 @@ class TestRunSummary:
         monkeypatch.setattr(lagrangian._LabelData, "__init__", counting)
         settings = Settings.defaults(**_SHORT_RUN)
         snapshots, _, summary, _ = run_lagrangian(settings)
-        # one for evolve and one for the summary's accelerations, whatever
-        # the number of snapshots
+        # one for evolve and one for each of the summary's two accelerations,
+        # whatever the number of snapshots
         assert len(snapshots) == 6
-        assert len(built) == 2
+        assert len(built) == 3
         monkeypatch.undo()
         params = settings.physics()
         init = settings.initial_state(params)

@@ -50,6 +50,16 @@ class TestPotentials:
             p.potential_energy(np.array([0.5, 1.5]))
         assert exc.value.index == 1
 
+    @pytest.mark.parametrize("i,point", [(4, np.nan), (0, -np.inf), (8, np.inf)],
+                             ids=["nan-inside", "-inf-first", "inf-last"])
+    def test_tabulated_non_finite_grid_rejected(self, i, point):
+        # NaN fails every comparison, and an infinite end still increases, so
+        # the increasing check alone let both through
+        x = np.linspace(0, 1, 9)
+        x[i] = point
+        with pytest.raises(ValidationError, match="grid contains non-finite"):
+            TabulatedPotential(x, np.zeros(9))
+
     @pytest.mark.parametrize("evaluate", ["potential_energy", "potential_gradient"])
     def test_tabulated_nan_position_is_outside(self, evaluate):
         # every comparison with NaN is false, so a range test of min and max
