@@ -74,6 +74,22 @@ def _say(args, message: str):
         print(message)
 
 
+def _check_out(out: Path) -> None:
+    """Reject, before any work is done, an ``--out`` that cannot become a
+    directory: one that exists and is not a directory, or whose nearest
+    existing ancestor is not one.  The directory itself is created only
+    once the run has succeeded."""
+    path = out
+    try:
+        while not path.exists() and path.parent != path:
+            path = path.parent
+        usable = path.is_dir()
+    except OSError as exc:
+        raise ValidationError(f"--out {out}: {exc.strerror or exc}") from exc
+    if not usable:
+        raise ValidationError(f"--out {out}: {path} exists and is not a directory")
+
+
 def _fields_path(path: Path) -> Path:
     return path / "fields.csv" if path.is_dir() else path
 
@@ -195,6 +211,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_out(args.out)
         return _COMMANDS[args.command](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

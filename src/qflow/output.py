@@ -117,6 +117,9 @@ def _read_csv(path, schema: str, header: str) -> np.ndarray:
                 # an empty body is reported below, not warned about
                 warnings.simplefilter("ignore", UserWarning)
                 rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    except ValidationError:
+        # the header checks above; a ValidationError is a ValueError too
+        raise
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         raise ValidationError(f"cannot read {path}: {reason}") from exc

@@ -353,39 +353,58 @@ def _plane_interior_max(n, build, residuals) -> float:
     """max |residual| on the interior [2:-2]^3 of an n^3 grid on [-1, 1]^3.
 
     ``build(x1, x2, x3)`` makes the fields of one plane of fixed x1 from its
-    open mesh, and ``residuals(planes, h)`` the residuals on the interior of
-    the middle one of three consecutive planes.  The window of three planes
-    slides along x1, so each plane is built once."""
+    open mesh, and ``residuals(planes)`` the residual rows, times 2 h, on the
+    rows [2:-2] of the middle one of three consecutive planes, every column
+    (see ``_centred``; only the columns [2:-2] are read).  The window of
+    three planes slides along x1, so each plane is built once.
+
+    Each row's maximum is scaled by 1 / (2 h) once, not each centred
+    difference in it.  Every grid of the suite has h = 2 / (n - 1) with
+    n - 1 a power of two (16 to 128), so 2 h is a power of two, every
+    scaling is exact, and the maximum has the bits of differences divided
+    by 2 h one by one."""
     axis = np.linspace(-1.0, 1.0, n)
-    h = axis[1] - axis[0]
+    scale = 1.0 / (2. * (axis[1] - axis[0]))
     x2, x3 = axis[:, None], axis[None, :]
     planes = [None] + [build(axis[p:p + 1, None], x2, x3) for p in (1, 2)]
     worst = 0.0
     for p in range(3, n - 1):
         planes = planes[1:] + [build(axis[p:p + 1, None], x2, x3)]
-        for resid in residuals(planes, h):
-            worst = max(worst, float(np.max(np.abs(resid))))
+        for row in residuals(planes):
+            worst = max(worst, float(np.max(np.abs(row[:, 2:-2]))) * scale)
     return worst
 
 
-def _centred(planes, h, axis):
-    """``np.gradient``'s interior formula (f[i+1] - f[i-1]) / (2. * h) on
-    the points [2:-2, 2:-2] of the middle one of a field's three planes:
-    across the planes for ``axis`` 0, within the middle plane for 1 and 2."""
+def _centred(planes, axis):
+    """The numerator f[i+1] - f[i-1] of ``np.gradient``'s interior formula
+    (f[i+1] - f[i-1]) / (2. * h) on the rows [2:-2] of the middle one of a
+    field's three planes: across the planes for ``axis`` 0, within the
+    middle plane for 1 and 2.
+
+    Whole rows, so each difference is one contiguous pass over the rows of
+    C-ordered planes.  For ``axis`` 2 the first and last column mix
+    neighbouring rows; the residuals read the columns [2:-2] alone."""
     prev, cur, nxt = planes
     if axis == 0:
-        return (nxt[2:-2, 2:-2] - prev[2:-2, 2:-2]) / (2. * h)
+        return nxt[2:-2] - prev[2:-2]
     if axis == 1:
-        return (cur[3:-1, 2:-2] - cur[1:-3, 2:-2]) / (2. * h)
-    return (cur[2:-2, 3:-1] - cur[2:-2, 1:-3]) / (2. * h)
+        return cur[3:-1] - cur[1:-3]
+    width = cur.shape[1]
+    flat = cur.reshape(-1)
+    lo, hi = 2 * width, (cur.shape[0] - 2) * width
+    return (flat[lo + 1:hi + 1] - flat[lo - 1:hi - 1]).reshape(-1, width)
 
 
-def _divergence_rows(tensors, h):
-    """sum_j d T[i, j] / dx_j for i = 0, 1, 2 by centred differences, the
-    tensor field T given on three consecutive planes."""
-    return [_centred([T[..., i, 0] for T in tensors], h, 0)
-            + _centred([T[..., i, 1] for T in tensors], h, 1)
-            + _centred([T[..., i, 2] for T in tensors], h, 2) for i in range(3)]
+def _divergence_rows(tensors):
+    """2 h sum_j d T[i, j] / dx_j for i = 0, 1, 2 by centred differences
+    (``_centred``), the tensor field T given on three consecutive planes."""
+    rows = []
+    for i in range(3):
+        row = _centred([T[..., i, 0] for T in tensors], 0)
+        row += _centred([T[..., i, 1] for T in tensors], 1)
+        row += _centred([T[..., i, 2] for T in tensors], 2)
+        rows.append(row)
+    return rows
 
 
 def _cofactor_divergence_errors() -> list[float]:
@@ -409,18 +428,31 @@ def _force_identity_errors(params: PhysicsParams) -> list[float]:
     """
 
     def build(x1, x2, x3):
-        rho, grad, hess = _smooth_rho3(x1, x2, x3)
-        sigma, _ = stress_eulerian(rho, grad, hess, params.hbar, params.mass)
-        lap = np.trace(hess, axis1=-2, axis2=-1)
-        vq, _ = quantum_potential(rho, grad, lap, params.hbar, params.mass)
-        return rho, sigma, vq
+        return _force_fields(x1, x2, x3, params)
 
-    def residuals(planes, h):
-        rhos, sigmas, vqs = zip(*planes)
-        return [div / rhos[1][2:-2, 2:-2] - _centred(vqs, h, i)
-                for i, div in enumerate(_divergence_rows(sigmas, h))]
+    return [_plane_interior_max(n, build, _force_residual_rows)
+            for n in (33, 65, 129)]
 
-    return [_plane_interior_max(n, build, residuals) for n in (33, 65, 129)]
+
+def _force_fields(x1, x2, x3, params: PhysicsParams):
+    """rho, sigma and V_Q of the smooth density on the open mesh x1, x2, x3."""
+    rho, grad, hess = _smooth_rho3(x1, x2, x3)
+    sigma, _ = stress_eulerian(rho, grad, hess, params.hbar, params.mass)
+    lap = np.trace(hess, axis1=-2, axis2=-1)
+    vq, _ = quantum_potential(rho, grad, lap, params.hbar, params.mass)
+    return rho, sigma, vq
+
+
+def _force_residual_rows(planes):
+    """2 h (div(sigma)_i / rho - d V_Q / dx_i), i = 0, 1, 2, on the rows
+    [2:-2] of the middle one of three consecutive planes of ``_force_fields``
+    (``_centred``)."""
+    rhos, sigmas, vqs = zip(*planes)
+    rows = _divergence_rows(sigmas)
+    for i, row in enumerate(rows):
+        row /= rhos[1][2:-2]
+        row -= _centred(vqs, i)
+    return rows
 
 
 def _smooth_rho3(x1, x2, x3):

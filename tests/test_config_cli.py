@@ -348,6 +348,53 @@ class TestCli:
         assert f"{bad}: malformed data row: {reason}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("text,reason", [
+        ("", "missing schema header line"),
+        ("# schema: qflow.trajectories.v1\nt,a,q,qdot,chi\n0,0,0,0,0\n",
+         "schema 'qflow.trajectories.v1', expected 'qflow.fields.v1'"),
+        ("# schema: qflow.fields.v1\nt,x\n0,0\n",
+         "expected column header 't,x,rho,S,v,re_psi,im_psi,mask'")],
+        ids=["empty", "wrong-schema", "wrong-header"])
+    def test_compare_on_a_wrong_header_exits_2(self, tmp_path, capsys, text,
+                                               reason):
+        # the reader's own message, not wrapped as a malformed data row
+        path = tmp_path / "fields.csv"
+        path.write_text(text)
+        assert main(["compare", str(path), str(path),
+                     "--out", str(tmp_path / "c"), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {reason}\n"
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("command,stage", [
+        ("run-lagrangian", "run_lagrangian"), ("tensor-check", "tensor_check")])
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+    def test_out_that_cannot_be_a_directory_exits_2(self, tmp_path, capsys,
+                                                    monkeypatch, command,
+                                                    stage, below):
+        # checked before the run: the run itself must not start
+        import qflow.cli
+
+        def fail(*args, **kwargs):
+            raise AssertionError(f"{stage} ran")
+        monkeypatch.setattr(qflow.cli, stage, fail)
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        out = taken / "sub" / "dir" if below else taken
+        cfg = _write_config(tmp_path / "cheap.cfg", CHEAP_RUN)
+        assert main([command, "--config", str(cfg), "--out", str(out),
+                     "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --out {out}: {taken} exists and is not a directory\n"
+        assert taken.read_text() == "kept\n"
+
+    def test_out_created_after_the_run(self, tmp_path):
+        # a missing --out, parents included, is made once the run succeeds
+        cfg = _write_config(tmp_path / "cheap.cfg", CHEAP_RUN)
+        out = tmp_path / "a" / "b"
+        assert main(["run-lagrangian", "--config", str(cfg), "--out", str(out),
+                     "--quiet"]) == 0
+        assert (out / "summary.json").is_file()
+
     def test_run_qtm(self, small_config, tmp_path):
         out = tmp_path / "qtm"
         assert main(["run-qtm", "--config", str(small_config),

@@ -82,6 +82,17 @@ def _stress_eulerian_temporaries(rho, grad_rho, hess_rho, hbar, mass):
     return sigma, valid
 
 
+def _quantum_potential_where(rho, grad_rho, laplacian_rho, hbar, mass):
+    """The ``np.where`` form of ``quantum_potential`` it was rewritten from."""
+    rho, valid = kinematics._floor_mask(rho, kinematics.RHO_FLOOR_REL)
+    grad = np.asarray(grad_rho, dtype=float)
+    lap = np.asarray(laplacian_rho, dtype=float)
+    safe = np.where(valid, rho, 1.0)
+    g2 = np.sum(grad * grad, axis=-1)
+    vq = (hbar**2 / (4.0 * mass)) * (0.5 * g2 / safe - lap) / safe
+    return np.where(valid, vq, 0.0), valid
+
+
 def _cube(n, half_width):
     axis = np.linspace(-half_width, half_width, n)
     return np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
@@ -239,6 +250,63 @@ class TestForceIdentityFields:
         ref, _ = _stress_eulerian_temporaries(rho, grad, hess, 1.0, 2.0)
         assert sigma.shape == (4, 5, 3, 3)
         assert np.array_equal(sigma, ref)
+
+    def test_broadcast_inputs_partly_floored(self):
+        # two points at the floor, and a Hessian that is not symmetric: each
+        # entry subtracts its own hess[i, j]
+        rng = np.random.default_rng(17)
+        rho = rng.uniform(0.5, 1.0, (4, 5))
+        rho[1, 2] = rho[3, 0] = 1e-20
+        grad = rng.normal(size=(5, 3))
+        hess = rng.normal(size=(4, 5, 3, 3))
+        sigma, valid = stress_eulerian(rho, grad, hess, 1.0, 2.0)
+        ref, valid_ref = _stress_eulerian_temporaries(rho, grad, hess, 1.0, 2.0)
+        assert np.count_nonzero(~valid) == 2
+        assert np.array_equal(valid, valid_ref)
+        assert np.array_equal(sigma, ref)
+        assert np.all(sigma[~valid] == 0.0)
+
+
+class TestQuantumPotentialBits:
+    """The in-place V_Q build equals its ``np.where`` form bit for bit."""
+
+    @pytest.mark.parametrize("half_width", [1.0, 12.0])
+    @pytest.mark.parametrize("stacked", [False, True],
+                             ids=["component-major", "point-major"])
+    def test_bit_identical_at_33(self, half_width, stacked):
+        grid = _cube(33, half_width)
+        rho, grad, hess = (_smooth_rho3_stacked(grid) if stacked
+                           else _smooth_rho3(*np.moveaxis(grid, -1, 0)))
+        lap = np.trace(hess, axis1=-2, axis2=-1)
+        vq, valid = quantum_potential(rho, grad, lap, 1.0, 1.0)
+        ref, valid_ref = _quantum_potential_where(rho, grad, lap, 1.0, 1.0)
+        assert np.array_equal(vq, ref)
+        assert np.array_equal(valid, valid_ref)
+        # the wide cube reaches the density floor in its corners
+        assert valid.all() == (half_width == 1.0)
+
+    @pytest.mark.parametrize("floored", [False, True])
+    def test_broadcast_inputs(self, floored):
+        rng = np.random.default_rng(18)
+        rho = rng.uniform(0.5, 1.0, (4, 5))
+        if floored:
+            rho[0, 4] = 1e-20
+        for grad, lap in ((rng.normal(size=3), rng.normal(size=5)),
+                          (rng.normal(size=(5, 3)), rng.normal(size=(4, 1))),
+                          (rng.normal(size=(4, 5, 3)), 0.3)):
+            vq, valid = quantum_potential(rho, grad, lap, 1.0, 2.0)
+            ref, _ = _quantum_potential_where(rho, grad, lap, 1.0, 2.0)
+            assert vq.shape == (4, 5)
+            assert np.array_equal(vq, ref)
+            assert valid.all() != floored
+
+    def test_scalar_inputs(self):
+        vq, valid = quantum_potential(0.7, np.array([0.3, -0.2, 0.5]), -0.4,
+                                      1.0, 1.0)
+        ref, _ = _quantum_potential_where(0.7, np.array([0.3, -0.2, 0.5]),
+                                          -0.4, 1.0, 1.0)
+        assert vq.shape == () and valid
+        assert vq.tobytes() == ref.tobytes()
 
 
 class TestHyperCofactor:
