@@ -163,7 +163,6 @@ def main():
     particles = _truncated_gaussian_state(settings["state.sigma0"], params,
                                           settings.qtm_labels(),
                                           boost_k=settings["state.boost_k"])
-    qtm_config = settings.qtm_config()
     seeded = (particles.labels, np.log(particles.rho0), particles.s0)
 
     n_steps, _ = plan_steps(config.t_final, config.auto_dt(data.h, params))
@@ -199,7 +198,7 @@ def main():
          best_us(lambda: force(force_in, out=modes), args.calls, args.repeats)),
         (f"RHS evaluation (evolve / {4 * n_steps})", evolve_s / (4 * n_steps) * 1e6),
         (f"QTM RHS ({particles.n} particles)",
-         best_us(lambda: _qtm_rhs(params, qtm_config, *seeded), args.calls,
+         best_us(lambda: _qtm_rhs(params, *seeded), args.calls,
                  args.repeats)),
         (f"reconstruct ({x_grid.size} x points)",
          best_us(lambda: reconstruct_wavefunction(final, init, params, x_grid),

@@ -4,9 +4,9 @@ Subcommands: ``run-lagrangian``, ``run-reference``, ``run-qtm``,
 ``compare``, ``tensor-check``, ``gaussian-accept``.  Outputs are CSV and
 JSON files in the chosen directory, byte-identical for identical
 configuration and seed.  Exit codes: 0 success, 2 validation failure
-(any ``ValidationError``), 3 numerical abort (any other ``QflowError``:
-a crossing, an instability, a node); a failed acceptance or identity
-suite exits 1.
+(any ``ValidationError``, or an output that cannot be written), 3
+numerical abort (any other ``QflowError``: a crossing, an instability, a
+node); a failed acceptance or identity suite exits 1.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from .config import Settings
@@ -90,6 +91,20 @@ def _check_out(out: Path) -> None:
         raise ValidationError(f"--out {out}: {path} exists and is not a directory")
 
 
+@contextmanager
+def _writing(out: Path):
+    """Create ``out`` for the writes of the block; a write that fails (a
+    read-only or full disk, a directory the user cannot write to) raises a
+    ValidationError naming the path."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        yield
+    except OSError as exc:
+        path = exc.filename or out
+        raise ValidationError(
+            f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _fields_path(path: Path) -> Path:
     return path / "fields.csv" if path.is_dir() else path
 
@@ -99,11 +114,11 @@ def _cmd_run_lagrangian(args) -> int:
     t0 = time.perf_counter()
     snapshots, fields, summary, wall = run_lagrangian(settings)
     out = args.out
-    out.mkdir(parents=True, exist_ok=True)
     keep = [s for s in snapshots if any(abs(s.t - f.t) < 1e-12 for f in fields)]
-    write_trajectories(out / "trajectories.csv", keep)
-    write_fields(out / "fields.csv", fields)
-    write_summary(out / "summary.json", summary)
+    with _writing(out):
+        write_trajectories(out / "trajectories.csv", keep)
+        write_fields(out / "fields.csv", fields)
+        write_summary(out / "summary.json", summary)
     _say(args, f"evolved {len(snapshots)} snapshots in {wall:.2f}s "
                f"(total {time.perf_counter() - t0:.2f}s); wrote {out}")
     if "trajectory_max_rel_error" in summary:
@@ -117,9 +132,9 @@ def _cmd_run_reference(args) -> int:
     t0 = time.perf_counter()
     waves, fields, summary = run_reference(settings)
     out = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    write_fields(out / "fields.csv", fields)
-    write_summary(out / "summary.json", summary)
+    with _writing(out):
+        write_fields(out / "fields.csv", fields)
+        write_summary(out / "summary.json", summary)
     _say(args, f"reference solve: {len(waves)} snapshots, norm drift "
                f"{summary['norm_drift']:.2e} ({time.perf_counter() - t0:.2f}s)")
     return EXIT_OK
@@ -130,9 +145,9 @@ def _cmd_run_qtm(args) -> int:
     t0 = time.perf_counter()
     result, trajectories, summary = run_qtm(settings)
     out = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    write_trajectories(out / "trajectories.csv", trajectories)
-    write_summary(out / "summary.json", summary)
+    with _writing(out):
+        write_trajectories(out / "trajectories.csv", trajectories)
+        write_summary(out / "summary.json", summary)
     _say(args, f"particle run: {len(result.snapshots)} snapshots, discrete "
                f"norm {summary['discrete_norm_final']:.6f} "
                f"({time.perf_counter() - t0:.2f}s)")
@@ -145,8 +160,8 @@ def _cmd_compare(args) -> int:
     fields_a = read_fields(_fields_path(args.result_a), hbar)
     fields_b = read_fields(_fields_path(args.result_b), hbar)
     report = compare_fields(fields_a, fields_b)
-    args.out.mkdir(parents=True, exist_ok=True)
-    write_summary(args.out / "compare.json", report, schema=COMPARE_SCHEMA)
+    with _writing(args.out):
+        write_summary(args.out / "compare.json", report, schema=COMPARE_SCHEMA)
     for entry in report["comparisons"]:
         line = f"t = {entry['t']:.6g}: "
         line += ", ".join(f"{k} = {v:.3e}" for k, v in entry.items()
@@ -159,10 +174,10 @@ def _cmd_tensor_check(args) -> int:
     settings = _load_settings(args)
     seed = settings["run.seed"]
     report = tensor_check(seed=seed, params=settings.physics())
-    args.out.mkdir(parents=True, exist_ok=True)
     payload = dict(report)
     payload["seed"] = seed
-    write_summary(args.out / "tensor_check.json", payload)
+    with _writing(args.out):
+        write_summary(args.out / "tensor_check.json", payload)
     n = report["cofactor_identity_draws"]
     ok = report["cofactor_identity_rel_max"] <= 1e-12
     _say(args, f"cofactor identity: {n if ok else 0}/{n} pass "
@@ -180,7 +195,6 @@ def _cmd_gaussian_accept(args) -> int:
     t0 = time.perf_counter()
     checks, details = gaussian_accept(settings)
     all_ok = all(c.passed for c in checks)
-    args.out.mkdir(parents=True, exist_ok=True)
     payload = {
         "checks": [{"criterion": c.criterion, "name": c.name, "value": c.value,
                     "tolerance": c.tolerance, "op": c.op, "passed": c.passed}
@@ -188,7 +202,8 @@ def _cmd_gaussian_accept(args) -> int:
         "details": details,
         "passed": all_ok,
     }
-    write_summary(args.out / "acceptance.json", payload)
+    with _writing(args.out):
+        write_summary(args.out / "acceptance.json", payload)
     for c in checks:
         status = "PASS" if c.passed else "FAIL"
         print(f"criterion {c.criterion:2d} {c.name}: {c.value:.3e} "

@@ -21,7 +21,7 @@ from .errors import ValidationError
 from .lagrangian import SolverConfig
 from .model import (FreePotential, HarmonicPotential, InitialState,
                     PhysicsParams, TabulatedPotential, make_gaussian_state)
-from .qtm import QtmConfig
+from .qtm import FIT_WINDOW, QtmConfig
 
 
 class ConfigError(ValidationError):
@@ -107,14 +107,11 @@ SCHEMA = {
     "reference.dt": (_as_float, 1e-3, POSITIVE),
     "reference.t_final": (_auto_or_float, None, POSITIVE),
     "reference.snapshot_stride": (_as_int, 50, _at_least(1)),
-    "qtm.n_particles": (_as_int, 201, _grid_points(9)),
+    # every particle fits its FIT_WINDOW nearest
+    "qtm.n_particles": (_as_int, 201, _grid_points(FIT_WINDOW)),
     "qtm.span": (_as_float, 5.0, POSITIVE),
     "qtm.dt": (_auto_or_float, None, POSITIVE),
     "qtm.t_final": (_auto_or_float, None, _at_least(0)),
-    # the fits supply second derivatives
-    "qtm.degree": (_as_int, 4, _at_least(2)),
-    "qtm.stencil_size": (_as_int, 9, None),
-    "qtm.weight_width": (_as_float, 3.0, POSITIVE),
     "qtm.snapshot_stride": (_as_int, 40, _at_least(1)),
     "output.field_times": (_as_int, 5, _at_least(1)),
     "run.seed": (_as_int, 0, _at_least(0)),
@@ -181,10 +178,6 @@ def _check(values) -> None:
              f"must be > grid.label_min = {v['grid.label_min']!r}"),
             ("grid.x_max", v["grid.x_max"] > v["grid.x_min"],
              f"must be > grid.x_min = {v['grid.x_min']!r}"),
-            ("qtm.stencil_size", v["qtm.stencil_size"] >= v["qtm.degree"] + 1,
-             f"must be >= qtm.degree + 1 = {v['qtm.degree'] + 1}"),
-            ("qtm.n_particles", v["qtm.n_particles"] >= v["qtm.stencil_size"],
-             f"must be >= qtm.stencil_size = {v['qtm.stencil_size']}"),
             ("state.sigma0", v["state.sigma0"] >= dx,
              f"must be >= the x spacing (grid.x_max - grid.x_min) / "
              f"grid.n_x = {dx!r}")):
@@ -286,10 +279,7 @@ class Settings:
         t_final = self["qtm.t_final"]
         return QtmConfig(
             t_final=self["solver.t_final"] if t_final is None else t_final,
-            dt=self["qtm.dt"], degree=self["qtm.degree"],
-            stencil_size=self["qtm.stencil_size"],
-            weight_width_mult=self["qtm.weight_width"],
-            snapshot_stride=self["qtm.snapshot_stride"])
+            dt=self["qtm.dt"], snapshot_stride=self["qtm.snapshot_stride"])
 
     def qtm_labels(self) -> np.ndarray:
         span = self["qtm.span"] * self["state.sigma0"]

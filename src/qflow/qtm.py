@@ -8,7 +8,9 @@ each path the transport equations close into ODEs,
     dS/dt = m v^2 / 2 - V - V_Q,
 
 with the spatial derivatives estimated from the scattered particle
-positions by a moving weighted least-squares polynomial fit.  Each fit's
+positions by a moving weighted least-squares polynomial fit of fixed
+shape: degree ``FIT_DEGREE`` on the ``FIT_WINDOW`` nearest particles,
+Gaussian weights ``FIT_WIDTH`` local spacings wide.  Each fit's
 Gram matrix is Hankel in the weighted moments of its window, so one
 running-product buffer summed over the windows gives every moment and
 right-hand side; elimination without pivoting then leaves a 2x2 system
@@ -41,9 +43,6 @@ class QtmConfig:
 
     t_final: float
     dt: Optional[float] = None       # None -> 0.5 * (initial spacing)^2 * m / hbar
-    degree: int = 4
-    stencil_size: int = 9
-    weight_width_mult: float = 3.0
     snapshot_stride: int = 1
 
     def validate(self):
@@ -51,17 +50,6 @@ class QtmConfig:
             raise ValidationError("t_final must be nonnegative")
         if self.dt is not None and not (self.dt > 0):
             raise ValidationError("dt must be positive")
-        if self.degree < 2:
-            raise ValidationError(
-                f"degree must be >= 2 (the fits give d2/dx2), got {self.degree}")
-        if self.stencil_size < self.degree + 1:
-            raise ValidationError(
-                f"stencil_size must be >= degree + 1 = {self.degree + 1}, "
-                f"got {self.stencil_size}")
-        if not (self.weight_width_mult > 0):
-            raise ValidationError(
-                f"weight_width_mult (qtm.weight_width) must be positive, "
-                f"got {self.weight_width_mult}")
         if self.snapshot_stride < 1:
             raise ValidationError("snapshot_stride must be >= 1")
 
@@ -101,6 +89,14 @@ class ParticleSet:
         return float(np.sum(np.exp(self.log_rho) * trapezoid_weights(self.x)))
 
 
+# The particle fit: a degree-4 polynomial (the equations read f'') on the
+# 9 nearest particles, with Gaussian weights 3 local spacings wide.  Much
+# narrower weights leave the one-sided end windows singular to rounding.
+FIT_DEGREE = 4
+FIT_WINDOW = 9
+FIT_WIDTH = 3.0
+
+
 # offsets of the two candidate window starts from the searched one
 _BEFORE_AND_AT = np.array([[1], [0]])
 
@@ -130,15 +126,15 @@ def _windows(x, k):
 _ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None]
 
 
-@lru_cache(maxsize=16)
-def _system_layout(degree, n_fields):
+@lru_cache(maxsize=2)
+def _system_layout(n_fields):
     """Moment rows and scales of the augmented system ``[G | b]``, unknowns
-    ordered 0, 3, ..., degree, 1, 2: ``G_jl = M_{j+l} / (j! l!)`` and
+    ordered 0, 3, ..., FIT_DEGREE, 1, 2: ``G_jl = M_{j+l} / (j! l!)`` and
     ``b_j = R_j / j!`` for each field's right-hand-side sums ``R``."""
-    p = degree + 1
+    p = FIT_DEGREE + 1
     order = np.r_[0, 3:p, 1, 2]
     inv_fact = 1.0 / np.array([math.factorial(j) for j in order])
-    rhs_rows = 2 * degree + 1 + order[:, None] + p * np.arange(n_fields)
+    rhs_rows = 2 * FIT_DEGREE + 1 + order[:, None] + p * np.arange(n_fields)
     rows = np.hstack((order[:, None] + order, rhs_rows))
     scale = np.hstack((np.outer(inv_fact, inv_fact),
                        np.repeat(inv_fact[:, None], n_fields, axis=1)))[:, :, None]
@@ -147,16 +143,17 @@ def _system_layout(degree, n_fields):
     return rows, scale
 
 
-def _taylor_fits(x, fields, degree, k, width_mult):
+def _taylor_fits(x, fields):
     """Scaled first and second Taylor coefficients of each field's local fit.
 
     Returns ``beta`` of shape ``(2, len(fields), n)``, holding ``h f'`` and
     ``h^2 f''`` at every particle of the sorted positions ``x``, and the
     local spacing ``h``.  Each particle fits ``sum_j beta_j t^j / j!``,
-    ``t = (x' - x_i) / h``, over its k-nearest window with Gaussian weights
-    ``w``.  The Gram matrix is Hankel in the moments ``M_p = sum w t^p``:
-    one running-product buffer of ``w t^p`` (p <= 2 degree) and ``w t^j f``,
-    summed over the window, gives every moment and right-hand side.
+    ``t = (x' - x_i) / h``, over its k-nearest window (k = ``FIT_WINDOW``)
+    with Gaussian weights ``w``.  The Gram matrix is Hankel in the moments
+    ``M_p = sum w t^p``: one running-product buffer of ``w t^p``
+    (p <= 2 ``FIT_DEGREE``) and ``w t^j f``, summed over the window, gives
+    every moment and right-hand side.
     Gaussian elimination without pivoting (the Gram matrix is symmetric
     positive definite) removes every unknown but 1 and 2, and the 2x2
     system left is solved by its adjugate for all fields at once.  A pivot
@@ -164,23 +161,22 @@ def _taylor_fits(x, fields, degree, k, width_mult):
     ``QtmDerivativeError`` naming the first such particle whose window
     positions are finite.
     """
-    n = x.size
-    p = degree + 1
-    n_mom = 2 * degree + 1
+    n, k = x.size, FIT_WINDOW
+    p = FIT_DEGREE + 1
+    n_mom = 2 * FIT_DEGREE + 1
     idx = _windows(x, k) + np.arange(k)[:, None]
     xs = x[idx]
     h = (xs[-1] - xs[0]) / (k - 1)
     t = (xs - x) / h
     buf = np.empty((n_mom + len(fields) * p, k, n))
-    # a width far below the spacing overflows the square: exp(-inf) = 0;
     # a singular system divides by zero, and the pivot check reports it
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        np.exp(-np.square(t / width_mult), out=buf[0])
+        np.exp(-np.square(t / FIT_WIDTH), out=buf[0])
         for j in range(1, n_mom):
             np.multiply(buf[j - 1], t, out=buf[j])
         for f, vals in enumerate(fields):
             np.multiply(buf[:p], vals[idx], out=buf[n_mom + f * p:n_mom + (f + 1) * p])
-        rows, scale = _system_layout(degree, len(fields))
+        rows, scale = _system_layout(len(fields))
         a = buf.sum(axis=1)[rows]
         a *= scale
         for e in range(p - 2):
@@ -204,10 +200,9 @@ def _taylor_fits(x, fields, degree, k, width_mult):
     return beta, h
 
 
-def mwls_derivatives(positions, values, degree: int = 4, stencil_size: int = 9,
-                     weight_width_mult: float = 3.0):
-    """First and second derivatives at each particle from a local weighted
-    least-squares polynomial fit over the nearest neighbors.
+def mwls_derivatives(positions, values):
+    """First and second derivatives at each particle from the local weighted
+    least-squares polynomial fit over its ``FIT_WINDOW`` nearest neighbors.
 
     Positions and values must be finite, and positions distinct (duplicates
     are rejected with the offending index); a rank-deficient fit names the
@@ -218,20 +213,16 @@ def mwls_derivatives(positions, values, degree: int = 4, stencil_size: int = 9,
     if x.ndim != 1 or vals.shape != x.shape:
         raise ValidationError("positions and values must be matching 1-D arrays")
     _require_finite(positions=x, values=vals)
-    if degree < 2:
-        raise ValidationError(
-            f"degree must be >= 2 (the fits give d2/dx2), got {degree}")
     order = np.argsort(x, kind="stable")
     xs = x[order]
     dup = np.flatnonzero(np.diff(xs) == 0.0)
     if dup.size:
         raise QtmDerivativeError(int(order[dup[0]]), "duplicate particle positions")
-    if x.size < stencil_size:
+    if x.size < FIT_WINDOW:
         raise ValidationError(
-            f"need at least stencil_size = {stencil_size} particles, got {x.size}")
+            f"need at least FIT_WINDOW = {FIT_WINDOW} particles, got {x.size}")
     try:
-        beta, h = _taylor_fits(xs, (vals[order],), degree, stencil_size,
-                               weight_width_mult)
+        beta, h = _taylor_fits(xs, (vals[order],))
     except QtmDerivativeError as exc:
         raise QtmDerivativeError(int(order[exc.particle]),
                                  "rank-deficient least-squares system") from None
@@ -257,13 +248,12 @@ class QtmResult:
     div_integral: np.ndarray
 
 
-def _qtm_rhs(params: PhysicsParams, cfg: QtmConfig, x, c, S):
+def _qtm_rhs(params: PhysicsParams, x, c, S):
     """(dx/dt, dc/dt, dS/dt, dv/dx) at every particle from one set of fits."""
     if (x[1:] <= x[:-1]).any():
         raise TrajectoryCrossing(int(np.argmin(np.diff(x))), np.nan,
                                  "particle ordering lost during a stage")
-    (b1, b2), h = _taylor_fits(x, (S, c), cfg.degree, cfg.stencil_size,
-                               cfg.weight_width_mult)
+    (b1, b2), h = _taylor_fits(x, (S, c))
     m = params.mass
     v = b1[0] / h / m
     vx = b2[0] / h**2 / m
@@ -287,30 +277,27 @@ def qtm_evolve(init: InitialState, params: PhysicsParams,
     config.validate()
     if np.any(init.rho0 <= 0):
         raise ValidationError("particle seeding requires strictly positive rho0")
-    if init.n < config.stencil_size:
+    if init.n < FIT_WINDOW:
         raise ValidationError(
-            f"need at least stencil_size = {config.stencil_size} particles, "
-            f"got {init.n}")
+            f"need at least FIT_WINDOW = {FIT_WINDOW} particles, got {init.n}")
     x = init.labels.copy()
     c = np.log(init.rho0)
     S = init.s0.copy()
-    rhs = partial(_qtm_rhs, params, config)
+    rhs = partial(_qtm_rhs, params)
 
     n_steps, dt = plan_steps(config.t_final, config.auto_dt(
         float(np.min(np.diff(init.labels))), params))
 
     div_int = np.zeros_like(x)
     # each end-of-step evaluation (for div_int) is the next step's k1 and
-    # gives the snapshot its velocity; the first runs on the seeded grid, so
-    # its fit fails on the settings alone
+    # gives the snapshot its velocity; the first runs on the seeded labels,
+    # so its fit fails on their spacing alone
     try:
         k1 = rhs(x, c, S)
     except QtmDerivativeError as exc:
         raise ValidationError(
-            f"the fit settings fail on the seeded particle grid ({exc}): "
-            f"widen qtm.weight_width = {config.weight_width_mult} or change "
-            f"qtm.degree = {config.degree} or qtm.stencil_size = "
-            f"{config.stencil_size}") from exc
+            f"the particle fit fails on the seeded labels ({exc}); space "
+            f"them more evenly") from exc
     snapshots = [ParticleSet(x.copy(), c.copy(), S.copy(), 0.0, k1[0])]
     try:
         for step in range(n_steps):

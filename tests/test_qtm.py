@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -10,39 +11,42 @@ from qflow.benchmarks import gaussian_trajectory
 import qflow.qtm as qtm
 from qflow.errors import (NumericalInstability, QtmDerivativeError,
                           TrajectoryCrossing, ValidationError)
-from qflow.model import MAX_STEPS, PhysicsParams
+from qflow.model import MAX_STEPS, InitialState, PhysicsParams
 from qflow.pipeline import _truncated_gaussian_state
 from qflow.qtm import (ParticleSet, QtmConfig, mwls_derivatives, qtm_evolve)
 
 PARAMS = PhysicsParams()
+# nine positions in two clusters 1e-13 wide, a unit apart: every window
+# holds both, and no fit of degree 4 resolves them
+CLUSTERED = np.r_[np.arange(4) * 1e-13, 1 + np.arange(5) * 1e-13]
 
 # Reference fit kernel: the power basis by ``**`` divided by the factorials,
 # a Gram matmul and one single-column LAPACK solve per fitted field.
 _FACTORIALS = np.array([float(math.factorial(j)) for j in range(9)])
 
 
-def _reference_betas(cfg, x, fields):
-    """Fit coefficients (n, degree + 1, len(fields)), the local spacing and
-    the Gram matrices."""
-    k = cfg.stencil_size
+def _reference_betas(x, fields):
+    """Fit coefficients (n, FIT_DEGREE + 1, len(fields)) and the local
+    spacing."""
+    k = qtm.FIT_WINDOW
     idx = _brute_force_windows(x, k)[:, None] + np.arange(k)[None, :]
     xs = x[idx]
     d = xs - x[:, None]
     h_loc = (xs[:, -1] - xs[:, 0]) / (k - 1)
-    w = np.exp(-((d / (cfg.weight_width_mult * h_loc[:, None])) ** 2))
+    w = np.exp(-((d / (qtm.FIT_WIDTH * h_loc[:, None])) ** 2))
     t = d / h_loc[:, None]
-    p = cfg.degree + 1
+    p = qtm.FIT_DEGREE + 1
     basis = t[:, :, None] ** np.arange(p)[None, None, :] / _FACTORIALS[None, None, :p]
     weighted = basis * w[:, :, None]
     gram = np.matmul(weighted.transpose(0, 2, 1), basis)
     wt = weighted.transpose(0, 2, 1)
     betas = [np.linalg.solve(gram, np.matmul(wt, f[idx][:, :, None]))
              for f in fields]
-    return np.concatenate(betas, axis=-1), h_loc, gram
+    return np.concatenate(betas, axis=-1), h_loc
 
 
-def _reference_qtm_rhs(params, cfg, x, c, S):
-    beta, h_loc, _ = _reference_betas(cfg, x, (S, c))
+def _reference_qtm_rhs(params, x, c, S):
+    beta, h_loc = _reference_betas(x, (S, c))
     m = params.mass
     v = beta[:, 1, 0] / h_loc / m
     vx = beta[:, 2, 0] / h_loc**2 / m
@@ -101,8 +105,8 @@ def _record_fits(monkeypatch):
     fits = []
     fit = qtm._taylor_fits
 
-    def recording(x, fields, *args):
-        fits.append((len(fields), fit(x, fields, *args)))
+    def recording(x, fields):
+        fits.append((len(fields), fit(x, fields)))
         return fits[-1][1]
 
     monkeypatch.setattr(qtm, "_taylor_fits", recording)
@@ -117,27 +121,26 @@ def _coefficient_error(beta, ref_beta):
 
 
 class TestFitKernel:
-    CFG = QtmConfig(t_final=1.0)
-
     @settings(max_examples=200, deadline=None)
     @given(_sorted_positions())
     def test_windows_match_brute_force(self, case):
         x, k = case
         assert np.array_equal(qtm._windows(x, k), _brute_force_windows(x, k))
 
-    @pytest.mark.parametrize("degree", [2, 4, 8, 12])
-    def test_basis_is_scaled_powers(self, degree):
+    @pytest.mark.parametrize("n_fields", [1, 2, 4])
+    def test_basis_is_scaled_powers(self, n_fields):
         # the system the kernel gathers from its moment sums is the Gram
         # matrix and right-hand sides of the basis t^j / j!, unknowns in the
         # order 0, 3, ..., degree, 1, 2
-        rng = np.random.default_rng(degree)
+        degree = qtm.FIT_DEGREE
+        rng = np.random.default_rng(n_fields)
         t = rng.uniform(-4.0, 4.0, 9)
         w = np.exp(-(t / 3.0) ** 2)
-        fields = rng.normal(size=(2, 9))
+        fields = rng.normal(size=(n_fields, 9))
         moments = np.concatenate(
             [[np.sum(w * t**p) for p in range(2 * degree + 1)]]
             + [[np.sum(w * t**j * f) for j in range(degree + 1)] for f in fields])
-        rows, scale = qtm._system_layout(degree, 2)
+        rows, scale = qtm._system_layout(n_fields)
         system = moments[rows] * scale[:, :, 0]
         order = [0, *range(3, degree + 1), 1, 2]
         basis = np.stack([t**j / math.factorial(j) for j in order], axis=-1)
@@ -149,47 +152,51 @@ class TestFitKernel:
     def test_one_solve_per_rhs(self, monkeypatch):
         # the S and c fits share one moment buffer and one elimination
         fits = _record_fits(monkeypatch)
-        qtm._qtm_rhs(PARAMS, self.CFG, *_perturbed_particles())
+        qtm._qtm_rhs(PARAMS, *_perturbed_particles())
         assert [n_fields for n_fields, _ in fits] == [2]
 
     def test_rhs_matches_reference_kernel(self, monkeypatch):
         x, c, S = _perturbed_particles()
         assert np.all(np.diff(x) > 0)
         fits = _record_fits(monkeypatch)
-        out = qtm._qtm_rhs(PARAMS, self.CFG, x, c, S)
-        ref_beta, _, _ = _reference_betas(self.CFG, x, (S, c))
+        out = qtm._qtm_rhs(PARAMS, x, c, S)
+        ref_beta, _ = _reference_betas(x, (S, c))
         # each particle's Taylor coefficients (f' h, f'' h^2) agree to
         # rounding relative to the size of its coefficient vector
         assert np.max(_coefficient_error(fits[0][1][0], ref_beta)) <= 1e-12
         # an m-th derivative divides the rounding of the whole coefficient
         # vector by h^m, so the outputs agree less closely relative to
         # themselves: 3.5e-11 on this set
-        for got, want in zip(out, _reference_qtm_rhs(PARAMS, self.CFG, x, c, S)):
+        for got, want in zip(out, _reference_qtm_rhs(PARAMS, x, c, S)):
             np.testing.assert_allclose(got, want, rtol=0.0,
                                        atol=1e-9 * np.max(np.abs(want)))
 
-    @pytest.mark.parametrize("degree", [2, 8])
-    def test_fits_match_reference_kernel_at_degree(self, degree):
-        x, c, S = _perturbed_particles()
-        cfg = QtmConfig(t_final=1.0, degree=degree)
-        beta, _ = qtm._taylor_fits(x, (S, c), degree, cfg.stencil_size,
-                                   cfg.weight_width_mult)
-        ref_beta, _, gram = _reference_betas(cfg, x, (S, c))
-        # both solves are backward stable, so each particle's coefficients
-        # agree to a multiple of its cond(G) eps: 0.10 of it at degree 2
-        # (cond(G) <= 1e2) and 0.012 at degree 8 (cond(G) up to 9e10 in the
-        # one-sided end windows) on this set, at most 0.2 over other jitters
-        err = _coefficient_error(beta, ref_beta)
-        bound = np.linalg.cond(gram) * np.finfo(float).eps
-        assert np.all(err <= bound[:, None])
-        if degree == 2:
-            assert np.max(err) <= 1e-12
+    def test_second_derivative_stiffness(self):
+        # the interior second-derivative weights on a uniform grid span the
+        # window, -4..4, and are exact on x^2; their symbol
+        # -sum w_j cos(j theta) peaks at 0.92271 / h^2 at k h = 1.2763, so
+        # the dispersive rate (hbar / 2m) 0.92271 / dx^2 meets RK4's
+        # imaginary-axis limit 2 sqrt(2) at dt = 6.13 dx^2 (hbar = m = 1)
+        n = 41
+        x = np.arange(n, dtype=float)
+        w = np.array([mwls_derivatives(x, e)[1][n // 2] for e in np.eye(n)])
+        j = np.arange(n) - n // 2
+        assert np.array_equal(np.flatnonzero(w), np.arange(-4, 5) + n // 2)
+        assert abs(np.sum(w)) <= 1e-15
+        assert np.sum(w * j**2) / 2 == pytest.approx(1.0, abs=1e-14)
+        theta = np.linspace(0.0, np.pi, 100001)
+        symbol = -np.cos(np.outer(theta, j)) @ w
+        peak = np.argmax(symbol)
+        assert symbol[peak] == pytest.approx(0.92271, abs=1e-5)
+        assert theta[peak] == pytest.approx(1.2763, abs=1e-4)
+        rate = PARAMS.hbar / (2.0 * PARAMS.mass) * symbol[peak]
+        assert 2.0 * math.sqrt(2.0) / rate == pytest.approx(6.13, abs=5e-3)
 
 
 class TestMwls:
     def test_quadratic_reproduction_exact(self):
         x = np.linspace(0.0, 1.0, 9)  # a single 9-point stencil
-        d1, d2 = mwls_derivatives(x, x**2, degree=4, stencil_size=9)
+        d1, d2 = mwls_derivatives(x, x**2)
         assert np.max(np.abs(d2 - 2.0)) < 1e-9
         assert np.max(np.abs(d1 - 2.0 * x)) < 1e-9
 
@@ -197,7 +204,7 @@ class TestMwls:
         # the 9-point weighted fit is a smoother, not an interpolant: its
         # fourth-order error constant on sin at this spacing sits at ~3e-6
         x = np.arange(-2.0, 2.0, 0.05)
-        d1, _ = mwls_derivatives(x, np.sin(x), degree=4, stencil_size=9)
+        d1, _ = mwls_derivatives(x, np.sin(x))
         assert np.max(np.abs(d1 - np.cos(x))) <= 5e-6
 
     def test_duplicate_positions_rejected(self):
@@ -207,13 +214,12 @@ class TestMwls:
             mwls_derivatives(x, np.sin(x))
 
     def test_rank_deficient_fit_names_particle(self):
-        # more polynomial coefficients than stencil points
-        x = np.linspace(0, 1, 7)
-        with pytest.raises(QtmDerivativeError, match="particle") as in_order:
-            mwls_derivatives(x, np.sin(x), degree=6, stencil_size=5)
+        x = CLUSTERED
+        with pytest.raises(QtmDerivativeError, match="particle 0") as in_order:
+            mwls_derivatives(x, np.sin(x))
         # the index is the caller's, not the sorted one
         with pytest.raises(QtmDerivativeError) as reversed_order:
-            mwls_derivatives(x[::-1], np.sin(x[::-1]), degree=6, stencil_size=5)
+            mwls_derivatives(x[::-1], np.sin(x[::-1]))
         assert reversed_order.value.particle == x.size - 1 - in_order.value.particle
 
     @pytest.mark.parametrize("field", ["positions", "values"])
@@ -225,15 +231,9 @@ class TestMwls:
         with pytest.raises(ValidationError, match=rf"{field}\[3\] = nan"):
             mwls_derivatives(**inputs)
 
-    def test_degree_below_two_rejected(self):
-        # the fits solve for f' and f'' only
-        x = np.linspace(0.0, 1.0, 20)
-        with pytest.raises(ValidationError, match="degree must be >= 2"):
-            mwls_derivatives(x, np.sin(x), degree=1)
-
     def test_too_few_particles(self):
-        with pytest.raises(ValidationError):
-            mwls_derivatives(np.linspace(0, 1, 5), np.zeros(5), stencil_size=9)
+        with pytest.raises(ValidationError, match="FIT_WINDOW = 9 particles, got 8"):
+            mwls_derivatives(np.linspace(0, 1, 8), np.zeros(8))
 
     def test_unsorted_input_handled(self):
         rng = np.random.default_rng(8)
@@ -254,7 +254,7 @@ class TestMwls:
             return
         coeffs = rng.normal(size=degree_poly + 1)
         vals = sum(c * x**i for i, c in enumerate(coeffs))
-        d1, _ = mwls_derivatives(x, vals, degree=4, stencil_size=9)
+        d1, _ = mwls_derivatives(x, vals)
         exact = sum(i * c * x ** (i - 1) for i, c in enumerate(coeffs) if i >= 1)
         scale = max(1.0, np.max(np.abs(exact)))
         assert np.max(np.abs(d1 - np.asarray(exact))) < 1e-7 * scale
@@ -307,11 +307,9 @@ class TestQtmEvolve:
         # the end-of-step right-hand side's velocity, kept on the snapshot,
         # is what a fresh fit of S on the stored positions gives
         _, result = qtm_run
-        config = QtmConfig(t_final=1.0)
         assert len(result.snapshots) >= 3
         for snap in result.snapshots:
-            d1, _ = mwls_derivatives(snap.x, snap.S, config.degree,
-                                     config.stencil_size, config.weight_width_mult)
+            d1, _ = mwls_derivatives(snap.x, snap.S)
             assert np.array_equal(snap.v, d1 / PARAMS.mass)
 
     def test_four_rhs_fits_per_step(self, monkeypatch):
@@ -380,20 +378,26 @@ class TestQtmEvolve:
         with pytest.raises(ValidationError):
             QtmConfig(t_final=1.0, dt=0.0).validate()
 
-    @pytest.mark.parametrize("degree,stencil_size,fragment", [
-        (1, 9, "degree must be >= 2"),
-        (4, 4, "stencil_size must be >= degree + 1 = 5"),
-        (8, 8, "stencil_size must be >= degree + 1 = 9"),
-    ])
-    def test_fit_shape_validation(self, degree, stencil_size, fragment):
-        cfg = QtmConfig(t_final=1.0, degree=degree, stencil_size=stencil_size)
-        with pytest.raises(ValidationError, match=re.escape(fragment)):
-            cfg.validate()
+    def test_config_fields(self):
+        # the fit's shape is fixed in the module, not configured
+        assert [f.name for f in dataclasses.fields(QtmConfig)] == [
+            "t_final", "dt", "snapshot_stride"]
 
     def test_fewer_particles_than_stencil_rejected(self):
-        init = _truncated_gaussian_state(1.0, PARAMS, np.linspace(-5, 5, 21))
-        with pytest.raises(ValidationError, match="stencil_size = 25"):
-            qtm_evolve(init, PARAMS, QtmConfig(t_final=0.1, stencil_size=25))
+        init = _truncated_gaussian_state(1.0, PARAMS, np.linspace(-5, 5, 8))
+        with pytest.raises(ValidationError, match="FIT_WINDOW = 9 particles, got 8"):
+            qtm_evolve(init, PARAMS, QtmConfig(t_final=0.1))
+
+    def test_failed_seeded_fit_is_a_validation_error(self):
+        # the first fit runs on the caller's labels before any step: a
+        # spacing it cannot resolve is bad input (exit 2), not an abort
+        init = InitialState(labels=CLUSTERED, rho0=np.full(
+            9, 1.0 / np.trapezoid(np.ones(9), CLUSTERED)), s0=np.zeros(9))
+        with pytest.raises(ValidationError, match=re.escape(
+                "the particle fit fails on the seeded labels (derivative fit "
+                "failed at particle 0")) as err:
+            qtm_evolve(init, PARAMS, QtmConfig(t_final=0.0))
+        assert isinstance(err.value.__cause__, QtmDerivativeError)
 
     def test_step_budget(self):
         init = _truncated_gaussian_state(1.0, PARAMS, np.linspace(-5, 5, 101))
