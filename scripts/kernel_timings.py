@@ -18,7 +18,15 @@ Prints the best-of-``--repeats`` time per call, in microseconds, of
   their energy checks included);
 * one particle-method right-hand side (``qtm._qtm_rhs``: the ``S`` and
   ``c`` fits and the transport terms) on the default seeded particle grid
-  (``qtm.n_particles``, 201 by default);
+  (``qtm.n_particles``, 201 by default), written into a preallocated
+  ``(4, n)`` block (``out=``) as ``qtm_evolve`` calls it;
+* the fit alone (``qtm._taylor_fits`` on ``S`` and ``c``) at the final
+  state of a ``qtm_evolve`` run of the default particle config to
+  ``--t-final``, past the uniform seeded grid; a traced run files the
+  fits under ``qtm.qtm_evolve``, so this is the number the tracer cannot
+  split out;
+* one particle step: the wall time of that ``qtm_evolve`` run (four fits
+  per step, snapshots included) divided by its steps;
 * one ``reconstruct_wavefunction`` of the final snapshot of that ``evolve``
   run on the default spatial grid (``grid.n_x``, 1 024 points): the inverse
   map and the push-forward of rho, v and S (a tenth of ``--calls`` per
@@ -73,7 +81,7 @@ from qflow.pipeline import (_ORACLE_POINTS, _chain_rule_stress,
                             _force_identity_errors, _force_residual_rows,
                             _smooth_rho3, _truncated_gaussian_state,
                             tensor_check)
-from qflow.qtm import _qtm_rhs
+from qflow.qtm import _qtm_rhs, _taylor_fits, qtm_evolve
 from qflow.reconstruction import reconstruct_wavefunction
 
 
@@ -164,11 +172,19 @@ def main():
                                           settings.qtm_labels(),
                                           boost_k=settings["state.boost_k"])
     seeded = (particles.labels, np.log(particles.rho0), particles.s0)
+    # qtm.t_final is unset, so the particle run stops at solver.t_final too
+    qtm_config = settings.qtm_config()
+    qtm_steps, _ = plan_steps(qtm_config.t_final, qtm_config.auto_dt(
+        float(np.min(np.diff(particles.labels))), params))
+    rhs_out = np.empty((4, particles.n))
 
     n_steps, _ = plan_steps(config.t_final, config.auto_dt(data.h, params))
     startup_us, loaded = startup(args.repeats)
     evolve_s = best_us(lambda: evolve(init, params, config), 1, args.repeats) / 1e6
     final = evolve(init, params, config)[-1:]
+    qtm_s = best_us(lambda: qtm_evolve(particles, params, qtm_config), 1,
+                    args.repeats) / 1e6
+    moved = qtm_evolve(particles, params, qtm_config).snapshots[-1]
     x_grid = settings.x_grid()
     suite_repeats = max(1, args.repeats // 2)
     divergence_us = best_us(_cofactor_divergence_errors, 1, suite_repeats)
@@ -198,8 +214,12 @@ def main():
          best_us(lambda: force(force_in, out=modes), args.calls, args.repeats)),
         (f"RHS evaluation (evolve / {4 * n_steps})", evolve_s / (4 * n_steps) * 1e6),
         (f"QTM RHS ({particles.n} particles)",
-         best_us(lambda: _qtm_rhs(params, *seeded), args.calls,
+         best_us(lambda: _qtm_rhs(params, *seeded, out=rhs_out), args.calls,
                  args.repeats)),
+        (f"QTM fit ({moved.x.size} particles)",
+         best_us(lambda: _taylor_fits(moved.x, (moved.S, moved.log_rho)),
+                 args.calls, args.repeats)),
+        (f"QTM step (run-qtm / {qtm_steps} steps)", qtm_s / qtm_steps * 1e6),
         (f"reconstruct ({x_grid.size} x points)",
          best_us(lambda: reconstruct_wavefunction(final, init, params, x_grid),
                  max(1, args.calls // 10), args.repeats)),

@@ -33,7 +33,8 @@ import numpy as np
 
 from .errors import (NumericalInstability, OutsidePotentialTable,
                      QtmDerivativeError, TrajectoryCrossing, ValidationError)
-from .model import InitialState, PhysicsParams, _require_finite, plan_steps
+from .model import (FreePotential, InitialState, PhysicsParams,
+                    _require_finite, plan_steps)
 from .stencils import trapezoid_weights
 
 
@@ -182,14 +183,18 @@ def _taylor_fits(x, fields):
         for e in range(p - 2):
             a[e + 1:, e + 1:] -= (a[e + 1:, e] / a[e, e])[:, None] * a[e, e + 1:]
         g = a[p - 2:, p - 2:p]
-        det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
         inv = g[::-1, ::-1].transpose(1, 0, 2) * _ADJUGATE_SIGNS
+        # det takes the place of g_11, which the adjugate has copied, so the
+        # diagonal of ``a`` holds the p - 1 pivots and then det
+        det = np.subtract(g[0, 0] * g[1, 1], g[0, 1] * g[1, 0], out=g[1, 1])
         inv /= det
         beta = inv[:, 0, None] * a[p - 2, p:] + inv[:, 1, None] * a[p - 1, p:]
-    pivots = np.diagonal(a)[:, :p - 1]
-    if not (min(pivots.min(), det.min()) > 0.0
-            and max(pivots.max(), det.max()) < np.inf):
-        ok = np.all((pivots > 0.0) & (pivots < np.inf), axis=1)
+    # the rows a[e, e] of the contiguous ``a``, e < p: the pivots, then det
+    diagonal = a.reshape(-1, n)[::a.shape[1] + 1]
+    if not (np.minimum.reduce(diagonal, axis=None) > 0.0
+            and np.maximum.reduce(diagonal, axis=None) < np.inf):
+        pivots = diagonal[:p - 1]
+        ok = np.all((pivots > 0.0) & (pivots < np.inf), axis=0)
         ok &= (det > 0.0) & (det < np.inf)
         # a non-finite position only makes its neighbours' fits NaN, for
         # the caller's state check to report
@@ -248,20 +253,30 @@ class QtmResult:
     div_integral: np.ndarray
 
 
-def _qtm_rhs(params: PhysicsParams, x, c, S):
-    """(dx/dt, dc/dt, dS/dt, dv/dx) at every particle from one set of fits."""
+def _qtm_rhs(params: PhysicsParams, x, c, S, out=None):
+    """(dx/dt, dc/dt, dS/dt, dv/dx) at every particle from one set of fits,
+    written into the rows of ``out`` (a ``(4, n)`` array) when given, else
+    into a new array."""
     if (x[1:] <= x[:-1]).any():
         raise TrajectoryCrossing(int(np.argmin(np.diff(x))), np.nan,
                                  "particle ordering lost during a stage")
-    (b1, b2), h = _taylor_fits(x, (S, c))
+    beta, h = _taylor_fits(x, (S, c))
+    if out is None:
+        out = np.empty((4, x.size))
+    v, minus_vx, ldens, vx = out
     m = params.mass
-    v = b1[0] / h / m
-    vx = b2[0] / h**2 / m
-    c1 = b1[1] / h
-    c2 = b2[1] / h**2
-    vq = params.quantum_potential(c1, c2)
-    ldens = 0.5 * m * v**2 - params.potential_energy(x) - vq
-    return v, -vx, ldens, vx
+    d1 = beta[0] / h       # (S', c')
+    d2 = beta[1] / h**2    # (S'', c'')
+    np.divide(d1[0], m, out=v)
+    np.divide(d2[0], m, out=vx)
+    np.negative(vx, out=minus_vx)
+    vq = params.quantum_potential(d1[1], d2[1])
+    np.square(v, out=ldens)
+    ldens *= 0.5 * m
+    if not isinstance(params.potential, FreePotential):   # else V = 0
+        ldens -= params.potential_energy(x)
+    ldens -= vq
+    return out
 
 
 def qtm_evolve(init: InitialState, params: PhysicsParams,
@@ -280,47 +295,73 @@ def qtm_evolve(init: InitialState, params: PhysicsParams,
     if init.n < FIT_WINDOW:
         raise ValidationError(
             f"need at least FIT_WINDOW = {FIT_WINDOW} particles, got {init.n}")
-    x = init.labels.copy()
-    c = np.log(init.rho0)
-    S = init.s0.copy()
-    rhs = partial(_qtm_rhs, params)
+    n = init.n
+    # the run's workspace: the state rows (x, c, S); the right-hand-side
+    # blocks k1..k4 and the end-of-step evaluation, whose block becomes the
+    # next step's k1; the stage, update, gap and trapezoid buffers
+    z = np.empty((3, n))
+    x, c, S = z
+    x[:] = init.labels
+    np.log(init.rho0, out=c)
+    S[:] = init.s0
+    k1, k2, k3, k4, k_end = np.empty((5, 4, n))
+    stage, acc = np.empty((2, 3, n))
+    gaps, x_hi, x_lo = np.empty(n - 1), x[1:], x[:-1]
+    div_int, trap = np.zeros(n), np.empty(n)
+    state_rhs = partial(_qtm_rhs, params, x, c, S)
+    stage_rhs = partial(_qtm_rhs, params, *stage)
 
     n_steps, dt = plan_steps(config.t_final, config.auto_dt(
         float(np.min(np.diff(init.labels))), params))
+    half, sixth = 0.5 * dt, dt / 6.0
 
-    div_int = np.zeros_like(x)
+    def staged(k, scale):
+        """The stage state z + scale * k, in ``stage``."""
+        np.multiply(scale, k[:3], out=stage)
+        np.add(z, stage, out=stage)
+
     # each end-of-step evaluation (for div_int) is the next step's k1 and
     # gives the snapshot its velocity; the first runs on the seeded labels,
     # so its fit fails on their spacing alone
     try:
-        k1 = rhs(x, c, S)
+        state_rhs(out=k1)
     except QtmDerivativeError as exc:
         raise ValidationError(
             f"the particle fit fails on the seeded labels ({exc}); space "
             f"them more evenly") from exc
-    snapshots = [ParticleSet(x.copy(), c.copy(), S.copy(), 0.0, k1[0])]
+    snapshots = [ParticleSet(x.copy(), c.copy(), S.copy(), 0.0, k1[0].copy())]
     try:
         for step in range(n_steps):
-            k2 = rhs(x + 0.5 * dt * k1[0], c + 0.5 * dt * k1[1], S + 0.5 * dt * k1[2])
-            k3 = rhs(x + 0.5 * dt * k2[0], c + 0.5 * dt * k2[1], S + 0.5 * dt * k2[2])
-            k4 = rhs(x + dt * k3[0], c + dt * k3[1], S + dt * k3[2])
-            x = x + dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-            c = c + dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-            S = S + dt / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+            staged(k1, half)
+            stage_rhs(out=k2)
+            staged(k2, half)
+            stage_rhs(out=k3)
+            staged(k3, dt)
+            stage_rhs(out=k4)
+            # z += dt/6 (((k1 + 2 k2) + 2 k3) + k4)
+            np.multiply(2.0, k2[:3], out=acc)
+            acc += k1[:3]
+            np.multiply(2.0, k3[:3], out=stage)
+            acc += stage
+            acc += k4[:3]
+            acc *= sixth
+            z += acc
             t = (step + 1) * dt
             # NaN passes the ordering checks, so test finiteness first
-            if not all(np.all(np.isfinite(u)) for u in (x, c, S)):
+            if not np.isfinite(z).all():
                 raise NumericalInstability(
                     f"non-finite particle state at t = {t:.6g}; reduce qtm.dt")
-            gaps = np.diff(x)
-            if np.any(gaps <= 0):
+            np.subtract(x_hi, x_lo, out=gaps)
+            if np.minimum.reduce(gaps) <= 0:
                 raise TrajectoryCrossing(int(np.argmin(gaps)), t, "particle crossing")
-            k_end = rhs(x, c, S)
-            div_int += 0.5 * dt * (k1[3] + k_end[3])
-            k1 = k_end
+            state_rhs(out=k_end)
+            np.add(k1[3], k_end[3], out=trap)
+            trap *= half
+            div_int += trap
+            k1, k_end = k_end, k1
             if (step + 1) % config.snapshot_stride == 0 or step + 1 == n_steps:
                 snapshots.append(ParticleSet(x.copy(), c.copy(), S.copy(), t,
-                                             k_end[0]))
+                                             k1[0].copy()))
     except OutsidePotentialTable as exc:
         raise NumericalInstability(
             f"particle {exc.index} left the tabulated potential grid in the "

@@ -635,6 +635,20 @@ class TestCli:
         assert "nan" not in err
         assert "Traceback" not in err
 
+    def test_particles_in_the_harmonic_trap_cross(self, tmp_path, capsys):
+        # the default particle run under the harmonic potential folds in a
+        # stage 926 steps in; pins the branch of the particle right-hand
+        # side that subtracts V, end to end
+        cfg = _write_config(tmp_path / "harmonic.cfg",
+                            {"physics.potential": "harmonic"})
+        assert main(["run-qtm", "--config", str(cfg),
+                     "--out", str(tmp_path / "o"), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert ("numerical abort: trajectory crossing at label index 15, "
+                "t = 1.1575 (particle ordering lost in a stage of the step "
+                "from t = 1.1575 to 1.15875)") in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("table", [
         pytest.param(None, id="missing"),
         # numpy scalar reprs, as printing an array's elements writes them

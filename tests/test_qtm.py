@@ -11,7 +11,8 @@ from qflow.benchmarks import gaussian_trajectory
 import qflow.qtm as qtm
 from qflow.errors import (NumericalInstability, QtmDerivativeError,
                           TrajectoryCrossing, ValidationError)
-from qflow.model import MAX_STEPS, InitialState, PhysicsParams
+from qflow.model import (MAX_STEPS, HarmonicPotential, InitialState,
+                         PhysicsParams, TabulatedPotential, plan_steps)
 from qflow.pipeline import _truncated_gaussian_state
 from qflow.qtm import (ParticleSet, QtmConfig, mwls_derivatives, qtm_evolve)
 
@@ -54,6 +55,41 @@ def _reference_qtm_rhs(params, x, c, S):
                                   beta[:, 2, 1] / h_loc**2)
     ldens = 0.5 * m * v**2 - params.potential_energy(x) - vq
     return v, -vx, ldens, vx
+
+
+def _allocating_qtm(init, params, config):
+    """Reference: the particle RK4 loop with a new array for every
+    intermediate, the right-hand side written out as plain array
+    expressions on the module's fit.  Returns the snapshots as
+    (t, x, log_rho, S, v), psi and the divergence integral."""
+    m = params.mass
+
+    def rhs(x, c, S):
+        (b1, b2), h = qtm._taylor_fits(x, (S, c))
+        v = b1[0] / h / m
+        vx = b2[0] / h**2 / m
+        vq = params.quantum_potential(b1[1] / h, b2[1] / h**2)
+        return v, -vx, 0.5 * m * v**2 - params.potential_energy(x) - vq, vx
+
+    x, c, S = init.labels.copy(), np.log(init.rho0), init.s0.copy()
+    n_steps, dt = plan_steps(config.t_final, config.auto_dt(
+        float(np.min(np.diff(init.labels))), params))
+    div_int = np.zeros_like(x)
+    k1 = rhs(x, c, S)
+    snaps = [(0.0, x, c, S, k1[0])]
+    for step in range(n_steps):
+        k2 = rhs(x + 0.5 * dt * k1[0], c + 0.5 * dt * k1[1], S + 0.5 * dt * k1[2])
+        k3 = rhs(x + 0.5 * dt * k2[0], c + 0.5 * dt * k2[1], S + 0.5 * dt * k2[2])
+        k4 = rhs(x + dt * k3[0], c + dt * k3[1], S + dt * k3[2])
+        x, c, S = (u + dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
+                   for i, u in enumerate((x, c, S)))
+        k_end = rhs(x, c, S)
+        div_int = div_int + 0.5 * dt * (k1[3] + k_end[3])
+        k1 = k_end
+        if (step + 1) % config.snapshot_stride == 0 or step + 1 == n_steps:
+            snaps.append(((step + 1) * dt, x, c, S, k1[0]))
+    amplitude = np.sqrt(init.rho0) * np.exp(-0.5 * div_int)
+    return snaps, amplitude * np.exp(1j * S / params.hbar), div_int
 
 
 def _brute_force_windows(x, k):
@@ -317,9 +353,9 @@ class TestQtmEvolve:
         rhs = qtm._qtm_rhs
         calls = []
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             calls.append(1)
-            return rhs(*args)
+            return rhs(*args, **kwargs)
 
         monkeypatch.setattr(qtm, "_qtm_rhs", counting)
         init = _truncated_gaussian_state(1.0, PARAMS, np.linspace(-5, 5, 101))
@@ -327,6 +363,37 @@ class TestQtmEvolve:
         # one start-up evaluation, then k2, k3, k4 and the end-of-step
         # evaluation that doubles as the next step's k1
         assert len(calls) == 1 + 4 * 40
+
+    @pytest.mark.parametrize("case", ["free", "harmonic", "tabulated"])
+    def test_workspace_loop_matches_allocating_loop_bit_for_bit(self, case):
+        # the harmonic and tabulated cases run the branch that subtracts V
+        x_table = np.linspace(-40.0, 40.0, 8001)
+        params = {"harmonic": PhysicsParams(potential=HarmonicPotential(1.3)),
+                  "tabulated": PhysicsParams(potential=TabulatedPotential(
+                      x_table, 0.5 * x_table**2 + 0.05 * x_table**4)),
+                  }.get(case, PARAMS)
+        init = _truncated_gaussian_state(1.0, params, np.linspace(-5, 5, 201),
+                                         boost_k=0.5)
+        cfg = QtmConfig(t_final=0.25 if case == "free" else 0.1,
+                        snapshot_stride=30)
+        runs = [qtm_evolve(init, params, cfg) for _ in range(2)]
+        ref_snaps, ref_psi, ref_div = _allocating_qtm(init, params, cfg)
+        assert len(ref_snaps) == (8 if case == "free" else 4)
+        for result in runs:
+            assert len(result.snapshots) == len(ref_snaps)
+            for s, (t, x, c, S, v) in zip(result.snapshots, ref_snaps):
+                assert s.t == t
+                for got, want in ((s.x, x), (s.log_rho, c), (s.S, S), (s.v, v)):
+                    assert np.array_equal(got, want)
+            assert np.array_equal(result.psi, ref_psi)
+            assert np.array_equal(result.div_integral, ref_div)
+        # the loop's in-place state never leaks into a returned array
+        arrays = [u for r in runs for s in r.snapshots
+                  for u in (s.x, s.log_rho, s.S, s.v)]
+        arrays += [u for r in runs for u in (r.psi, r.div_integral)]
+        for i, u in enumerate(arrays):
+            for w in arrays[i + 1:]:
+                assert not np.shares_memory(u, w)
 
     def test_seeding_gaussian_is_bitwise_unchanged(self):
         # the closed form the seeding held as its own copy, at sigma0 = 1
@@ -410,11 +477,11 @@ class TestQtmEvolve:
         rhs = qtm._qtm_rhs
         calls = []
 
-        def poisoned(*args):
+        def poisoned(*args, out):
             calls.append(1)
-            out = rhs(*args)
+            rhs(*args, out=out)
             if len(calls) == 6:    # the k2 stage of the second step
-                out = tuple(np.full_like(u, np.nan) for u in out)
+                out.fill(np.nan)
             return out
 
         monkeypatch.setattr(qtm, "_qtm_rhs", poisoned)
