@@ -16,17 +16,18 @@ Prints the best-of-``--repeats`` time per call, in microseconds, of
 * one right-hand-side evaluation, taken as the wall time of ``evolve`` on
   the default config divided by its 4 x steps evaluations (snapshots and
   their energy checks included);
-* one particle-method right-hand side (``qtm._qtm_rhs``: the ``S`` and
-  ``c`` fits and the transport terms) on the default seeded particle grid
-  (``qtm.n_particles``, 201 by default), written into a preallocated
-  ``(4, n)`` block (``out=``) as ``qtm_evolve`` calls it;
-* the fit alone (``qtm._taylor_fits`` on ``S`` and ``c``) at the final
+* one particle-method right-hand side (``qtm._qtm_rhs``: the x-derivatives
+  of ``S`` and ``c`` and the transport terms) on the default seeded
+  particle grid (``qtm.n_particles``, 201 by default), written into a
+  preallocated ``(4, n)`` block (``out=``) as ``qtm_evolve`` calls it;
+* the derivative step alone (``qtm._x_derivatives``: three 1-D calls of
+  the bound (1, 2) stencil on the particle index, for ``x``, ``S`` and
+  ``c``, then the chain rule, in a preallocated workspace) at the final
   state of a ``qtm_evolve`` run of the default particle config to
-  ``--t-final``, past the uniform seeded grid; a traced run files the
-  fits under ``qtm.qtm_evolve``, so this is the number the tracer cannot
-  split out;
-* one particle step: the wall time of that ``qtm_evolve`` run (four fits
-  per step, snapshots included) divided by its steps;
+  ``--t-final``, past the uniform seeded grid; a traced run files it under
+  ``qtm.qtm_evolve``, so this is the number the tracer cannot split out;
+* one particle step: the wall time of that ``qtm_evolve`` run (four
+  right-hand sides per step, snapshots included) divided by its steps;
 * one ``reconstruct_wavefunction`` of the final snapshot of that ``evolve``
   run on the default spatial grid (``grid.n_x``, 1 024 points): the inverse
   map and the push-forward of rho, v and S (a tenth of ``--calls`` per
@@ -81,8 +82,9 @@ from qflow.pipeline import (_ORACLE_POINTS, _chain_rule_stress,
                             _force_identity_errors, _force_residual_rows,
                             _smooth_rho3, _truncated_gaussian_state,
                             tensor_check)
-from qflow.qtm import _qtm_rhs, _taylor_fits, qtm_evolve
+from qflow.qtm import _qtm_rhs, _x_derivatives, qtm_evolve
 from qflow.reconstruction import reconstruct_wavefunction
+from qflow.stencils import Stencil
 
 
 def best_us(fn, calls: int, repeats: int) -> float:
@@ -176,7 +178,9 @@ def main():
     qtm_config = settings.qtm_config()
     qtm_steps, _ = plan_steps(qtm_config.t_final, qtm_config.auto_dt(
         float(np.min(np.diff(particles.labels))), params))
-    rhs_out = np.empty((4, particles.n))
+    # the particle solver's stencil and workspaces, as qtm_evolve binds them
+    index_stencil = Stencil(particles.n, 1.0, (1, 2))
+    index_d, rhs_out = np.empty((3, 2, particles.n)), np.empty((4, particles.n))
 
     n_steps, _ = plan_steps(config.t_final, config.auto_dt(data.h, params))
     startup_us, loaded = startup(args.repeats)
@@ -214,10 +218,11 @@ def main():
          best_us(lambda: force(force_in, out=modes), args.calls, args.repeats)),
         (f"RHS evaluation (evolve / {4 * n_steps})", evolve_s / (4 * n_steps) * 1e6),
         (f"QTM RHS ({particles.n} particles)",
-         best_us(lambda: _qtm_rhs(params, *seeded, out=rhs_out), args.calls,
-                 args.repeats)),
-        (f"QTM fit ({moved.x.size} particles)",
-         best_us(lambda: _taylor_fits(moved.x, (moved.S, moved.log_rho)),
+         best_us(lambda: _qtm_rhs(params, index_stencil, index_d, *seeded,
+                                  out=rhs_out), args.calls, args.repeats)),
+        (f"QTM derivatives ({moved.x.size} particles)",
+         best_us(lambda: _x_derivatives(index_stencil, index_d, moved.x, moved.S,
+                                        moved.log_rho, rhs_out[:2]),
                  args.calls, args.repeats)),
         (f"QTM step (run-qtm / {qtm_steps} steps)", qtm_s / qtm_steps * 1e6),
         (f"reconstruct ({x_grid.size} x points)",

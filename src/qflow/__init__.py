@@ -21,9 +21,8 @@ from .benchmarks import (Norms, error_norms, gaussian_alpha,
                          gaussian_wavefunction)
 from .config import ConfigError, Settings
 from .errors import (NodeEncountered, NumericalInstability,
-                     OutsidePotentialTable, QflowError, QtmDerivativeError,
-                     TrajectoryCrossing, ValidationError,
-                     WrapAroundRiskWarning)
+                     OutsidePotentialTable, QflowError, TrajectoryCrossing,
+                     ValidationError, WrapAroundRiskWarning)
 from .kinematics import (cofactor_matrix, hyper_cofactor, internal_energy,
                          jacobian, levi_civita, quantum_potential,
                          stress_eulerian, stress_lagrangian)
@@ -34,7 +33,7 @@ from .model import (AnalyticForms, EulerianField, FreePotential,
                     HarmonicPotential, InitialState, PhysicsParams,
                     TabulatedPotential, TrajectoryState, assemble_wavefunction,
                     madelung_decompose, make_gaussian_state)
-from .qtm import ParticleSet, QtmConfig, QtmResult, mwls_derivatives, qtm_evolve
+from .qtm import ParticleSet, QtmConfig, QtmResult, qtm_evolve
 from .reconstruction import (continuity_euler_residuals, eulerian_moments,
                              invert_map, lagrangian_moments,
                              phase_consistency_deviation, qhj_residual,

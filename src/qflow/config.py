@@ -21,7 +21,7 @@ from .errors import ValidationError
 from .lagrangian import SolverConfig
 from .model import (FreePotential, HarmonicPotential, InitialState,
                     PhysicsParams, TabulatedPotential, make_gaussian_state)
-from .qtm import FIT_WINDOW, QtmConfig
+from .qtm import QtmConfig
 
 
 class ConfigError(ValidationError):
@@ -107,8 +107,7 @@ SCHEMA = {
     "reference.dt": (_as_float, 1e-3, POSITIVE),
     "reference.t_final": (_auto_or_float, None, POSITIVE),
     "reference.snapshot_stride": (_as_int, 50, _at_least(1)),
-    # every particle fits its FIT_WINDOW nearest
-    "qtm.n_particles": (_as_int, 201, _grid_points(FIT_WINDOW)),
+    "qtm.n_particles": (_as_int, 201, _grid_points(9)),
     "qtm.span": (_as_float, 5.0, POSITIVE),
     "qtm.dt": (_auto_or_float, None, POSITIVE),
     "qtm.t_final": (_auto_or_float, None, _at_least(0)),

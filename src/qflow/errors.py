@@ -58,13 +58,5 @@ class NumericalInstability(QflowError):
     """The time integration left its stability envelope (exit code 3)."""
 
 
-class QtmDerivativeError(QflowError):
-    """The scattered-particle derivative fit failed."""
-
-    def __init__(self, particle, reason):
-        self.particle = int(particle)
-        super().__init__(f"derivative fit failed at particle {particle}: {reason}")
-
-
 class WrapAroundRiskWarning(UserWarning):
     """Wavepacket density is approaching the periodic domain edge."""

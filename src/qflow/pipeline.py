@@ -125,9 +125,9 @@ def _truncated_gaussian_state(sigma0, params, labels, boost_k=0.0) -> InitialSta
     """Gaussian renormalized on a truncated span (QTM seeding).
 
     The particle method lives on a narrower span than the trajectory
-    solver (its scattered-derivative fits amplify far-tail noise), so the
-    small truncated mass is folded back as one constant factor; the
-    log-density derivatives, and hence the dynamics, are unchanged.
+    solver (``qtm.span``), so the small truncated mass is folded back as
+    one constant factor; the log-density derivatives, and hence the
+    dynamics, are unchanged.
     """
     a = np.asarray(labels, dtype=float)
     raw = _gaussian_forms(sigma0, params.hbar, boost_k).rho0(a)

@@ -405,6 +405,17 @@ class TestCli:
         snaps = read_trajectories(out / "trajectories.csv")
         assert snaps[-1].t == pytest.approx(0.1)
 
+    def test_run_qtm_at_the_least_particle_count(self, tmp_path):
+        # 9 particles, the bound of qtm.n_particles, are more than the 6 the
+        # derivative stencil's one-sided rows span
+        cfg = _write_config(tmp_path / "least.cfg", {"qtm.n_particles": "9"})
+        out = tmp_path / "qtm"
+        assert main(["run-qtm", "--config", str(cfg), "--out", str(out),
+                     "--quiet"]) == 0
+        snaps = read_trajectories(out / "trajectories.csv")
+        assert snaps[-1].t == pytest.approx(2.0)
+        assert snaps[-1].q.size == 9
+
     @pytest.mark.parametrize("failing", ["mkdir", "write"])
     @pytest.mark.parametrize("command", ["run-lagrangian", "run-reference",
                                          "run-qtm", "compare", "tensor-check",
@@ -491,8 +502,7 @@ class TestCli:
             "solver.acceleration_path = direct",
             "solver.stencil_order = 4",
             "state.analytic_forms = true",
-            # the particle fit's shape is fixed: FIT_DEGREE, FIT_WINDOW and
-            # FIT_WIDTH in qflow.qtm
+            # the removed particle fit's shape
             "qtm.degree = 4",
             "qtm.stencil_size = 9",
             "qtm.weight_width = 3.0",
@@ -623,30 +633,34 @@ class TestCli:
         assert fragment in capsys.readouterr().err
 
     def test_particle_crossing_in_a_stage_names_the_step(self, tmp_path, capsys):
-        # a packet this narrow folds its particles inside an RK4 stage,
-        # whose ordering check knows no time of its own
-        cfg = _write_config(tmp_path / "narrow.cfg", {"state.sigma0": "0.03"})
+        # a step of 0.004 = 1.6 dx^2, above the particle step limit of about
+        # 1.06 dx^2, folds the particles inside an RK4 stage, whose ordering
+        # check knows no time of its own
+        cfg = _write_config(tmp_path / "long_step.cfg", {"qtm.dt": "0.004"})
         assert main(["run-qtm", "--config", str(cfg),
                      "--out", str(tmp_path / "o"), "--quiet"]) == 3
         err = capsys.readouterr().err
-        assert ("numerical abort: trajectory crossing at label index 182, "
-                "t = 0.00208912 (particle ordering lost in a stage of the step "
-                "from t = 0.00208912 to 0.00209025)") in err
+        assert ("numerical abort: trajectory crossing at label index 2, "
+                "t = 0.064 (particle ordering lost in a stage of the step "
+                "from t = 0.064 to 0.068)") in err
         assert "nan" not in err
         assert "Traceback" not in err
 
     def test_particles_in_the_harmonic_trap_cross(self, tmp_path, capsys):
         # the default particle run under the harmonic potential folds in a
-        # stage 926 steps in; pins the branch of the particle right-hand
-        # side that subtracts V, end to end
+        # stage 872 steps in: the trap contracts every gap, below 0.69 dx by
+        # t = 1, so the step of 0.5 dx^2, taken from the seeded spacing, is
+        # above the limit of about 1.06 (current gap)^2 (ROADMAP item 20);
+        # pins the branch of the particle right-hand side that subtracts V,
+        # end to end
         cfg = _write_config(tmp_path / "harmonic.cfg",
                             {"physics.potential": "harmonic"})
         assert main(["run-qtm", "--config", str(cfg),
                      "--out", str(tmp_path / "o"), "--quiet"]) == 3
         err = capsys.readouterr().err
-        assert ("numerical abort: trajectory crossing at label index 15, "
-                "t = 1.1575 (particle ordering lost in a stage of the step "
-                "from t = 1.1575 to 1.15875)") in err
+        assert ("numerical abort: trajectory crossing at label index 199, "
+                "t = 1.09 (particle ordering lost in a stage of the step "
+                "from t = 1.09 to 1.09125)") in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("table", [

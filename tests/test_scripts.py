@@ -46,7 +46,7 @@ def test_kernel_timings_short_run():
     # the default potential is free: the force reads G alone, 101 columns
     assert rows[2].startswith("projected force (13 x 101)")
     assert rows[4].startswith("QTM RHS (201 particles)")
-    assert rows[5].startswith("QTM fit (201 particles)")
+    assert rows[5].startswith("QTM derivatives (201 particles)")
     # the particle run stops at the same t: 0.02 / (0.5 * 0.05^2) = 16 steps
     assert rows[6].startswith("QTM step (run-qtm / 16 steps)")
     assert rows[7].startswith("reconstruct (1024 x points)")
