@@ -19,7 +19,7 @@ Prints the best-of-``--repeats`` time per call, in microseconds, of
 * one particle-method right-hand side (``qtm._qtm_rhs``: the x-derivatives
   of ``S`` and ``c`` and the transport terms) on the default seeded
   particle grid (``qtm.n_particles``, 201 by default), written into a
-  preallocated ``(4, n)`` block (``out=``) as ``qtm_evolve`` calls it;
+  preallocated ``(3, n)`` block (``out=``) as ``qtm_evolve`` calls it;
 * the derivative step alone (``qtm._x_derivatives``: three 1-D calls of
   the bound (1, 2) stencil on the particle index, for ``x``, ``S`` and
   ``c``, then the chain rule, in a preallocated workspace) at the final
@@ -180,7 +180,7 @@ def main():
         float(np.min(np.diff(particles.labels))), params))
     # the particle solver's stencil and workspaces, as qtm_evolve binds them
     index_stencil = Stencil(particles.n, 1.0, (1, 2))
-    index_d, rhs_out = np.empty((3, 2, particles.n)), np.empty((4, particles.n))
+    index_d, rhs_out = np.empty((3, 2, particles.n)), np.empty((3, particles.n))
 
     n_steps, _ = plan_steps(config.t_final, config.auto_dt(data.h, params))
     startup_us, loaded = startup(args.repeats)

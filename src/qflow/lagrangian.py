@@ -92,14 +92,15 @@ of a right-hand side on a few hundred labels, so ``evolve`` allocates its
 arrays once per run and every kernel of the loop writes into them: the
 dense products, the projection and ``potential_gradient`` through an
 optional ``out=``, ``_check_kinematics`` and ``_log_density`` into row
-views bound once per run, with the run's constants, so that no slicing,
-unpacking or attribute lookup runs per call.  The log-density kernel makes
-nine ufunc calls, G one more, and the value at the density peak is read
-as Python floats.  The four RK4 slopes are the rows of one array, so the
-update is one product with dt (1/6, 1/3, 1/3, 1/6) and one add.  Every
-step is a ufunc or product call in the operation order of the plain
-array expressions, so the results are bit for bit those of an allocating
-modal loop; callers outside the loop (the energy check, the snapshot
+views bound once per run, with the run's constants, so that the only
+per-call slicing is of the modal state into its c and e blocks.  The
+log-density kernel makes nine ufunc calls, G one more, and the value at
+the density peak is read as Python floats.  The steps are those of the
+shared RK4 driver ``model._rk4``, whose stages and update
+dt/6 (((k1 + 2 k2) + 2 k3) + k4) are in-place ufunc calls.  Every step
+is a ufunc or product call in the operation order of the plain array
+expressions, so the results are bit for bit those of an allocating modal
+loop; callers outside the loop (the energy check, the snapshot
 kinematics, the acceleration routes) call the same kernels through
 ``_kinematics`` and ``_log_density_derivatives``, on new arrays.
 """
@@ -115,10 +116,9 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial.legendre import legvander
 
-from .errors import (NumericalInstability, OutsidePotentialTable,
-                     TrajectoryCrossing, ValidationError)
+from .errors import NumericalInstability, TrajectoryCrossing, ValidationError
 from .model import (FreePotential, InitialState, PhysicsParams,
-                    TrajectoryState, plan_steps)
+                    TrajectoryState, _rk4, plan_steps)
 from .stencils import (Stencil, cumulative_trapezoid, derivative, grid_spacing,
                        left_product, trapezoid_weights)
 
@@ -396,9 +396,10 @@ def evolve(init: InitialState, params: PhysicsParams,
            config: SolverConfig) -> list[TrajectoryState]:
     """Integrate the trajectory continuum from t = 0 to t_final.
 
-    Classical RK4 on the modal state (c, e, chi[i0]) of the module doc,
-    driven by the mode coefficients of the projected conservation-form
-    acceleration, so that q = a + t qdot0 + lift @ c and
+    Classical RK4 (the shared driver ``model._rk4``) on the modal state
+    (c, e, chi[i0]) of the module doc, driven by the mode coefficients of
+    the projected conservation-form acceleration, so that
+    q = a + t qdot0 + lift @ c and
     qdot = qdot0 + lift @ e, qdot0 the initial velocity; chi[i0] integrates
     m qdot^2/2 - V - V_Q at the density peak ``i0 = argmax(rho0)``.  Each
     snapshot lifts (c, e) to the labels and sets
@@ -410,9 +411,10 @@ def evolve(init: InitialState, params: PhysicsParams,
     final states are always included), each carrying the energy that the
     drift check computed for it and the least J of the same kinematics
     pass.  J is checked against its floor at every right-hand side and the
-    monotonicity of the lifted q at every accepted step; a non-finite
-    state, a relative energy drift above 10% or a label that leaves a
-    tabulated potential's grid after t = 0 aborts with
+    monotonicity of the lifted q at the end of every step, whose
+    evaluation is the next step's k1 (4 right-hand sides per step); a
+    non-finite state, a relative energy drift above 10% or a label that
+    leaves a tabulated potential's grid after t = 0 aborts with
     :class:`NumericalInstability` (labels outside it at t = 0 are bad
     input).  A step plan over ``MAX_STEPS`` is rejected up front.
     """
@@ -463,10 +465,11 @@ def evolve(init: InitialState, params: PhysicsParams,
         z_c[:] = c
         return z
 
-    def rhs(c, e, k, k_c, k_e, t):
-        """Time derivative of the modal state (c, e, chi[i0]) into the row
-        ``k``, whose c and e blocks are ``k_c`` and ``k_e``."""
-        np.dot(K3, at(t, c), out=kin_rows)
+    def rhs(u, t, k):
+        """Time derivative of the modal state u = (c, e, chi[i0]) into
+        ``k``."""
+        e = u[r:-1]
+        np.dot(K3, at(t, u[:r]), out=kin_rows)
         check(t)
         log_density()
         np.multiply(cxx, Ji, out=G)
@@ -475,8 +478,8 @@ def evolve(init: InitialState, params: PhysicsParams,
             np.dot(basis, z, out=q)
             potential_gradient(q, out=dV)
             v = potential_energy(q[i0])
-        k_c[:] = e
-        force(force_in, out=k_e)
+        k[:r] = e
+        force(force_in, out=k[r:-1])
         qd = qdot0_i0 + lift_i0_dot(e)
         k[-1] = (half_m * qd**2 - v
                  - quantum_potential(ca_at(i0) * Ji_at(i0), cxx_at(i0)))
@@ -518,49 +521,20 @@ def evolve(init: InitialState, params: PhysicsParams,
             )
         snapshots.append(snap)
 
-    # k1..k4 are the rows of ks; each stage's right-hand side is bound to
-    # its input state and output row
-    ks = np.empty((4, 2 * r + 1))
-    k1, k2, k3, _ = ks
-    stage, acc = np.empty((2, 2 * r + 1))
-    stage_c, stage_e = stage[:r], stage[r:-1]
-    inputs = ((y_c, y_e),) + 3 * ((stage_c, stage_e),)
-    rhs1, rhs2, rhs3, rhs4 = (partial(rhs, c, e, k, k[:r], k[r:-1])
-                              for (c, e), k in zip(inputs, ks))
-    # y += dt/6 (k1 + 2 k2 + 2 k3 + k4), one product with the stacked ks
-    weights = np.array([dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0])
-    min_gap = np.minimum.reduce
+    k1 = np.empty(2 * r + 1)
 
-    def staged(k, scale):
-        """The stage state y + scale * k, in ``stage``."""
-        np.multiply(scale, k, out=stage)
-        np.add(y, stage, out=stage)
+    def end_of_step(step, t):
+        np.dot(basis, at(t, y_c), out=q)
+        np.subtract(q_hi, q_lo, out=gaps)
+        if np.minimum.reduce(gaps) <= 0:
+            raise TrajectoryCrossing(int(np.argmin(gaps)), t)
+        if (step + 1) % config.snapshot_stride == 0 or step + 1 == n_steps:
+            snapshot(t)
+        if step + 1 < n_steps:
+            rhs(y, t, k1)
 
-    t = 0.0
-    half = 0.5 * dt
-    try:
-        for step in range(n_steps):
-            rhs1(t)
-            staged(k1, half)
-            rhs2(t + half)
-            staged(k2, half)
-            rhs3(t + half)
-            staged(k3, dt)
-            rhs4(t + dt)
-            np.dot(weights, ks, out=acc)
-            np.add(y, acc, out=y)
-            t = (step + 1) * dt
-            np.dot(basis, at(t, y_c), out=q)
-            np.subtract(q_hi, q_lo, out=gaps)
-            if min_gap(gaps) <= 0:
-                raise TrajectoryCrossing(int(np.argmin(gaps)), t)
-            if (step + 1) % config.snapshot_stride == 0 or step + 1 == n_steps:
-                snapshot(t)
-    except OutsidePotentialTable as exc:
-        # every stage evaluates V on the whole of q before q[i0] alone, so
-        # the index is a label index
-        raise NumericalInstability(
-            f"label index {exc.index} left the tabulated potential grid in "
-            f"the step from t = {step * dt:.6g} to {(step + 1) * dt:.6g}"
-        ) from exc
+    rhs(y, 0.0, k1)
+    # every stage evaluates V on the whole of q before q[i0] alone, so an
+    # index outside the potential table is a label index
+    _rk4(rhs, y, k1, dt, n_steps, end_of_step, "label index")
     return snapshots

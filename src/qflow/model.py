@@ -12,7 +12,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NodeEncountered, OutsidePotentialTable, ValidationError
+from .errors import (NodeEncountered, NumericalInstability, OutsidePotentialTable,
+                     TrajectoryCrossing, ValidationError)
 
 NORMALIZATION_TOL = 1e-8
 NODE_FLOOR_REL = 1e-12
@@ -303,6 +304,60 @@ def plan_steps(t_final: float, dt: float) -> tuple[int, float]:
             f"over the budget of {MAX_STEPS} steps")
     n_steps = max(1, int(round(planned)))
     return n_steps, t_final / n_steps
+
+
+def _rk4(rhs, y, k1, dt: float, n_steps: int, end_of_step, unit: str):
+    """Advance ``y`` in place by ``n_steps`` classical RK4 steps of ``dt``
+    from t = 0.
+
+    ``rhs(u, t, out)`` writes the derivative at the state ``u``, shaped like
+    ``y``, into ``out``.  On entry ``k1`` holds the derivative at ``y``;
+    the driver evaluates k2..k4 into its own buffers and updates
+    ``y += dt/6 (((k1 + 2 k2) + 2 k3) + k4)``.  ``end_of_step(step, t)``
+    then runs with ``y`` at the step's end time ``t``: the caller's checks
+    and snapshots, and, when a step follows, the derivative at ``y``
+    written into ``k1``.
+
+    ``unit`` is what an index counts, ``"label index"`` or ``"particle"``.
+    A unit that leaves a tabulated potential's grid aborts with
+    :class:`NumericalInstability` naming the step's times, and a crossing
+    raised in a stage, which knows no time of its own (NaN), takes the
+    step's start time.
+    """
+    k2, k3, k4, stage, acc = np.empty((5,) + y.shape)
+    half, sixth = 0.5 * dt, dt / 6.0
+
+    def staged(k, scale):
+        """The stage state y + scale * k, in ``stage``."""
+        np.multiply(scale, k, out=stage)
+        np.add(y, stage, out=stage)
+        return stage
+
+    try:
+        for step in range(n_steps):
+            t = step * dt
+            rhs(staged(k1, half), t + half, k2)
+            rhs(staged(k2, half), t + half, k3)
+            rhs(staged(k3, dt), t + dt, k4)
+            # y += dt/6 (((k1 + 2 k2) + 2 k3) + k4)
+            np.multiply(2.0, k2, out=acc)
+            np.add(acc, k1, out=acc)
+            np.multiply(2.0, k3, out=stage)
+            np.add(acc, stage, out=acc)
+            np.add(acc, k4, out=acc)
+            np.multiply(acc, sixth, out=acc)
+            np.add(y, acc, out=y)
+            end_of_step(step, (step + 1) * dt)
+    except OutsidePotentialTable as exc:
+        raise NumericalInstability(
+            f"{unit} {exc.index} left the tabulated potential grid in the "
+            f"step from t = {step * dt:.6g} to {(step + 1) * dt:.6g}") from exc
+    except TrajectoryCrossing as exc:
+        if not np.isnan(exc.time):
+            raise
+        raise TrajectoryCrossing(
+            exc.index, step * dt, f"{unit} ordering lost in a stage of the "
+            f"step from t = {step * dt:.6g} to {(step + 1) * dt:.6g}") from exc
 
 
 @dataclass(frozen=True)

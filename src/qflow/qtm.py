@@ -26,15 +26,13 @@ trapezoid rule so the two density routes cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from .errors import (NumericalInstability, OutsidePotentialTable,
-                     TrajectoryCrossing, ValidationError)
-from .model import (FreePotential, InitialState, PhysicsParams,
-                    _require_finite, plan_steps)
+from .errors import NumericalInstability, TrajectoryCrossing, ValidationError
+from .model import (FreePotential, InitialState, PhysicsParams, _require_finite,
+                    _rk4, plan_steps)
 from .stencils import Stencil, trapezoid_weights
 
 
@@ -129,19 +127,18 @@ def _x_derivatives(stencil: Stencil, d, x, S, c, scratch):
 
 
 def _qtm_rhs(params: PhysicsParams, stencil: Stencil, d, x, c, S, out):
-    """(dx/dt, dc/dt, dS/dt, dv/dx) at every particle, written into the rows
-    of ``out``, a ``(4, n)`` array; ``stencil`` and ``d`` are those of
-    :func:`_x_derivatives`."""
+    """(dx/dt, dc/dt, dS/dt) = (v, -dv/dx, L) at every particle, written
+    into the rows of ``out``, a ``(3, n)`` array; ``stencil`` and ``d`` are
+    those of :func:`_x_derivatives`."""
     if (x[1:] <= x[:-1]).any():
         raise TrajectoryCrossing(int(np.argmin(np.diff(x))), np.nan,
                                  "particle ordering lost during a stage")
     # out's first rows are free until v and -v_x are written
     first, second = _x_derivatives(stencil, d, x, S, c, out[:2])
-    v, minus_vx, ldens, vx = out
+    v, minus_vx, ldens = out
     m = params.mass
     np.divide(first[0], m, out=v)
-    np.divide(second[0], m, out=vx)
-    np.negative(vx, out=minus_vx)
+    np.divide(second[0], -m, out=minus_vx)
     vq = params.quantum_potential(first[1], second[1])
     np.square(v, out=ldens)
     ldens *= 0.5 * m
@@ -156,10 +153,12 @@ def qtm_evolve(init: InitialState, params: PhysicsParams,
     """Integrate the particle set seeded at the label grid of ``init``.
 
     Particles start at the labels with c = ln rho0 and S = S0; the state
-    (x, c, S) advances by RK4 and the divergence integral by the trapezoid
-    rule between accepted steps.  A particle crossing, a non-finite state
-    or a particle that leaves a tabulated potential's grid after t = 0
-    aborts; a step plan over ``MAX_STEPS`` is rejected up front.
+    (x, c, S) advances by the shared RK4 driver (``model._rk4``) and the
+    divergence integral by the trapezoid rule on dc/dt = -dv/dx between
+    accepted steps, whose end-of-step evaluation is the next step's k1.  A
+    particle crossing, a non-finite state or a particle that leaves a
+    tabulated potential's grid after t = 0 aborts; a step plan over
+    ``MAX_STEPS`` is rejected up front.
     """
     config.validate()
     if np.any(init.rho0 <= 0):
@@ -167,79 +166,48 @@ def qtm_evolve(init: InitialState, params: PhysicsParams,
     n = init.n
     # rejects a grid too short for the stencil
     stencil = Stencil(n, 1.0, (1, 2))
-    # the run's workspace: the state rows (x, c, S); the right-hand-side
-    # blocks k1..k4 and the end-of-step evaluation, whose block becomes the
-    # next step's k1; the stage, update, gap and trapezoid buffers; the
-    # index derivatives of (x, S, c)
-    z = np.empty((3, n))
+    # the run's workspace: the state rows (x, c, S) and their derivative
+    # k1; the gap and trapezoid buffers; the index derivatives of (x, S, c)
+    z, k1 = np.empty((2, 3, n))
     x, c, S = z
     x[:] = init.labels
     np.log(init.rho0, out=c)
     S[:] = init.s0
-    k1, k2, k3, k4, k_end = np.empty((5, 4, n))
-    stage, acc = np.empty((2, 3, n))
     gaps, x_hi, x_lo = np.empty(n - 1), x[1:], x[:-1]
     div_int, trap = np.zeros(n), np.empty(n)
     d = np.empty((3, 2, n))
-    state_rhs = partial(_qtm_rhs, params, stencil, d, x, c, S)
-    stage_rhs = partial(_qtm_rhs, params, stencil, d, *stage)
+
+    def rhs(u, t, out):
+        """The driver's right-hand side on the rows (x, c, S) of ``u``; the
+        particle equations do not read ``t``."""
+        _qtm_rhs(params, stencil, d, *u, out=out)
 
     n_steps, dt = plan_steps(config.t_final, config.auto_dt(
         float(np.min(np.diff(init.labels))), params))
-    half, sixth = 0.5 * dt, dt / 6.0
+    half = 0.5 * dt
 
-    def staged(k, scale):
-        """The stage state z + scale * k, in ``stage``."""
-        np.multiply(scale, k[:3], out=stage)
-        np.add(z, stage, out=stage)
+    def end_of_step(step, t):
+        # NaN passes the ordering checks, so test finiteness first
+        if not np.isfinite(z).all():
+            raise NumericalInstability(
+                f"non-finite particle state at t = {t:.6g}; reduce qtm.dt")
+        np.subtract(x_hi, x_lo, out=gaps)
+        if np.minimum.reduce(gaps) <= 0:
+            raise TrajectoryCrossing(int(np.argmin(gaps)), t, "particle crossing")
+        # div_int += dt/2 (v_x before + v_x after), from k1's rows -v_x
+        np.copyto(trap, k1[1])
+        rhs(z, t, k1)
+        np.add(trap, k1[1], out=trap)
+        np.multiply(trap, half, out=trap)
+        np.subtract(div_int, trap, out=div_int)
+        if (step + 1) % config.snapshot_stride == 0 or step + 1 == n_steps:
+            snapshots.append(ParticleSet(x.copy(), c.copy(), S.copy(), t,
+                                         k1[0].copy()))
 
-    # each end-of-step evaluation (for div_int) is the next step's k1 and
-    # gives the snapshot its velocity
-    state_rhs(out=k1)
+    # every snapshot's velocity is the first row of its state's k1
+    rhs(z, 0.0, k1)
     snapshots = [ParticleSet(x.copy(), c.copy(), S.copy(), 0.0, k1[0].copy())]
-    try:
-        for step in range(n_steps):
-            staged(k1, half)
-            stage_rhs(out=k2)
-            staged(k2, half)
-            stage_rhs(out=k3)
-            staged(k3, dt)
-            stage_rhs(out=k4)
-            # z += dt/6 (((k1 + 2 k2) + 2 k3) + k4)
-            np.multiply(2.0, k2[:3], out=acc)
-            acc += k1[:3]
-            np.multiply(2.0, k3[:3], out=stage)
-            acc += stage
-            acc += k4[:3]
-            acc *= sixth
-            z += acc
-            t = (step + 1) * dt
-            # NaN passes the ordering checks, so test finiteness first
-            if not np.isfinite(z).all():
-                raise NumericalInstability(
-                    f"non-finite particle state at t = {t:.6g}; reduce qtm.dt")
-            np.subtract(x_hi, x_lo, out=gaps)
-            if np.minimum.reduce(gaps) <= 0:
-                raise TrajectoryCrossing(int(np.argmin(gaps)), t, "particle crossing")
-            state_rhs(out=k_end)
-            np.add(k1[3], k_end[3], out=trap)
-            trap *= half
-            div_int += trap
-            k1, k_end = k_end, k1
-            if (step + 1) % config.snapshot_stride == 0 or step + 1 == n_steps:
-                snapshots.append(ParticleSet(x.copy(), c.copy(), S.copy(), t,
-                                             k1[0].copy()))
-    except OutsidePotentialTable as exc:
-        raise NumericalInstability(
-            f"particle {exc.index} left the tabulated potential grid in the "
-            f"step from t = {step * dt:.6g} to {(step + 1) * dt:.6g}") from exc
-    except TrajectoryCrossing as exc:
-        if not np.isnan(exc.time):
-            raise
-        # a stage's ordering check knows no time: name the step
-        raise TrajectoryCrossing(
-            exc.index, step * dt, f"particle ordering lost in a stage of the "
-            f"step from t = {step * dt:.6g} to {(step + 1) * dt:.6g}") from exc
+    _rk4(rhs, z, k1, dt, n_steps, end_of_step, "particle")
 
     amplitude = np.sqrt(init.rho0) * np.exp(-0.5 * div_int)
     psi = amplitude * np.exp(1j * S / params.hbar)

@@ -237,8 +237,7 @@ def _allocating_rk4(init, params, config):
         k2 = rhs(y + 0.5 * dt * k1, t + 0.5 * dt)
         k3 = rhs(y + 0.5 * dt * k2, t + 0.5 * dt)
         k4 = rhs(y + dt * k3, t + dt)
-        y = y + np.dot(np.array([dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0]),
-                       np.stack((k1, k2, k3, k4)))
+        y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if (step + 1) % config.snapshot_stride == 0 or step + 1 == n_steps:
             snapshot((step + 1) * dt)
     return snaps

@@ -5,11 +5,12 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 from qflow.benchmarks import gaussian_wavefunction
-from qflow.errors import NodeEncountered, OutsidePotentialTable, ValidationError
+from qflow.errors import (NodeEncountered, NumericalInstability, OutsidePotentialTable,
+                          TrajectoryCrossing, ValidationError)
 from qflow.model import (MAX_STEPS, AnalyticForms, EulerianField,
                          HarmonicPotential, InitialState, PhysicsParams, TabulatedPotential,
                          TrajectoryState, assemble_wavefunction,
-                         madelung_decompose, make_gaussian_state, plan_steps)
+                         _rk4, madelung_decompose, make_gaussian_state, plan_steps)
 
 PARAMS = PhysicsParams()
 
@@ -298,3 +299,87 @@ class TestPlanSteps:
     def test_overflowing_plan_rejected(self):
         with pytest.raises(ValidationError, match="over the budget"):
             plan_steps(1e300, 1e-300)
+
+
+# y' = A y: a damped rotation coupled to a decaying third component
+RK4_A = np.array([[-0.3, 1.0, 0.0], [-1.0, -0.3, 0.2], [0.1, 0.0, -0.7]])
+
+
+def _linear_rk4(y0, dt, n_steps, fail=None):
+    """Run ``_rk4`` on y' = RK4_A y from ``y0``; ``fail(call)`` may raise
+    from the right-hand side's ``call``-th stage evaluation (1-based).
+    Returns the final state, the stage calls and the end-of-step calls."""
+    y = np.array(y0, dtype=float)
+    k1 = RK4_A @ y
+    calls, ends = [], []
+
+    def rhs(u, t, out):
+        calls.append(t)
+        if fail is not None:
+            fail(len(calls))
+        np.dot(RK4_A, u, out=out)
+
+    def end_of_step(step, t):
+        ends.append((step, t))
+        np.dot(RK4_A, y, out=k1)
+
+    _rk4(rhs, y, k1, dt, n_steps, end_of_step, "particle")
+    return y, calls, ends
+
+
+class TestRk4Driver:
+    def test_linear_ode_takes_the_rk4_polynomial(self):
+        # on y' = A y one step multiplies by 1 + z + z^2/2 + z^3/6 + z^4/24,
+        # z = dt A
+        dt, n_steps = 0.1, 25
+        z = dt * RK4_A
+        z2 = z @ z
+        step = np.eye(3) + z + z2 / 2 + z2 @ z / 6 + z2 @ z2 / 24
+        y0 = np.array([1.0, -0.5, 2.0])
+        y, _, ends = _linear_rk4(y0, dt, n_steps)
+        want = np.linalg.matrix_power(step, n_steps) @ y0
+        np.testing.assert_allclose(y, want, rtol=1e-14, atol=1e-15)
+        assert ends == [(s, (s + 1) * dt) for s in range(n_steps)]
+
+    def test_three_rhs_calls_per_step(self):
+        # k1 is the caller's: the driver evaluates k2, k3 and k4 only, at
+        # t + dt/2, t + dt/2 and t + dt
+        dt = 0.25
+        _, calls, _ = _linear_rk4([1.0, 0.0, 0.0], dt, 4)
+        assert calls == [t + h for t in (0.0, 0.25, 0.5, 0.75)
+                         for h in (0.125, 0.125, 0.25)]
+
+    def test_leaving_the_table_in_the_first_step_names_it(self):
+        def fail(call):
+            raise OutsidePotentialTable(7, 9.0, -1.0, 1.0)
+
+        with pytest.raises(NumericalInstability,
+                           match=r"^particle 7 left the tabulated potential grid "
+                                 r"in the step from t = 0 to 0\.25$") as info:
+            _linear_rk4([1.0, 0.0, 0.0], 0.25, 4, fail)
+        assert isinstance(info.value.__cause__, OutsidePotentialTable)
+
+    def test_stage_crossing_takes_the_step_start_time(self):
+        # the k2 stage of the third step (call 7) knows no time of its own
+        def fail(call):
+            if call == 7:
+                raise TrajectoryCrossing(3, np.nan, "lost during a stage")
+
+        with pytest.raises(TrajectoryCrossing) as info:
+            _linear_rk4([1.0, 0.0, 0.0], 0.25, 4, fail)
+        assert (info.value.index, info.value.time) == (3, 0.5)
+        assert str(info.value) == (
+            "trajectory crossing at label index 3, t = 0.5 (particle ordering "
+            "lost in a stage of the step from t = 0.5 to 0.75)")
+        assert isinstance(info.value.__cause__, TrajectoryCrossing)
+
+    def test_timed_crossing_passes_through(self):
+        crossing = TrajectoryCrossing(3, 0.4, "J at the floor")
+
+        def fail(call):
+            if call == 5:
+                raise crossing
+
+        with pytest.raises(TrajectoryCrossing) as info:
+            _linear_rk4([1.0, 0.0, 0.0], 0.25, 4, fail)
+        assert info.value is crossing
