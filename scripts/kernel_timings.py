@@ -32,22 +32,12 @@ Prints the best-of-``--repeats`` time per call, in microseconds, of
   run on the default spatial grid (``grid.n_x``, 1 024 points): the inverse
   map and the push-forward of rho, v and S (a tenth of ``--calls`` per
   timing: each call takes about a millisecond);
-* three parts of the identity suite behind ``qflow tensor-check``: the
-  cofactor-divergence grids (17^3, 33^3 and 65^3), the force-identity grids
-  (33^3, 65^3 and 129^3; both sets built one plane at a time, over a
-  sliding window of three planes) and the chain-rule stress oracle at the
-  suite's three label points;
-* one plane of the 129^3 force-identity grid, layer by layer: the density
-  build (``_smooth_rho3``), ``stress_eulerian``, ``quantum_potential`` and
-  the three residual rows of the plane's rows [2:-2] (125 x 129 points
-  each, of which the suite reads the 125^2 interior) from a window of
-  three planes (a tenth of ``--calls`` per timing).  A
-  traced run files the residual rows under ``pipeline.tensor_check``'s
-  self time, so these are the numbers the tracer cannot split out;
-* one ``tensor_check(0)``, the whole suite, with the ``tracemalloc`` peak
-  of one more call in the row's name (this row and the three above: one
-  call per timing, and half of ``--repeats`` timings, since the suite
-  takes about half a second);
+* the chain-rule stress oracle of the identity suite behind
+  ``qflow tensor-check``, at the suite's three label points;
+* one ``tensor_check(0)``, the whole suite (both identities on difference
+  stars around 512 seeded centres), with the ``tracemalloc`` peak of one
+  more call in the row's name (this row and the one above: one call per
+  timing, and half of ``--repeats`` timings);
 * start-up: the wall time of ``python -c "import qflow.cli"`` in a fresh
   interpreter, the import every CLI command pays, followed by the list of
   ``scipy`` subpackages that import loaded, which is empty: qflow runs on
@@ -70,7 +60,6 @@ import numpy as np
 
 import qflow
 from qflow.config import Settings
-from qflow.kinematics import quantum_potential, stress_eulerian
 from qflow.lagrangian import (ModeProjector, _kinematics, _LabelData,
                               _log_density, _log_density_derivatives,
                               _modal_basis, _projected_force,
@@ -78,10 +67,7 @@ from qflow.lagrangian import (ModeProjector, _kinematics, _LabelData,
                               initial_velocity)
 from qflow.model import FreePotential, plan_steps
 from qflow.pipeline import (_ORACLE_POINTS, _chain_rule_stress,
-                            _cofactor_divergence_errors, _force_fields,
-                            _force_identity_errors, _force_residual_rows,
-                            _smooth_rho3, _truncated_gaussian_state,
-                            tensor_check)
+                            _truncated_gaussian_state, tensor_check)
 from qflow.qtm import _qtm_rhs, _x_derivatives, qtm_evolve
 from qflow.reconstruction import reconstruct_wavefunction
 from qflow.stencils import Stencil
@@ -191,19 +177,8 @@ def main():
     moved = qtm_evolve(particles, params, qtm_config).snapshots[-1]
     x_grid = settings.x_grid()
     suite_repeats = max(1, args.repeats // 2)
-    divergence_us = best_us(_cofactor_divergence_errors, 1, suite_repeats)
-    force_us = best_us(lambda: _force_identity_errors(params), 1, suite_repeats)
     oracle_us = best_us(lambda: [_chain_rule_stress(pt, params)
                                  for pt in _ORACLE_POINTS], 1, suite_repeats)
-    # three consecutive planes of the 129^3 grid, as tensor_check's window
-    # holds them, and the fields of the middle one
-    axis = np.linspace(-1.0, 1.0, 129)
-    mesh = (axis[64:65, None], axis[:, None], axis[None, :])
-    planes = [_force_fields(axis[p:p + 1, None], *mesh[1:], params)
-              for p in (63, 64, 65)]
-    rho, grad, hess = _smooth_rho3(*mesh)
-    lap = np.trace(hess, axis1=-2, axis2=-1)
-    plane_calls = max(1, args.calls // 10)
     tensor_us = best_us(lambda: tensor_check(0), 1, suite_repeats)
     tensor_mb = traced_peak_mb(lambda: tensor_check(0))
 
@@ -228,18 +203,6 @@ def main():
         (f"reconstruct ({x_grid.size} x points)",
          best_us(lambda: reconstruct_wavefunction(final, init, params, x_grid),
                  max(1, args.calls // 10), args.repeats)),
-        ("cofactor divergence (3 grids)", divergence_us),
-        ("force identity (3 grids)", force_us),
-        ("density plane (129^2)",
-         best_us(lambda: _smooth_rho3(*mesh), plane_calls, args.repeats)),
-        ("stress_eulerian plane (129^2)",
-         best_us(lambda: stress_eulerian(rho, grad, hess, params.hbar,
-                                         params.mass), plane_calls, args.repeats)),
-        ("quantum_potential plane (129^2)",
-         best_us(lambda: quantum_potential(rho, grad, lap, params.hbar,
-                                           params.mass), plane_calls, args.repeats)),
-        ("residual rows (3 x 125 x 129)",
-         best_us(lambda: _force_residual_rows(planes), plane_calls, args.repeats)),
         (f"chain-rule oracle ({len(_ORACLE_POINTS)} points)", oracle_us),
         (f"tensor-check (traced peak {tensor_mb:.0f} MB)", tensor_us),
         ("start-up (import qflow.cli)", startup_us),

@@ -23,9 +23,9 @@ from .config import ConfigError, Settings
 from .errors import (NodeEncountered, NumericalInstability,
                      OutsidePotentialTable, QflowError, TrajectoryCrossing,
                      ValidationError, WrapAroundRiskWarning)
-from .kinematics import (cofactor_matrix, hyper_cofactor, internal_energy,
-                         jacobian, levi_civita, quantum_potential,
-                         stress_eulerian, stress_lagrangian)
+from .kinematics import (cofactor_matrix, hyper_cofactor, jacobian,
+                         levi_civita, quantum_potential, stress_eulerian,
+                         stress_lagrangian)
 from .lagrangian import (ModeProjector, SolverConfig, acceleration_direct,
                          acceleration_newton, energy_of, evolve,
                          initial_velocity)

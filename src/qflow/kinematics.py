@@ -133,15 +133,6 @@ def quantum_potential(rho, grad_rho, laplacian_rho, hbar: float, mass: float):
     return vq, valid
 
 
-def internal_energy(rho, grad_rho, hbar: float, mass: float):
-    """U = (hbar^2 / 8m) |grad rho|^2 / rho^2 (the log-gradient form)."""
-    rho, valid = _floor_mask(rho, RHO_FLOOR_REL)
-    grad = np.asarray(grad_rho, dtype=float)
-    safe = np.where(valid, rho, 1.0)
-    u = (hbar**2 / (8.0 * mass)) * np.sum(grad * grad, axis=-1) / safe**2
-    return np.where(valid, u, 0.0), valid
-
-
 def stress_lagrangian(g, second, third, rho0, drho0, d2rho0,
                       hbar: float = 1.0, mass: float = 1.0) -> np.ndarray:
     """Quantum stress in label variables (gradient, its label derivatives,

@@ -219,14 +219,10 @@ _RICH_DIRS = np.array([[0.0, 1.0, 0.6], [0.7, 0.0, 1.0], [1.0, 0.8, 0.0]])
 def _rich_map_gradient(points):
     """Deformation gradient of q_i = a_i + eps_i sin(dirs_i . a)."""
     a = np.asarray(points, dtype=float)
-    # component-major, so that each g[..., i, l] is one contiguous plane
-    g = np.moveaxis(np.empty((3, 3) + a.shape[:-1]), (0, 1), (-2, -1))
+    g = np.empty(a.shape[:-1] + (3, 3))
     for i in range(3):
-        # tensordot on the stacked points: an open-mesh sum of the three
-        # products rounds differently in the last bit
         amp = _RICH_EPS[i] * np.cos(np.tensordot(a, _RICH_DIRS[i], axes=([-1], [0])))
-        for l in range(3):
-            np.multiply(amp, _RICH_DIRS[i, l], out=g[..., i, l])
+        g[..., i, :] = amp[..., None] * _RICH_DIRS[i]
         g[..., i, i] += 1.0
     return g
 
@@ -294,10 +290,24 @@ def _chain_rule_stress(point, params: PhysicsParams, h: float = 0.02):
     return sigma
 
 
+# tensor_check's star centres: uniform on |a_l| <= 1 - 4/128, the interior
+# [2:-2] of a 129-point grid on [-1, 1] (the finest force spacing, 1/64)
+_STAR_POINTS = 512
+_STAR_HALF_WIDTH = 1.0 - 4.0 / 128
+# a star's seven points: its centre, then a + h e_l and a - h e_l, l = 0, 1, 2
+_STAR_OFFSETS = np.concatenate((np.zeros((1, 3)), np.eye(3), -np.eye(3)))
+
+
 def tensor_check(seed: int = 0, params: PhysicsParams | None = None) -> dict:
-    """The deformation-algebra identity suite (reported values + pass flags)."""
+    """The deformation-algebra identity suite (reported values + pass flags).
+
+    ``div C = 0`` and ``div(sigma)/rho = grad V_Q`` are checked by centred
+    differences on difference stars (``_stars``) around ``_STAR_POINTS``
+    centres drawn from ``seed``, the same centres at every spacing.  Each
+    identity reports its largest residual per spacing, the orders between
+    consecutive spacings and the least order of any one centre."""
     params = params or PhysicsParams()
-    # the standard library's generator: 100 small draws do not need
+    # the standard library's generator: these small draws do not need
     # numpy.random, whose import costs start-up time and memory
     rng = random.Random(seed)
 
@@ -315,9 +325,13 @@ def tensor_check(seed: int = 0, params: PhysicsParams | None = None) -> dict:
         resid = np.einsum("kj,ki->ij", g, C) - J * np.eye(3)
         worst = max(worst, float(np.max(np.abs(resid)) / abs(J)))
 
-    div_errors = _cofactor_divergence_errors()
-    div_orders = [float(np.log2(div_errors[i] / div_errors[i + 1]))
-                  for i in range(len(div_errors) - 1)]
+    # the star centres, drawn after the matrices so that the matrices do not
+    # depend on them
+    b = _STAR_HALF_WIDTH
+    points = np.array([[rng.uniform(-b, b) for _ in range(3)]
+                       for _ in range(_STAR_POINTS)])
+    div_errors, div_orders, div_least = _convergence(
+        lambda h: _cofactor_divergence_residuals(points, h), (1 / 8, 1 / 16, 1 / 32))
 
     # closed-form stress versus the chain-rule oracle
     stress_rel = 0.0
@@ -330,9 +344,9 @@ def tensor_check(seed: int = 0, params: PhysicsParams | None = None) -> dict:
         stress_rel = max(stress_rel, float(
             np.max(np.abs(sig - oracle)) / np.max(np.abs(oracle))))
 
-    force_errors = _force_identity_errors(params)
-    force_orders = [float(np.log2(force_errors[i] / force_errors[i + 1]))
-                    for i in range(len(force_errors) - 1)]
+    force_errors, force_orders, force_least = _convergence(
+        lambda h: _force_identity_residuals(points, h, params),
+        (1 / 16, 1 / 32, 1 / 64))
     force_order = force_orders[-1]
 
     return {
@@ -340,129 +354,77 @@ def tensor_check(seed: int = 0, params: PhysicsParams | None = None) -> dict:
         "cofactor_identity_draws": n_draws,
         "cofactor_divergence_errors": div_errors,
         "cofactor_divergence_orders": div_orders,
+        "cofactor_divergence_least_point_order": div_least,
         "stress_equivalence_rel_max": stress_rel,
         "force_identity_errors": force_errors,
         "force_identity_orders": force_orders,
         "force_identity_order": force_order,
+        "force_identity_least_point_order": force_least,
         "passed": bool(worst <= 1e-12 and min(div_orders) >= 1.9
                        and stress_rel <= 1e-6 and force_order >= 1.9),
     }
 
 
-def _plane_interior_max(n, build, residuals) -> float:
-    """max |residual| on the interior [2:-2]^3 of an n^3 grid on [-1, 1]^3.
-
-    ``build(x1, x2, x3)`` makes the fields of one plane of fixed x1 from its
-    open mesh, and ``residuals(planes)`` the residual rows, times 2 h, on the
-    rows [2:-2] of the middle one of three consecutive planes, every column
-    (see ``_centred``; only the columns [2:-2] are read).  The window of
-    three planes slides along x1, so each plane is built once.
-
-    Each row's maximum is scaled by 1 / (2 h) once, not each centred
-    difference in it.  Every grid of the suite has h = 2 / (n - 1) with
-    n - 1 a power of two (16 to 128), so 2 h is a power of two, every
-    scaling is exact, and the maximum has the bits of differences divided
-    by 2 h one by one."""
-    axis = np.linspace(-1.0, 1.0, n)
-    scale = 1.0 / (2. * (axis[1] - axis[0]))
-    x2, x3 = axis[:, None], axis[None, :]
-    planes = [None] + [build(axis[p:p + 1, None], x2, x3) for p in (1, 2)]
-    worst = 0.0
-    for p in range(3, n - 1):
-        planes = planes[1:] + [build(axis[p:p + 1, None], x2, x3)]
-        for row in residuals(planes):
-            worst = max(worst, float(np.max(np.abs(row[:, 2:-2]))) * scale)
-    return worst
+def _stars(points, h):
+    """The stars of spacing h around ``points`` (N, 3), star axis first:
+    shape (7, N, 3), in the order of ``_STAR_OFFSETS``."""
+    return points + h * _STAR_OFFSETS[:, None, :]
 
 
-def _centred(planes, axis):
-    """The numerator f[i+1] - f[i-1] of ``np.gradient``'s interior formula
-    (f[i+1] - f[i-1]) / (2. * h) on the rows [2:-2] of the middle one of a
-    field's three planes: across the planes for ``axis`` 0, within the
-    middle plane for 1 and 2.
-
-    Whole rows, so each difference is one contiguous pass over the rows of
-    C-ordered planes.  For ``axis`` 2 the first and last column mix
-    neighbouring rows; the residuals read the columns [2:-2] alone."""
-    prev, cur, nxt = planes
-    if axis == 0:
-        return nxt[2:-2] - prev[2:-2]
-    if axis == 1:
-        return cur[3:-1] - cur[1:-3]
-    width = cur.shape[1]
-    flat = cur.reshape(-1)
-    lo, hi = 2 * width, (cur.shape[0] - 2) * width
-    return (flat[lo + 1:hi + 1] - flat[lo - 1:hi - 1]).reshape(-1, width)
+def _centred(f, h, l):
+    """(f(a + h e_l) - f(a - h e_l)) / (2. * h) at each centre of a field f
+    on stars: ``np.gradient``'s interior formula, with its rounding."""
+    return (f[1 + l] - f[4 + l]) / (2. * h)
 
 
-def _divergence_rows(tensors):
-    """2 h sum_j d T[i, j] / dx_j for i = 0, 1, 2 by centred differences
-    (``_centred``), the tensor field T given on three consecutive planes."""
-    rows = []
-    for i in range(3):
-        row = _centred([T[..., i, 0] for T in tensors], 0)
-        row += _centred([T[..., i, 1] for T in tensors], 1)
-        row += _centred([T[..., i, 2] for T in tensors], 2)
-        rows.append(row)
-    return rows
+def _divergence(T, h):
+    """sum_j d T[i, j] / dx_j, i = 0, 1, 2, at each centre of a tensor field
+    on stars, summed in the order of ``np.gradient`` calls added to zeros."""
+    div = np.zeros(T.shape[1:-1])
+    for j in range(3):
+        div += _centred(T[..., j], h, j)
+    return div
 
 
-def _cofactor_divergence_errors() -> list[float]:
-    """max |div C| on the interior of 17^3, 33^3 and 65^3 grids, C the
-    cofactor field of the rich map (divergence-free in the continuum)."""
-
-    def build(x1, x2, x3):
-        points = np.stack(np.broadcast_arrays(x1, x2, x3), axis=-1)
-        return cofactor_matrix(_rich_map_gradient(points))
-
-    return [_plane_interior_max(n, build, _divergence_rows) for n in (17, 33, 65)]
+def _cofactor_divergence_residuals(points, h):
+    """div C at each centre, (N, 3), C the cofactor field of the rich map
+    (divergence-free in the continuum)."""
+    return _divergence(cofactor_matrix(_rich_map_gradient(_stars(points, h))), h)
 
 
-def _force_identity_errors(params: PhysicsParams) -> list[float]:
-    """max |div(sigma)/rho - grad V_Q| on the interior of 33^3, 65^3 and
-    129^3 grids of the smooth density.
+def _force_identity_residuals(points, h, params: PhysicsParams):
+    """div(sigma) / rho - grad V_Q at each centre, (N, 3), for the smooth
+    density.
 
     The density floor of ``stress_eulerian`` and ``quantum_potential`` is
-    set by the plane's largest rho, not the grid's; min rho / max rho is
-    about 0.3 on [-1, 1]^3, so the 1e-14 floor marks no point either way.
-    """
-
-    def build(x1, x2, x3):
-        return _force_fields(x1, x2, x3, params)
-
-    return [_plane_interior_max(n, build, _force_residual_rows)
-            for n in (33, 65, 129)]
-
-
-def _force_fields(x1, x2, x3, params: PhysicsParams):
-    """rho, sigma and V_Q of the smooth density on the open mesh x1, x2, x3."""
-    rho, grad, hess = _smooth_rho3(x1, x2, x3)
+    relative to the largest rho of the stars; min rho / max rho is about 0.3
+    there, so the 1e-14 floor marks no point."""
+    rho, grad, hess = _smooth_rho3(*np.moveaxis(_stars(points, h), -1, 0))
     sigma, _ = stress_eulerian(rho, grad, hess, params.hbar, params.mass)
     lap = np.trace(hess, axis1=-2, axis2=-1)
     vq, _ = quantum_potential(rho, grad, lap, params.hbar, params.mass)
-    return rho, sigma, vq
+    resid = _divergence(sigma, h) / rho[0, :, None]
+    for i in range(3):
+        resid[:, i] -= _centred(vq, h, i)
+    return resid
 
 
-def _force_residual_rows(planes):
-    """2 h (div(sigma)_i / rho - d V_Q / dx_i), i = 0, 1, 2, on the rows
-    [2:-2] of the middle one of three consecutive planes of ``_force_fields``
-    (``_centred``)."""
-    rhos, sigmas, vqs = zip(*planes)
-    rows = _divergence_rows(sigmas)
-    for i, row in enumerate(rows):
-        row /= rhos[1][2:-2]
-        row -= _centred(vqs, i)
-    return rows
+def _convergence(residuals, spacings):
+    """The largest residual component of ``residuals(h)`` at each spacing,
+    the orders between consecutive spacings, and the least order of any one
+    centre's largest component."""
+    per_point = [np.max(np.abs(residuals(h)), axis=-1) for h in spacings]
+    errors = [float(np.max(r)) for r in per_point]
+    orders = [float(np.log2(errors[k] / errors[k + 1]))
+              for k in range(len(errors) - 1)]
+    least = min(float(np.min(np.log2(coarse / fine)))
+                for coarse, fine in zip(per_point, per_point[1:]))
+    return errors, orders, least
 
 
 def _smooth_rho3(x1, x2, x3):
-    """Positive smooth 3-D density exp(g) with analytic derivatives.
-
-    The coordinates broadcast against each other, so an open mesh
-    (``np.meshgrid(..., sparse=True)``) evaluates each term on the
-    coordinates it depends on and only ``rho``, ``grad`` and ``hess`` take
-    the full grid shape.
-    """
+    """Positive smooth 3-D density exp(g) with analytic derivatives, at the
+    points with coordinates x1, x2, x3 (arrays that broadcast together)."""
     x1, x2, x3 = (np.asarray(x, dtype=float) for x in (x1, x2, x3))
     s1, c1, s2, c2 = np.sin(x1), np.cos(x1), np.sin(x2), np.cos(x2)
     sc = 0.2 * s1 * c2

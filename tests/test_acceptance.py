@@ -112,25 +112,53 @@ class TestCriterion4TensorIdentities:
         assert tensor_report["passed"] is True
 
     def test_grid_residuals_pinned(self, tensor_report):
-        # seed 0 values of the einsum cofactor and stacked-density kernels;
-        # the closed forms and the one-buffer builds reproduce them
+        # seed 0 values of the difference stars at the 512 seeded centres
         np.testing.assert_allclose(
             tensor_report["force_identity_errors"],
-            [4.4139990774508253e-04, 1.1664389399898556e-04,
-             2.9937678834801584e-05], rtol=1e-12, atol=0)
+            [4.774524477415554e-04, 1.1945540272770283e-04,
+             2.9869623080214236e-05], rtol=1e-12, atol=0)
         np.testing.assert_allclose(
             tensor_report["cofactor_divergence_errors"],
-            [2.3405411380378327e-05, 5.967957807245794e-06,
-             1.4985221145902283e-06], rtol=1e-12, atol=0)
+            [2.3823566312045075e-05, 5.968641091536053e-06,
+             1.4929580296474398e-06], rtol=1e-12, atol=0)
 
 
-def _whole_grid_force_error(n, hbar=1.0, mass=1.0):
-    """The force-identity residual of an n^3 grid with every field built on
-    the whole grid at once: the reference tensor_check's planes reproduce."""
-    axis = np.linspace(-1.0, 1.0, n)
-    h = axis[1] - axis[0]
-    rho, grad, hess = _smooth_rho3(
-        *np.meshgrid(axis, axis, axis, indexing="ij", sparse=True))
+class TestSeededStars:
+    """The star centres are drawn after the 100 cofactor matrices, from the
+    run's seed."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_orders_at_or_above_the_grids(self, seed):
+        # the orders of the 17^3-65^3 and 33^3-129^3 grids the stars replaced
+        report = tensor_check(seed)
+        assert report["passed"] is True
+        assert all(o >= g for o, g in zip(report["cofactor_divergence_orders"],
+                                          [1.9715328814451514, 1.9936969612211115]))
+        assert all(o >= g for o, g in zip(report["force_identity_orders"],
+                                          [1.9199755400782674, 1.9620765139822736]))
+        assert report["cofactor_divergence_least_point_order"] >= 1.9
+        assert report["force_identity_least_point_order"] >= 1.9
+
+    def test_draws_before_the_stars_unchanged(self, tensor_report):
+        # the seed 0 values from before the stars were drawn
+        assert tensor_report["cofactor_identity_rel_max"] == 6.736426349315287e-16
+        assert tensor_report["stress_equivalence_rel_max"] == 3.392297825055433e-07
+
+    def test_same_seed_same_report(self, tmp_path):
+        written = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            assert main(["tensor-check", "--out", str(out), "--seed", "1",
+                         "--quiet"]) == 0
+            written.append((out / "tensor_check.json").read_bytes())
+        assert written[0] == written[1]
+
+
+def _whole_grid_force_residuals(x, h, hbar=1.0, mass=1.0):
+    """div(sigma) / rho - grad V_Q on the mesh of the nodes ``x``, every
+    field built on the whole mesh at once and differenced by ``np.gradient``
+    with spacing h (the reference the sampled stars reproduce)."""
+    rho, grad, hess = _smooth_rho3(*np.meshgrid(x, x, x, indexing="ij", sparse=True))
     sigma, _ = stress_eulerian(rho, grad, hess, hbar, mass)
     lap = np.trace(hess, axis1=-2, axis2=-1)
     vq, _ = quantum_potential(rho, grad, lap, hbar, mass)
@@ -140,16 +168,14 @@ def _whole_grid_force_error(n, hbar=1.0, mass=1.0):
         for j in range(3):
             div_i += np.gradient(sigma[..., i, j], h, axis=j, edge_order=2)
         resid[..., i] = div_i / rho - np.gradient(vq, h, axis=i, edge_order=2)
-    return float(np.max(np.abs(resid[2:-2, 2:-2, 2:-2])))
+    return resid
 
 
-def _whole_grid_divergence_error(n):
-    """max |div C| on the interior of an n^3 grid, with the rich map's
-    cofactors built on the stacked (point-major) grid and differenced by
-    ``np.gradient`` over the whole grid."""
-    axis = np.linspace(-1.0, 1.0, n)
-    h = axis[1] - axis[0]
-    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
+def _whole_grid_divergence_residuals(x, h):
+    """div C on the mesh of the nodes ``x``, with the rich map's cofactors
+    built on the stacked (point-major) mesh and differenced by
+    ``np.gradient`` with spacing h."""
+    grid = np.stack(np.meshgrid(x, x, x, indexing="ij"), axis=-1)
     g = np.zeros(grid.shape[:-1] + (3, 3))
     for i in range(3):
         u = np.tensordot(grid, _RICH_DIRS[i], axes=([-1], [0]))
@@ -159,38 +185,56 @@ def _whole_grid_divergence_error(n):
     div = np.zeros(grid.shape[:-1] + (3,))
     for j in range(3):
         div += np.gradient(C[..., :, j], h, axis=j, edge_order=2)
-    return float(np.max(np.abs(div[2:-2, 2:-2, 2:-2])))
+    return div
 
 
-class TestCofactorDivergenceInterior:
-    """tensor_check builds the cofactor field one plane at a time and takes
-    the centred differences on the interior it reads: the errors must not
-    move."""
+def _nodes_near_the_17_grid(n):
+    """The nodes of the n-point grid on [-1, 1] within one step of an
+    interior node of the 17-point grid, that step, and where those interior
+    nodes sit among them.  ``np.gradient``'s interior difference at a node
+    reads its two neighbours alone, so on the mesh of these nodes it gives
+    the whole n^3 grid's residuals at the 17-point grid's nodes; for n = 17
+    the mesh is the whole grid."""
+    axis = np.linspace(-1.0, 1.0, n)
+    stride = (n - 1) // 16
+    centres = np.arange(stride, n - 1, stride)
+    near = np.unique(np.concatenate((centres - 1, centres, centres + 1)))
+    return axis[near], axis[1] - axis[0], np.searchsorted(near, centres)
 
-    def test_interior_equals_the_whole_grid(self, tensor_report):
-        whole = [_whole_grid_divergence_error(n) for n in (17, 33, 65)]
-        assert tensor_report["cofactor_divergence_errors"] == whole
+
+class TestStarResiduals:
+    """tensor_check differences its fields on stars around sampled centres;
+    on grid nodes the residuals are those of ``np.gradient`` on the whole
+    grid, bit for bit."""
+
+    def test_grid_nodes_equal_the_whole_grid(self):
+        interior = np.linspace(-1.0, 1.0, 17)[1:-1]
+        centres = np.stack(np.meshgrid(interior, interior, interior,
+                                       indexing="ij"), axis=-1).reshape(-1, 3)
+        rungs = [(n, pipeline._cofactor_divergence_residuals,
+                  _whole_grid_divergence_residuals) for n in (17, 33, 65)]
+        rungs += [(n, lambda p, h: pipeline._force_identity_residuals(
+                       p, h, PhysicsParams()), _whole_grid_force_residuals)
+                  for n in (33, 65, 129)]
+        for n, stars, whole in rungs:
+            x, h, at = _nodes_near_the_17_grid(n)
+            expected = whole(x, h)[np.ix_(at, at, at)].reshape(-1, 3)
+            assert np.array_equal(stars(centres, h), expected), n
 
 
 class TestForceIdentityPlanes:
-    """tensor_check evaluates the force-identity grids one plane at a time,
-    over a sliding window of three planes: the residuals must not move, and
-    the memory must not come back."""
-
-    def test_planes_equal_the_whole_grid(self, tensor_report):
-        whole = [_whole_grid_force_error(n) for n in (33, 65)]
-        assert tensor_report["force_identity_errors"][:2] == whole
+    """The force identity once held whole 129^3 grids (about 570 MB traced)
+    and then a window of three planes (8 MB); its difference stars must keep
+    the suite small."""
 
     def test_traced_peak_memory(self):
-        # 3x3 fields built on the whole 129^3 grid (2.1 M points) trace
-        # about 570 MB; three planes at a time, about 8 MB
         tracemalloc.start()
         try:
             tensor_check(0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 40e6
+        assert peak <= 8e6
 
 
 class TestCriterion5DynamicsResiduals:

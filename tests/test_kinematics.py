@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qflow.errors import ValidationError
-from qflow.kinematics import (cofactor_matrix, hyper_cofactor, internal_energy,
-                              jacobian, levi_civita, quantum_potential,
-                              stress_eulerian, stress_lagrangian)
+from qflow.kinematics import (cofactor_matrix, hyper_cofactor, jacobian,
+                              levi_civita, quantum_potential, stress_eulerian,
+                              stress_lagrangian)
 import qflow.kinematics as kinematics
 from qflow.pipeline import (_ORACLE_POINTS, _chain_rule_stress, _gauss3,
                             _smooth_rho3, _synthetic_map)
@@ -186,7 +186,7 @@ class TestCofactor:
         assert cofactor_matrix(g) == pytest.approx(adj.T)
 
     def test_component_major_layout_kept(self):
-        # tensor_check's divergence grids read each C[..., i, l] as one plane
+        # a component-major gradient gives a component-major C, same bits
         g = np.moveaxis(np.random.default_rng(9).normal(size=(3, 3, 4, 5, 6)),
                         (0, 1), (-2, -1))
         C = cofactor_matrix(g)
@@ -435,32 +435,3 @@ class TestQuantumPotential:
             grad = np.array([[d1[0], 0, 0]])
             vq, _ = quantum_potential(rho, grad, np.array([d2[0]]), 1.0, 1.0)
             assert vq[0] == pytest.approx(expected, abs=1e-12)
-
-
-class TestInternalEnergy:
-    def test_uniform(self):
-        u, valid = internal_energy(3.0, np.zeros(3), 1.0, 1.0)
-        assert u == 0.0 and valid
-
-    def test_gaussian_value(self):
-        rho, d1, _ = _gaussian_1d_derivs(np.array([1.0]))
-        u, _ = internal_energy(rho, np.array([[d1[0], 0, 0]]), 1.0, 1.0)
-        assert u[0] == pytest.approx(0.125, abs=1e-12)
-
-    def test_product_density_splits(self):
-        # rho = rho1(x1) rho2(x2) rho3(x3): the log-gradient form sums the
-        # three one-dimensional contributions
-        rng = np.random.default_rng(6)
-        pts = rng.uniform(-1, 1, (5, 3))
-        sigmas = np.array([1.0, 0.7, 1.4])
-        rho_i = (2 * np.pi * sigmas**2) ** -0.5 * np.exp(-pts**2 / (2 * sigmas**2))
-        rho = np.prod(rho_i, axis=1)
-        grad = rho[:, None] * (-pts / sigmas**2)
-        total, _ = internal_energy(rho, grad, 1.0, 1.0)
-        parts = np.zeros(len(pts))
-        for k in range(3):
-            gk = np.zeros((len(pts), 3))
-            gk[:, k] = rho_i[:, k] * (-pts[:, k] / sigmas[k] ** 2)
-            uk, _ = internal_energy(rho_i[:, k], gk, 1.0, 1.0)
-            parts += uk
-        assert np.max(np.abs(total - parts)) <= 1e-12
