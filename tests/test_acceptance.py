@@ -202,30 +202,43 @@ def _nodes_near_the_17_grid(n):
     return axis[near], axis[1] - axis[0], np.searchsorted(near, centres)
 
 
-class TestStarResiduals:
-    """tensor_check differences its fields on stars around sampled centres;
-    on grid nodes the residuals are those of ``np.gradient`` on the whole
-    grid, bit for bit."""
+def _grid_centres():
+    """The 15^3 interior nodes of the 17-point grid on [-1, 1]."""
+    interior = np.linspace(-1.0, 1.0, 17)[1:-1]
+    return np.stack(np.meshgrid(interior, interior, interior,
+                                indexing="ij"), axis=-1).reshape(-1, 3)
 
-    def test_grid_nodes_equal_the_whole_grid(self):
-        interior = np.linspace(-1.0, 1.0, 17)[1:-1]
-        centres = np.stack(np.meshgrid(interior, interior, interior,
-                                       indexing="ij"), axis=-1).reshape(-1, 3)
-        rungs = [(n, pipeline._cofactor_divergence_residuals,
-                  _whole_grid_divergence_residuals) for n in (17, 33, 65)]
-        rungs += [(n, lambda p, h: pipeline._force_identity_residuals(
-                       p, h, PhysicsParams()), _whole_grid_force_residuals)
-                  for n in (33, 65, 129)]
-        for n, stars, whole in rungs:
-            x, h, at = _nodes_near_the_17_grid(n)
-            expected = whole(x, h)[np.ix_(at, at, at)].reshape(-1, 3)
-            assert np.array_equal(stars(centres, h), expected), n
+
+def _assert_stars_equal_the_whole_grid(stars, whole, sizes):
+    centres = _grid_centres()
+    for n in sizes:
+        x, h, at = _nodes_near_the_17_grid(n)
+        expected = whole(x, h)[np.ix_(at, at, at)].reshape(-1, 3)
+        assert np.array_equal(stars(centres, h), expected), n
+
+
+class TestCofactorDivergenceInterior:
+    """tensor_check differences the cofactor field on stars around sampled
+    centres; on grid nodes the residuals are those of ``np.gradient`` on the
+    whole grid, bit for bit."""
+
+    def test_interior_equals_the_whole_grid(self):
+        _assert_stars_equal_the_whole_grid(
+            pipeline._cofactor_divergence_residuals,
+            _whole_grid_divergence_residuals, (17, 33, 65))
 
 
 class TestForceIdentityPlanes:
     """The force identity once held whole 129^3 grids (about 570 MB traced)
-    and then a window of three planes (8 MB); its difference stars must keep
-    the suite small."""
+    and then a window of three planes (8 MB).  Its difference stars must give
+    the whole grid's residuals on grid nodes, bit for bit, and keep the suite
+    small."""
+
+    def test_planes_equal_the_whole_grid(self):
+        _assert_stars_equal_the_whole_grid(
+            lambda p, h: pipeline._force_identity_residuals(
+                p, h, PhysicsParams()),
+            _whole_grid_force_residuals, (33, 65, 129))
 
     def test_traced_peak_memory(self):
         tracemalloc.start()
