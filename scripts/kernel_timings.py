@@ -17,15 +17,16 @@ Prints the best-of-``--repeats`` time per call, in microseconds, of
   the default config divided by its 4 x steps evaluations (snapshots and
   their energy checks included);
 * one particle-method right-hand side (``qtm._qtm_rhs``: the x-derivatives
-  of ``S`` and ``c`` and the transport terms) on the default seeded
+  of ``c`` and ``S`` and the transport terms) on the default seeded
   particle grid (``qtm.n_particles``, 201 by default), written into a
   preallocated ``(3, n)`` block (``out=``) as ``qtm_evolve`` calls it;
-* the derivative step alone (``qtm._x_derivatives``: three 1-D calls of
-  the bound (1, 2) stencil on the particle index, for ``x``, ``S`` and
-  ``c``, then the chain rule, in a preallocated workspace) at the final
-  state of a ``qtm_evolve`` run of the default particle config to
-  ``--t-final``, past the uniform seeded grid; a traced run files it under
-  ``qtm.qtm_evolve``, so this is the number the tracer cannot split out;
+* the derivative step alone (``qtm._x_derivatives``: one pass of the
+  (1, 2) stencil on the particle index over the state block of ``x``,
+  ``c`` and ``S``, then the chain rule, in the preallocated ``(2, 3, n)``
+  workspace) at the final state of a ``qtm_evolve`` run of the default
+  particle config to ``--t-final``, past the uniform seeded grid; a
+  traced run files it under ``qtm.qtm_evolve``, so this is the number the
+  tracer cannot split out;
 * one particle step: the wall time of that ``qtm_evolve`` run (four
   right-hand sides per step, snapshots included) divided by its steps;
 * one ``reconstruct_wavefunction`` of the final snapshot of that ``evolve``
@@ -68,9 +69,8 @@ from qflow.lagrangian import (ModeProjector, _kinematics, _LabelData,
 from qflow.model import FreePotential, plan_steps
 from qflow.pipeline import (_ORACLE_POINTS, _chain_rule_stress,
                             _truncated_gaussian_state, tensor_check)
-from qflow.qtm import _qtm_rhs, _x_derivatives, qtm_evolve
+from qflow.qtm import _IndexDerivatives, _qtm_rhs, _x_derivatives, qtm_evolve
 from qflow.reconstruction import reconstruct_wavefunction
-from qflow.stencils import Stencil
 
 
 def best_us(fn, calls: int, repeats: int) -> float:
@@ -159,14 +159,15 @@ def main():
     particles = _truncated_gaussian_state(settings["state.sigma0"], params,
                                           settings.qtm_labels(),
                                           boost_k=settings["state.boost_k"])
-    seeded = (particles.labels, np.log(particles.rho0), particles.s0)
+    seeded = np.stack((particles.labels, np.log(particles.rho0), particles.s0))
     # qtm.t_final is unset, so the particle run stops at solver.t_final too
     qtm_config = settings.qtm_config()
     qtm_steps, _ = plan_steps(qtm_config.t_final, qtm_config.auto_dt(
         float(np.min(np.diff(particles.labels))), params))
-    # the particle solver's stencil and workspaces, as qtm_evolve binds them
-    index_stencil = Stencil(particles.n, 1.0, (1, 2))
-    index_d, rhs_out = np.empty((3, 2, particles.n)), np.empty((3, particles.n))
+    # the particle solver's derivative pass and workspaces, as qtm_evolve
+    # binds them
+    index_pass = _IndexDerivatives(particles.n)
+    index_d, rhs_out = np.empty((2, 3, particles.n)), np.empty((3, particles.n))
 
     n_steps, _ = plan_steps(config.t_final, config.auto_dt(data.h, params))
     startup_us, loaded = startup(args.repeats)
@@ -175,6 +176,7 @@ def main():
     qtm_s = best_us(lambda: qtm_evolve(particles, params, qtm_config), 1,
                     args.repeats) / 1e6
     moved = qtm_evolve(particles, params, qtm_config).snapshots[-1]
+    moved_u = np.stack((moved.x, moved.log_rho, moved.S))
     x_grid = settings.x_grid()
     suite_repeats = max(1, args.repeats // 2)
     oracle_us = best_us(lambda: [_chain_rule_stress(pt, params)
@@ -193,11 +195,10 @@ def main():
          best_us(lambda: force(force_in, out=modes), args.calls, args.repeats)),
         (f"RHS evaluation (evolve / {4 * n_steps})", evolve_s / (4 * n_steps) * 1e6),
         (f"QTM RHS ({particles.n} particles)",
-         best_us(lambda: _qtm_rhs(params, index_stencil, index_d, *seeded,
+         best_us(lambda: _qtm_rhs(params, index_pass, index_d, seeded,
                                   out=rhs_out), args.calls, args.repeats)),
         (f"QTM derivatives ({moved.x.size} particles)",
-         best_us(lambda: _x_derivatives(index_stencil, index_d, moved.x, moved.S,
-                                        moved.log_rho, rhs_out[:2]),
+         best_us(lambda: _x_derivatives(index_pass, index_d, moved_u, rhs_out[:2]),
                  args.calls, args.repeats)),
         (f"QTM step (run-qtm / {qtm_steps} steps)", qtm_s / qtm_steps * 1e6),
         (f"reconstruct ({x_grid.size} x points)",

@@ -191,23 +191,33 @@ def compare_fields(fields_a, fields_b) -> dict:
 # tensor identity suite
 # ---------------------------------------------------------------------------
 
+_SYNTHETIC_EPS = 0.1
+
+
+def _synthetic_gradient(points):
+    """The deformation gradient of :func:`_synthetic_map` alone."""
+    a = np.asarray(points, dtype=float)
+    g = np.zeros(a.shape[:-1] + (3, 3))
+    for i in range(3):
+        j = (i + 1) % 3
+        g[..., i, i] += 1.0
+        g[..., i, j] += _SYNTHETIC_EPS * np.cos(a[..., j])
+    return g
+
+
 def _synthetic_map(points):
     """q_i = a_i + 0.1 sin(a_{i+1}); analytic derivative stacks."""
     a = np.asarray(points, dtype=float)
-    eps = 0.1
-    roll = a[..., [1, 2, 0]]
-    q = a + eps * np.sin(roll)
+    eps = _SYNTHETIC_EPS
+    q = a + eps * np.sin(a[..., [1, 2, 0]])
     n = a.shape[:-1]
-    g = np.zeros(n + (3, 3))
     second = np.zeros(n + (3, 3, 3))
     third = np.zeros(n + (3, 3, 3, 3))
     for i in range(3):
         j = (i + 1) % 3
-        g[..., i, i] += 1.0
-        g[..., i, j] += eps * np.cos(a[..., j])
         second[..., i, j, j] = -eps * np.sin(a[..., j])
         third[..., i, j, j, j] = -eps * np.cos(a[..., j])
-    return q, g, second, third
+    return q, _synthetic_gradient(a), second, third
 
 
 # a map with cross-coupled sine arguments: every cofactor entry depends on
@@ -230,10 +240,15 @@ def _rich_map_gradient(points):
 _SIGMAS3 = np.array([1.0, 1.3, 0.8])
 
 
+def _gauss3_density(a):
+    """The density of :func:`_gauss3` alone."""
+    return np.prod((2.0 * np.pi * _SIGMAS3**2) ** -0.5
+                   * np.exp(-(a / _SIGMAS3) ** 2 / 2.0), axis=-1)
+
+
 def _gauss3(points):
     a = np.asarray(points, dtype=float)
-    rho = np.prod((2.0 * np.pi * _SIGMAS3**2) ** -0.5
-                  * np.exp(-(a / _SIGMAS3) ** 2 / 2.0), axis=-1)
+    rho = _gauss3_density(a)
     grad = rho[..., None] * (-a / _SIGMAS3**2)
     eye = np.eye(3)
     hess = rho[..., None, None] * (
@@ -256,14 +271,12 @@ def _chain_rule_stress(point, params: PhysicsParams, h: float = 0.02):
     weights = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 
     def rho_of(a):
-        _, g, _, _ = _synthetic_map(a)
-        r, _, _ = _gauss3(a)
-        return r / jacobian(g)
+        return _gauss3_density(a) / jacobian(_synthetic_gradient(a))
 
     def d_space(f, a):
         """(d f / d q)(a) for a field given in label variables; for a
         3-vector f, row j is the spatial gradient of f[j]."""
-        _, g, _, _ = _synthetic_map(a)
+        g = _synthetic_gradient(a)
         J = jacobian(g)
         C = cofactor_matrix(g)
         # d f / d a_l by the five-point rule, one f call per stencil point

@@ -15,12 +15,12 @@ a, and the x-derivatives follow from a-derivatives by the chain rule,
 
     f_x = f_a / x_a,    f_xx = (f_aa - f_x x_aa) / x_a^2,
 
-with (f_a, f_aa) of x, S and c from one fourth-order (1, 2) stencil of unit
-spacing (a label spacing would cancel).  The wavefunction along each path
-follows from the initial value times an amplitude factor
-exp(-integral of div v / 2) and the phase integral of the Lagrangian
-density; the amplitude integral is accumulated by an independent
-trapezoid rule so the two density routes cross-check.
+with (f_a, f_aa) of x, c and S from the fourth-order (1, 2) stencil of unit
+spacing (a label spacing would cancel), taken in one pass over the state
+block.  The wavefunction along each path follows from the initial value
+times an amplitude factor exp(-integral of div v / 2) and the phase
+integral of the Lagrangian density; the amplitude integral is accumulated
+by an independent trapezoid rule so the two density routes cross-check.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 from .errors import NumericalInstability, TrajectoryCrossing, ValidationError
 from .model import (FreePotential, InitialState, PhysicsParams, _require_finite,
                     _rk4, plan_steps)
-from .stencils import Stencil, trapezoid_weights
+from .stencils import Stencil, _by_rank, trapezoid_weights
 
 
 @dataclass(frozen=True)
@@ -103,19 +103,61 @@ class QtmResult:
     div_integral: np.ndarray
 
 
-def _x_derivatives(stencil: Stencil, d, x, S, c, scratch):
-    """``(S_x, c_x)`` and ``(S_xx, c_xx)``, as two ``(2, n)`` views of the
-    ``(3, 2, n)`` workspace ``d``.
+class _IndexDerivatives:
+    """``(f_a, f_aa)`` of each row of a ``(3, n)`` block in one pass, with
+    the sums and bits of ``Stencil(n, 1.0, (1, 2))``, from whose CSR arrays
+    it is built (a grid too short for it is rejected).
 
-    ``stencil`` is the (1, 2) stencil on the particle index; it writes the
-    index derivatives of x, S and c into ``d``, and the chain rule turns the
-    rows of S and c into x-derivatives in place, using the ``(2, n)``
-    ``scratch``.
+    The block is read as one row of ``3n`` values: each centred weight
+    multiplies one flat slice, wrong only at the edge points, where a slice
+    straddles two rows; their 24 one-sided sums, taken rank by rank as
+    ``stencils._row_sums`` takes them, overwrite those.  Every sum adds its
+    entries in stored order from zero; with ``h = 1`` no division follows.
     """
-    for f, df in zip((x, S, c), d):
-        stencil(f, out=df)
-    inv_xa, x_aa = d[0]
-    first, second = d[1:, 0], d[1:, 1]
+
+    def __init__(self, n: int):
+        indptr, indices, data = Stencil(n, 1.0, (1, 2)).matrix()
+        # the centred weights of both orders (rows 2 and n + 2, the first
+        # centred row of each), one (2, 1) column per entry
+        self._centre = data[indptr[[2, n + 2], None] + np.arange(5)].T[..., None]
+        edges = [(r, f) for r in (0, 1, n - 2, n - 1, n, n + 1, 2 * n - 2, 2 * n - 1)
+                 for f in range(3)]
+        spans = [slice(indptr[r], indptr[r + 1]) for r, _ in edges]
+        order, self._ranks = _by_rank(
+            np.cumsum([0] + [s.stop - s.start for s in spans]),
+            np.concatenate([indices[s] + f * n for (_, f), s in zip(edges, spans)]),
+            np.concatenate([data[s] for s in spans]))
+        # each edge sum's place in the flat (2, 3, n) output, in rank order
+        self._at = np.array([r // n * 3 * n + f * n + r % n
+                             for r, f in edges])[order]
+
+    def __call__(self, u, out):
+        """``(f_a, f_aa)`` of the rows of ``u`` into ``out``, C-contiguous
+        ``(2, 3, n)``; quiet on non-finite input, like a compiled kernel."""
+        flat, acc = u.reshape(-1), out.reshape(2, -1)
+        inner, edge, m = acc[:, 2:-2], np.zeros(self._at.size), flat.size - 4
+        with np.errstate(all="ignore"):
+            inner.fill(0.0)
+            for k, w in enumerate(self._centre):
+                inner += w * flat[k:k + m]
+            for rows, cols, w in self._ranks:
+                edge[:rows] += w * flat[cols]
+        acc.reshape(-1)[self._at] = edge
+        return out
+
+
+def _x_derivatives(derivs: _IndexDerivatives, d, u, scratch):
+    """``(c_x, S_x)`` and ``(c_xx, S_xx)``, as two ``(2, n)`` views of the
+    ``(2, 3, n)`` workspace ``d``.
+
+    ``derivs`` writes the index derivatives of the rows (x, c, S) of ``u``
+    into ``d``, first derivatives then second, in one pass, and the chain
+    rule turns those of c and S into x-derivatives in place, using the
+    ``(2, n)`` ``scratch``.
+    """
+    derivs(u, d)
+    inv_xa, x_aa = d[:, 0]
+    first, second = d[0, 1:], d[1, 1:]
     np.reciprocal(inv_xa, out=inv_xa)
     first *= inv_xa                        # f_x = f_a / x_a
     # f_xx = (f_aa - f_x x_aa) / x_a^2
@@ -126,20 +168,21 @@ def _x_derivatives(stencil: Stencil, d, x, S, c, scratch):
     return first, second
 
 
-def _qtm_rhs(params: PhysicsParams, stencil: Stencil, d, x, c, S, out):
-    """(dx/dt, dc/dt, dS/dt) = (v, -dv/dx, L) at every particle, written
-    into the rows of ``out``, a ``(3, n)`` array; ``stencil`` and ``d`` are
-    those of :func:`_x_derivatives`."""
+def _qtm_rhs(params: PhysicsParams, derivs: _IndexDerivatives, d, u, out):
+    """(dx/dt, dc/dt, dS/dt) = (v, -dv/dx, L) at every particle of the state
+    rows (x, c, S) of ``u``, written into the rows of ``out``, a ``(3, n)``
+    array; ``derivs`` and ``d`` are those of :func:`_x_derivatives`."""
+    x = u[0]
     if (x[1:] <= x[:-1]).any():
         raise TrajectoryCrossing(int(np.argmin(np.diff(x))), np.nan,
                                  "particle ordering lost during a stage")
     # out's first rows are free until v and -v_x are written
-    first, second = _x_derivatives(stencil, d, x, S, c, out[:2])
+    (c_x, S_x), (c_xx, S_xx) = _x_derivatives(derivs, d, u, out[:2])
     v, minus_vx, ldens = out
     m = params.mass
-    np.divide(first[0], m, out=v)
-    np.divide(second[0], -m, out=minus_vx)
-    vq = params.quantum_potential(first[1], second[1])
+    np.divide(S_x, m, out=v)
+    np.divide(S_xx, -m, out=minus_vx)
+    vq = params.quantum_potential(c_x, c_xx)
     np.square(v, out=ldens)
     ldens *= 0.5 * m
     if not isinstance(params.potential, FreePotential):   # else V = 0
@@ -165,9 +208,9 @@ def qtm_evolve(init: InitialState, params: PhysicsParams,
         raise ValidationError("particle seeding requires strictly positive rho0")
     n = init.n
     # rejects a grid too short for the stencil
-    stencil = Stencil(n, 1.0, (1, 2))
+    derivs = _IndexDerivatives(n)
     # the run's workspace: the state rows (x, c, S) and their derivative
-    # k1; the gap and trapezoid buffers; the index derivatives of (x, S, c)
+    # k1; the gap and trapezoid buffers; the index derivatives of (x, c, S)
     z, k1 = np.empty((2, 3, n))
     x, c, S = z
     x[:] = init.labels
@@ -175,12 +218,12 @@ def qtm_evolve(init: InitialState, params: PhysicsParams,
     S[:] = init.s0
     gaps, x_hi, x_lo = np.empty(n - 1), x[1:], x[:-1]
     div_int, trap = np.zeros(n), np.empty(n)
-    d = np.empty((3, 2, n))
+    d = np.empty((2, 3, n))
 
     def rhs(u, t, out):
         """The driver's right-hand side on the rows (x, c, S) of ``u``; the
         particle equations do not read ``t``."""
-        _qtm_rhs(params, stencil, d, *u, out=out)
+        _qtm_rhs(params, derivs, d, u, out=out)
 
     n_steps, dt = plan_steps(config.t_final, config.auto_dt(
         float(np.min(np.diff(init.labels))), params))

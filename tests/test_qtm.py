@@ -63,10 +63,11 @@ def _allocating_qtm(init, params, config):
 
 
 def _rhs(params, x, c, S):
-    """``qtm._qtm_rhs`` with its own stencil, workspace and output block."""
+    """``qtm._qtm_rhs`` on the state block (x, c, S), with its own
+    derivative pass, workspace and output block."""
     n = x.size
-    return qtm._qtm_rhs(params, Stencil(n, 1.0, (1, 2)), np.empty((3, 2, n)),
-                        x, c, S, out=np.empty((3, n)))
+    return qtm._qtm_rhs(params, qtm._IndexDerivatives(n), np.empty((2, 3, n)),
+                        np.stack((x, c, S)), out=np.empty((3, n)))
 
 
 def _mapped_particles():
@@ -79,20 +80,51 @@ def _mapped_particles():
 
 
 class TestLabelDerivatives:
-    def test_three_stencil_calls_per_rhs(self):
-        # x, S and c each take one 1-D call of the bound stencil, written
-        # into the workspace (out=), not one call on stacked columns
+    def test_one_derivative_pass_per_rhs(self, monkeypatch):
+        # x, c and S are differentiated together: one pass reads the state
+        # block as it stands and writes the (2, 3, n) workspace; no stencil
+        # is applied
         n = 201
         calls = []
 
-        class Recording(Stencil):
-            def __call__(self, f, out=None):
-                calls.append((f.shape, out is not None))
-                return super().__call__(f, out=out)
+        class Recording(qtm._IndexDerivatives):
+            def __call__(self, u, out):
+                calls.append((u, out))
+                return super().__call__(u, out)
 
-        qtm._qtm_rhs(PARAMS, Recording(n, 1.0, (1, 2)), np.empty((3, 2, n)),
-                     *_mapped_particles(), out=np.empty((3, n)))
-        assert calls == [((n,), True)] * 3
+        def no_call(*args, **kwargs):
+            raise AssertionError("a Stencil was applied")
+
+        monkeypatch.setattr(Stencil, "__call__", no_call)
+        u, d = np.stack(_mapped_particles()), np.empty((2, 3, n))
+        qtm._qtm_rhs(PARAMS, Recording(n), d, u, out=np.empty((3, n)))
+        assert len(calls) == 1
+        assert calls[0][0] is u and calls[0][1] is d
+
+    @pytest.mark.parametrize("n", [6, 7, 41, 201, 801])
+    def test_pass_matches_the_stencil_on_each_row(self, n):
+        # the sums and bits of Stencil(n, 1.0, (1, 2)) on x, c and S; a row
+        # at rest (zeros of either sign: a sum that started from its first
+        # product could end on -0) keeps the stencil's zero signs, and inf
+        # and NaN entries give a non-finite output exactly where the
+        # stencil's is, without a warning (pytest raises warnings as errors;
+        # two adjacent infs meet weights of both signs, inf - inf)
+        D, derivs = Stencil(n, 1.0, (1, 2)), qtm._IndexDerivatives(n)
+        rng = np.random.default_rng(n)
+        u = rng.normal(size=(3, n)) * np.array([[1.0], [1e-3], [1e4]])
+        u[2] = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+        out = derivs(u, np.empty((2, 3, n)))
+        for f in range(3):
+            assert np.array_equal(out[:, f], D(u[f]))
+            assert np.array_equal(np.signbit(out[:, f]), np.signbit(D(u[f])))
+        assert not np.signbit(out[:, 2]).any()
+        u[0, n // 2:n // 2 + 2], u[1, 1], u[2, n - 1] = np.inf, np.nan, -np.inf
+        out = derivs(u, out)
+        for f in range(3):
+            want = D(u[f])
+            assert not np.isfinite(want).all()
+            assert np.array_equal(np.isfinite(out[:, f]), np.isfinite(want))
+            assert np.array_equal(out[:, f], want, equal_nan=True)
 
     @pytest.mark.parametrize("case", ["free", "harmonic", "tabulated"])
     def test_rhs_matches_reference_kernel(self, case):
@@ -234,7 +266,7 @@ class TestQtmEvolve:
 
     def test_four_rhs_fits_per_step(self, monkeypatch):
         rhs = qtm._qtm_rhs
-        calls, stencils, derivatives = [], [], []
+        calls, stencils, passes, applied = [], [], [], []
 
         def counting(*args, **kwargs):
             calls.append(1)
@@ -246,19 +278,27 @@ class TestQtmEvolve:
                 super().__init__(*args)
 
             def __call__(self, f, out=None):
-                derivatives.append(1)
+                applied.append(1)
                 return super().__call__(f, out=out)
+
+        class CountingPass(qtm._IndexDerivatives):
+            def __call__(self, u, out):
+                passes.append(1)
+                return super().__call__(u, out)
 
         monkeypatch.setattr(qtm, "_qtm_rhs", counting)
         monkeypatch.setattr(qtm, "Stencil", Counting)
+        monkeypatch.setattr(qtm, "_IndexDerivatives", CountingPass)
         init = _truncated_gaussian_state(1.0, PARAMS, np.linspace(-5, 5, 101))
         qtm_evolve(init, PARAMS, QtmConfig(t_final=0.2, dt=0.005))
         # one start-up evaluation, then k2, k3, k4 and the end-of-step
-        # evaluation that doubles as the next step's k1; each one applies
-        # the run's one (1, 2) stencil on unit spacing to x, S and c
+        # evaluation that doubles as the next step's k1; each one takes one
+        # derivative pass, built once per run from the (1, 2) stencil on
+        # unit spacing, which is never applied itself
         assert len(calls) == 1 + 4 * 40
         assert stencils == [(101, 1.0, (1, 2))]
-        assert len(derivatives) == 3 * len(calls)
+        assert len(passes) == len(calls)
+        assert applied == []
 
     @pytest.mark.parametrize("case", ["free", "harmonic", "tabulated"])
     def test_workspace_loop_matches_allocating_loop_bit_for_bit(self, case):
