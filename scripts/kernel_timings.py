@@ -3,6 +3,10 @@
 
 Prints the best-of-``--repeats`` time per call, in microseconds, of
 
+* one stacked (1, 2, 3) stencil call on the labels, the 1-D input that
+  ``derivative`` and the snapshot kinematics pass the stencil;
+* the ``K3`` build (``_modal_basis``): one (1, 2, 3) stencil call on the
+  rows of the modal basis's transpose, once per ``evolve`` run;
 * the kinematics product ``K3 @ z`` that gives the stacked (J, J', J'')
   from the modal state z = (1, t, c), written into a preallocated buffer
   (``out=``) as ``evolve``'s right-hand side writes it;
@@ -20,8 +24,8 @@ Prints the best-of-``--repeats`` time per call, in microseconds, of
   of ``c`` and ``S`` and the transport terms) on the default seeded
   particle grid (``qtm.n_particles``, 201 by default), written into a
   preallocated ``(3, n)`` block (``out=``) as ``qtm_evolve`` calls it;
-* the derivative step alone (``qtm._x_derivatives``: one pass of the
-  (1, 2) stencil on the particle index over the state block of ``x``,
+* the derivative step alone (``qtm._x_derivatives``: one call of the
+  (1, 2) stencil on the particle index on the state block of ``x``,
   ``c`` and ``S``, then the chain rule, in the preallocated ``(2, 3, n)``
   workspace) at the final state of a ``qtm_evolve`` run of the default
   particle config to ``--t-final``, past the uniform seeded grid; a
@@ -69,8 +73,9 @@ from qflow.lagrangian import (ModeProjector, _kinematics, _LabelData,
 from qflow.model import FreePotential, plan_steps
 from qflow.pipeline import (_ORACLE_POINTS, _chain_rule_stress,
                             _truncated_gaussian_state, tensor_check)
-from qflow.qtm import _IndexDerivatives, _qtm_rhs, _x_derivatives, qtm_evolve
+from qflow.qtm import _qtm_rhs, _x_derivatives, qtm_evolve
 from qflow.reconstruction import reconstruct_wavefunction
+from qflow.stencils import Stencil
 
 
 def best_us(fn, calls: int, repeats: int) -> float:
@@ -141,8 +146,8 @@ def main():
     project = ModeProjector(init.labels, init.rho0, degree)
     free = isinstance(params.potential, FreePotential)
     force = _projected_force(data, params, project, g_only=free)
-    _, K3 = _modal_basis(data, init.labels, initial_velocity(init, params),
-                         project.lift)
+    qdot0 = initial_velocity(init, params)
+    _, K3 = _modal_basis(data, init.labels, qdot0, project.lift)
 
     # a non-affine map, so the force inputs are not trivially zero, and the
     # modal state z = (1, 0, c) of its projection
@@ -164,9 +169,8 @@ def main():
     qtm_config = settings.qtm_config()
     qtm_steps, _ = plan_steps(qtm_config.t_final, qtm_config.auto_dt(
         float(np.min(np.diff(particles.labels))), params))
-    # the particle solver's derivative pass and workspaces, as qtm_evolve
-    # binds them
-    index_pass = _IndexDerivatives(particles.n)
+    # the particle solver's stencil and workspaces, as qtm_evolve binds them
+    index_pass = Stencil(particles.n, 1.0, (1, 2))
     index_d, rhs_out = np.empty((2, 3, particles.n)), np.empty((3, particles.n))
 
     n_steps, _ = plan_steps(config.t_final, config.auto_dt(data.h, params))
@@ -187,6 +191,11 @@ def main():
     print(f"{n} labels, projection degree {degree}; best of {args.repeats}")
     print(f"{'kernel':<34} {'us/call':>10}")
     rows = [
+        (f"stencil (1, 2, 3) on {n} labels",
+         best_us(lambda: data.d123(q), args.calls, args.repeats)),
+        (f"K3 build ({3 * n} x {degree + 3})",
+         best_us(lambda: _modal_basis(data, init.labels, qdot0, project.lift),
+                 max(1, args.calls // 10), args.repeats)),
         (f"kinematics product (K3 {3 * n} x {degree + 3})",
          best_us(lambda: np.dot(K3, z, out=D), args.calls, args.repeats)),
         ("log-density kernel (c_a, c_xx)",

@@ -86,51 +86,22 @@ def stress_eulerian(rho, grad_rho, hess_rho, hbar: float, mass: float):
     rho, valid = _floor_mask(rho, RHO_FLOOR_REL)
     grad = np.asarray(grad_rho, dtype=float)
     hess = np.asarray(hess_rho, dtype=float)
-    floored = not valid.all()
-    safe = np.where(valid, rho, 1.0) if floored else rho
-    scale = hbar**2 / (4.0 * mass)
-    # built in one component-major buffer, one contiguous entry at a time;
-    # grad_i grad_j / rho is formed once for the pair (i, j), (j, i)
-    lead = np.broadcast_shapes(grad.shape[:-1], rho.shape, hess.shape[:-2])
-    sigma = np.moveaxis(np.empty((3, 3) + lead), (0, 1), (-2, -1))
-    for i in range(3):
-        for j in range(i, 3):
-            s_ij, s_ji = sigma[..., i, j], sigma[..., j, i]
-            np.multiply(grad[..., i], grad[..., j], out=s_ij)
-            np.divide(s_ij, safe, out=s_ij)
-            if j != i:
-                np.subtract(s_ij, hess[..., j, i], out=s_ji)
-                np.multiply(s_ji, scale, out=s_ji)
-            np.subtract(s_ij, hess[..., i, j], out=s_ij)
-            np.multiply(s_ij, scale, out=s_ij)
-    if floored:
-        np.copyto(sigma, 0.0, where=~valid[..., None, None])
+    safe = np.where(valid, rho, 1.0)
+    outer = grad[..., :, None] * grad[..., None, :]
+    sigma = (hbar**2 / (4.0 * mass)) * (outer / safe[..., None, None] - hess)
+    np.copyto(sigma, 0.0, where=~valid[..., None, None])
     return sigma, valid
 
 
 def quantum_potential(rho, grad_rho, laplacian_rho, hbar: float, mass: float):
-    """V_Q = (hbar^2 / 4 m rho) [ |grad rho|^2 / (2 rho) - laplacian rho ]."""
+    """V_Q = (hbar^2 / 4 m rho) [ |grad rho|^2 / (2 rho) - laplacian rho ];
+    zeroed, and flagged invalid, where rho is at the floor."""
     rho, valid = _floor_mask(rho, RHO_FLOOR_REL)
     grad = np.asarray(grad_rho, dtype=float)
-    lap = np.asarray(laplacian_rho, dtype=float)
-    floored = not valid.all()
-    safe = np.where(valid, rho, 1.0) if floored else rho
-    lead = np.broadcast_shapes(grad.shape[:-1], rho.shape, lap.shape)
-    # |grad rho|^2 as three component products added left to right, the
-    # order of np.sum over the component axis
-    vq = np.multiply(grad[..., 0], grad[..., 0], out=np.empty(lead))
-    component = np.empty(grad.shape[:-1])
-    for k in (1, 2):
-        np.multiply(grad[..., k], grad[..., k], out=component)
-        vq += component
-    vq *= 0.5
-    vq /= safe
-    vq -= lap
-    vq *= hbar**2 / (4.0 * mass)
-    vq /= safe
-    if floored:
-        np.copyto(vq, 0.0, where=~valid)
-    return vq, valid
+    safe = np.where(valid, rho, 1.0)
+    g2 = np.sum(grad * grad, axis=-1)
+    vq = (hbar**2 / (4.0 * mass)) * (0.5 * g2 / safe - laplacian_rho) / safe
+    return np.where(valid, vq, 0.0), valid
 
 
 def stress_lagrangian(g, second, third, rho0, drho0, d2rho0,

@@ -82,9 +82,9 @@ runs RK4 on y = (c, e, chi[i0]), 2r + 1 values (51 at the default degree
 24) instead of 2n + 1.  With z = (1, t, c), q is ``basis @ z`` and the
 stacked (J, J', J'') is ``K3 @ z``, both matrices built once per run
 (``_modal_basis``), ``K3`` by one call of the bound (1, 2, 3) stencil on
-``basis``.  A right-hand side is thus one dense ``K3`` product, the
-log-density arithmetic and one call of the composed projector, and no
-stencil call; q itself is formed only where labels are needed: the
+the rows of ``basis.T``.  A right-hand side is thus one dense ``K3``
+product, the log-density arithmetic and one call of the composed
+projector, and no stencil call; q itself is formed only where labels are needed: the
 potential, the per-step crossing check and the snapshots.
 
 Workspace.  Python and numpy call overhead, not arithmetic, sets the cost
@@ -341,13 +341,14 @@ def _modal_basis(data: _LabelData, labels, qdot0, lift):
     """``(basis, K3)``, the labels' kinematics as linear maps of the modal
     state: with z = (1, t, c), ``q = a + t qdot0 + lift @ c`` is
     ``basis @ z`` and the stacked (J, J', J'') is ``K3 @ z``, ``K3`` the
-    product of the run's (1, 2, 3) stencil with ``basis``.  Both are in
-    Fortran order, the faster layout for their matrix-vector products (at
-    401 labels and 25 modes, single-threaded on a shared 2-core Xeon:
-    5.4-5.6 against 6.8-7.5 us for ``K3``, 2.1 against 2.5-2.9 us for
-    ``basis``)."""
+    product of the run's (1, 2, 3) stencil with ``basis``, one call on the
+    rows of ``basis.T``.  Both are in Fortran order, the faster layout for
+    their matrix-vector products (at 401 labels and 25 modes,
+    single-threaded on a shared 2-core Xeon: 5.4-5.6 against 6.8-7.5 us
+    for ``K3``, 2.1 against 2.5-2.9 us for ``basis``)."""
     basis = np.asfortranarray(np.column_stack((labels, qdot0, lift)))
-    return basis, np.asfortranarray(data.d123(basis).reshape(3 * labels.size, -1))
+    d = data.d123(basis.T)
+    return basis, d.transpose(1, 0, 2).reshape(basis.shape[1], -1).T
 
 
 def acceleration_direct(traj: TrajectoryState, init: InitialState,

@@ -441,25 +441,16 @@ def _smooth_rho3(x1, x2, x3):
     x1, x2, x3 = (np.asarray(x, dtype=float) for x in (x1, x2, x3))
     s1, c1, s2, c2 = np.sin(x1), np.cos(x1), np.sin(x2), np.cos(x2)
     sc = 0.2 * s1 * c2
-    g = -x1**2 / 2 - x2**2 / 3 - x3**2 / 4 + sc
-    gg = (-x1 + 0.2 * c1 * c2, -2.0 * x2 / 3 - 0.2 * s1 * s2, -x3 / 2)
-    rho = np.exp(g)
-    hess_g = {(0, 0): -1.0 - sc, (1, 1): -2.0 / 3 - sc, (2, 2): -0.5,
-              (0, 1): -0.2 * c1 * s2}
-    # component-major buffers: each entry below is one contiguous write
-    grad = np.moveaxis(np.empty((3,) + rho.shape), 0, -1)
-    hess = np.moveaxis(np.empty((3, 3) + rho.shape), (0, 1), (-2, -1))
-    # hess = rho (grad g grad g^T + hess g), one symmetric pair of entries at
-    # a time; the zero entries of hess g are added too, which keeps the
-    # signed zeros of the full-array sum
-    for i in range(3):
-        np.multiply(gg[i], rho, out=grad[..., i])
-        for j in range(i, 3):
-            entry = gg[i] * gg[j]
-            entry += hess_g.get((i, j), 0.0)
-            np.multiply(entry, rho, out=hess[..., i, j])
-            hess[..., j, i] = hess[..., i, j]
-    return rho, grad, hess
+    rho = np.exp(-x1**2 / 2 - x2**2 / 3 - x3**2 / 4 + sc)
+    gg = np.stack(np.broadcast_arrays(-x1 + 0.2 * c1 * c2,
+                                      -2.0 * x2 / 3 - 0.2 * s1 * s2, -x3 / 2), axis=-1)
+    hess_g = np.zeros(rho.shape + (3, 3))
+    hess_g[..., 0, 0], hess_g[..., 1, 1] = -1.0 - sc, -2.0 / 3 - sc
+    hess_g[..., 2, 2] = -0.5
+    hess_g[..., 0, 1] = hess_g[..., 1, 0] = -0.2 * c1 * s2
+    # hess = rho (grad g grad g^T + hess g)
+    hess = rho[..., None, None] * (gg[..., :, None] * gg[..., None, :] + hess_g)
+    return rho, gg * rho[..., None], hess
 
 
 # ---------------------------------------------------------------------------

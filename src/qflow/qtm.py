@@ -16,7 +16,7 @@ a, and the x-derivatives follow from a-derivatives by the chain rule,
     f_x = f_a / x_a,    f_xx = (f_aa - f_x x_aa) / x_a^2,
 
 with (f_a, f_aa) of x, c and S from the fourth-order (1, 2) stencil of unit
-spacing (a label spacing would cancel), taken in one pass over the state
+spacing (a label spacing would cancel), one call on the (3, n) state
 block.  The wavefunction along each path follows from the initial value
 times an amplitude factor exp(-integral of div v / 2) and the phase
 integral of the Lagrangian density; the amplitude integral is accumulated
@@ -33,7 +33,7 @@ import numpy as np
 from .errors import NumericalInstability, TrajectoryCrossing, ValidationError
 from .model import (FreePotential, InitialState, PhysicsParams, _require_finite,
                     _rk4, plan_steps)
-from .stencils import Stencil, _by_rank, trapezoid_weights
+from .stencils import Stencil, trapezoid_weights
 
 
 @dataclass(frozen=True)
@@ -103,59 +103,17 @@ class QtmResult:
     div_integral: np.ndarray
 
 
-class _IndexDerivatives:
-    """``(f_a, f_aa)`` of each row of a ``(3, n)`` block in one pass, with
-    the sums and bits of ``Stencil(n, 1.0, (1, 2))``, from whose CSR arrays
-    it is built (a grid too short for it is rejected).
-
-    The block is read as one row of ``3n`` values: each centred weight
-    multiplies one flat slice, wrong only at the edge points, where a slice
-    straddles two rows; their 24 one-sided sums, taken rank by rank as
-    ``stencils._row_sums`` takes them, overwrite those.  Every sum adds its
-    entries in stored order from zero; with ``h = 1`` no division follows.
-    """
-
-    def __init__(self, n: int):
-        indptr, indices, data = Stencil(n, 1.0, (1, 2)).matrix()
-        # the centred weights of both orders (rows 2 and n + 2, the first
-        # centred row of each), one (2, 1) column per entry
-        self._centre = data[indptr[[2, n + 2], None] + np.arange(5)].T[..., None]
-        edges = [(r, f) for r in (0, 1, n - 2, n - 1, n, n + 1, 2 * n - 2, 2 * n - 1)
-                 for f in range(3)]
-        spans = [slice(indptr[r], indptr[r + 1]) for r, _ in edges]
-        order, self._ranks = _by_rank(
-            np.cumsum([0] + [s.stop - s.start for s in spans]),
-            np.concatenate([indices[s] + f * n for (_, f), s in zip(edges, spans)]),
-            np.concatenate([data[s] for s in spans]))
-        # each edge sum's place in the flat (2, 3, n) output, in rank order
-        self._at = np.array([r // n * 3 * n + f * n + r % n
-                             for r, f in edges])[order]
-
-    def __call__(self, u, out):
-        """``(f_a, f_aa)`` of the rows of ``u`` into ``out``, C-contiguous
-        ``(2, 3, n)``; quiet on non-finite input, like a compiled kernel."""
-        flat, acc = u.reshape(-1), out.reshape(2, -1)
-        inner, edge, m = acc[:, 2:-2], np.zeros(self._at.size), flat.size - 4
-        with np.errstate(all="ignore"):
-            inner.fill(0.0)
-            for k, w in enumerate(self._centre):
-                inner += w * flat[k:k + m]
-            for rows, cols, w in self._ranks:
-                edge[:rows] += w * flat[cols]
-        acc.reshape(-1)[self._at] = edge
-        return out
-
-
-def _x_derivatives(derivs: _IndexDerivatives, d, u, scratch):
+def _x_derivatives(derivs: Stencil, d, u, scratch):
     """``(c_x, S_x)`` and ``(c_xx, S_xx)``, as two ``(2, n)`` views of the
     ``(2, 3, n)`` workspace ``d``.
 
-    ``derivs`` writes the index derivatives of the rows (x, c, S) of ``u``
-    into ``d``, first derivatives then second, in one pass, and the chain
-    rule turns those of c and S into x-derivatives in place, using the
-    ``(2, n)`` ``scratch``.
+    ``derivs``, the (1, 2) stencil on unit spacing, writes the index
+    derivatives of the rows (x, c, S) of ``u`` into ``d``, first
+    derivatives then second, in one call, and the chain rule turns those
+    of c and S into x-derivatives in place, using the ``(2, n)``
+    ``scratch``.
     """
-    derivs(u, d)
+    derivs(u, out=d)
     inv_xa, x_aa = d[:, 0]
     first, second = d[0, 1:], d[1, 1:]
     np.reciprocal(inv_xa, out=inv_xa)
@@ -168,7 +126,7 @@ def _x_derivatives(derivs: _IndexDerivatives, d, u, scratch):
     return first, second
 
 
-def _qtm_rhs(params: PhysicsParams, derivs: _IndexDerivatives, d, u, out):
+def _qtm_rhs(params: PhysicsParams, derivs: Stencil, d, u, out):
     """(dx/dt, dc/dt, dS/dt) = (v, -dv/dx, L) at every particle of the state
     rows (x, c, S) of ``u``, written into the rows of ``out``, a ``(3, n)``
     array; ``derivs`` and ``d`` are those of :func:`_x_derivatives`."""
@@ -208,7 +166,7 @@ def qtm_evolve(init: InitialState, params: PhysicsParams,
         raise ValidationError("particle seeding requires strictly positive rho0")
     n = init.n
     # rejects a grid too short for the stencil
-    derivs = _IndexDerivatives(n)
+    derivs = Stencil(n, 1.0, (1, 2))
     # the run's workspace: the state rows (x, c, S) and their derivative
     # k1; the gap and trapezoid buffers; the index derivatives of (x, c, S)
     z, k1 = np.empty((2, 3, n))

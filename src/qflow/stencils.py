@@ -9,23 +9,29 @@ and the scaling by ``h**m`` comes last.  Weights are generated from the
 Vandermonde system rather than hard-coded tables, so every derivative's
 rows stay consistent by construction.
 
-A :class:`Stencil` binds that operator and the ``h**m`` column to one grid;
-a caller that differentiates on the same grid many times holds one, and
-:func:`derivative` builds one per call.  :meth:`Stencil.matrix` hands out
-the bound operator's CSR arrays, and :func:`left_product` multiplies a
-dense matrix by such arrays, for composing the operator with other linear
-maps once per run.
+A :class:`Stencil` binds that operator and ``h**m`` to one grid and
+differentiates the last axis of its input; a caller that differentiates on
+the same grid many times holds one, and :func:`derivative` builds one per
+call.  :meth:`Stencil.matrix` hands out the bound operator's CSR arrays,
+and :func:`left_product` multiplies a dense matrix by such arrays, for
+composing the operator with other linear maps once per run.
 
-Both products run one numpy kernel, :func:`_row_sums`: it adds the ``k``-th
-entry of every row in one gather-multiply-add, ``k`` ascending, so each row
-sums its entries in stored order from zero, the sums and bits of a
-compiled CSR product row by row (scipy's ``op @ f``, the tests' reference).
+Every stencil product is a :class:`Stencil` call, one kernel for 1-D input,
+the particle solver's ``(3, n)`` state block and the trajectory solver's
+modal basis alike: the centred rows as flat-slice multiply-adds and the
+edge rows, like every row of :func:`left_product`, through
+:func:`_row_sums`, which adds the ``k``-th entry of every row in one
+gather-multiply-add, ``k`` ascending.  Each row sums its entries in stored
+order from zero, the sums and bits of a compiled CSR product row by row
+(scipy's ``op @ f``, the tests' reference).  Only this module reads the
+operator's row layout.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
@@ -107,54 +113,96 @@ def _by_rank(indptr, indices, data):
 
 
 def _row_sums(plan, x, out):
-    """Row ``i`` of ``out`` is the sum over row ``i``'s entries, in stored
-    order and starting from zero, of weight times ``x[column]``: the sums,
-    and bits, of a CSR product run row by row; returns ``out``.  ``plan``
-    comes from :func:`_by_rank`; ``x`` and ``out`` may have trailing axes."""
+    """Row ``i`` of ``out`` is the sum over CSR row ``i``'s entries, in
+    stored order and starting from zero, of weight times ``x[column]``: the
+    sums, and bits, of a CSR product run row by row; returns ``out``.
+
+    ``plan`` is ``(order, ranks)`` of :func:`_by_rank`; with
+    ``(at[order], ranks)`` row ``i``'s sum lands in ``out[at[i]]`` instead,
+    and the other rows of ``out`` are left as they are.  ``x`` and ``out``
+    may have trailing axes if the weights given to :func:`_by_rank` do.
+    Callers run it under ``np.errstate(all="ignore")``: as quiet as a
+    compiled kernel, a non-finite input gives a non-finite output, which
+    they check.
+    """
     order, ranks = plan
-    acc = np.zeros(out.shape)
-    lead = (slice(None),) + (None,) * (x.ndim - 1)
-    # as quiet as a compiled kernel: a non-finite input gives a non-finite
-    # output, which the callers check
-    with np.errstate(all="ignore"):
-        for rows, cols, w in ranks:
-            acc[:rows] += w[lead] * x[cols]
+    acc = np.zeros(order.shape + out.shape[1:])
+    for rows, cols, w in ranks:
+        acc[:rows] += w * x[cols]
     out[order] = acc
     return out
 
 
 @lru_cache(maxsize=64)
-def _stencil_plan(n: int, ms: tuple):
-    """``_operator(n, ms)`` regrouped for :func:`_row_sums`; cached."""
-    return _by_rank(*_operator(n, ms))
+def _plan(n: int, ms: tuple, rows: int):
+    """How :class:`Stencil` runs ``_operator(n, ms)`` on ``rows`` leading
+    rows of ``n`` points, read as one flat row: ``(centre, edges)``; cached.
+
+    ``centre`` holds, per run of orders ``ms[k0:k1]`` sharing a half width
+    ``hw``, the output rows ``k0:k1``, the output columns ``hw:-hw`` and the
+    centred weights as ``(k1 - k0, 1)`` columns, each paired with the flat
+    input slice it multiplies.  ``edges`` is the :func:`_row_sums` plan of
+    the one-sided rows at both ends of every leading row, its ``order`` the
+    places of their sums in the flat output: a centred slice there
+    straddles two leading rows.
+    """
+    indptr, indices, data = _operator(n, ms)
+    size = rows * n
+    centre = []
+    for hw, run in groupby(range(len(ms)), key=lambda k: _HALF[ms[k]]):
+        ks = list(run)
+        w = np.array([_stencil_table(ms[k])[2] for k in ks]).T[..., None]
+        centre.append((slice(ks[0], ks[-1] + 1), slice(hw, size - hw),
+                       [(wj, slice(j, j + size - 2 * hw)) for j, wj in enumerate(w)]))
+    # operator row r = k * n + p at leading row l reads the flat input from
+    # l * n and lands at flat output (k * rows + l) * n + p
+    ends = [k * n + p for k, m in enumerate(ms)
+            for p in (*range(_HALF[m]), *range(n - _HALF[m], n))]
+    spans = [slice(indptr[r], indptr[r + 1]) for r in ends]
+    lead = np.arange(rows)
+    order, ranks = _by_rank(
+        np.concatenate(([0], np.cumsum(np.repeat([s.stop - s.start for s in spans],
+                                                 rows)))),
+        np.concatenate([(indices[s] + n * lead[:, None]).ravel() for s in spans]),
+        np.concatenate([np.tile(data[s], rows) for s in spans]))
+    at = np.concatenate([(r // n * rows + lead) * n + r % n for r in ends])
+    return centre, (at[order], ranks)
 
 
 class Stencil:
-    """The ``m``-th derivative (``m`` an int or a tuple) on a uniform grid of
-    ``n`` points and spacing ``h``, as :func:`derivative` defines it.
+    """The ``m``-th derivative (``m`` an int or a tuple) along the last axis
+    of arrays of ``n`` points on a uniform grid of spacing ``h``, as
+    :func:`derivative` defines it.
 
-    Holds ``_operator(n, ms)``, grouped by rank for :func:`_row_sums`, and
-    the ``h**m`` column, one entry per operator row.  A call sums every
-    row in weight order from zero, then divides by ``h**m``.  The output
-    may be the caller's (``out=``).
+    A call reads its C-contiguous input as one flat row.  Each centred
+    weight multiplies one flat slice, which is wrong only where the slice
+    straddles two leading rows; the one-sided sums at both ends of every
+    row overwrite those points (:func:`_row_sums`).  Every sum adds its
+    entries in weight order from zero, and the division by ``h**m`` comes
+    last, skipped when every ``h**m`` is 1.  The plan of a call shape is
+    cached (:func:`_plan`) and held by the instance, and the output may be
+    the caller's (``out=``).
     """
 
     def __init__(self, n: int, h: float, m=1):
         single = np.ndim(m) == 0
-        ms = (m,) if single else tuple(m)
+        self._ms = (m,) if single else tuple(m)
         self.n = n
-        self._csr = _operator(n, ms)
-        self._plan = _stencil_plan(n, ms)
-        self._h_m = np.repeat([h**k for k in ms], n)
-        self._lead = () if single else (len(ms),)
+        # rejects a grid too short for the stencils
+        self._csr = _operator(n, self._ms)
+        self._h_m = np.array([[h**k] for k in self._ms])
+        self._scaled = bool((self._h_m != 1.0).any())
+        self._lead = () if single else (len(self._ms),)
+        self._plans = {}
 
     def __call__(self, f: np.ndarray, out=None) -> np.ndarray:
-        """The derivative(s) of ``f``, shaped ``(len(m),) + f.shape`` for a
-        tuple ``m`` and ``f.shape`` otherwise.  ``out``, a C-contiguous
-        float64 array of that shape, receives the result in place of a new
-        array, with the bits of a call without it."""
+        """The derivative(s) of ``f`` along its last axis, shaped
+        ``(len(m),) + f.shape`` for a tuple ``m`` and ``f.shape`` otherwise.
+        ``out``, a C-contiguous float64 array of that shape, receives the
+        result in place of a new array, with the bits of a call without
+        it."""
         f = np.asarray(f, dtype=float, order="C")
-        if f.shape[:1] != (self.n,):
+        if f.shape[-1:] != (self.n,):
             raise ValidationError(f"stencil bound to {self.n} points got an "
                                   f"array of shape {f.shape}")
         shape = self._lead + f.shape
@@ -164,9 +212,21 @@ class Stencil:
               or not out.flags.c_contiguous):
             raise ValidationError(f"stencil output must be a C-contiguous "
                                   f"float64 array of shape {shape}")
-        flat = out.reshape((-1,) + f.shape[1:])
-        _row_sums(self._plan, f, flat)
-        flat /= self._h_m.reshape((-1,) + (1,) * (f.ndim - 1))
+        rows = f.size // self.n
+        plan = self._plans.get(rows)
+        if plan is None:
+            plan = self._plans[rows] = _plan(self.n, self._ms, rows)
+        centre, edges = plan
+        x, acc = f.reshape(-1), out.reshape(len(self._ms), -1)
+        with np.errstate(all="ignore"):
+            for ks, cols, terms in centre:
+                inner = acc[ks, cols]
+                inner.fill(0.0)
+                for w, at in terms:
+                    inner += w * x[at]
+            _row_sums(edges, x, acc.reshape(-1))
+        if self._scaled:
+            acc /= self._h_m
         return out
 
     def matrix(self):
@@ -176,7 +236,8 @@ class Stencil:
         composing it with other linear maps; a call stays the way to apply
         it (it scales last, this does not)."""
         indptr, indices, data = self._csr
-        return indptr, indices, data / np.repeat(self._h_m, np.diff(indptr))
+        return indptr, indices, data / np.repeat(np.repeat(self._h_m, self.n),
+                                                 np.diff(indptr))
 
 
 def left_product(C: np.ndarray, indptr, indices, data, n_cols: int) -> np.ndarray:
@@ -195,13 +256,15 @@ def left_product(C: np.ndarray, indptr, indices, data, n_cols: int) -> np.ndarra
     by_col = np.argsort(indices, kind="stable")
     rows = np.repeat(np.arange(C.shape[1]), np.diff(indptr))
     t_indptr = np.concatenate(([0], np.cumsum(np.bincount(indices, minlength=n_cols))))
-    out = _row_sums(_by_rank(t_indptr, rows[by_col], data[by_col]),
-                    np.ascontiguousarray(C.T), np.empty((n_cols, C.shape[0])))
+    with np.errstate(all="ignore"):
+        out = _row_sums(_by_rank(t_indptr, rows[by_col], data[by_col, None]),
+                        np.ascontiguousarray(C.T), np.empty((n_cols, C.shape[0])))
     return np.ascontiguousarray(out.T)
 
 
 def derivative(f: np.ndarray, h: float, m=1) -> np.ndarray:
-    """m-th derivative of samples ``f`` on a uniform grid of spacing ``h``.
+    """m-th derivative along the last axis of samples ``f`` on a uniform
+    grid of spacing ``h``.
 
     ``m`` may be a tuple of derivative orders; the result is then stacked,
     one row per entry of ``m``.  Every point, edge points included, sums its
@@ -209,7 +272,7 @@ def derivative(f: np.ndarray, h: float, m=1) -> np.ndarray:
     ``h**m`` comes last, so each stacked row is bit-identical to the
     single-``m`` result.
     """
-    return Stencil(np.shape(f)[0], h, m)(f)
+    return Stencil(np.shape(f)[-1], h, m)(f)
 
 
 def grid_spacing(x: np.ndarray) -> float:

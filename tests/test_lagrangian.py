@@ -192,7 +192,7 @@ def _allocating_rk4(init, params, config):
     r, lift = degree + 1, project.lift
     qdot0 = initial_velocity(init, params)
     basis = np.asfortranarray(np.column_stack((init.labels, qdot0, lift)))
-    K3 = np.asfortranarray(derivative(basis, h, (1, 2, 3)).reshape(3 * n, -1))
+    K3 = derivative(basis.T, h, (1, 2, 3)).transpose(1, 0, 2).reshape(-1, 3 * n).T
 
     def rhs(y, t):
         c, e = y[:r], y[r:-1]
@@ -629,11 +629,12 @@ class TestEvolve:
         evolve(init, PARAMS, SolverConfig(t_final=0.01 * n_steps, dt=0.01,
                                           snapshot_stride=10**9))
         # the right-hand sides read (J, J', J'') from the run's one product
-        # of the (1, 2, 3) stencil with the modal basis [a | qdot0 | lift];
-        # the energy checks at t = 0 and at the final snapshot make one
-        # product each, whatever the number of steps
+        # of the (1, 2, 3) stencil with the modal basis [a | qdot0 | lift],
+        # one call on its transpose's rows; the energy checks at t = 0 and
+        # at the final snapshot make one product each, whatever the number
+        # of steps
         degree = default_projection_degree(init.n)
-        assert calls == [(3, init.n, degree + 3), (3, init.n), (3, init.n)]
+        assert calls == [(3, degree + 3, init.n), (3, init.n), (3, init.n)]
 
     @pytest.mark.parametrize("potential", [None, HarmonicPotential(omega=1.5)])
     def test_stacked_rk4_matches_unstacked_reference(self, potential):

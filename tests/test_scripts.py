@@ -34,27 +34,31 @@ def test_kernel_timings_short_run():
     lines = proc.stdout.splitlines()
     # 0.02 / (0.1 * 0.16^2) = 7.8 -> 8 steps, 32 right-hand sides
     assert lines[-1].startswith("evolve to t = 0.02: 8 steps")
-    rows = lines[2:13]
+    rows = lines[2:15]
     assert [row.split()[0] for row in rows] == [
-        "kinematics", "log-density", "projected", "RHS", "QTM", "QTM", "QTM",
-        "reconstruct", "chain-rule", "tensor-check", "start-up"]
+        "stencil", "K3", "kinematics", "log-density", "projected", "RHS",
+        "QTM", "QTM", "QTM", "reconstruct", "chain-rule", "tensor-check",
+        "start-up"]
     assert all(float(row.split()[-1]) > 0 for row in rows)
+    # the stencil's two kinds of input: 1-D labels and the modal basis
+    assert rows[0].startswith("stencil (1, 2, 3) on 101 labels")
+    assert rows[1].startswith("K3 build (303 x 15)")
     # the right-hand side's one dense product: 3 x 101 rows, 12 + 3 columns
-    assert rows[0].startswith("kinematics product (K3 303 x 15)")
+    assert rows[2].startswith("kinematics product (K3 303 x 15)")
     # the default potential is free: the force reads G alone, 101 columns
-    assert rows[2].startswith("projected force (13 x 101)")
-    assert rows[4].startswith("QTM RHS (201 particles)")
-    assert rows[5].startswith("QTM derivatives (201 particles)")
+    assert rows[4].startswith("projected force (13 x 101)")
+    assert rows[6].startswith("QTM RHS (201 particles)")
+    assert rows[7].startswith("QTM derivatives (201 particles)")
     # the particle run stops at the same t: 0.02 / (0.5 * 0.05^2) = 16 steps
-    assert rows[6].startswith("QTM step (run-qtm / 16 steps)")
-    assert rows[7].startswith("reconstruct (1024 x points)")
-    assert rows[8].startswith("chain-rule oracle (3 points)")
+    assert rows[8].startswith("QTM step (run-qtm / 16 steps)")
+    assert rows[9].startswith("reconstruct (1024 x points)")
+    assert rows[10].startswith("chain-rule oracle (3 points)")
     # the identity suite's difference stars trace about 1 MB; a grid of
     # planes traced 8 MB
-    peak = re.fullmatch(r"tensor-check \(traced peak (\d+) MB\)\s+\S+", rows[9])
+    peak = re.fullmatch(r"tensor-check \(traced peak (\d+) MB\)\s+\S+", rows[11])
     assert peak and 0 < int(peak.group(1)) <= 8
     # qflow runs on numpy alone: the CLI's import loads no scipy package
-    assert lines[13] == "scipy subpackages at start-up: none"
+    assert lines[15] == "scipy subpackages at start-up: none"
 
 
 def test_line_count_on_a_known_module(tmp_path):

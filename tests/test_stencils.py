@@ -14,37 +14,40 @@ ORDER = 4
 
 
 def _loop_derivative(f, h, m):
-    """Reference: per-offset products summed in stencil order, every row."""
-    n = f.shape[0]
+    """Reference: per-offset products summed in stencil order, every point
+    of the last axis."""
+    n = f.shape[-1]
     half, edge, center, edge_rows = _stencil_table(m)
     sign = -1.0 if m % 2 else 1.0
     out = np.empty_like(f)
-    acc = center[0] * f[0:n - 2 * half]
+    acc = center[0] * f[..., 0:n - 2 * half]
     for j in range(1, 2 * half + 1):
-        acc = acc + center[j] * f[j:n - 2 * half + j]
-    out[half:n - half] = acc
+        acc = acc + center[j] * f[..., j:n - 2 * half + j]
+    out[..., half:n - half] = acc
     for i in range(half):
-        left = edge_rows[i, 0] * f[0]
-        right = sign * edge_rows[i, 0] * f[n - 1]
+        left = edge_rows[i, 0] * f[..., 0]
+        right = sign * edge_rows[i, 0] * f[..., n - 1]
         for j in range(1, edge):
-            left = left + edge_rows[i, j] * f[j]
-            right = right + sign * edge_rows[i, j] * f[n - 1 - j]
-        out[i] = left
-        out[n - 1 - i] = right
+            left = left + edge_rows[i, j] * f[..., j]
+            right = right + sign * edge_rows[i, j] * f[..., n - 1 - j]
+        out[..., i] = left
+        out[..., n - 1 - i] = right
     return out / h**m
 
 
 def _blas_edge_rows(f, h, m):
-    """Second reference, the earlier edge formula: the ``half`` rows at each
-    end as BLAS products of the one-sided rows, summed in the order BLAS
-    chooses, with each row's magnitude scale sum(|w f|) / h**m."""
+    """Second reference, the earlier edge formula: the ``half`` points at
+    each end of the last axis as BLAS products of the one-sided rows,
+    summed in the order BLAS chooses, with each point's magnitude scale
+    sum(|w f|) / h**m."""
     half, edge, _, edge_rows = _stencil_table(m)
     sign = -1.0 if m % 2 else 1.0
-    mirrored = f[::-1][:edge]
-    rows = np.concatenate([edge_rows @ f[:edge],
-                           (sign * (edge_rows @ mirrored))[::-1]])
-    scale = np.concatenate([np.abs(edge_rows) @ np.abs(f[:edge]),
-                            (np.abs(edge_rows) @ np.abs(mirrored))[::-1]])
+    mirrored = f[..., ::-1][..., :edge]
+    rows = np.concatenate([f[..., :edge] @ edge_rows.T,
+                           (sign * (mirrored @ edge_rows.T))[..., ::-1]], axis=-1)
+    scale = np.concatenate([np.abs(f[..., :edge]) @ np.abs(edge_rows).T,
+                            (np.abs(mirrored) @ np.abs(edge_rows).T)[..., ::-1]],
+                           axis=-1)
     return rows / h**m, scale / h**m
 
 
@@ -164,7 +167,7 @@ def test_edge_rows_within_rounding_of_blas_products(order, size):
     h = x[1] - x[0]
     rng = np.random.default_rng(7 + n)
     fs = [np.exp(-0.5 * x**2) * np.cos(x), np.random.default_rng(n).normal(size=n)]
-    fs += np.array_split(rng.normal(size=(n, 10_000)), 4, axis=1)
+    fs += [g.T for g in np.array_split(rng.normal(size=(n, 10_000)), 4, axis=1)]
     eps = np.finfo(float).eps
     for f in fs:
         got = derivative(f, h, (1, 2, 3))
@@ -173,7 +176,7 @@ def test_edge_rows_within_rounding_of_blas_products(order, size):
             ends = np.r_[0:half, n - half:n]
             blas, scale = _blas_edge_rows(f, h, m)
             assert np.array_equal(got[k], _loop_derivative(f, h, m))
-            assert np.all(np.abs(got[k][ends] - blas) <= 8 * eps * scale)
+            assert np.all(np.abs(got[k][..., ends] - blas) <= 8 * eps * scale)
 
 
 def _csr_array(indptr, indices, data, n):
@@ -183,13 +186,15 @@ def _csr_array(indptr, indices, data, n):
 
 
 def _sparse_product(f, h, m):
-    """Reference: scipy's ``op @ f`` on the cached operator, then the
-    division by the h**m column (n-D ``f`` flattened to columns)."""
+    """Reference: scipy's ``op @ row`` on the cached operator for each row
+    of ``f`` along its last axis, then the division by the h**m column."""
     ms = (m,) if np.ndim(m) == 0 else tuple(m)
-    n = f.shape[0]
-    flat = f if f.ndim <= 2 else f.reshape(n, -1)
-    out = (_csr_array(*_operator(n, ms), n) @ flat).reshape((len(ms),) + f.shape)
-    out /= np.array([h**k for k in ms]).reshape((-1,) + (1,) * f.ndim)
+    n = f.shape[-1]
+    op = _csr_array(*_operator(n, ms), n)
+    out = np.stack([(op @ row).reshape(len(ms), n) for row in f.reshape(-1, n)],
+                   axis=1)
+    out /= np.array([h**k for k in ms])[:, None, None]
+    out = out.reshape((len(ms),) + f.shape)
     return out[0] if np.ndim(m) == 0 else out
 
 
@@ -197,35 +202,50 @@ _ALL_MS = [1, 2, 3] + [p for r in (1, 2, 3) for p in permutations((1, 2, 3), r)]
 
 
 @pytest.mark.parametrize("cols", [2, 4])
-@pytest.mark.parametrize("size", ["edge", "edge+1", 37, 401])
+@pytest.mark.parametrize("size", ["edge", "edge+1", 37, 41, 201, 401, 801])
 @pytest.mark.parametrize("m", _ALL_MS, ids=str)
 def test_bound_kernel_bit_identical_to_sparse_product(cols, size, m):
-    # the bound kernel sums each row as scipy's CSR kernel does: same bits
-    # as ``op @ f`` for every layout of f, and as the raw product at h = 1;
-    # ``cols`` is the column count of the 2-D layouts
+    # the bound kernel differentiates the last axis and sums each row as
+    # scipy's CSR kernel does: the bits of ``op @ row`` on every row of
+    # every layout of f, at h = 1 too; ``cols`` is the row count of the
+    # 2-D and 3-D layouts
     ms = (m,) if np.ndim(m) == 0 else m
     edge = max(_EDGE[k] for k in ms)
     n = {"edge": edge, "edge+1": edge + 1}.get(size, size)
     rng = np.random.default_rng(n)
     h = 16.0 / (n - 1)
-    block = rng.normal(size=(2 * n, 2 * cols))
+    block = rng.normal(size=(2 * cols, 2 * n))
+    # the particle solver's (3, n) state block (x, c, S), its last row at
+    # rest: zeros of either sign, which a sum started from its first
+    # product instead of zero could end on -0
+    state = rng.normal(size=(3, n)) * np.array([[1.0], [1e-3], [1e4]])
+    state[2] = np.where(rng.random(n) < 0.5, -0.0, 0.0)
     layouts = {
-        "1-D": block[:n, 0].copy(),
-        "1-D strided": block[::2, 1],
-        "column": block[:n, :1].copy(),
-        "2-D": block[:n, :cols].copy(),
-        "2-D strided": block[::2, ::2],
-        "2-D Fortran": np.asfortranarray(block[:n, :cols]),
-        "3-D": block[:n].reshape(n, 2, cols).copy(),
+        "1-D": block[0, :n].copy(),
+        "1-D strided": block[1, ::2],
+        "(cols, n)": block[:cols, :n].copy(),
+        "(cols, n) strided": block[::2, ::2],
+        "(2, cols, n)": block[:, :n].reshape(2, cols, n).copy(),
+        "Fortran transpose": np.asfortranarray(block[:cols, :n].T).T,
+        "state block": state,
     }
     for name, f in layouts.items():
+        want = _sparse_product(f, h, m)
         got = Stencil(n, h, m)(f)
-        assert got.shape == np.shape(_sparse_product(f, h, m)), name
-        assert np.array_equal(got, _sparse_product(f, h, m)), name
+        assert got.shape == want.shape, name
+        assert np.array_equal(got, want), name
+        assert np.array_equal(np.signbit(got), np.signbit(want)), name
         assert np.array_equal(derivative(f, h, m), got), name
-        if f.ndim <= 2:
-            raw = (_csr_array(*_operator(n, ms), n) @ f).reshape(got.shape)
-            assert np.array_equal(Stencil(n, 1.0, m)(f), raw), name
+        assert np.array_equal(Stencil(n, 1.0, m)(f), _sparse_product(f, 1.0, m)), name
+    assert not np.signbit(Stencil(n, 1.0, m)(state)[..., 2, :]).any()
+    # inf and NaN entries give a non-finite output exactly where scipy's is,
+    # without a warning (pytest raises warnings as errors; two adjacent
+    # infs meet weights of both signs, inf - inf)
+    state[0, n // 2:n // 2 + 2], state[1, 1], state[2, n - 1] = np.inf, np.nan, -np.inf
+    want = _sparse_product(state, h, m)
+    for row in range(3):
+        assert not np.isfinite(want[..., row, :]).all()
+    assert np.array_equal(Stencil(n, h, m)(state), want, equal_nan=True)
 
 
 @pytest.mark.parametrize("m", [1, (1, 2, 3)], ids=str)
@@ -234,7 +254,7 @@ def test_out_buffer_gets_the_bits_of_a_new_array(m):
     n, h = 37, 0.3
     stencil = Stencil(n, h, m)
     rng = np.random.default_rng(1)
-    for f in (rng.normal(size=n), rng.normal(size=(n, 2, 3))):
+    for f in (rng.normal(size=n), rng.normal(size=(2, 3, n))):
         ref = stencil(f)
         out = np.full(ref.shape, np.nan)
         assert stencil(f, out=out) is out
@@ -251,9 +271,11 @@ def test_out_buffer_of_another_shape_or_layout_rejected():
 
 
 def test_bound_kernel_rejects_other_lengths():
-    # a stencil bound to n points reads only arrays of n rows
+    # a stencil bound to n points reads only arrays of n points along the
+    # last axis
     stencil = Stencil(37, 0.1, (1, 2, 3))
-    for f in (np.ones(36), np.ones(38), np.ones((36, 2)), np.float64(1.0)):
+    for f in (np.ones(36), np.ones(38), np.ones((2, 36)), np.ones((37, 2)),
+              np.float64(1.0)):
         with pytest.raises(ValidationError, match="bound to 37 points"):
             stencil(f)
 
