@@ -98,6 +98,32 @@ class TestLabelDerivatives:
         assert len(calls) == 1
         assert calls[0][0] is u and calls[0][1] is d
 
+    @pytest.mark.parametrize("n", [6, 7, 41, 201, 801])
+    def test_pass_matches_the_stencil_on_each_row(self, n):
+        # one call on the (3, n) block, read as one flat row, gives the sums
+        # and bits of the stencil on x, c and S one at a time; a row at rest
+        # (zeros of either sign: a sum that started from its first product
+        # could end on -0) keeps the stencil's zero signs, and inf and NaN
+        # entries give a non-finite output exactly where the stencil's is,
+        # without a warning (pytest raises warnings as errors; two adjacent
+        # infs meet weights of both signs, inf - inf)
+        D = Stencil(n, 1.0, (1, 2))
+        rng = np.random.default_rng(n)
+        u = rng.normal(size=(3, n)) * np.array([[1.0], [1e-3], [1e4]])
+        u[2] = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+        out = D(u, out=np.empty((2, 3, n)))
+        for f in range(3):
+            assert np.array_equal(out[:, f], D(u[f]))
+            assert np.array_equal(np.signbit(out[:, f]), np.signbit(D(u[f])))
+        assert not np.signbit(out[:, 2]).any()
+        u[0, n // 2:n // 2 + 2], u[1, 1], u[2, n - 1] = np.inf, np.nan, -np.inf
+        out = D(u, out=out)
+        for f in range(3):
+            want = D(u[f])
+            assert not np.isfinite(want).all()
+            assert np.array_equal(np.isfinite(out[:, f]), np.isfinite(want))
+            assert np.array_equal(out[:, f], want, equal_nan=True)
+
     @pytest.mark.parametrize("case", ["free", "harmonic", "tabulated"])
     def test_rhs_matches_reference_kernel(self, case):
         # the in-place chain rule gives the plain expressions' bits; the
