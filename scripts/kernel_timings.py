@@ -179,8 +179,9 @@ def main():
     final = evolve(init, params, config)[-1:]
     qtm_s = best_us(lambda: qtm_evolve(particles, params, qtm_config), 1,
                     args.repeats) / 1e6
-    moved = qtm_evolve(particles, params, qtm_config).snapshots[-1]
-    moved_u = np.stack((moved.x, moved.log_rho, moved.S))
+    result = qtm_evolve(particles, params, qtm_config)
+    moved = result.snapshots[-1]
+    moved_u = np.stack((moved.q, result.log_rho, particles.s0 + moved.chi))
     x_grid = settings.x_grid()
     suite_repeats = max(1, args.repeats // 2)
     oracle_us = best_us(lambda: [_chain_rule_stress(pt, params)
@@ -206,7 +207,7 @@ def main():
         (f"QTM RHS ({particles.n} particles)",
          best_us(lambda: _qtm_rhs(params, index_pass, index_d, seeded,
                                   out=rhs_out), args.calls, args.repeats)),
-        (f"QTM derivatives ({moved.x.size} particles)",
+        (f"QTM derivatives ({moved.n} particles)",
          best_us(lambda: _x_derivatives(index_pass, index_d, moved_u, rhs_out[:2]),
                  args.calls, args.repeats)),
         (f"QTM step (run-qtm / {qtm_steps} steps)", qtm_s / qtm_steps * 1e6),

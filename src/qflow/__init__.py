@@ -33,7 +33,7 @@ from .model import (AnalyticForms, EulerianField, FreePotential,
                     HarmonicPotential, InitialState, PhysicsParams,
                     TabulatedPotential, TrajectoryState, assemble_wavefunction,
                     madelung_decompose, make_gaussian_state)
-from .qtm import ParticleSet, QtmConfig, QtmResult, qtm_evolve
+from .qtm import QtmConfig, QtmResult, qtm_evolve
 from .reconstruction import (continuity_euler_residuals, eulerian_moments,
                              invert_map, lagrangian_moments,
                              phase_consistency_deviation, qhj_residual,

@@ -143,10 +143,10 @@ def _cmd_run_reference(args) -> int:
 def _cmd_run_qtm(args) -> int:
     settings = _load_settings(args)
     t0 = time.perf_counter()
-    result, trajectories, summary = run_qtm(settings)
+    result, summary = run_qtm(settings)
     out = args.out
     with _writing(out):
-        write_trajectories(out / "trajectories.csv", trajectories)
+        write_trajectories(out / "trajectories.csv", result.snapshots)
         write_summary(out / "summary.json", summary)
     _say(args, f"particle run: {len(result.snapshots)} snapshots, discrete "
                f"norm {summary['discrete_norm_final']:.6f} "

@@ -364,10 +364,13 @@ def _rk4(rhs, y, k1, dt: float, n_steps: int, end_of_step, unit: str):
 class TrajectoryState:
     """Positions, velocities and accumulated phase of every fluid element.
 
-    ``chi`` is the phase gained since t = 0 (S = S0 + chi).  The trajectory
-    solver builds it from the velocity (see ``lagrangian.evolve``);
+    Both solvers return it: the trajectory solver (``lagrangian.evolve``)
+    for the continuum's labels, the particle solver (``qtm.qtm_evolve``)
+    for its particles.  ``chi`` is the phase gained since t = 0
+    (S = S0 + chi).  The trajectory solver builds it from the velocity;
     ``reconstruction.phase_consistency_deviation`` measures how far a
-    snapshot's chi departs from that quasi-potential form.
+    snapshot's chi departs from that quasi-potential form.  The particle
+    solver integrates S itself and reports S - S0.
     ``energy`` is the discrete total energy and ``min_jacobian`` the least
     J = dq/da when the producer computed them (the trajectory solver does,
     for its drift check), else None.

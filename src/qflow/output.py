@@ -59,16 +59,6 @@ def write_trajectories(path, snapshots: Sequence[TrajectoryState]) -> None:
     _write_csv(path, TRAJECTORY_SCHEMA, "t,a,q,qdot,chi", blocks())
 
 
-def read_trajectories(path) -> list[TrajectoryState]:
-    rows = _read_csv(path, TRAJECTORY_SCHEMA, "t,a,q,qdot,chi")
-    out = []
-    for t in sorted(set(rows[:, 0])):
-        block = rows[rows[:, 0] == t]
-        out.append(TrajectoryState(labels=block[:, 1], q=block[:, 2],
-                                   qdot=block[:, 3], chi=block[:, 4], t=float(t)))
-    return out
-
-
 def write_fields(path, fields: Sequence[EulerianField]) -> None:
     def blocks():
         for f in fields:

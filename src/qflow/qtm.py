@@ -21,6 +21,9 @@ block.  The wavefunction along each path follows from the initial value
 times an amplitude factor exp(-integral of div v / 2) and the phase
 integral of the Lagrangian density; the amplitude integral is accumulated
 by an independent trapezoid rule so the two density routes cross-check.
+The paths are returned as the trajectory solver's snapshot type,
+:class:`~qflow.model.TrajectoryState`, with the particle index's seeded
+grid as the labels and the carried phase as chi = S - S0.
 """
 
 from __future__ import annotations
@@ -31,9 +34,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import NumericalInstability, TrajectoryCrossing, ValidationError
-from .model import (FreePotential, InitialState, PhysicsParams, _require_finite,
-                    _rk4, plan_steps)
-from .stencils import Stencil, trapezoid_weights
+from .model import (FreePotential, InitialState, PhysicsParams,
+                    TrajectoryState, _rk4, plan_steps)
+from .stencils import Stencil
 
 
 @dataclass(frozen=True)
@@ -60,47 +63,23 @@ class QtmConfig:
 
 
 @dataclass(frozen=True)
-class ParticleSet:
-    """Positions, log-density and phase carried by each particle, and the
-    velocity ``v = (dS/dx) / m`` at this state."""
-
-    x: np.ndarray
-    log_rho: np.ndarray
-    S: np.ndarray
-    t: float
-    v: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        object.__setattr__(self, "x", x)
-        for name in ("log_rho", "S", "v"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            if v.shape != x.shape:
-                raise ValidationError(f"{name} must match the particle count")
-            object.__setattr__(self, name, v)
-        _require_finite(x=x, log_rho=self.log_rho, S=self.S, v=self.v)
-        if np.any(np.diff(x) <= 0):
-            i = int(np.argmin(np.diff(x)))
-            raise ValidationError(f"particle positions must increase (index {i})")
-
-    def discrete_norm(self) -> float:
-        """sum rho_n * local spacing, a loose mass diagnostic."""
-        return float(np.sum(np.exp(self.log_rho) * trapezoid_weights(self.x)))
-
-
-@dataclass(frozen=True)
 class QtmResult:
     """Particle history with the path-wise wavefunction.
 
+    ``snapshots`` are :class:`~qflow.model.TrajectoryState`: the particle
+    positions ``q``, the velocities ``qdot = (dS/dx) / m`` and the phase
+    gained ``chi = S - S0``, with the seeded grid as ``labels``.
     ``psi`` rebuilds the wavefunction at the final particle positions from
     the seeded value, the divergence integral (amplitude) and the phase
     integral; ``div_integral`` holds the independently accumulated
-    integral of dv/dx used for the amplitude factor.
+    integral of dv/dx used for the amplitude factor, and ``log_rho`` the
+    final carried c = ln rho, the other density route.
     """
 
     snapshots: list
     psi: np.ndarray
     div_integral: np.ndarray
+    log_rho: np.ndarray
 
 
 def _x_derivatives(derivs: Stencil, d, u, scratch):
@@ -186,6 +165,13 @@ def qtm_evolve(init: InitialState, params: PhysicsParams,
     n_steps, dt = plan_steps(config.t_final, config.auto_dt(
         float(np.min(np.diff(init.labels))), params))
     half = 0.5 * dt
+    snapshots = []
+
+    def snapshot(t):
+        """Record the state as a trajectory snapshot: the velocity is the
+        first row of the state's k1, and chi = S - S0."""
+        snapshots.append(TrajectoryState(init.labels, x.copy(), k1[0].copy(),
+                                         S - init.s0, t))
 
     def end_of_step(step, t):
         # NaN passes the ordering checks, so test finiteness first
@@ -202,14 +188,13 @@ def qtm_evolve(init: InitialState, params: PhysicsParams,
         np.multiply(trap, half, out=trap)
         np.subtract(div_int, trap, out=div_int)
         if (step + 1) % config.snapshot_stride == 0 or step + 1 == n_steps:
-            snapshots.append(ParticleSet(x.copy(), c.copy(), S.copy(), t,
-                                         k1[0].copy()))
+            snapshot(t)
 
-    # every snapshot's velocity is the first row of its state's k1
     rhs(z, 0.0, k1)
-    snapshots = [ParticleSet(x.copy(), c.copy(), S.copy(), 0.0, k1[0].copy())]
+    snapshot(0.0)
     _rk4(rhs, z, k1, dt, n_steps, end_of_step, "particle")
 
     amplitude = np.sqrt(init.rho0) * np.exp(-0.5 * div_int)
     psi = amplitude * np.exp(1j * S / params.hbar)
-    return QtmResult(snapshots=snapshots, psi=psi, div_integral=div_int)
+    return QtmResult(snapshots=snapshots, psi=psi, div_integral=div_int,
+                     log_rho=c.copy())

@@ -130,12 +130,12 @@ def _nested_chain_rule_stress(point, params, h=0.02):
     weights = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 
     def rho_of(a):
-        _, g, _, _ = _synthetic_map(a)
+        g, _, _ = _synthetic_map(a)
         r, _, _ = _gauss3(a)
         return r / jacobian(g)
 
     def d_space(f, a):
-        _, g, _, _ = _synthetic_map(a)
+        g, _, _ = _synthetic_map(a)
         J = jacobian(g)
         C = cofactor_matrix(g)
         grad_lbl = np.zeros(3)
@@ -392,7 +392,7 @@ class TestStressLagrangian:
     def test_chain_rule_oracle(self):
         for pt in ([0.3, -0.4, 0.2], [-0.6, 0.1, 0.5]):
             pt = np.array(pt)
-            _, g, second, third = _synthetic_map(pt)
+            g, second, third = _synthetic_map(pt)
             rho0, dr, d2r = _gauss3(pt)
             sig = stress_lagrangian(g, second, third, rho0, dr, d2r, 1.0, 1.0)
             oracle = _chain_rule_stress(pt, PARAMS)
@@ -408,7 +408,7 @@ class TestStressLagrangian:
 
     def test_symmetry_emerges(self):
         pt = np.array([0.5, 0.3, -0.7])
-        _, g, second, third = _synthetic_map(pt)
+        g, second, third = _synthetic_map(pt)
         rho0, dr, d2r = _gauss3(pt)
         sig = stress_lagrangian(g, second, third, rho0, dr, d2r, 1.0, 1.0)
         assert np.max(np.abs(sig - sig.T)) <= 1e-12 * np.max(np.abs(sig))

@@ -14,9 +14,9 @@ from qflow.errors import (NumericalInstability, TrajectoryCrossing,
 from qflow.model import (MAX_STEPS, HarmonicPotential, InitialState,
                          PhysicsParams, TabulatedPotential, plan_steps)
 from qflow.pipeline import _truncated_gaussian_state
-from qflow.qtm import ParticleSet, QtmConfig, qtm_evolve
+from qflow.qtm import QtmConfig, qtm_evolve
 from qflow.spectral import split_step_evolve
-from qflow.stencils import Stencil
+from qflow.stencils import Stencil, trapezoid_weights
 
 PARAMS = PhysicsParams()
 
@@ -224,8 +224,9 @@ class TestQtmEvolve:
         result = qtm_evolve(init, PARAMS, QtmConfig(t_final=0.0))
         assert len(result.snapshots) == 1
         snap = result.snapshots[0]
-        assert np.all(snap.x == labels)
-        assert np.allclose(snap.log_rho, np.log(init.rho0))
+        assert np.all(snap.q == labels)
+        assert np.all(snap.labels == labels)
+        assert np.allclose(result.log_rho, np.log(init.rho0))
         assert np.allclose(np.abs(result.psi), np.sqrt(init.rho0))
 
     def test_tracks_closed_form_paths(self, qtm_run):
@@ -233,34 +234,37 @@ class TestQtmEvolve:
         final = result.snapshots[-1]
         i1 = np.argmin(np.abs(init.labels - 1.0))
         q_exact, _ = gaussian_trajectory(1.0, 1.0, 1.0, PARAMS)
-        assert abs(final.x[i1] - q_exact) <= 5e-3
+        assert abs(final.q[i1] - q_exact) <= 5e-3
 
     def test_discrete_norm(self, qtm_run):
         _, result = qtm_run
-        assert result.snapshots[-1].discrete_norm() == pytest.approx(1.0,
-                                                                     abs=1e-2)
+        weights = trapezoid_weights(result.snapshots[-1].q)
+        assert np.sum(np.exp(result.log_rho) * weights) == pytest.approx(1.0,
+                                                                        abs=1e-2)
 
     def test_density_routes_agree(self, qtm_run):
         init, result = qtm_run
-        final = result.snapshots[-1]
         other_route = np.log(init.rho0) - result.div_integral
-        assert np.max(np.abs(final.log_rho - other_route)) <= 1e-3
+        assert np.max(np.abs(result.log_rho - other_route)) <= 1e-3
 
     def test_phase_at_center(self, qtm_run):
         init, result = qtm_run
         final = result.snapshots[-1]
         i0 = np.argmin(np.abs(init.labels))
-        assert final.S[i0] == pytest.approx(-0.5 * np.arctan(0.5), abs=1e-4)
+        S = init.s0 + final.chi
+        assert S[i0] == pytest.approx(-0.5 * np.arctan(0.5), abs=1e-4)
 
     def test_snapshot_velocity_is_the_fit_of_its_state(self, qtm_run):
         # the end-of-step right-hand side's velocity, kept on the snapshot,
-        # is S_x / m from a fresh stencil and chain rule on the stored state
-        _, result = qtm_run
+        # is S_x / m from a fresh stencil and chain rule on the stored state;
+        # the packet starts at rest (S0 = 0), so S0 + chi is S exactly
+        init, result = qtm_run
         assert len(result.snapshots) >= 3
+        assert not init.s0.any()
         D = Stencil(result.psi.size, 1.0, (1, 2))
         for snap in result.snapshots:
-            (x_a, _), (S_a, _) = D(snap.x), D(snap.S)
-            assert np.array_equal(snap.v, S_a * (1.0 / x_a) / PARAMS.mass)
+            (x_a, _), (S_a, _) = D(snap.q), D(init.s0 + snap.chi)
+            assert np.array_equal(snap.qdot, S_a * (1.0 / x_a) / PARAMS.mass)
 
     def test_four_rhs_fits_per_step(self, monkeypatch):
         rhs = qtm._qtm_rhs
@@ -310,14 +314,17 @@ class TestQtmEvolve:
             assert len(result.snapshots) == len(ref_snaps)
             for s, (t, x, c, S, v) in zip(result.snapshots, ref_snaps):
                 assert s.t == t
-                for got, want in ((s.x, x), (s.log_rho, c), (s.S, S), (s.v, v)):
+                assert s.labels is init.labels
+                for got, want in ((s.q, x), (s.qdot, v), (s.chi, S - init.s0)):
                     assert np.array_equal(got, want)
+            # the carried log-density is returned at the final state
+            assert np.array_equal(result.log_rho, ref_snaps[-1][2])
             assert np.array_equal(result.psi, ref_psi)
             assert np.array_equal(result.div_integral, ref_div)
         # the loop's in-place state never leaks into a returned array
         arrays = [u for r in runs for s in r.snapshots
-                  for u in (s.x, s.log_rho, s.S, s.v)]
-        arrays += [u for r in runs for u in (r.psi, r.div_integral)]
+                  for u in (s.q, s.qdot, s.chi)]
+        arrays += [u for r in runs for u in (r.psi, r.div_integral, r.log_rho)]
         for i, u in enumerate(arrays):
             for w in arrays[i + 1:]:
                 assert not np.shares_memory(u, w)
@@ -346,25 +353,6 @@ class TestQtmEvolve:
                           forms=None)
         with pytest.raises(TrajectoryCrossing):
             qtm_evolve(init, PARAMS, QtmConfig(t_final=2.0))
-
-    def test_particle_set_validation(self):
-        x = np.array([0.0, 1.0, 0.5])
-        with pytest.raises(ValidationError):
-            ParticleSet(x=x, log_rho=np.zeros(3), S=np.zeros(3), t=0.0,
-                        v=np.zeros(3))
-
-    def test_particle_set_rejects_non_finite(self):
-        # NaN passes the ordering test
-        x = np.array([0.0, np.nan, 1.0])
-        with pytest.raises(ValidationError, match=r"x\[1\] = nan"):
-            ParticleSet(x=x, log_rho=np.zeros(3), S=np.zeros(3), t=0.0,
-                        v=np.zeros(3))
-
-    def test_particle_set_requires_velocity(self):
-        # every snapshot carries its velocity
-        with pytest.raises(TypeError, match="'v'"):
-            ParticleSet(x=np.arange(3.0), log_rho=np.zeros(3), S=np.zeros(3),
-                        t=0.0)
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
@@ -400,7 +388,7 @@ class TestQtmEvolve:
             assert final.t == pytest.approx(1.0, abs=1e-12)
             q_exact, _ = gaussian_trajectory(labels, 1.0, 1.0, PARAMS)
             core = np.abs(labels) <= 2.0
-            assert np.max(np.abs(final.x - q_exact)[core]) <= 1e-11
+            assert np.max(np.abs(final.q - q_exact)[core]) <= 1e-11
 
     def test_last_bit_change_stays_bounded(self):
         # one ulp up or down on the seeded rho0 at random labels moves the
@@ -413,7 +401,7 @@ class TestQtmEvolve:
         nudged = InitialState(labels=labels, s0=init.s0,
                               rho0=init.rho0 + ulps * np.spacing(init.rho0))
         config = QtmConfig(t_final=2.0, snapshot_stride=10**6)
-        x, x_nudged = (qtm_evolve(i, PARAMS, config).snapshots[-1].x
+        x, x_nudged = (qtm_evolve(i, PARAMS, config).snapshots[-1].q
                        for i in (init, nudged))
         assert not np.array_equal(x, x_nudged)
         assert np.max(np.abs(x - x_nudged)) <= 1e-8
@@ -435,7 +423,7 @@ class TestQtmEvolve:
         alpha = gaussian_alpha(1.0, params)
         for snap in result.snapshots:
             b = math.sqrt(math.cos(snap.t) ** 2 + alpha * math.sin(snap.t) ** 2)
-            assert np.max(np.abs(snap.x - labels * b)) <= 2e-9
+            assert np.max(np.abs(snap.q - labels * b)) <= 2e-9
 
     def test_non_uniform_labels_track_the_closed_form(self):
         # the stencil's coordinate is the particle index, so labels on a
@@ -447,8 +435,8 @@ class TestQtmEvolve:
         final = qtm_evolve(init, PARAMS, QtmConfig(
             t_final=1.0, snapshot_stride=10**6)).snapshots[-1]
         q_exact, _ = gaussian_trajectory(labels, 1.0, 1.0, PARAMS)
-        assert np.max(np.abs(final.x - q_exact)) <= 1e-4
-        assert np.max(np.abs(final.x - q_exact)[np.abs(labels) <= 2.0]) <= 1e-7
+        assert np.max(np.abs(final.q - q_exact)) <= 1e-4
+        assert np.max(np.abs(final.q - q_exact)[np.abs(labels) <= 2.0]) <= 1e-7
 
     def test_density_mixture_against_split_step(self):
         # 0.6 N(-1, 0.8) + 0.4 N(1.2, 0.9) at rest, 201 particles on +-6, to
@@ -473,7 +461,7 @@ class TestQtmEvolve:
         psi0 = np.sqrt(rho / (np.sum(rho) * (x_grid[1] - x_grid[0])))
         wave = split_step_evolve(psi0.astype(complex), x_grid, PARAMS, 0.1, 0.6)[-1]
         k = 2.0 * np.pi * np.fft.fftfreq(x_grid.size, d=x_grid[1] - x_grid[0])
-        x = result.snapshots[-1].x
+        x = result.snapshots[-1].q
         reference = np.exp(1j * np.outer(x - x_grid[0], k)) @ (
             np.fft.fft(wave.psi) / x_grid.size)
         err = error_norms(result.psi, reference, x, np.abs(x) <= 4.0)
