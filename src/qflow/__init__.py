@@ -34,9 +34,8 @@ from .model import (AnalyticForms, EulerianField, FreePotential,
                     TabulatedPotential, TrajectoryState, assemble_wavefunction,
                     madelung_decompose, make_gaussian_state)
 from .qtm import QtmConfig, QtmResult, qtm_evolve
-from .reconstruction import (continuity_euler_residuals, eulerian_moments,
-                             invert_map, lagrangian_moments,
-                             phase_consistency_deviation, qhj_residual,
+from .reconstruction import (dynamics_residuals, eulerian_moments, invert_map,
+                             lagrangian_moments, phase_consistency_deviation,
                              reconstruct_wavefunction)
 from .spectral import (WaveSnapshot, energy_of as wave_energy_of, norm_of,
                        reference_fields, split_step_evolve)

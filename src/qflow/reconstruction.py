@@ -13,8 +13,12 @@ and S.
 the quasi-potential condition m v = dS/dx written on the labels of one
 snapshot, m qdot J = d(S0 + chi)/da, a running trapezoid over the labels
 with no spatial grid and no history.  ``evolve`` builds chi from that
-same quadrature, so on its output the check reads rounding.  The
-residual diagnostics take V_Q from ``PhysicsParams.quantum_potential``.
+same quadrature, so on its output the check reads rounding.
+
+:func:`dynamics_residuals` checks two consecutive fields against the
+Eulerian equations they must satisfy: the quantum Hamilton-Jacobi,
+continuity and Euler residuals at their midpoint, in one pass that takes
+V_Q from ``PhysicsParams.quantum_potential`` once.
 """
 
 from __future__ import annotations
@@ -140,13 +144,6 @@ def reconstruct_wavefunction(history: Sequence[TrajectoryState],
 # residual diagnostics
 # ---------------------------------------------------------------------------
 
-def _check_pair(field_a: EulerianField, field_b: EulerianField):
-    if field_a.x.shape != field_b.x.shape or not np.allclose(field_a.x, field_b.x):
-        raise ValidationError("field snapshots live on different grids")
-    if field_b.t == field_a.t:
-        raise ValidationError("field snapshots must differ in time")
-
-
 def _interior_mask(mask, rho):
     """Shared support, above the density floor, eroded by 3 points: the
     reach of a fourth-order third derivative (the Euler residual
@@ -161,51 +158,41 @@ def _interior_mask(mask, rho):
     return out
 
 
-def _grid_vq(rho, h, params):
-    """V_Q on a uniform grid from stencil derivatives of c = ln rho."""
-    c = np.log(np.where(rho > 0, rho, 1.0))
-    c1, c2 = derivative(c, h, (1, 2))
-    return params.quantum_potential(c1, c2)
+def dynamics_residuals(field_a: EulerianField, field_b: EulerianField,
+                       params: PhysicsParams):
+    """Residuals of the quantum Hamilton-Jacobi, continuity and Euler
+    equations at the midpoint of two consecutive snapshots.
 
-
-def qhj_residual(field_a: EulerianField, field_b: EulerianField,
-                 params: PhysicsParams):
-    """Phase-evolution residual dS/dt + (dS/dx)^2/2m + V + V_Q at the
-    midpoint of two consecutive snapshots.  Returns (r, mask)."""
-    _check_pair(field_a, field_b)
-    x = field_a.x
+    The phase residual is dS/dt + (dS/dx)^2/2m + V + V_Q, the mass one
+    d rho/dt + d(rho v)/dx and the velocity one
+    dv/dt + v dv/dx + d(V + V_Q)/dx / m; time derivatives are the
+    snapshots' difference quotient, the rest is taken on their midpoint
+    fields.  V_Q comes from stencil derivatives of c = ln rho_mid.  All
+    three are zeroed outside one interior mask.
+    Returns (r_qhj, r_cont, r_euler, mask).
+    """
+    a, b = field_a, field_b
+    if a.x.shape != b.x.shape or not np.allclose(a.x, b.x):
+        raise ValidationError("field snapshots live on different grids")
+    if b.t == a.t:
+        raise ValidationError("field snapshots must differ in time")
+    x = a.x
     h = grid_spacing(x)
-    dt = field_b.t - field_a.t
-    mask = _interior_mask(field_a.mask & field_b.mask,
-                          0.5 * (field_a.rho + field_b.rho))
-    S_mid = 0.5 * (field_a.S + field_b.S)
-    rho_mid = 0.5 * (field_a.rho + field_b.rho)
-    dSdt = (field_b.S - field_a.S) / dt
-    dSdx = derivative(S_mid, h, 1)
-    vq = _grid_vq(rho_mid, h, params)
-    r = dSdt + dSdx**2 / (2.0 * params.mass) + params.potential_energy(x) + vq
-    return np.where(mask, r, 0.0), mask
-
-
-def continuity_euler_residuals(field_a: EulerianField, field_b: EulerianField,
-                               params: PhysicsParams):
-    """Residuals of mass transport and of the velocity equation between two
-    consecutive snapshots.  Returns (r_cont, r_euler, mask)."""
-    _check_pair(field_a, field_b)
-    x = field_a.x
-    h = grid_spacing(x)
-    dt = field_b.t - field_a.t
-    rho_mid = 0.5 * (field_a.rho + field_b.rho)
-    v_mid = 0.5 * (field_a.v + field_b.v)
-    mask = _interior_mask(field_a.mask & field_b.mask, rho_mid)
-    r_cont = ((field_b.rho - field_a.rho) / dt
-              + derivative(rho_mid * v_mid, h, 1))
-    vq = _grid_vq(rho_mid, h, params)
-    force = derivative(params.potential_energy(x) + vq, h, 1)
-    r_euler = ((field_b.v - field_a.v) / dt
-               + v_mid * derivative(v_mid, h, 1)
-               + force / params.mass)
-    return np.where(mask, r_cont, 0.0), np.where(mask, r_euler, 0.0), mask
+    dt = b.t - a.t
+    rho_mid = 0.5 * (a.rho + b.rho)
+    v_mid = 0.5 * (a.v + b.v)
+    mask = _interior_mask(a.mask & b.mask, rho_mid)
+    c1, c2 = derivative(np.log(np.where(rho_mid > 0, rho_mid, 1.0)), h, (1, 2))
+    vq = params.quantum_potential(c1, c2)
+    V = params.potential_energy(x)
+    r_qhj = ((b.S - a.S) / dt
+             + derivative(0.5 * (a.S + b.S), h, 1)**2 / (2.0 * params.mass)
+             + V + vq)
+    r_cont = (b.rho - a.rho) / dt + derivative(rho_mid * v_mid, h, 1)
+    r_euler = ((b.v - a.v) / dt + v_mid * derivative(v_mid, h, 1)
+               + derivative(V + vq, h, 1) / params.mass)
+    return (np.where(mask, r_qhj, 0.0), np.where(mask, r_cont, 0.0),
+            np.where(mask, r_euler, 0.0), mask)
 
 
 def lagrangian_moments(traj: TrajectoryState, init: InitialState,

@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 from qflow import pipeline
+from qflow.benchmarks import gaussian_trajectory
 from qflow.cli import main
+from qflow.config import Settings
 from qflow.kinematics import cofactor_matrix, quantum_potential, stress_eulerian
 from qflow.model import InitialState, PhysicsParams, make_gaussian_state
 from qflow.pipeline import _RICH_DIRS, _RICH_EPS, _smooth_rho3, tensor_check
@@ -36,6 +38,13 @@ def tensor_report(tmp_path_factory):
     report = json.loads((out / "tensor_check.json").read_text())
     report["exit_code"] = code
     return report
+
+
+@pytest.fixture(scope="module")
+def trajectory_field():
+    """The last reconstructed field of the default trajectory run."""
+    _, fields, _, _ = pipeline.run_lagrangian(Settings.defaults())
+    return fields[-1]
 
 
 def _value(report, name):
@@ -289,6 +298,34 @@ class TestCriterion8ParticleMethod:
     def test_pathwise_magnitude(self, acceptance_report):
         v = _value(acceptance_report, "path-wise |psi| vs reconstruction")
         assert _line(8, "path-wise |psi| vs reconstruction", v, 5e-2)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_verdict_survives_a_last_bit_draw_of_rho0(self, monkeypatch, seed,
+                                                      trajectory_field):
+        # each particle's rho0 times 1 +- 2^-52, the signs drawn from the
+        # seed; the |psi| check reads the unperturbed trajectory field
+        truncated = pipeline._truncated_gaussian_state
+
+        def drawn(sigma0, params, labels, **kwargs):
+            init = truncated(sigma0, params, labels, **kwargs)
+            signs = np.random.default_rng(seed).choice([-1, 1], init.n)
+            return InitialState(init.labels, init.rho0 * (1 + signs * 2.0**-52),
+                                init.s0, init.forms)
+
+        monkeypatch.setattr(pipeline, "_truncated_gaussian_state", drawn)
+        settings = Settings.defaults()
+        result, _ = pipeline.run_qtm(settings)
+        final = result.snapshots[-1]
+        i = int(np.argmin(np.abs(final.labels - 1.0)))
+        q_exact, _ = gaussian_trajectory(final.labels[i], final.t,
+                                         settings["state.sigma0"],
+                                         settings.physics())
+        assert abs(final.q[i] - q_exact) <= 5e-3
+        m = trajectory_field.mask
+        x = trajectory_field.x[m]
+        inside = (final.q >= x[0]) & (final.q <= x[-1])
+        magnitude = np.interp(final.q[inside], x, np.abs(trajectory_field.psi[m]))
+        assert np.max(np.abs(np.abs(result.psi[inside]) - magnitude)) <= 5e-2
 
 
 class TestCriterion9Moments:

@@ -14,9 +14,9 @@ from qflow.model import (AnalyticForms, EulerianField, InitialState,
                          PhysicsParams, TrajectoryState, _compose,
                          _hermite_basis, assemble_wavefunction,
                          make_gaussian_state)
-from qflow.reconstruction import (continuity_euler_residuals, eulerian_moments,
+from qflow.reconstruction import (dynamics_residuals, eulerian_moments,
                                   invert_map, lagrangian_moments,
-                                  phase_consistency_deviation, qhj_residual,
+                                  phase_consistency_deviation,
                                   reconstruct_wavefunction)
 from qflow.spectral import reference_fields, split_step_evolve
 
@@ -386,7 +386,7 @@ class TestResiduals:
         x = np.linspace(-12, 12, 1024, endpoint=False)
         fa = _analytic_field(1.0, x)
         fb = _analytic_field(1.001, x)
-        r, mask = qhj_residual(fa, fb, PARAMS)
+        r, _, _, mask = dynamics_residuals(fa, fb, PARAMS)
         assert mask.sum() > 100
         assert np.max(np.abs(r[mask])) < 1e-4
 
@@ -396,7 +396,7 @@ class TestResiduals:
         for E, expected in ((0.3, -0.3), (0.0, 0.0)):
             fa = make_field(x, 1.0, rho, S=np.full_like(x, -E * 1.0))
             fb = make_field(x, 1.01, rho, S=np.full_like(x, -E * 1.01))
-            r, mask = qhj_residual(fa, fb, PARAMS)
+            r, _, _, mask = dynamics_residuals(fa, fb, PARAMS)
             assert r[mask] == pytest.approx(np.full(mask.sum(), expected),
                                             abs=1e-9)
 
@@ -404,13 +404,13 @@ class TestResiduals:
         x = np.linspace(-4, 4, 65)
         f = make_field(x, 0.0, np.ones_like(x))
         with pytest.raises(ValidationError, match="differ in time"):
-            qhj_residual(f, f, PARAMS)
+            dynamics_residuals(f, f, PARAMS)
 
     def test_continuity_euler_on_analytic_pair(self):
         x = np.linspace(-12, 12, 1024, endpoint=False)
         fa = _analytic_field(1.0, x)
         fb = _analytic_field(1.001, x)
-        r_cont, r_euler, mask = continuity_euler_residuals(fa, fb, PARAMS)
+        _, r_cont, r_euler, mask = dynamics_residuals(fa, fb, PARAMS)
         assert np.max(np.abs(r_cont[mask])) < 1e-4
         assert np.max(np.abs(r_euler[mask])) < 1e-4
 
@@ -419,7 +419,7 @@ class TestResiduals:
         rho = np.exp(-x**2) / np.sqrt(np.pi)
         fa = make_field(x, 0.0, rho)
         fb = make_field(x, 0.1, rho)
-        r_cont, _, mask = continuity_euler_residuals(fa, fb, PARAMS)
+        _, r_cont, _, mask = dynamics_residuals(fa, fb, PARAMS)
         assert np.max(np.abs(r_cont[mask])) == 0.0
 
     def test_grid_mismatch_rejected(self, make_field):
@@ -428,7 +428,36 @@ class TestResiduals:
         fa = make_field(xa, 0.0, np.ones_like(xa))
         fb = make_field(xb, 0.1, np.ones_like(xb))
         with pytest.raises(ValidationError):
-            continuity_euler_residuals(fa, fb, PARAMS)
+            dynamics_residuals(fa, fb, PARAMS)
+
+    @pytest.mark.parametrize("mutation, caught", [
+        ("S", {"qhj": 1e-3}),
+        ("V_Q", {"qhj": 1e-3, "euler": 1e-2}),
+        ("rho", {"cont": 1e-2}),
+        ("v", {"euler": 1e-2}),
+    ])
+    def test_criterion_5_catches_a_mutated_pair(self, make_field, mutation,
+                                                caught):
+        # the analytic pair with one flaw: the later S, rho or v times 1.001,
+        # or V_Q halved; each flawed residual must exceed its gaussian-accept
+        # tolerance (1e-3 for QHJ, 1e-2 for continuity and Euler)
+        class HalvedVQ(PhysicsParams):
+            def quantum_potential(self, c1, c2):
+                return 0.5 * super().quantum_potential(c1, c2)
+
+        x = np.linspace(-12, 12, 1024, endpoint=False)
+        fa = _analytic_field(1.0, x)
+        fb = _analytic_field(1.001, x)
+        later = {"rho": fb.rho, "S": fb.S, "v": fb.v}
+        if mutation in later:
+            later[mutation] = later[mutation] * 1.001
+        params = HalvedVQ() if mutation == "V_Q" else PARAMS
+        r_qhj, r_cont, r_euler, mask = dynamics_residuals(
+            fa, make_field(x, fb.t, **later), params)
+        worst = {name: np.max(np.abs(r[mask])) for name, r in
+                 (("qhj", r_qhj), ("cont", r_cont), ("euler", r_euler))}
+        for name, tol in caught.items():
+            assert worst[name] > tol, (name, worst[name])
 
 
 class TestMoments:
