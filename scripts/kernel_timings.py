@@ -38,7 +38,7 @@ Prints the best-of-``--repeats`` time per call, in microseconds, of
   map and the push-forward of rho, v and S (a tenth of ``--calls`` per
   timing: each call takes about a millisecond);
 * the chain-rule stress oracle of the identity suite behind
-  ``qflow tensor-check``, at the suite's three label points;
+  ``qflow tensor-check``: one call on the suite's three label points;
 * one ``tensor_check(0)``, the whole suite (both identities on difference
   stars around 512 seeded centres), with the ``tracemalloc`` peak of one
   more call in the row's name (this row and the one above: one call per
@@ -184,8 +184,8 @@ def main():
     moved_u = np.stack((moved.q, result.log_rho, particles.s0 + moved.chi))
     x_grid = settings.x_grid()
     suite_repeats = max(1, args.repeats // 2)
-    oracle_us = best_us(lambda: [_chain_rule_stress(pt, params)
-                                 for pt in _ORACLE_POINTS], 1, suite_repeats)
+    oracle_us = best_us(lambda: _chain_rule_stress(_ORACLE_POINTS, params),
+                        1, suite_repeats)
     tensor_us = best_us(lambda: tensor_check(0), 1, suite_repeats)
     tensor_mb = traced_peak_mb(lambda: tensor_check(0))
 

@@ -198,9 +198,11 @@ class Settings:
     @classmethod
     def from_file(cls, path) -> "Settings":
         """Settings of the config file at ``path``; a file that cannot be
-        read as UTF-8 text raises :class:`ConfigError` naming the path."""
+        read as UTF-8 text raises :class:`ConfigError` naming the path.  A
+        leading UTF-8 byte-order mark is dropped, so it cannot become part
+        of the first key."""
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8-sig") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             reason = getattr(exc, "strerror", None) or exc

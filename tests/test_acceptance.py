@@ -8,6 +8,7 @@ line.  Tolerances are pinned literally in this file.
 """
 
 import json
+import random
 import tracemalloc
 
 import numpy as np
@@ -17,9 +18,11 @@ from qflow import pipeline
 from qflow.benchmarks import gaussian_trajectory
 from qflow.cli import main
 from qflow.config import Settings
-from qflow.kinematics import cofactor_matrix, quantum_potential, stress_eulerian
+from qflow.kinematics import (cofactor_matrix, jacobian, quantum_potential,
+                              stress_eulerian)
 from qflow.model import InitialState, PhysicsParams, make_gaussian_state
-from qflow.pipeline import _RICH_DIRS, _RICH_EPS, _smooth_rho3, tensor_check
+from qflow.pipeline import (_RICH_DIRS, _RICH_EPS, _cofactor_identity_rel_max,
+                            _smooth_rho3, tensor_check)
 
 
 @pytest.fixture(scope="session")
@@ -132,6 +135,23 @@ class TestCriterion4TensorIdentities:
              1.4929580296474398e-06], rtol=1e-12, atol=0)
 
 
+def _per_draw_cofactor_identity(rng, n_draws):
+    """The cofactor identity's worst ratio taken one draw at a time (the
+    loop the stacked form replaced)."""
+    worst = 0.0
+    for _ in range(n_draws):
+        while True:
+            g = np.array([[rng.uniform(-1.0, 1.0) for _ in range(3)]
+                          for _ in range(3)])
+            if abs(np.linalg.det(g)) >= 0.3:
+                break
+        J = jacobian(g)
+        C = cofactor_matrix(g)
+        resid = np.einsum("kj,ki->ij", g, C) - J * np.eye(3)
+        worst = max(worst, float(np.max(np.abs(resid)) / abs(J)))
+    return worst
+
+
 class TestSeededStars:
     """The star centres are drawn after the 100 cofactor matrices, from the
     run's seed."""
@@ -152,6 +172,15 @@ class TestSeededStars:
         # the seed 0 values from before the stars were drawn
         assert tensor_report["cofactor_identity_rel_max"] == 6.736426349315287e-16
         assert tensor_report["stress_equivalence_rel_max"] == 3.392297825055433e-07
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_stacked_draws_equal_the_per_draw_loop(self, seed):
+        # the same worst ratio, and the generator left where the star
+        # centres start
+        stacked, per_draw = random.Random(seed), random.Random(seed)
+        assert (_cofactor_identity_rel_max(stacked, 100)
+                == _per_draw_cofactor_identity(per_draw, 100))
+        assert stacked.random() == per_draw.random()
 
     def test_same_seed_same_report(self, tmp_path):
         written = []

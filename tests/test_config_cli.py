@@ -22,7 +22,7 @@ from qflow.config import (MAX_GRID_POINTS, POSITIVE_SQUARE, SCHEMA, ConfigError,
                           Settings, parse_config_text, resolve)
 from qflow.errors import NodeEncountered, ValidationError
 from qflow.model import plan_steps
-from qflow.pipeline import _truncated_gaussian_state
+from qflow.pipeline import _truncated_gaussian_state, tensor_check
 from qflow.stencils import grid_spacing
 from qflow.output import read_fields, write_fields, write_trajectories
 
@@ -760,6 +760,33 @@ class TestCli:
         report = json.loads((out / "tensor_check.json").read_text())
         assert report["passed"] is True
         assert report["seed"] == 0
+
+    def test_tensor_check_failing_draw_named(self, tmp_path, capsys, monkeypatch):
+        # one draw over the bound: the line gives the worst ratio and FAIL,
+        # not a count of zero passing draws
+        report = tensor_check(0)
+        report.update(cofactor_identity_rel_max=3e-12, passed=False)
+        monkeypatch.setattr(qflow.cli, "tensor_check", lambda **kw: report)
+        out = tmp_path / "tensor"
+        assert main(["tensor-check", "--out", str(out), "--seed", "0"]) == 1
+        printed = capsys.readouterr().out
+        assert ("cofactor identity: max rel 3.00e-12 over 100 draws (<= 1e-12) "
+                "FAIL, at least 1/100 draws over\n") in printed
+        assert "0/100" not in printed
+        written = json.loads((out / "tensor_check.json").read_text())
+        assert sorted(written) == sorted(list(report) + ["schema", "seed"])
+
+    def test_config_byte_order_mark_ignored(self, tmp_path):
+        # as some editors save UTF-8: the mark must not join the first key
+        text = "".join(f"{k} = {v}\n" for k, v in CHEAP_RUN.items())
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        for cfg in (plain, marked):
+            assert main(["run-lagrangian", "--config", str(cfg), "--out",
+                         str(tmp_path / cfg.stem), "--quiet"]) == 0
+        assert ((tmp_path / "marked" / "summary.json").read_bytes()
+                == (tmp_path / "plain" / "summary.json").read_bytes())
 
 
 # the numeric keys (the named choices only ever exit 2 on a number)

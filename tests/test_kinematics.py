@@ -406,6 +406,17 @@ class TestStressLagrangian:
             assert (_chain_rule_stress(pt, PARAMS).tobytes()
                     == _nested_chain_rule_stress(pt, PARAMS).tobytes())
 
+    def test_batched_oracle_equals_the_nested_form(self):
+        # each point reads its one-point value, alone or in a batch
+        rng = np.random.default_rng(39)
+        for points in (_ORACLE_POINTS, rng.uniform(-0.9, 0.9, (32, 3))):
+            nested = np.array([_nested_chain_rule_stress(pt, PARAMS)
+                               for pt in points])
+            one_by_one = np.array([_chain_rule_stress(pt, PARAMS)
+                                   for pt in points])
+            assert one_by_one.tobytes() == nested.tobytes()
+            assert _chain_rule_stress(points, PARAMS).tobytes() == nested.tobytes()
+
     def test_symmetry_emerges(self):
         pt = np.array([0.5, 0.3, -0.7])
         g, second, third = _synthetic_map(pt)
