@@ -12,6 +12,8 @@ node); a failed acceptance or identity suite exits 1.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -41,38 +43,43 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="key = value configuration file")
     common.add_argument("--out", type=Path, default=Path("qflow-out"),
                         help="output directory (created if missing)")
-    common.add_argument("--seed", type=int, default=None,
-                        help="random seed override (tensor-check draws)")
     common.add_argument("--quiet", action="store_true",
                         help="suppress progress output")
-    for name, help_text in (
-            ("run-lagrangian", "evolve the trajectory continuum and "
-                               "reconstruct the wavefunction"),
-            ("run-reference", "spectral wave-equation reference solve"),
-            ("run-qtm", "discrete-particle co-moving solve"),
-            ("tensor-check", "deformation-algebra identity suite"),
-            ("gaussian-accept", "full closed-form benchmark acceptance run"),
-    ):
-        sub.add_parser(name, parents=[common], help=help_text)
-    cmp_p = sub.add_parser("compare", parents=[common],
-                           help="error norms between two result sets")
-    cmp_p.add_argument("result_a", type=Path,
-                       help="fields.csv (or directory containing one)")
-    cmp_p.add_argument("result_b", type=Path)
+
+    # each handler's docstring is its help line
+    def command(name, handler):
+        cmd = sub.add_parser(name, parents=[common], help=handler.__doc__)
+        cmd.set_defaults(handler=handler)
+        return cmd
+
+    command("run-lagrangian", _cmd_run_lagrangian)
+    command("run-reference", _cmd_run_reference)
+    command("run-qtm", _cmd_run_qtm)
+    compare = command("compare", _cmd_compare)
+    compare.add_argument("result_a", type=Path,
+                         help="fields.csv (or directory containing one)")
+    compare.add_argument("result_b", type=Path)
+    tensor = command("tensor-check", _cmd_tensor_check)
+    tensor.add_argument("--seed", type=int, default=None,
+                        help="seed of the random draws (overrides run.seed)")
+    command("gaussian-accept", _cmd_gaussian_accept)
     return parser
 
 
-def _load_settings(args) -> Settings:
-    settings = (Settings.from_file(args.config) if args.config
-                else Settings.defaults())
-    if args.seed is None:
-        return settings
-    return Settings({**settings.values, "run.seed": int(args.seed)})
-
-
-def _say(args, message: str):
-    if not args.quiet:
-        print(message)
+def _printer(quiet: bool):
+    """``say(message, always=False)``: print a line unless ``quiet`` (a
+    line with ``always`` prints regardless).  Once stdout's reader has gone,
+    stdout is pointed at the null device, so the run finishes with its own
+    exit code and no traceback."""
+    def say(message: str, always: bool = False) -> None:
+        if quiet and not always:
+            return
+        try:
+            print(message, flush=True)
+        except BrokenPipeError:
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+    return say
 
 
 def _check_out(out: Path) -> None:
@@ -109,8 +116,8 @@ def _fields_path(path: Path) -> Path:
     return path / "fields.csv" if path.is_dir() else path
 
 
-def _cmd_run_lagrangian(args) -> int:
-    settings = _load_settings(args)
+def _cmd_run_lagrangian(settings: Settings, args, say) -> int:
+    """evolve the trajectory continuum and reconstruct the wavefunction"""
     t0 = time.perf_counter()
     snapshots, fields, summary, wall = run_lagrangian(settings)
     out = args.out
@@ -119,43 +126,43 @@ def _cmd_run_lagrangian(args) -> int:
         write_trajectories(out / "trajectories.csv", keep)
         write_fields(out / "fields.csv", fields)
         write_summary(out / "summary.json", summary)
-    _say(args, f"evolved {len(snapshots)} snapshots in {wall:.2f}s "
-               f"(total {time.perf_counter() - t0:.2f}s); wrote {out}")
+    say(f"evolved {len(snapshots)} snapshots in {wall:.2f}s "
+        f"(total {time.perf_counter() - t0:.2f}s); wrote {out}")
     if "trajectory_max_rel_error" in summary:
-        _say(args, f"trajectory max relative error: "
-                   f"{summary['trajectory_max_rel_error']:.3e}")
+        say(f"trajectory max relative error: "
+            f"{summary['trajectory_max_rel_error']:.3e}")
     return EXIT_OK
 
 
-def _cmd_run_reference(args) -> int:
-    settings = _load_settings(args)
+def _cmd_run_reference(settings: Settings, args, say) -> int:
+    """spectral wave-equation reference solve"""
     t0 = time.perf_counter()
     waves, fields, summary = run_reference(settings)
     out = args.out
     with _writing(out):
         write_fields(out / "fields.csv", fields)
         write_summary(out / "summary.json", summary)
-    _say(args, f"reference solve: {len(waves)} snapshots, norm drift "
-               f"{summary['norm_drift']:.2e} ({time.perf_counter() - t0:.2f}s)")
+    say(f"reference solve: {len(waves)} snapshots, norm drift "
+        f"{summary['norm_drift']:.2e} ({time.perf_counter() - t0:.2f}s)")
     return EXIT_OK
 
 
-def _cmd_run_qtm(args) -> int:
-    settings = _load_settings(args)
+def _cmd_run_qtm(settings: Settings, args, say) -> int:
+    """discrete-particle co-moving solve"""
     t0 = time.perf_counter()
     result, summary = run_qtm(settings)
     out = args.out
     with _writing(out):
         write_trajectories(out / "trajectories.csv", result.snapshots)
         write_summary(out / "summary.json", summary)
-    _say(args, f"particle run: {len(result.snapshots)} snapshots, discrete "
-               f"norm {summary['discrete_norm_final']:.6f} "
-               f"({time.perf_counter() - t0:.2f}s)")
+    say(f"particle run: {len(result.snapshots)} snapshots, discrete "
+        f"norm {summary['discrete_norm_final']:.6f} "
+        f"({time.perf_counter() - t0:.2f}s)")
     return EXIT_OK
 
 
-def _cmd_compare(args) -> int:
-    settings = _load_settings(args)
+def _cmd_compare(settings: Settings, args, say) -> int:
+    """error norms between two result sets"""
     hbar = settings["physics.hbar"]
     fields_a = read_fields(_fields_path(args.result_a), hbar)
     fields_b = read_fields(_fields_path(args.result_b), hbar)
@@ -166,12 +173,14 @@ def _cmd_compare(args) -> int:
         line = f"t = {entry['t']:.6g}: "
         line += ", ".join(f"{k} = {v:.3e}" for k, v in entry.items()
                           if k not in ("t", "points"))
-        _say(args, line)
+        say(line)
     return EXIT_OK
 
 
-def _cmd_tensor_check(args) -> int:
-    settings = _load_settings(args)
+def _cmd_tensor_check(settings: Settings, args, say) -> int:
+    """deformation-algebra identity suite"""
+    if args.seed is not None:
+        settings = Settings({**settings.values, "run.seed": args.seed})
     seed = settings["run.seed"]
     report = tensor_check(seed=seed, params=settings.physics())
     payload = dict(report)
@@ -183,25 +192,23 @@ def _cmd_tensor_check(args) -> int:
     # the worst draw decides: within the bound, every draw is
     verdict = (f"PASS, {n}/{n} draws within" if worst <= 1e-12
                else f"FAIL, at least 1/{n} draws over")
-    _say(args, f"cofactor identity: max rel {worst:.2e} over {n} draws "
-               f"(<= 1e-12) {verdict}")
-    _say(args, f"cofactor divergence orders: "
-               f"{['%.2f' % o for o in report['cofactor_divergence_orders']]}")
-    _say(args, f"stress equivalence rel: {report['stress_equivalence_rel_max']:.2e}")
-    _say(args, f"force identity order: {report['force_identity_order']:.2f}")
-    _say(args, "tensor-check: " + ("PASS" if report["passed"] else "FAIL"))
+    say(f"cofactor identity: max rel {worst:.2e} over {n} draws "
+        f"(<= 1e-12) {verdict}")
+    say(f"cofactor divergence orders: "
+        f"{['%.2f' % o for o in report['cofactor_divergence_orders']]}")
+    say(f"stress equivalence rel: {report['stress_equivalence_rel_max']:.2e}")
+    say(f"force identity order: {report['force_identity_order']:.2f}")
+    say("tensor-check: " + ("PASS" if report["passed"] else "FAIL"))
     return EXIT_OK if report["passed"] else EXIT_FAILED
 
 
-def _cmd_gaussian_accept(args) -> int:
-    settings = _load_settings(args)
+def _cmd_gaussian_accept(settings: Settings, args, say) -> int:
+    """full closed-form benchmark acceptance run"""
     t0 = time.perf_counter()
     checks, details = gaussian_accept(settings)
     all_ok = all(c.passed for c in checks)
     payload = {
-        "checks": [{"criterion": c.criterion, "name": c.name, "value": c.value,
-                    "tolerance": c.tolerance, "op": c.op, "passed": c.passed}
-                   for c in checks],
+        "checks": [dataclasses.asdict(c) for c in checks],
         "details": details,
         "passed": all_ok,
     }
@@ -209,28 +216,20 @@ def _cmd_gaussian_accept(args) -> int:
         write_summary(args.out / "acceptance.json", payload)
     for c in checks:
         status = "PASS" if c.passed else "FAIL"
-        print(f"criterion {c.criterion:2d} {c.name}: {c.value:.3e} "
-              f"({c.op} {c.tolerance:.1e}) {status}")
-    _say(args, f"gaussian-accept finished in {time.perf_counter() - t0:.1f}s: "
-               + ("ALL PASS" if all_ok else "FAILURES PRESENT"))
+        say(f"criterion {c.criterion:2d} {c.name}: {c.value:.3e} "
+            f"({c.op} {c.tolerance:.1e}) {status}", always=True)
+    say(f"gaussian-accept finished in {time.perf_counter() - t0:.1f}s: "
+        + ("ALL PASS" if all_ok else "FAILURES PRESENT"))
     return EXIT_OK if all_ok else EXIT_FAILED
-
-
-_COMMANDS = {
-    "run-lagrangian": _cmd_run_lagrangian,
-    "run-reference": _cmd_run_reference,
-    "run-qtm": _cmd_run_qtm,
-    "compare": _cmd_compare,
-    "tensor-check": _cmd_tensor_check,
-    "gaussian-accept": _cmd_gaussian_accept,
-}
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _check_out(args.out)
-        return _COMMANDS[args.command](args)
+        settings = (Settings.from_file(args.config) if args.config
+                    else Settings.defaults())
+        return args.handler(settings, args, _printer(args.quiet))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

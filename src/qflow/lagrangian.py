@@ -228,15 +228,12 @@ class _LabelData:
             self.L1 = np.asarray(forms.drho0(a), dtype=float) / r
             self.L2 = np.asarray(forms.d2rho0(a), dtype=float) / r
         else:
-            peak = float(np.max(init.rho0))
-            floor = TAIL_FLOOR_REL * peak
-            if np.min(init.rho0) < floor:
+            if np.min(init.rho0) < TAIL_FLOOR_REL * np.max(init.rho0):
                 raise ValidationError(
                     "numeric density derivatives need rho0 >= 1e-12 * peak at "
                     "every label; restrict the label span or supply analytic forms"
                 )
-            safe = np.maximum(init.rho0, floor)
-            self.L1, self.L2 = derivative(init.rho0, self.h, (1, 2)) / safe
+            self.L1, self.L2 = derivative(init.rho0, self.h, (1, 2)) / init.rho0
         self.L2_minus_L1_sq = self.L2 - self.L1**2
 
 

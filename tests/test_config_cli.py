@@ -6,6 +6,7 @@ import math
 import os
 import re
 import struct
+import subprocess
 import sys
 import tempfile
 import time
@@ -22,9 +23,11 @@ from qflow.config import (MAX_GRID_POINTS, POSITIVE_SQUARE, SCHEMA, ConfigError,
                           Settings, parse_config_text, resolve)
 from qflow.errors import NodeEncountered, ValidationError
 from qflow.model import plan_steps
-from qflow.pipeline import _truncated_gaussian_state, tensor_check
+from qflow.pipeline import Check, _truncated_gaussian_state, tensor_check
 from qflow.stencils import grid_spacing
 from qflow.output import read_fields, write_fields, write_trajectories
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SMALL_RUN = """
 # quick run for integration tests
@@ -738,6 +741,46 @@ class TestCli:
                      "--out", str(tmp_path / "o"), "--quiet"]) == 2
         assert "run.seed must be >= 0, got -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run-lagrangian", "run-reference",
+                                         "run-qtm", "compare",
+                                         "gaussian-accept"])
+    def test_seed_option_only_on_tensor_check(self, tmp_path, capsys, command):
+        # the other commands read no seed: --seed is an unknown flag there
+        args = ["a", "b"] if command == "compare" else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, *args, "--seed", "1", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["tensor-check", "run-lagrangian"])
+    def test_closed_stdout_finishes_the_run(self, tmp_path, command):
+        # stdout on a pipe whose reader has gone (as under `| head -0`): the
+        # run writes the files of a normal run and exits with its own code
+        argv = [command]
+        if command == "run-lagrangian":
+            argv += ["--config", str(_write_config(tmp_path / "cheap.cfg",
+                                                   CHEAP_RUN))]
+        normal, piped = tmp_path / "normal", tmp_path / "piped"
+        assert main(argv + ["--out", str(normal), "--quiet"]) == 0
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "qflow.cli", *argv, "--out", str(piped)],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=300)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0, proc.stderr
+        assert b"Traceback" not in proc.stderr
+        names = sorted(f.name for f in normal.iterdir())
+        assert sorted(f.name for f in piped.iterdir()) == names
+        for name in names:
+            assert (piped / name).read_bytes() == (normal / name).read_bytes()
+
     @pytest.mark.parametrize("command", ["run-lagrangian", "run-reference"])
     def test_more_field_times_than_snapshots(self, tmp_path, command):
         # every snapshot, without a grid of 1e18 candidate times
@@ -775,6 +818,22 @@ class TestCli:
         assert "0/100" not in printed
         written = json.loads((out / "tensor_check.json").read_text())
         assert sorted(written) == sorted(list(report) + ["schema", "seed"])
+
+    def test_quiet_acceptance_prints_only_the_criteria(self, tmp_path, capsys,
+                                                       monkeypatch):
+        checks = [Check.le(1, "first", 0.5, 1.0), Check.ge(2, "second", 0.5, 1.0)]
+        monkeypatch.setattr(qflow.cli, "gaussian_accept",
+                            lambda settings: (checks, {}))
+        out = tmp_path / "accept"
+        assert main(["gaussian-accept", "--out", str(out), "--quiet"]) == 1
+        assert capsys.readouterr().out == (
+            "criterion  1 first: 5.000e-01 (<= 1.0e+00) PASS\n"
+            "criterion  2 second: 5.000e-01 (>= 1.0e+00) FAIL\n")
+        written = json.loads((out / "acceptance.json").read_text())
+        assert written["checks"][1] == {
+            "criterion": 2, "name": "second", "value": 0.5, "tolerance": 1.0,
+            "op": ">=", "passed": False}
+        assert list(written) == ["schema", "checks", "details", "passed"]
 
     def test_config_byte_order_mark_ignored(self, tmp_path):
         # as some editors save UTF-8: the mark must not join the first key
@@ -993,6 +1052,23 @@ class TestSchemaBounds:
             assert default == ("auto" if expected is None else str(expected)), key
             if rule is not None:
                 assert bound.startswith(rule[1].removeprefix("must be ")), key
+
+    def test_readme_commands_match_parser(self):
+        # the command block names each command once, and the common-flags
+        # line the options every command takes
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Command line")[1].split("```")[1]
+        names = [line.split()[1] for line in block.splitlines() if line]
+        commands = next(a for a in qflow.cli._build_parser()._actions
+                        if a.choices).choices
+        assert names == list(commands)
+        shared = set.intersection(*(
+            {o for a in c._actions for o in a.option_strings}
+            for c in commands.values())) - {"-h", "--help"}
+        line = next(line for line in readme.splitlines()
+                    if line.startswith("Common flags:"))
+        flags = [flag.split()[0] for flag in re.findall(r"`([^`]+)`", line)]
+        assert sorted(flags) == sorted(shared)
 
     def test_settings_are_read_only(self):
         settings = Settings.defaults()

@@ -5,8 +5,9 @@ from scipy import sparse
 from qflow.benchmarks import gaussian_trajectory
 from qflow.errors import (NumericalInstability, TrajectoryCrossing,
                           ValidationError)
-from qflow.lagrangian import (ModeProjector, SolverConfig, _check_kinematics,
-                              _kinematics, _LabelData, _log_density,
+from qflow.lagrangian import (TAIL_FLOOR_REL, ModeProjector, SolverConfig,
+                              _check_kinematics, _kinematics, _LabelData,
+                              _log_density,
                               _log_density_derivatives, _projected_force,
                               acceleration_direct, acceleration_newton,
                               default_projection_degree, energy_of, evolve,
@@ -353,6 +354,21 @@ class TestAccelerations:
         i1 = np.argmin(np.abs(self.init.labels - 1.0))
         assert vq[i0] == pytest.approx(0.25, abs=1e-8)
         assert vq[i1] == pytest.approx(0.125, abs=1e-8)
+
+    # 7.4 widths: the tail density is 1.3e-12 of the peak, just above the
+    # 1e-12 the sampled branch requires
+    @pytest.mark.parametrize("n, span", [(101, 6.0), (401, 7.4)])
+    def test_sampled_ratios_equal_the_floored_division(self, n, span):
+        # the sampled branch rejects rho0 below the floor before it divides,
+        # so dividing by rho0 gives the bits of dividing by the floored rho0
+        init = make_gaussian_state(1.0, PARAMS, np.linspace(-span, span, n),
+                                   analytic=False)
+        data = _LabelData(init, PARAMS)
+        floor = TAIL_FLOOR_REL * float(np.max(init.rho0))
+        floored = np.maximum(init.rho0, floor)
+        L1, L2 = derivative(init.rho0, data.h, (1, 2)) / floored
+        assert data.L1.tobytes() == L1.tobytes()
+        assert data.L2.tobytes() == L2.tobytes()
 
     def test_shared_kernel_matches_per_derivative_formulas(self):
         # reference: J, J', J'' from one stencil call each, as the forms
