@@ -66,19 +66,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _printer(quiet: bool):
-    """``say(message, always=False)``: print a line unless ``quiet`` (a
-    line with ``always`` prints regardless).  Once stdout's reader has gone,
-    stdout is pointed at the null device, so the run finishes with its own
+def _emit(message: str, stream) -> None:
+    """Print a line to ``stream``.  Once the stream's reader has gone, the
+    stream is pointed at the null device, so the run finishes with its own
     exit code and no traceback."""
+    try:
+        print(message, file=stream, flush=True)
+    except BrokenPipeError:
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), stream.fileno())
+
+
+def _printer(quiet: bool):
+    """``say(message, always=False)``: print a line to stdout unless
+    ``quiet`` (a line with ``always`` prints regardless)."""
     def say(message: str, always: bool = False) -> None:
-        if quiet and not always:
-            return
-        try:
-            print(message, flush=True)
-        except BrokenPipeError:
-            with open(os.devnull, "wb") as devnull:
-                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        if not quiet or always:
+            _emit(message, sys.stdout)
     return say
 
 
@@ -231,10 +235,10 @@ def main(argv=None) -> int:
                     else Settings.defaults())
         return args.handler(settings, args, _printer(args.quiet))
     except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _emit(f"error: {exc}", sys.stderr)
         return EXIT_VALIDATION
     except QflowError as exc:
-        print(f"numerical abort: {exc}", file=sys.stderr)
+        _emit(f"numerical abort: {exc}", sys.stderr)
         return EXIT_NUMERICAL
 
 

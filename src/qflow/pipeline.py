@@ -188,35 +188,6 @@ def compare_fields(fields_a, fields_b) -> dict:
 # tensor identity suite
 # ---------------------------------------------------------------------------
 
-_SYNTHETIC_EPS = 0.1
-
-
-def _synthetic_gradient(points):
-    """The deformation gradient of :func:`_synthetic_map` alone."""
-    a = np.asarray(points, dtype=float)
-    g = np.zeros(a.shape[:-1] + (3, 3))
-    for i in range(3):
-        j = (i + 1) % 3
-        g[..., i, i] += 1.0
-        g[..., i, j] += _SYNTHETIC_EPS * np.cos(a[..., j])
-    return g
-
-
-def _synthetic_map(points):
-    """The map q_i = a_i + 0.1 sin(a_{i+1}): its deformation gradient and
-    analytic second and third derivative stacks."""
-    a = np.asarray(points, dtype=float)
-    eps = _SYNTHETIC_EPS
-    n = a.shape[:-1]
-    second = np.zeros(n + (3, 3, 3))
-    third = np.zeros(n + (3, 3, 3, 3))
-    for i in range(3):
-        j = (i + 1) % 3
-        second[..., i, j, j] = -eps * np.sin(a[..., j])
-        third[..., i, j, j, j] = -eps * np.cos(a[..., j])
-    return _synthetic_gradient(a), second, third
-
-
 # a map with cross-coupled sine arguments: every cofactor entry depends on
 # every coordinate, so the divergence identity holds only by cancellation
 _RICH_EPS = (0.10, 0.08, 0.06)
@@ -234,24 +205,18 @@ def _rich_map_gradient(points):
     return g
 
 
-_SIGMAS3 = np.array([1.0, 1.3, 0.8])
-
-
-def _gauss3_density(a):
-    """The density of :func:`_gauss3` alone."""
-    return np.prod((2.0 * np.pi * _SIGMAS3**2) ** -0.5
-                   * np.exp(-(a / _SIGMAS3) ** 2 / 2.0), axis=-1)
-
-
-def _gauss3(points):
+def _rich_map(points):
+    """The rich map's deformation gradient and its analytic second and third
+    derivative stacks, -eps_i sin(dirs_i . a) dirs_i dirs_i and
+    -eps_i cos(dirs_i . a) dirs_i dirs_i dirs_i."""
     a = np.asarray(points, dtype=float)
-    rho = _gauss3_density(a)
-    grad = rho[..., None] * (-a / _SIGMAS3**2)
-    eye = np.eye(3)
-    hess = rho[..., None, None] * (
-        (a / _SIGMAS3**2)[..., :, None] * (a / _SIGMAS3**2)[..., None, :]
-        - eye / _SIGMAS3**2)
-    return rho, grad, hess
+    phase = a @ _RICH_DIRS.T
+    d2 = _RICH_DIRS[:, :, None] * _RICH_DIRS[:, None, :]
+    d3 = d2[..., None] * _RICH_DIRS[:, None, None, :]
+    eps = np.asarray(_RICH_EPS)
+    second = (-eps * np.sin(phase))[..., None, None] * d2
+    third = (-eps * np.cos(phase))[..., None, None, None] * d3
+    return _rich_map_gradient(a), second, third
 
 
 # the label points where tensor_check compares the closed-form stress with
@@ -280,12 +245,13 @@ def _chain_rule_stress(points, params: PhysicsParams, h: float = 0.02):
         shifts[l, :, l] = _ORACLE_OFFSETS * h
 
     def rho_of(a):
-        return _gauss3_density(a) / jacobian(_synthetic_gradient(a))
+        return (_smooth_rho3(*np.moveaxis(a, -1, 0))[0]
+                / jacobian(_rich_map_gradient(a)))
 
     def d_space(f, a):
         """(d f / d q)(a) for a field given in label variables; for a
         3-vector f, row j is the spatial gradient of f[j]."""
-        g = _synthetic_gradient(a)
+        g = _rich_map_gradient(a)
         J = jacobian(g)
         C = cofactor_matrix(g)
         # d f / d a_l by the five-point rule, f taken once on every shifted
@@ -347,8 +313,8 @@ def tensor_check(seed: int = 0, params: PhysicsParams | None = None) -> dict:
     # closed-form stress versus the chain-rule oracle
     stress_rel = 0.0
     for pt, oracle in zip(_ORACLE_POINTS, _chain_rule_stress(_ORACLE_POINTS, params)):
-        g, second, third = _synthetic_map(pt)
-        rho0, dr, d2r = _gauss3(pt)
+        g, second, third = _rich_map(pt)
+        rho0, dr, d2r = _smooth_rho3(*pt)
         sig = stress_lagrangian(g, second, third, rho0, dr, d2r,
                                 params.hbar, params.mass)
         stress_rel = max(stress_rel, float(

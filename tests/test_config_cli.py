@@ -781,6 +781,31 @@ class TestCli:
         for name in names:
             assert (piped / name).read_bytes() == (normal / name).read_bytes()
 
+    @pytest.mark.parametrize("argv, code", [
+        (["tensor-check", "--seed", "-1"], 2),
+        (["run-qtm", "--config", "long_step.cfg"], 3)],
+        ids=["tensor-check", "run-qtm"])
+    def test_closed_stderr_keeps_the_exit_code(self, tmp_path, argv, code):
+        # stderr on a pipe whose reader has gone: the error line is lost, the
+        # exit code is not
+        _write_config(tmp_path / "long_step.cfg", {"qtm.dt": "0.004"})
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "qflow.cli", *argv,
+                 "--out", str(tmp_path / "o")],
+                stdout=subprocess.PIPE, stderr=write_end, env=env,
+                cwd=tmp_path, timeout=300)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == code
+        assert proc.stdout == b""
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["run-lagrangian", "run-reference"])
     def test_more_field_times_than_snapshots(self, tmp_path, command):
         # every snapshot, without a grid of 1e18 candidate times

@@ -9,8 +9,8 @@ from qflow.kinematics import (cofactor_matrix, hyper_cofactor, jacobian,
                               levi_civita, quantum_potential, stress_eulerian,
                               stress_lagrangian)
 import qflow.kinematics as kinematics
-from qflow.pipeline import (_ORACLE_POINTS, _chain_rule_stress, _gauss3,
-                            _smooth_rho3, _synthetic_map)
+from qflow.pipeline import (_ORACLE_POINTS, _chain_rule_stress, _rich_map,
+                            _rich_map_gradient, _smooth_rho3)
 from qflow.model import PhysicsParams
 
 PARAMS = PhysicsParams()
@@ -130,12 +130,11 @@ def _nested_chain_rule_stress(point, params, h=0.02):
     weights = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 
     def rho_of(a):
-        g, _, _ = _synthetic_map(a)
-        r, _, _ = _gauss3(a)
-        return r / jacobian(g)
+        r, _, _ = _smooth_rho3(*a)
+        return r / jacobian(_rich_map_gradient(a))
 
     def d_space(f, a):
-        g, _, _ = _synthetic_map(a)
+        g = _rich_map_gradient(a)
         J = jacobian(g)
         C = cofactor_matrix(g)
         grad_lbl = np.zeros(3)
@@ -383,7 +382,7 @@ class TestStressLagrangian:
 
     def test_identity_map_matches_eulerian(self):
         pt = np.array([0.4, -0.2, 0.8])
-        rho0, dr, d2r = _gauss3(pt)
+        rho0, dr, d2r = _smooth_rho3(*pt)
         sig_l = stress_lagrangian(np.eye(3), np.zeros((3, 3, 3)),
                                   np.zeros((3, 3, 3, 3)), rho0, dr, d2r, 1.0, 1.0)
         sig_e, _ = stress_eulerian(rho0, dr, d2r, 1.0, 1.0)
@@ -392,8 +391,8 @@ class TestStressLagrangian:
     def test_chain_rule_oracle(self):
         for pt in ([0.3, -0.4, 0.2], [-0.6, 0.1, 0.5]):
             pt = np.array(pt)
-            g, second, third = _synthetic_map(pt)
-            rho0, dr, d2r = _gauss3(pt)
+            g, second, third = _rich_map(pt)
+            rho0, dr, d2r = _smooth_rho3(*pt)
             sig = stress_lagrangian(g, second, third, rho0, dr, d2r, 1.0, 1.0)
             oracle = _chain_rule_stress(pt, PARAMS)
             rel = np.max(np.abs(sig - oracle)) / np.max(np.abs(oracle))
@@ -417,10 +416,32 @@ class TestStressLagrangian:
             assert one_by_one.tobytes() == nested.tobytes()
             assert _chain_rule_stress(points, PARAMS).tobytes() == nested.tobytes()
 
+    def test_rich_map_stacks_are_its_derivatives(self):
+        # central differences of the gradient give the second stack, and of
+        # the second stack the third
+        h = 1e-5
+        for pt in _ORACLE_POINTS:
+            _, second, third = _rich_map(pt)
+            for n in range(3):
+                step = h * np.eye(3)[n]
+                g_plus, second_plus, _ = _rich_map(pt + step)
+                g_minus, second_minus, _ = _rich_map(pt - step)
+                assert np.max(np.abs((g_plus - g_minus) / (2 * h)
+                                     - second[..., n])) <= 1e-10
+                assert np.max(np.abs((second_plus - second_minus) / (2 * h)
+                                     - third[..., n])) <= 1e-10
+
+    def test_rich_map_stacks_are_symmetric(self):
+        rng = np.random.default_rng(5)
+        _, second, third = _rich_map(rng.uniform(-1, 1, (16, 3)))
+        assert np.array_equal(second, np.swapaxes(second, -1, -2))
+        for axes in ((-1, -2), (-1, -3), (-2, -3)):
+            assert np.array_equal(third, np.swapaxes(third, *axes))
+
     def test_symmetry_emerges(self):
         pt = np.array([0.5, 0.3, -0.7])
-        g, second, third = _synthetic_map(pt)
-        rho0, dr, d2r = _gauss3(pt)
+        g, second, third = _rich_map(pt)
+        rho0, dr, d2r = _smooth_rho3(*pt)
         sig = stress_lagrangian(g, second, third, rho0, dr, d2r, 1.0, 1.0)
         assert np.max(np.abs(sig - sig.T)) <= 1e-12 * np.max(np.abs(sig))
 
