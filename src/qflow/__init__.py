@@ -24,8 +24,7 @@ from .errors import (NodeEncountered, NumericalInstability,
                      OutsidePotentialTable, QflowError, TrajectoryCrossing,
                      ValidationError, WrapAroundRiskWarning)
 from .kinematics import (cofactor_matrix, hyper_cofactor, jacobian,
-                         levi_civita, quantum_potential, stress_eulerian,
-                         stress_lagrangian)
+                         levi_civita, stress_eulerian, stress_lagrangian)
 from .lagrangian import (ModeProjector, SolverConfig, acceleration_direct,
                          acceleration_newton, energy_of, evolve,
                          initial_velocity)

@@ -170,8 +170,10 @@ def _check(values) -> None:
             raise ConfigError(f"{key} {bound[1]}, got {_shown(value)}")
     v = values
     # a packet narrower than one x cell leaves the reference a support of
-    # a point or two
+    # a point or two; a boost whose spectrum reaches past the grid's
+    # Nyquist wavenumber pi / dx is aliased
     dx = (v["grid.x_max"] - v["grid.x_min"]) / v["grid.n_x"]
+    k_max = math.pi / dx - math.pi / v["state.sigma0"]
     for key, ok, requirement in (
             ("grid.label_max", v["grid.label_max"] > v["grid.label_min"],
              f"must be > grid.label_min = {v['grid.label_min']!r}"),
@@ -179,7 +181,10 @@ def _check(values) -> None:
              f"must be > grid.x_min = {v['grid.x_min']!r}"),
             ("state.sigma0", v["state.sigma0"] >= dx,
              f"must be >= the x spacing (grid.x_max - grid.x_min) / "
-             f"grid.n_x = {dx!r}")):
+             f"grid.n_x = {dx!r}"),
+            ("state.boost_k", abs(v["state.boost_k"]) <= k_max,
+             f"must be within +-(pi / the x spacing - pi / state.sigma0) = "
+             f"+-{k_max!r}")):
         if not ok:
             raise ConfigError(f"{key} {requirement}, got {_shown(v[key])}")
 

@@ -1,11 +1,13 @@
-"""Deformation-gradient algebra and the quantum stress/potential fields.
+"""Deformation-gradient algebra and the quantum stress tensor.
 
 Conventions: ``g[i, l] = dq_i / da_l`` is the deformation gradient of the
 label-to-position map.  ``second[m, k, n] = d^2 q_m / (da_k da_n)`` and
 ``third[m, k, l, n] = d^3 q_m / (da_k da_l da_n)`` carry the higher label
-derivatives, symmetric in their derivative indices.  All field operations
-broadcast over leading axes and return an explicit validity mask instead
-of propagating NaNs.
+derivatives, symmetric in their derivative indices.  The Jacobian, the
+cofactors and ``stress_eulerian`` broadcast over leading axes;
+``stress_eulerian`` returns an explicit validity mask instead of
+propagating NaNs.  ``stress_lagrangian`` works on one point.  The quantum
+potential is ``PhysicsParams.quantum_potential``.
 """
 
 from __future__ import annotations
@@ -91,17 +93,6 @@ def stress_eulerian(rho, grad_rho, hess_rho, hbar: float, mass: float):
     sigma = (hbar**2 / (4.0 * mass)) * (outer / safe[..., None, None] - hess)
     np.copyto(sigma, 0.0, where=~valid[..., None, None])
     return sigma, valid
-
-
-def quantum_potential(rho, grad_rho, laplacian_rho, hbar: float, mass: float):
-    """V_Q = (hbar^2 / 4 m rho) [ |grad rho|^2 / (2 rho) - laplacian rho ];
-    zeroed, and flagged invalid, where rho is at the floor."""
-    rho, valid = _floor_mask(rho, RHO_FLOOR_REL)
-    grad = np.asarray(grad_rho, dtype=float)
-    safe = np.where(valid, rho, 1.0)
-    g2 = np.sum(grad * grad, axis=-1)
-    vq = (hbar**2 / (4.0 * mass)) * (0.5 * g2 / safe - laplacian_rho) / safe
-    return np.where(valid, vq, 0.0), valid
 
 
 def stress_lagrangian(g, second, third, rho0, drho0, d2rho0,

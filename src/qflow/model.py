@@ -159,8 +159,9 @@ class PhysicsParams:
         return p._spline(x)
 
     def quantum_potential(self, c1, c2):
-        """V_Q = -(hbar^2 / 4m) (c'' + c'^2 / 2), the one 1-D V_Q formula,
-        from the spatial derivatives c1, c2 of the log-density c = ln rho."""
+        """V_Q = -(hbar^2 / 4m) (c'' + c'^2 / 2), the one V_Q formula, from
+        the spatial derivatives c1, c2 of the log-density c = ln rho; in
+        three dimensions c1 is the gradient's norm and c2 the Laplacian."""
         return -(self.hbar**2 / (4.0 * self.mass)) * (c2 + 0.5 * c1**2)
 
     def potential_gradient(self, x, out=None) -> np.ndarray:

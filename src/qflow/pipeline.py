@@ -16,8 +16,8 @@ import numpy as np
 from .benchmarks import error_norms, gaussian_trajectory, gaussian_wavefunction
 from .config import Settings
 from .errors import ValidationError
-from .kinematics import (cofactor_matrix, jacobian, quantum_potential,
-                         stress_eulerian, stress_lagrangian)
+from .kinematics import (cofactor_matrix, jacobian, stress_eulerian,
+                         stress_lagrangian)
 from .lagrangian import (SolverConfig, acceleration_direct,
                          acceleration_newton, evolve)
 from .model import (FreePotential, HarmonicPotential, InitialState,
@@ -390,15 +390,18 @@ def _cofactor_divergence_residuals(points, h):
 
 def _force_identity_residuals(points, h, params: PhysicsParams):
     """div(sigma) / rho - grad V_Q at each centre, (N, 3), for the smooth
-    density.
+    density, V_Q from the solvers' ``params.quantum_potential`` in the
+    log-density c = ln rho: |grad c| = |grad rho| / rho and
+    lap c = lap rho / rho - |grad c|^2.
 
-    The density floor of ``stress_eulerian`` and ``quantum_potential`` is
-    relative to the largest rho of the stars; min rho / max rho is about 0.3
-    there, so the 1e-14 floor marks no point."""
+    The density floor of ``stress_eulerian`` is relative to the largest rho
+    of the stars; min rho / max rho is about 0.3 there, so the 1e-14 floor
+    marks no point."""
     rho, grad, hess = _smooth_rho3(*np.moveaxis(_stars(points, h), -1, 0))
     sigma, _ = stress_eulerian(rho, grad, hess, params.hbar, params.mass)
-    lap = np.trace(hess, axis1=-2, axis2=-1)
-    vq, _ = quantum_potential(rho, grad, lap, params.hbar, params.mass)
+    grad_sq = np.sum(grad * grad, axis=-1) / rho**2
+    vq = params.quantum_potential(
+        np.sqrt(grad_sq), np.trace(hess, axis1=-2, axis2=-1) / rho - grad_sq)
     resid = _divergence(sigma, h) / rho[0, :, None]
     for i in range(3):
         resid[:, i] -= _centred(vq, h, i)

@@ -18,8 +18,7 @@ from qflow import pipeline
 from qflow.benchmarks import gaussian_trajectory
 from qflow.cli import main
 from qflow.config import Settings
-from qflow.kinematics import (cofactor_matrix, jacobian, quantum_potential,
-                              stress_eulerian)
+from qflow.kinematics import cofactor_matrix, jacobian, stress_eulerian
 from qflow.model import InitialState, PhysicsParams, make_gaussian_state
 from qflow.pipeline import (_RICH_DIRS, _RICH_EPS, _cofactor_identity_rel_max,
                             _smooth_rho3, tensor_check)
@@ -140,15 +139,29 @@ class TestCriterion4TensorIdentities:
         v = tensor_report["force_identity_order"]
         assert _line(4, "force identity residual order", v, 1.9, op=">=")
 
+    def test_force_check_reads_the_solvers_quantum_potential(self, monkeypatch):
+        # the 1/2 of the one V_Q formula made 0.45: the force identity no
+        # longer converges
+        def mutated(self, c1, c2):
+            return -(self.hbar**2 / (4.0 * self.mass)) * (c2 + 0.45 * c1**2)
+
+        monkeypatch.setattr(PhysicsParams, "quantum_potential", mutated)
+        report = tensor_check(0)
+        assert report["passed"] is False
+        assert report["force_identity_order"] < 1.9
+        assert report["force_identity_errors"][-1] > 1e-2
+
     def test_suite_exit_code(self, tensor_report):
         assert tensor_report["exit_code"] == 0
         assert tensor_report["passed"] is True
 
     def test_grid_residuals_pinned(self, tensor_report):
-        # seed 0 values of the difference stars at the 512 seeded centres
+        # seed 0 values of the difference stars at the 512 seeded centres;
+        # V_Q read through c = ln rho moved the coarse force error by 1.9e-12
+        # relative (from 4.774524477415554e-04)
         np.testing.assert_allclose(
             tensor_report["force_identity_errors"],
-            [4.774524477415554e-04, 1.1945540272770283e-04,
+            [4.774524477406672e-04, 1.1945540272770283e-04,
              2.9869623080214236e-05], rtol=1e-12, atol=0)
         np.testing.assert_allclose(
             tensor_report["cofactor_divergence_errors"],
@@ -215,11 +228,13 @@ class TestSeededStars:
 def _whole_grid_force_residuals(x, h, hbar=1.0, mass=1.0):
     """div(sigma) / rho - grad V_Q on the mesh of the nodes ``x``, every
     field built on the whole mesh at once and differenced by ``np.gradient``
-    with spacing h (the reference the sampled stars reproduce)."""
+    with spacing h (the reference the sampled stars reproduce); V_Q is
+    ``PhysicsParams.quantum_potential`` in the log-density c = ln rho."""
     rho, grad, hess = _smooth_rho3(*np.meshgrid(x, x, x, indexing="ij", sparse=True))
     sigma, _ = stress_eulerian(rho, grad, hess, hbar, mass)
-    lap = np.trace(hess, axis1=-2, axis2=-1)
-    vq, _ = quantum_potential(rho, grad, lap, hbar, mass)
+    grad_sq = np.sum(grad * grad, axis=-1) / rho**2
+    vq = PhysicsParams(hbar=hbar, mass=mass).quantum_potential(
+        np.sqrt(grad_sq), np.trace(hess, axis1=-2, axis2=-1) / rho - grad_sq)
     resid = np.zeros(rho.shape + (3,))
     for i in range(3):
         div_i = np.zeros(rho.shape)

@@ -1065,6 +1065,26 @@ class TestSchemaBounds:
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("value", ["132", "-132"])
+    def test_boost_past_the_x_grid_exits_2(self, tmp_path, capsys, value):
+        # the default grid resolves |k| <= pi / 0.0234375 - pi = 130.8997
+        cfg = _write_config(tmp_path / "bad.cfg", {"state.boost_k": value,
+                                                   "solver.t_final": "0.01"})
+        assert main(["run-reference", "--config", str(cfg),
+                     "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert ("state.boost_k must be within +-(pi / the x spacing - "
+                "pi / state.sigma0) = +-130.89969389957471, got "
+                f"{float(value)!r}" in err)
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_boost_the_x_grid_resolves_runs(self, tmp_path):
+        cfg = _write_config(tmp_path / "ok.cfg", {"state.boost_k": "129",
+                                                  "solver.t_final": "0.01"})
+        assert main(["run-reference", "--config", str(cfg),
+                     "--out", str(tmp_path / "o"), "--quiet"]) == 0
+
     def test_readme_table_matches_schema(self):
         readme = Path(__file__).resolve().parents[1] / "README.md"
         section = readme.read_text(encoding="utf-8").split("### Configuration")[1]

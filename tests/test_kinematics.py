@@ -6,8 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from qflow.errors import ValidationError
 from qflow.kinematics import (cofactor_matrix, hyper_cofactor, jacobian,
-                              levi_civita, quantum_potential, stress_eulerian,
-                              stress_lagrangian)
+                              levi_civita, stress_eulerian, stress_lagrangian)
 import qflow.kinematics as kinematics
 from qflow.pipeline import (_ORACLE_POINTS, _chain_rule_stress, _rich_map,
                             _rich_map_gradient, _smooth_rho3)
@@ -80,17 +79,6 @@ def _stress_eulerian_temporaries(rho, grad_rho, hess_rho, hbar, mass):
     sigma = (hbar**2 / (4.0 * mass)) * (outer / safe[..., None, None] - hess)
     sigma = np.where(valid[..., None, None], sigma, 0.0)
     return sigma, valid
-
-
-def _quantum_potential_where(rho, grad_rho, laplacian_rho, hbar, mass):
-    """The ``np.where`` form of ``quantum_potential`` it was rewritten from."""
-    rho, valid = kinematics._floor_mask(rho, kinematics.RHO_FLOOR_REL)
-    grad = np.asarray(grad_rho, dtype=float)
-    lap = np.asarray(laplacian_rho, dtype=float)
-    safe = np.where(valid, rho, 1.0)
-    g2 = np.sum(grad * grad, axis=-1)
-    vq = (hbar**2 / (4.0 * mass)) * (0.5 * g2 / safe - lap) / safe
-    return np.where(valid, vq, 0.0), valid
 
 
 def _cube(n, half_width):
@@ -266,48 +254,6 @@ class TestForceIdentityFields:
         assert np.all(sigma[~valid] == 0.0)
 
 
-class TestQuantumPotentialBits:
-    """The in-place V_Q build equals its ``np.where`` form bit for bit."""
-
-    @pytest.mark.parametrize("half_width", [1.0, 12.0])
-    @pytest.mark.parametrize("stacked", [False, True],
-                             ids=["component-major", "point-major"])
-    def test_bit_identical_at_33(self, half_width, stacked):
-        grid = _cube(33, half_width)
-        rho, grad, hess = (_smooth_rho3_stacked(grid) if stacked
-                           else _smooth_rho3(*np.moveaxis(grid, -1, 0)))
-        lap = np.trace(hess, axis1=-2, axis2=-1)
-        vq, valid = quantum_potential(rho, grad, lap, 1.0, 1.0)
-        ref, valid_ref = _quantum_potential_where(rho, grad, lap, 1.0, 1.0)
-        assert np.array_equal(vq, ref)
-        assert np.array_equal(valid, valid_ref)
-        # the wide cube reaches the density floor in its corners
-        assert valid.all() == (half_width == 1.0)
-
-    @pytest.mark.parametrize("floored", [False, True])
-    def test_broadcast_inputs(self, floored):
-        rng = np.random.default_rng(18)
-        rho = rng.uniform(0.5, 1.0, (4, 5))
-        if floored:
-            rho[0, 4] = 1e-20
-        for grad, lap in ((rng.normal(size=3), rng.normal(size=5)),
-                          (rng.normal(size=(5, 3)), rng.normal(size=(4, 1))),
-                          (rng.normal(size=(4, 5, 3)), 0.3)):
-            vq, valid = quantum_potential(rho, grad, lap, 1.0, 2.0)
-            ref, _ = _quantum_potential_where(rho, grad, lap, 1.0, 2.0)
-            assert vq.shape == (4, 5)
-            assert np.array_equal(vq, ref)
-            assert valid.all() != floored
-
-    def test_scalar_inputs(self):
-        vq, valid = quantum_potential(0.7, np.array([0.3, -0.2, 0.5]), -0.4,
-                                      1.0, 1.0)
-        ref, _ = _quantum_potential_where(0.7, np.array([0.3, -0.2, 0.5]),
-                                          -0.4, 1.0, 1.0)
-        assert vq.shape == () and valid
-        assert vq.tobytes() == ref.tobytes()
-
-
 class TestHyperCofactor:
     def test_identity_gradient(self):
         H = hyper_cofactor(np.eye(3))
@@ -457,13 +403,23 @@ class TestStressLagrangian:
 
 
 class TestQuantumPotential:
+    """The one V_Q formula in three dimensions, read as the force identity
+    reads it: c1 = |grad rho| / rho and c2 = lap rho / rho - c1^2."""
+
+    @staticmethod
+    def _vq(rho, grad, hess):
+        grad_sq = np.sum(grad * grad, axis=-1) / rho**2
+        return PARAMS.quantum_potential(
+            np.sqrt(grad_sq), np.trace(hess, axis1=-2, axis2=-1) / rho - grad_sq)
+
     def test_uniform(self):
-        vq, valid = quantum_potential(2.0, np.zeros(3), 0.0, 1.0, 1.0)
-        assert vq == 0.0 and valid
+        assert self._vq(2.0, np.zeros(3), np.zeros((3, 3))) == 0.0
 
     def test_gaussian_values(self):
-        for x, expected in ((0.0, 0.25), (1.0, 0.125)):
-            rho, d1, d2 = _gaussian_1d_derivs(np.array([x]))
-            grad = np.array([[d1[0], 0, 0]])
-            vq, _ = quantum_potential(rho, grad, np.array([d2[0]]), 1.0, 1.0)
-            assert vq[0] == pytest.approx(expected, abs=1e-12)
+        # the separable unit Gaussian: V_Q = 3/4 - |x|^2 / 8
+        for x, expected in (((0.0, 0.0, 0.0), 0.75), ((1.0, 0.0, 0.0), 0.625)):
+            x = np.array(x)
+            rho = np.exp(-x @ x / 2)
+            grad = -x * rho
+            hess = (np.outer(x, x) - np.eye(3)) * rho
+            assert self._vq(rho, grad, hess) == pytest.approx(expected, abs=1e-12)
